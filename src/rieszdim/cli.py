@@ -508,6 +508,7 @@ def _cmd_distset(args) -> int:
 
 def _cmd_dotset(args) -> int:
     cloud = _load_cloud(args)
+    _check_pairs(cloud.n + 1, args)  # pairs i <= j: n(n+1)/2, self-pairs included
     quant = float(args.quantization) if args.quantization else None
     vs = dot_product_set(cloud, quant)
     payload = vs.to_json(max_values=10**9 if args.full else 100_000)

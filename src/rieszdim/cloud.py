@@ -16,6 +16,8 @@ from .errors import DimensionMismatch, DuplicatePoints, TooFewPoints
 
 __all__ = ["PointCloud", "read_csv", "write_csv"]
 
+_BLOCK = 2048
+
 
 class PointCloud:
     """Immutable ordered set of n distinct points in R^d.
@@ -70,37 +72,45 @@ class PointCloud:
 
     def diameter(self) -> float:
         """Largest pairwise distance (exact, block-wise)."""
-        pts = self._points
         best = 0.0
-        block = 2048
-        for i0 in range(0, self.n, block):
-            a = pts[i0 : i0 + block]
-            for j0 in range(i0, self.n, block):
-                b = pts[j0 : j0 + block]
-                d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-                m = float(d2.max())
-                if m > best:
-                    best = m
+        for d2 in _pair_tiles(self._points, _BLOCK):
+            best = max(best, float(d2.max()))
         return float(np.sqrt(best))
 
     def min_gap(self) -> float:
         """Smallest pairwise distance."""
         if self.n < 2:
             raise TooFewPoints("min_gap needs at least 2 points")
-        pts = self._points
-        best = np.inf
-        block = 2048
-        for i0 in range(0, self.n, block):
-            a = pts[i0 : i0 + block]
-            for j0 in range(i0, self.n, block):
-                b = pts[j0 : j0 + block]
-                d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-                if i0 == j0:
-                    np.fill_diagonal(d2, np.inf)
-                m = float(d2.min())
-                if m < best:
-                    best = m
+        best = min(float(d2.min()) for d2 in _pair_tiles(self._points, _BLOCK))
         return float(np.sqrt(best))
+
+
+def _pair_tiles(pts: np.ndarray, block: int, *, dot: bool = False):
+    """Yield the values of the pairs i < j of ``pts``, one tile at a time.
+
+    Values are squared distances or, with ``dot``, dot products; dot
+    products also cover the self-pairs i == j. Tiles pair row blocks
+    i0 <= j0 of ``block`` points in row-major order, and each yields its
+    values flattened row by row. Every value is built one coordinate at a
+    time in coordinate order, starting from +0.0, so it does not depend on
+    ``block`` and a zero is never -0.0.
+    """
+    n, d = pts.shape
+    op = np.multiply if dot else np.subtract
+    for i0 in range(0, n, block):
+        a = pts[i0 : i0 + block]
+        for j0 in range(i0, n, block):
+            b = pts[j0 : j0 + block]
+            tile = np.zeros((len(a), len(b)))
+            for k in range(d):
+                t = op.outer(a[:, k], b[:, k])
+                if not dot:
+                    t *= t
+                tile += t
+            if i0 == j0:
+                tile = tile[~np.tri(len(a), k=-1 if dot else 0, dtype=bool)]
+            if tile.size:
+                yield tile.ravel()
 
 
 def write_csv(cloud: PointCloud, path) -> None:

@@ -3,11 +3,12 @@
 The distance set of a cloud collects its distinct pairwise Euclidean
 distances (zero excluded); the dot-product set collects x . y over all
 ordered pairs including x with itself. Deduplication is exact on integer
-coordinates (squared distances compared as integers) and grid-quantized
-otherwise, because floating comparison of algebraically equal distances is
-unreliable. Growth reports compare the distinct-distance count against
-n^{1/s0} for conjectured and best-known thresholds s0; the comparisons are
-observational, never asserted, since the underlying claims are asymptotic.
+coordinates of bounded span (squared distances compared as integers) and
+grid-quantized otherwise, because floating comparison of algebraically equal
+distances is unreliable. Growth reports compare the distinct-distance count
+against n^{1/s0} for conjectured and best-known thresholds s0; the
+comparisons are observational, never asserted, since the underlying claims
+are asymptotic.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, _pair_tiles
 from .errors import TooFewPoints
 
 __all__ = [
@@ -60,114 +61,86 @@ class ValueSet:
         return doc
 
 
-def _integer_coordinates(pts: np.ndarray) -> bool:
-    return bool(np.all(pts == np.rint(pts)) and np.all(np.abs(pts) <= 2**25))
+# Exact mode needs every squared distance to be an integer at most 2^51:
+# such integers convert to float exactly and have distinct square roots.
+_EXACT_D2_MAX = 2**51
 
 
-def _squared_distance_ints(pts: np.ndarray) -> np.ndarray:
-    ints = np.rint(pts).astype(np.int64)
-    n = ints.shape[0]
-    chunks = []
-    for i0 in range(0, n, _BLOCK):
-        a = ints[i0 : i0 + _BLOCK]
-        for j0 in range(i0, n, _BLOCK):
-            b = ints[j0 : j0 + _BLOCK]
-            d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-            if i0 == j0:
-                iu = np.triu_indices(d2.shape[0], k=1)
-                d2 = d2[iu]
-            else:
-                d2 = d2.ravel()
-            if d2.size:
-                chunks.append(np.unique(d2))
-    return np.unique(np.concatenate(chunks))
+def _exact_mode_fits(pts: np.ndarray) -> bool:
+    """Integer coordinates whose squared distances stay within _EXACT_D2_MAX.
+
+    The bound sums the squared coordinate spans, so it tightens with the
+    dimension. Under it every difference, square and sum of coordinates is
+    an integer computed exactly in float arithmetic.
+    """
+    if not np.all(pts == np.rint(pts)):
+        return False
+    span = pts.max(axis=0) - pts.min(axis=0)
+    return float(np.sum(span * span)) <= _EXACT_D2_MAX
 
 
-def _bucket_min(values: np.ndarray, step: float, acc: dict) -> None:
-    """Fold values into ``acc``: per quantization bucket, the smallest value."""
-    keys = np.rint(values / step).astype(np.int64)
-    order = np.lexsort((values, keys))
-    keys_sorted = keys[order]
-    vals_sorted = values[order]
-    uniq, first = np.unique(keys_sorted, return_index=True)
-    for k, v in zip(uniq.tolist(), vals_sorted[first].tolist()):
-        if k not in acc or v < acc[k]:
-            acc[k] = v
+def _min_per_key(values: np.ndarray, step: float) -> np.ndarray:
+    """Per grid key ``rint(v / step)``, the smallest value, in key order.
+
+    Keys are monotone in the values, so after sorting the values the first
+    value of each run of equal keys is that key's minimum.
+    """
+    v = np.sort(values)
+    keys = np.rint(v / step).astype(np.int64)
+    return v[np.r_[True, keys[1:] != keys[:-1]]]
 
 
-def _pair_distances_quantized(pts: np.ndarray, step: float) -> np.ndarray:
-    n = pts.shape[0]
-    acc: dict = {}
-    for i0 in range(0, n, _BLOCK):
-        a = pts[i0 : i0 + _BLOCK]
-        for j0 in range(i0, n, _BLOCK):
-            b = pts[j0 : j0 + _BLOCK]
-            d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-            if i0 == j0:
-                iu = np.triu_indices(d2.shape[0], k=1)
-                d2 = d2[iu]
-            else:
-                d2 = d2.ravel()
-            if d2.size:
-                _bucket_min(np.sqrt(d2), step, acc)
-    return np.array([acc[k] for k in sorted(acc)])
+def _dedup_tiles(tiles, step: float) -> np.ndarray:
+    """``_min_per_key`` over all tiles: per tile, then once over the merge."""
+    return _min_per_key(np.concatenate([_min_per_key(t, step) for t in tiles]), step)
 
 
 def distance_set(cloud: PointCloud, quantization="auto") -> ValueSet:
     """Distinct pairwise distances of a cloud (unordered pairs, zero excluded).
 
     ``quantization`` is "auto" (exact integer mode when every coordinate is
-    an integer, else a relative 1e-9 grid), "exact" to force integer mode,
-    or an absolute grid step. Quantized values are canonical grid points,
-    so equal inputs never split and values further apart than twice the
-    step never merge.
+    an integer and every squared distance is at most 2^51, else a relative
+    1e-9 grid), "exact" to force integer mode, or an absolute grid step.
+    Quantized values are the smallest distance per grid key, so equal inputs
+    never split, values further apart than twice the step never merge, and
+    the result does not depend on the tiling.
     """
     if cloud.n < 2:
         raise TooFewPoints("distance set needs at least 2 points")
     pts = cloud.points
-    use_exact = quantization == "exact" or (
-        quantization == "auto" and _integer_coordinates(pts)
-    )
-    if use_exact:
-        if not _integer_coordinates(pts):
-            raise ValueError("exact mode requires integer coordinates")
-        d2 = _squared_distance_ints(pts)
-        values = np.sqrt(d2.astype(float))
+    if quantization in ("auto", "exact") and _exact_mode_fits(pts):
+        values = np.sqrt(_dedup_tiles(_pair_tiles(pts, _BLOCK), 1.0))
         return ValueSet("distance", values, "exact", values.size)
+    if quantization == "exact":
+        raise ValueError(
+            "exact mode requires integer coordinates whose squared "
+            "distances are at most 2^51"
+        )
     if quantization == "auto":
         step = 1e-9 * cloud.diameter()
     else:
         step = float(quantization)
     if step <= 0:
         raise ValueError("quantization step must be positive")
-    values = _pair_distances_quantized(pts, step)
+    values = _dedup_tiles((np.sqrt(d2) for d2 in _pair_tiles(pts, _BLOCK)), step)
     return ValueSet("distance", values, step, values.size)
 
 
 def dot_product_set(cloud: PointCloud, quantization: Optional[float] = None) -> ValueSet:
     """Distinct dot products over all ordered pairs, including x with itself.
 
-    Default quantization is a relative 1e-9 grid on the largest magnitude.
+    Default quantization is a relative 1e-9 grid on the largest squared
+    norm. Since x . y == y . x, the pairs i <= j give the whole set.
     """
     pts = cloud.points
-    n = pts.shape[0]
     if quantization is None:
-        scale = float(np.abs(pts @ pts.T).max()) if n <= _BLOCK else None
-        if scale is None:
-            norms = np.linalg.norm(pts, axis=1)
-            scale = float(norms.max() ** 2)
+        scale = float(np.max(np.sum(pts * pts, axis=1)))
         step = 1e-9 * (scale if scale > 0 else 1.0)
     else:
         step = float(quantization)
     if step <= 0:
         raise ValueError("quantization step must be positive")
-    acc: dict = {}
-    for i0 in range(0, n, _BLOCK):
-        a = pts[i0 : i0 + _BLOCK]
-        for j0 in range(0, n, _BLOCK):
-            b = pts[j0 : j0 + _BLOCK]
-            _bucket_min((a @ b.T).ravel(), step, acc)
-    values = np.array([acc[k] for k in sorted(acc)])
+    values = _dedup_tiles(_pair_tiles(pts, _BLOCK, dot=True), step)
     return ValueSet("dot-product", values, step, values.size)
 
 

@@ -212,6 +212,31 @@ def test_dotset_json(capsys, tmp_path):
     assert payload["values"] == [0.0, 1.0]
 
 
+def test_dotset_enforces_pair_cap(capsys, tmp_path):
+    path = tmp_path / "tri.csv"
+    path.write_text("# dim=2\n0,0\n1,0\n0,1\n")
+    code, _, err = run_cli(["dotset", "--input", str(path), "--max-pairs", "1"], capsys)
+    assert code == 1
+    assert "SizeCapExceeded" in err
+    # the pairs i <= j, self-pairs included: 3 * 4 / 2 = 6
+    code, _, err = run_cli(["dotset", "--input", str(path), "--max-pairs", "5"], capsys)
+    assert code == 1
+    code, _, _ = run_cli(["dotset", "--input", str(path), "--max-pairs", "6"], capsys)
+    assert code == 0
+
+
+def test_distset_exact_mode_out_of_range_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "far.csv"
+    big = 2**25
+    path.write_text(f"# dim=3\n{-big},{-big},0\n{big},{big},0\n{big},{big},1\n")
+    code, out, _ = run_cli(["distset", "--input", str(path)], capsys)
+    assert code == 0
+    assert payload_of(out)["count"] == 2
+    code, _, err = run_cli(["distset", "--input", str(path), "--quantization", "exact"], capsys)
+    assert code == 2
+    assert "2^51" in err
+
+
 def test_erdos_csv(capsys):
     code, out, _ = run_cli(["erdos", "--gen", "lattice", "--d", "2", "--k", "3"], capsys)
     assert code == 0

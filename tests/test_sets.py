@@ -4,8 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rieszdim as rd
+import rieszdim.cloud as cloud_mod
+import rieszdim.sets as sets_mod
 from rieszdim.sets import default_erdos_exponents
 
 
@@ -96,6 +100,35 @@ def test_distance_set_isometry_invariance():
 def test_distance_set_needs_two_points():
     with pytest.raises(rd.TooFewPoints):
         rd.distance_set(rd.PointCloud([[0.0]]))
+
+
+def test_exact_mode_bound_depends_on_dimension():
+    # squared distances 2^53 + 1 and 2^53 (3-D), and 2^52 + 1 and 2^52
+    # (2-D) have equal float square roots, so exact mode cannot hold them
+    big = 2**25
+    for pts in (
+        [[-big, -big, 0], [big, big, 0], [big, big, 1]],
+        [[-big, 0], [big, 0], [big, 1]],
+    ):
+        cloud = rd.PointCloud(pts)
+        vs = rd.distance_set(cloud)
+        assert vs.quantization == 1e-9 * cloud.diameter()
+        assert vs.count == 2
+        with pytest.raises(ValueError, match="2\\^51"):
+            rd.distance_set(cloud, "exact")
+
+
+def test_exact_mode_holds_up_to_the_bound():
+    # both axes span 2^25: squared distances reach 2^50 + 2^50 = 2^51
+    top = [[0, 0], [2**25, 0], [2**25, 2**25], [0, 1], [1, 2**25]]
+    vs = rd.distance_set(rd.PointCloud(top))
+    assert vs.quantization == "exact"
+    assert vs.count == exact_distance_count(top)
+    # a large offset with a small span stays exact
+    shifted = [[10.0**15 + x, 7.0] for x in (0, 1, 3)]
+    vs = rd.distance_set(rd.PointCloud(shifted))
+    assert vs.quantization == "exact"
+    assert vs.values.tolist() == [1.0, 2.0, 3.0]
 
 
 # --------------------------------------------------------- dot-product set
@@ -219,3 +252,143 @@ def test_value_set_json_suppresses_large_lists():
     vs = rd.ValueSet("distance", np.arange(1.0, 12.0), 1e-9, 11)
     assert "values" in vs.to_json()
     assert "values" not in vs.to_json(max_values=10)
+
+
+# ---------------------------------------------------------- tiling oracles
+
+
+def oracle_min_per_key(values, step):
+    """The dedup contract: per key round(v / step), the smallest value."""
+    best = {}
+    for v in values:
+        k = round(v / step)
+        if k not in best or v < best[k]:
+            best[k] = v
+    return [best[k] for k in sorted(best)]
+
+
+def pair_distances(points):
+    out = []
+    for a, b in itertools.combinations(points, 2):
+        acc = 0.0
+        for x, y in zip(a, b):
+            acc += (x - y) * (x - y)
+        out.append(math.sqrt(acc))
+    return out
+
+
+def dot(a, b):
+    acc = 0.0
+    for x, y in zip(a, b):
+        acc += x * y
+    return acc
+
+
+def tiling_clouds():
+    rng = np.random.default_rng(2024)
+    lattice = np.unique(rng.integers(0, 12, size=(150, 2)), axis=0)[:101]
+    return {
+        "generic-2d": rng.random((150, 2)),
+        "generic-3d": rng.random((131, 3)) - 0.5,
+        "grid-1d": rd.grid_1d(97).points,
+        "lattice-2d": lattice.astype(float),
+    }
+
+
+BLOCKS = (7, 64, 1024)
+
+
+@pytest.mark.parametrize("name", sorted(tiling_clouds()))
+def test_distance_set_same_at_every_block_size(name, monkeypatch):
+    pts = tiling_clouds()[name]
+    cloud = rd.PointCloud(pts)
+    step = 1e-9 * cloud.diameter()
+    oracle = oracle_min_per_key(pair_distances(pts.tolist()), step)
+    for block in BLOCKS:
+        monkeypatch.setattr(sets_mod, "_BLOCK", block)
+        vs = rd.distance_set(cloud, step)
+        assert vs.values.tolist() == oracle, block
+        auto = rd.distance_set(cloud)
+        if name == "lattice-2d":
+            squared = {
+                sum((int(x) - int(y)) ** 2 for x, y in zip(a, b))
+                for a, b in itertools.combinations(pts.tolist(), 2)
+            }
+            assert auto.quantization == "exact"
+            assert auto.values.tolist() == [math.sqrt(q) for q in sorted(squared)]
+        else:
+            assert auto.quantization == step
+            assert auto.values.tolist() == oracle
+
+
+@pytest.mark.parametrize("name", sorted(tiling_clouds()))
+def test_dot_product_set_same_at_every_block_size(name, monkeypatch):
+    pts = tiling_clouds()[name]
+    cloud = rd.PointCloud(pts)
+    points = pts.tolist()
+    scale = max(dot(p, p) for p in points)
+    oracle = oracle_min_per_key([dot(a, b) for a in points for b in points], 1e-9 * scale)
+    for block in BLOCKS:
+        monkeypatch.setattr(sets_mod, "_BLOCK", block)
+        vs = rd.dot_product_set(cloud)
+        assert vs.quantization == 1e-9 * scale
+        assert vs.values.tolist() == oracle, block
+
+
+@pytest.mark.parametrize("name", sorted(tiling_clouds()))
+def test_diameter_and_min_gap_same_at_every_block_size(name, monkeypatch):
+    pts = tiling_clouds()[name]
+    dists = pair_distances(pts.tolist())
+    for block in BLOCKS + (2048,):
+        monkeypatch.setattr(cloud_mod, "_BLOCK", block)
+        cloud = rd.PointCloud(pts)
+        assert cloud.diameter() == max(dists), block
+        assert cloud.min_gap() == min(dists), block
+
+
+def test_dot_products_report_zero_as_positive_zero():
+    vs = rd.dot_product_set(rd.PointCloud([[-1.0, 0.0], [0.0, -1.0]]), 1e-9)
+    assert vs.values.tolist() == [0.0, 1.0]
+    assert math.copysign(1.0, vs.values[0]) == 1.0
+
+
+# ------------------------------------------------------------- properties
+
+small_int_clouds = st.lists(
+    st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+    min_size=2,
+    max_size=25,
+    unique=True,
+)
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(small_int_clouds)
+def test_exact_and_quantized_dedup_agree_in_count(points):
+    cloud = rd.PointCloud(points)
+    exact = rd.distance_set(cloud, "exact")
+    quantized = rd.distance_set(cloud, 1e-9 * cloud.diameter())
+    assert exact.count == quantized.count == exact_distance_count(points)
+
+
+fractional = st.integers(-(10**4), 10**4).map(lambda k: k / 997.0)
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(
+    st.lists(
+        st.tuples(fractional, fractional),
+        min_size=2,
+        max_size=25,
+        unique=True,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_distance_set_ignores_point_order(points, random):
+    shuffled = list(points)
+    random.shuffle(shuffled)
+    a = rd.distance_set(rd.PointCloud(points))
+    b = rd.distance_set(rd.PointCloud(shuffled))
+    assert a.count == b.count
+    assert a.values.tolist() == b.values.tolist()
+
