@@ -103,8 +103,10 @@ def _parse_list(text, cast):
     return [cast(tok) for tok in str(text).split(",") if tok.strip() != ""]
 
 
-def _check_pairs(n: int, args) -> None:
-    pairs = n * (n - 1) // 2
+def _check_pairs(args, *sizes, reps: int = 1) -> None:
+    """Refuse a run whose pair evaluations, reps x pairs(n) summed over the
+    cloud sizes, exceed --max-pairs."""
+    pairs = reps * sum(n * (n - 1) // 2 for n in sizes)
     if pairs > args.max_pairs:
         raise SizeCapExceeded(f"{pairs} pairs exceed the cap {args.max_pairs}")
 
@@ -263,6 +265,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count > args.max_points:
+        raise SizeCapExceeded(f"{args.count} points exceed the cap {args.max_points}")
     measure = _measure_from_args(args)
     cloud, info = sample_detail(measure, args.count, args.seed)
     _emit_text(dumps_csv(cloud), args.output)
@@ -280,10 +284,13 @@ def _cmd_sample(args) -> int:
 
 def _cmd_energy(args) -> int:
     cloud = _load_cloud(args)
-    _check_pairs(cloud.n, args)
+    _check_pairs(args, cloud.n)
     if args.s_grid and args.n_grid:
         prof = energy_profile(
-            cloud, _parse_list(args.s_grid, float), _parse_list(args.n_grid, int)
+            cloud,
+            _parse_list(args.s_grid, float),
+            _parse_list(args.n_grid, int),
+            threads=args.threads,
         )
         payload = {
             "mode": "profile",
@@ -351,23 +358,27 @@ def _cmd_dim(args) -> int:
                 n_grid.append(v)
                 v *= 2
             n_grid.append(args.n)
-        _check_pairs(max(n_grid), args)
+        _check_pairs(args, max(n_grid))
         clouds = [grid_1d(n) for n in n_grid]
         prof = profile_from_family(clouds, s_grid, threads=args.threads)
 
         def recompute(s_mid, n_sub):
-            sub = profile_from_family([grid_1d(n) for n in n_sub], [s_mid])
+            sub = profile_from_family(
+                [grid_1d(n) for n in n_sub], [s_mid], threads=args.threads
+            )
             return sub.values[0]
 
         window = tuple(_parse_list(args.window, int)) if args.window else default_window(n_grid)
         est = dimension_estimate(prof, args.threshold, window=window, recompute=recompute)
     else:
         cloud = _load_cloud(args)
-        _check_pairs(cloud.n, args)
+        _check_pairs(args, cloud.n)
         n_grid = _auto_n_grid(args, cloud)
-        prof = energy_profile(cloud, s_grid, n_grid)
+        prof = energy_profile(cloud, s_grid, n_grid, threads=args.threads)
         window = tuple(_parse_list(args.window, int)) if args.window else default_window(n_grid)
-        est = dimension_estimate(prof, args.threshold, cloud=cloud, window=window)
+        est = dimension_estimate(
+            prof, args.threshold, cloud=cloud, window=window, threads=args.threads
+        )
     payload = est.to_json()
     payload["n_grid"] = list(prof.n_grid)
     _emit_text(_envelope(args, payload, args._started), args.output)
@@ -375,6 +386,7 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_varscan(args) -> int:
+    _check_pairs(args, args.n, reps=args.reps)
     measure = _measure_from_args(args)
     scores = variance_blowup_scan(
         measure, _parse_list(args.s_grid, float), args.n, args.reps, args.seed
@@ -408,6 +420,7 @@ def _write_per_rep_csv(path, measure, s, n_grid, reps, seed) -> None:
 
 
 def _cmd_lln_mean(args) -> int:
+    _check_pairs(args, args.n, reps=args.reps)
     measure = _measure_from_args(args)
     oracle = "auto" if args.oracle is None else args.oracle
     if args.no_oracle:
@@ -422,8 +435,9 @@ def _cmd_lln_mean(args) -> int:
 
 
 def _cmd_lln_weak(args) -> int:
-    measure = _measure_from_args(args)
     n_grid = _parse_list(args.n_grid, int)
+    _check_pairs(args, *n_grid, reps=args.reps)
+    measure = _measure_from_args(args)
     report = wlln_exceedance(
         measure,
         args.s,
@@ -439,6 +453,7 @@ def _cmd_lln_weak(args) -> int:
 
 
 def _cmd_lln_path(args) -> int:
+    _check_pairs(args, args.n_max)
     measure = _measure_from_args(args)
     path = slln_path(measure, args.s, args.n_max, args.seed)
     payload = {
@@ -459,7 +474,7 @@ def _cmd_lln_path(args) -> int:
 
 def _cmd_ballcheck(args) -> int:
     cloud = _load_cloud(args)
-    _check_pairs(cloud.n, args)
+    _check_pairs(args, cloud.n)
     params = BallMeasureParams(args.s, args.c, cloud.n)
     numeric = ball_energy_numeric(cloud, params, seed=args.seed)
     predicted = ball_energy_predicted(cloud, params)
@@ -493,7 +508,7 @@ def _cmd_ballcheck(args) -> int:
 
 def _cmd_distset(args) -> int:
     cloud = _load_cloud(args)
-    _check_pairs(cloud.n, args)
+    _check_pairs(args, cloud.n)
     quant = args.quantization
     if quant not in (None, "exact", "auto"):
         quant = float(quant)
@@ -508,7 +523,7 @@ def _cmd_distset(args) -> int:
 
 def _cmd_dotset(args) -> int:
     cloud = _load_cloud(args)
-    _check_pairs(cloud.n + 1, args)  # pairs i <= j: n(n+1)/2, self-pairs included
+    _check_pairs(args, cloud.n + 1)  # pairs i <= j: n(n+1)/2, self-pairs included
     quant = float(args.quantization) if args.quantization else None
     vs = dot_product_set(cloud, quant)
     payload = vs.to_json(max_values=10**9 if args.full else 100_000)
@@ -519,7 +534,7 @@ def _cmd_dotset(args) -> int:
 
 def _cmd_erdos(args) -> int:
     cloud = _load_cloud(args)
-    _check_pairs(cloud.n, args)
+    _check_pairs(args, cloud.n)
     exps = _parse_list(args.exponents, float) if args.exponents else None
     report = erdos_report(cloud, exps)
     buf = io.StringIO()

@@ -85,6 +85,22 @@ class PointCloud:
         return float(np.sqrt(best))
 
 
+def _tile(a: np.ndarray, b: np.ndarray, *, dot: bool = False) -> np.ndarray:
+    """Squared distances (or dot products) of every row of a with every row of b.
+
+    Built one coordinate at a time in coordinate order, starting from +0.0,
+    with no (len(a), len(b), d) temporary.
+    """
+    op = np.multiply if dot else np.subtract
+    tile = np.zeros((len(a), len(b)))
+    for k in range(a.shape[1]):
+        t = op.outer(a[:, k], b[:, k])
+        if not dot:
+            t *= t
+        tile += t
+    return tile
+
+
 def _pair_tiles(pts: np.ndarray, block: int, *, dot: bool = False):
     """Yield the values of the pairs i < j of ``pts``, one tile at a time.
 
@@ -95,18 +111,11 @@ def _pair_tiles(pts: np.ndarray, block: int, *, dot: bool = False):
     time in coordinate order, starting from +0.0, so it does not depend on
     ``block`` and a zero is never -0.0.
     """
-    n, d = pts.shape
-    op = np.multiply if dot else np.subtract
+    n = pts.shape[0]
     for i0 in range(0, n, block):
         a = pts[i0 : i0 + block]
         for j0 in range(i0, n, block):
-            b = pts[j0 : j0 + block]
-            tile = np.zeros((len(a), len(b)))
-            for k in range(d):
-                t = op.outer(a[:, k], b[:, k])
-                if not dot:
-                    t *= t
-                tile += t
+            tile = _tile(a, pts[j0 : j0 + block], dot=dot)
             if i0 == j0:
                 tile = tile[~np.tri(len(a), k=-1 if dot else 0, dtype=bool)]
             if tile.size:

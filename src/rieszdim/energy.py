@@ -5,22 +5,27 @@ The discrete s-energy of an n-point set P is
     J_s(P) = (1/(n(n-1))) * sum_{x != y in P} |x - y|^{-s}
 
 with Euclidean distance, summed over ordered pairs (equivalently twice the
-unordered-pair sum). Summation is blocked with compensated accumulation per
-block and an ordered block reduction, so results are bit-identical at any
-thread count. Kernels are evaluated as exp(-s*log r) with direct powers for
-s in {0, 1, 2}; distances are square roots of exactly accumulated squared
-coordinate differences.
+unordered-pair sum). Every energy here is arithmetic on one array, the row
+sums R_s[k] = sum_{j<k} |x_k - x_j|^{-s} for all exponents at once. Rows are
+computed in blocks against all earlier points: squared distances are
+accumulated one coordinate at a time, log d2 is taken once per block, and
+each kernel is exp(-s/2 * log d2), with s = 0 an exact count. Block bounds
+do not depend on the thread count and each block writes only its own rows,
+so R is bit-identical at any thread count. Totals are exact ``math.fsum``
+reductions of R; prefix totals are one compensated running sum over R. A
+sum that overflows is inf, never nan.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, _tile
 from .errors import DimensionMismatch, DuplicatePoints, TooFewPoints
 
 __all__ = [
@@ -34,102 +39,114 @@ __all__ = [
 ]
 
 DEFAULT_BLOCK = 2048
+_TILE = 1 << 15  # values per row block, so its buffers stay in cache
+
+_pool = None
+_pool_size = 0
+_pool_lock = threading.Lock()
 
 
-def _neumaier(values) -> float:
-    """Compensated (Neumaier) sum of a 1-D sequence, in the given order."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        v = float(v)
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
+def _shared_pool(threads: int) -> ThreadPoolExecutor:
+    """The process-wide worker pool, grown to at least ``threads`` workers."""
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool_size < threads:
+            # a replaced pool finishes its work; its idle threads exit once
+            # it is garbage collected
+            _pool = ThreadPoolExecutor(threads, thread_name_prefix="rieszdim")
+            _pool_size = threads
+        return _pool
 
 
-def _kernel(r2: np.ndarray, s: float) -> np.ndarray:
-    """|x-y|^{-s} from squared distances r2 > 0."""
-    if s == 0.0:
-        return np.ones_like(r2)
-    if s == 2.0:
-        return 1.0 / r2
-    r = np.sqrt(r2)
-    if s == 1.0:
-        return 1.0 / r
-    return np.exp(-s * np.log(r))
+def _row_blocks(n: int, block: int) -> list:
+    """Row ranges [k0, k1) whose rows times k1 columns hold about _TILE values."""
+    out = []
+    k0 = 0
+    while k0 < n:
+        rows = (math.isqrt(k0 * k0 + 4 * _TILE) - k0) // 2
+        k1 = min(n, k0 + max(1, min(block, rows)))
+        out.append((k0, k1))
+        k0 = k1
+    return out
 
 
-def _block_tasks(n: int, block: int):
-    for i0 in range(0, n, block):
-        for j0 in range(i0, n, block):
-            yield i0, j0
-
-
-def _pair_sums(
-    pts: np.ndarray,
-    s_list,
-    *,
-    block: int = DEFAULT_BLOCK,
-    threads: int = 1,
-    weight=None,
-) -> np.ndarray:
-    """Per-exponent sums of |x-y|^{-s} over unordered pairs.
-
-    Deterministic at any thread count: blocks are enumerated in a fixed
-    order, each block is reduced with compensated row sums, and block
-    partials are combined in enumeration order. ``weight`` optionally maps
-    pair distances r to multiplicative weights (used by the truncated
-    kernel).
-    """
-    n = pts.shape[0]
-    s_arr = [float(s) for s in s_list]
-
-    def one_block(task):
-        i0, j0 = task
-        a = pts[i0 : i0 + block]
-        b = pts[j0 : j0 + block]
-        d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-        if i0 == j0:
-            iu = np.triu_indices(d2.shape[0], k=1)
-            d2 = d2[iu]
-        else:
-            d2 = d2.ravel()
-        if d2.size == 0:
-            return [0.0] * len(s_arr)
-        if np.any(d2 == 0.0):
-            raise DuplicatePoints("coinciding points encountered in pair sum")
-        w = weight(np.sqrt(d2)) if weight is not None else None
-        out = []
-        for s in s_arr:
-            terms = _kernel(d2, s)
-            if w is not None:
-                terms = terms * w
-            out.append(_neumaier(_row_partials(terms)))
-        return out
-
-    tasks = list(_block_tasks(n, block))
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            partials = list(ex.map(one_block, tasks))
+def _row_block(pts, k0, k1, exps, weight, out) -> None:
+    """Write the row sums of rows k0..k1-1 over columns j < k to out[:, k0:k1]."""
+    rows = k1 - k0
+    d2 = _tile(pts[k0:k1], pts[:k1])
+    upper = d2[:, k0:]  # the pairs j >= k: skipped, set to 1 so log is 0
+    upper[~np.tri(rows, k=-1, dtype=bool)] = 1.0
+    if not d2.all():
+        raise DuplicatePoints("coinciding points encountered in pair sum")
+    if weight is None:
+        w = None
+        lower = np.tri(rows, k=-1)
     else:
-        partials = [one_block(t) for t in tasks]
-    return np.array([_neumaier(p[i] for p in partials) for i in range(len(s_arr))])
+        w = weight(np.sqrt(d2))
+        w[:, k0:] *= np.tri(rows, k=-1)
+        d2[w == 0.0] = 1.0  # a zero weight must not meet an infinite kernel
+    L = np.log(d2, out=d2)
+    buf = np.empty_like(L)
+    for i, s in enumerate(exps):
+        if s == 0.0:
+            out[i, k0:k1] = np.arange(k0, k1) if w is None else w.sum(axis=1)
+            continue
+        np.multiply(L, -0.5 * s, out=buf)
+        np.exp(buf, out=buf)
+        if w is None:
+            buf[:, k0:] *= lower
+        else:
+            buf *= w
+        buf.sum(axis=1, out=out[i, k0:k1])
 
 
-def _row_partials(terms: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    """Fixed-size chunk sums of a flat term array (deterministic order)."""
-    m = terms.size
-    if m <= chunk:
-        return np.array([terms.sum()])
-    cut = (m // chunk) * chunk
-    body = terms[:cut].reshape(-1, chunk).sum(axis=1)
-    if cut == m:
-        return body
-    return np.concatenate([body, [terms[cut:].sum()]])
+def _row_sums(pts, exps, *, block=DEFAULT_BLOCK, threads=1, weight=None):
+    """R[i, k] = sum_{j<k} weight(r) * r^{-exps[i]}, r = |x_k - x_j|, shape (S, n).
+
+    Raises DuplicatePoints on a zero distance. ``weight`` optionally maps
+    distances to multiplicative pair weights (the truncated kernel).
+    """
+    exps = [float(s) for s in exps]
+    out = np.zeros((len(exps), pts.shape[0]))
+    blocks = _row_blocks(pts.shape[0], block)
+
+    def run(spans):
+        with np.errstate(over="ignore"):
+            for k0, k1 in spans:
+                _row_block(pts, k0, k1, exps, weight, out)
+
+    workers = min(threads, len(blocks))
+    pool = _shared_pool(workers - 1) if workers > 1 else None
+    futures = [pool.submit(run, blocks[t::workers]) for t in range(1, workers)]
+    try:
+        run(blocks[::workers])  # the calling thread takes the first share
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+    return out
+
+
+def _fsum(values) -> float:
+    """Exact sum of nonnegative terms; inf once it overflows."""
+    try:
+        return math.fsum(values.tolist())
+    except OverflowError:
+        return math.inf
+
+
+def _running_totals(r: np.ndarray) -> np.ndarray:
+    """Compensated (Neumaier) running sums of a 1-D array r >= 0.
+
+    ``cumsum`` adds in index order, so the rounding error of every step is
+    recovered afterwards from its operands; an inf total stays inf.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        tot = np.cumsum(r)
+        prev = np.zeros_like(tot)
+        prev[1:] = tot[:-1]
+        err = np.where(prev >= r, (prev - tot) + r, (r - tot) + prev)
+        return np.where(np.isinf(tot), tot, tot + np.cumsum(err))
 
 
 def discrete_energy(
@@ -145,21 +162,25 @@ def discrete_energy(
     if s < 0:
         raise ValueError("exponent s must be nonnegative")
     n = cloud.n
-    total = _pair_sums(cloud.points, [s], block=block, threads=threads)[0]
-    return 2.0 * float(total) / (n * (n - 1))
+    R = _row_sums(cloud.points, [s], block=block, threads=threads)
+    return _fsum(R[0]) / (n * (n - 1) // 2)
 
 
 def discrete_energy_multi(
     cloud: PointCloud, s_list, *, block: int = DEFAULT_BLOCK, threads: int = 1
 ) -> np.ndarray:
-    """J_s for several exponents with a single distance pass."""
+    """J_s for several exponents with a single distance pass.
+
+    Each value is fsum(R_s) / (n(n-1)/2), the mean over unordered pairs; a
+    sum that overflows gives inf.
+    """
     if cloud.n < 2:
         raise TooFewPoints("discrete energy needs at least 2 points")
     if any(s < 0 for s in s_list):
         raise ValueError("exponents must be nonnegative")
     n = cloud.n
-    sums = _pair_sums(cloud.points, s_list, block=block, threads=threads)
-    return 2.0 * sums / (n * (n - 1))
+    R = _row_sums(cloud.points, s_list, block=block, threads=threads)
+    return np.array([_fsum(row) / (n * (n - 1) // 2) for row in R])
 
 
 @dataclass(frozen=True)
@@ -202,13 +223,15 @@ def _check_grids(s_grid, n_grid):
     return s_grid, n_grid
 
 
-def energy_profile(cloud: PointCloud, s_grid, n_grid) -> EnergyProfile:
+def energy_profile(
+    cloud: PointCloud, s_grid, n_grid, *, threads: int = 1
+) -> EnergyProfile:
     """Energy profile over prefixes of one cloud.
 
-    Equivalent to calling :func:`discrete_energy` on every prefix, but the
-    pair sum is extended incrementally point by point (one distance pass for
-    all prefixes and exponents). The incremental path agrees with the direct
-    one to summation tolerance.
+    Equivalent to calling :func:`discrete_energy` on every prefix, but one
+    distance pass serves all prefixes and exponents: the prefix pair sums
+    are compensated running totals of the row sums R. The incremental path
+    agrees with the direct one to summation tolerance.
     """
     s_grid, n_grid = _check_grids(s_grid, n_grid)
     if not n_grid:
@@ -217,26 +240,9 @@ def energy_profile(cloud: PointCloud, s_grid, n_grid) -> EnergyProfile:
         raise TooFewPoints(
             f"largest prefix {n_grid[-1]} exceeds cloud size {cloud.n}"
         )
-    pts = cloud.points
-    wanted = {n: j for j, n in enumerate(n_grid)}
-    values = np.empty((len(s_grid), len(n_grid)))
-    sums = np.zeros(len(s_grid))
-    comps = np.zeros(len(s_grid))
-    for k in range(1, n_grid[-1]):
-        d2 = np.sum((pts[:k] - pts[k]) ** 2, axis=1)
-        if np.any(d2 == 0.0):
-            raise DuplicatePoints(f"point {k} coincides with an earlier point")
-        for i, s in enumerate(s_grid):
-            v = float(_kernel(d2, s).sum())
-            t = sums[i] + v
-            if abs(sums[i]) >= abs(v):
-                comps[i] += (sums[i] - t) + v
-            else:
-                comps[i] += (v - t) + sums[i]
-            sums[i] = t
-        m = k + 1
-        if m in wanted:
-            values[:, wanted[m]] = 2.0 * (sums + comps) / (m * (m - 1))
+    R = _row_sums(cloud.points[: n_grid[-1]], s_grid, threads=threads)
+    m = np.array(n_grid)
+    values = np.array([_running_totals(row)[m - 1] for row in R]) / (m * (m - 1) // 2)
     return EnergyProfile(tuple(s_grid), tuple(n_grid), values)
 
 
@@ -269,10 +275,11 @@ def riesz_potential_discrete(cloud: PointCloud, x, s: float) -> float:
         )
     if s == 0.0:
         return 1.0
-    d2 = np.sum((cloud.points - x) ** 2, axis=1)
-    if np.any(d2 == 0.0):
+    d2 = _tile(x[None, :], cloud.points)[0]
+    if not d2.all():
         return math.inf
-    return float(_neumaier(_row_partials(_kernel(d2, s)))) / cloud.n
+    with np.errstate(over="ignore"):
+        return _fsum(np.exp(-0.5 * s * np.log(d2))) / cloud.n
 
 
 def _cutoff(u: np.ndarray) -> np.ndarray:
@@ -307,5 +314,5 @@ def truncated_energy(
     def weight(r):
         return 1.0 - _cutoff(r / radius)
 
-    total = _pair_sums(cloud.points, [s], block=block, threads=threads, weight=weight)[0]
-    return 2.0 * float(total) / (n * n)
+    R = _row_sums(cloud.points, [s], block=block, threads=threads, weight=weight)
+    return _fsum(R[0]) / (n * n / 2)

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import discrete_energy_multi, _kernel
+from .energy import discrete_energy_multi, energy_profile
 from .errors import OracleUnavailable, UnsupportedVariant
 from .measures import (
     MeasureSpec,
@@ -190,24 +190,12 @@ def wlln_exceedance(
 def slln_path(measure: MeasureSpec, s: float, n_max: int, seed: int):
     """One growing sample path: running J_s for every prefix of one draw.
 
-    Draws x_1..x_{n_max} once and updates the pair sum incrementally (O(n)
-    work per added point). Returns a list of (n, J_s(P_n)) for n >= 2.
+    Draws x_1..x_{n_max} once and keeps the energy profile at every prefix
+    (one distance pass, O(n) work per added point). Returns a list of
+    (n, J_s(P_n)) for n >= 2.
     """
     if n_max < 100:
         raise ValueError("need n_max >= 100")
-    pts = sample(measure, n_max, seed).points
-    out = []
-    total = 0.0
-    comp = 0.0
-    for k in range(1, n_max):
-        d2 = np.sum((pts[:k] - pts[k]) ** 2, axis=1)
-        v = float(_kernel(d2, s).sum())
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-        m = k + 1
-        out.append((m, 2.0 * (total + comp) / (m * (m - 1))))
-    return out
+    cloud = sample(measure, n_max, seed)
+    prof = energy_profile(cloud, [s], range(2, n_max + 1))
+    return list(zip(prof.n_grid, prof.values[0].tolist()))

@@ -225,6 +225,38 @@ def test_dotset_enforces_pair_cap(capsys, tmp_path):
     assert code == 0
 
 
+def test_sample_enforces_point_cap(capsys):
+    args = ["sample", "--measure", "cube", "--count", "20", "--seed", "1"]
+    code, out, err = run_cli(args + ["--max-points", "19"], capsys)
+    assert code == 1
+    assert "SizeCapExceeded" in err
+    assert out == ""  # refused before any row is written
+    code, out, _ = run_cli(args + ["--max-points", "20"], capsys)
+    assert code == 0
+    assert len(out.strip().splitlines()) == 21
+
+
+@pytest.mark.parametrize(
+    "argv, pairs",
+    [
+        # reps x n(n-1)/2, summed over the sample sizes
+        (["varscan", "--s-grid", "0.3", "--n", "40", "--reps", "50"], 50 * 780),
+        (["lln-mean", "--s", "0.5", "--n", "50", "--reps", "40", "--no-oracle"], 40 * 1225),
+        (["lln-weak", "--s", "0.3", "--eps", "0.5", "--n-grid", "20,40,80",
+          "--reps", "40"], 40 * (190 + 780 + 3160)),
+        (["lln-path", "--s", "0.4", "--n-max", "120"], 7140),
+    ],
+)
+def test_monte_carlo_commands_enforce_pair_cap(capsys, argv, pairs):
+    argv = argv + ["--measure", "cube", "--dim", "1", "--seed", "2"]
+    code, out, err = run_cli(argv + ["--max-pairs", str(pairs - 1)], capsys)
+    assert code == 1
+    assert "SizeCapExceeded" in err
+    assert out == ""
+    code, _, _ = run_cli(argv + ["--max-pairs", str(pairs)], capsys)
+    assert code == 0
+
+
 def test_distset_exact_mode_out_of_range_is_usage_error(capsys, tmp_path):
     path = tmp_path / "far.csv"
     big = 2**25

@@ -1,7 +1,11 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rieszdim as rd
 from conftest import random_cloud
@@ -59,6 +63,32 @@ def test_thread_count_does_not_change_bits():
         serial = rd.discrete_energy(c, s, block=64, threads=1)
         parallel = rd.discrete_energy(c, s, block=64, threads=4)
         assert serial == parallel  # bit identical
+
+
+def test_concurrent_callers_get_identical_bits():
+    # eight callers at once, asking for 2..5 workers, so the shared pool is
+    # grown while other callers use it
+    c = random_cloud(7, 400, 2)
+    want = rd.discrete_energy_multi(c, [0.5, 1.5], block=16).tolist()
+    results = []
+
+    def call(workers):
+        results.append(
+            rd.discrete_energy_multi(c, [0.5, 1.5], block=16, threads=workers).tolist()
+        )
+
+    callers = [threading.Thread(target=call, args=(2 + i % 4,)) for i in range(8)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in callers)
+    assert results == [want] * len(callers)
 
 
 def test_repeat_runs_are_bit_identical():
@@ -238,3 +268,143 @@ def test_truncated_validation():
         rd.truncated_energy(c, 0.5, 0.0)
     with pytest.raises(rd.TooFewPoints):
         rd.truncated_energy(rd.PointCloud([[0.0]]), 0.5, 1.0)
+
+
+# ---------------------------------------------------------------- overflow
+
+
+def test_overflowing_kernel_gives_inf_not_nan():
+    # the 1e-100 gap makes one term 1e400 at s = 4
+    c = rd.PointCloud([[0.0], [1e-100], [0.5]])
+    assert rd.discrete_energy(c, 4.0) == math.inf
+    multi = rd.discrete_energy_multi(c, [4.0, 1.0])
+    assert multi[0] == math.inf
+    assert multi[1] == pytest.approx((1e100 + 2.0 + 1.0 / (0.5 - 1e-100)) / 3.0)
+    prof = rd.energy_profile(c, [1.0, 4.0], [2, 3])
+    assert prof.values[1].tolist() == [math.inf, math.inf]
+    assert np.all(np.isfinite(prof.values[0]))
+    assert rd.riesz_potential_discrete(c, [1e-101], 4.0) == math.inf
+
+
+def test_overflowing_sum_of_finite_terms_gives_inf():
+    # each term is about 1e308, finite; their sum is not
+    c = rd.PointCloud([[0.0], [1e-154], [2e-154]])
+    assert rd.discrete_energy(c, 2.0) == math.inf
+    prof = rd.energy_profile(c, [2.0], [2, 3])
+    assert prof.values[0, 0] == pytest.approx(1e308, rel=1e-12)
+    assert prof.values[0, 1] == math.inf
+
+
+def test_slln_path_overflow_gives_inf(monkeypatch):
+    import rieszdim.stats as stats_mod
+
+    pts = np.linspace(0.0, 1.0, 100)
+    pts[1] = 1e-100  # x_1 and x_2 nearly coincide
+    monkeypatch.setattr(stats_mod, "sample", lambda m, n, seed: rd.PointCloud(pts))
+    path = rd.slln_path(rd.UniformCube(1), 4.0, 100, seed=0)
+    assert all(j == math.inf for _, j in path)
+
+
+# ---------------------------------------------------------------- properties
+
+coordinate = st.integers(-(10**4), 10**4).map(lambda k: k / 997.0)
+exponent = st.floats(0.0, 2.5)
+
+
+@st.composite
+def clouds(draw, max_size=40):
+    d = draw(st.integers(1, 3))
+    points = draw(
+        st.lists(st.tuples(*[coordinate] * d), min_size=2, max_size=max_size, unique=True)
+    )
+    return rd.PointCloud(points)
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(clouds(), exponent, st.randoms(use_true_random=False))
+def test_energy_ignores_point_order(cloud, s, random):
+    shuffled = cloud.points.tolist()
+    random.shuffle(shuffled)
+    assert rd.discrete_energy(rd.PointCloud(shuffled), s) == pytest.approx(
+        rd.discrete_energy(cloud, s), rel=1e-12
+    )
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(clouds(), exponent, st.floats(0.01, 100.0))
+def test_energy_scales_as_minus_s_power(cloud, s, lam):
+    scaled = rd.PointCloud(lam * cloud.points)
+    assert rd.discrete_energy(scaled, s) == pytest.approx(
+        lam**-s * rd.discrete_energy(cloud, s), rel=1e-12
+    )
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(clouds(), st.integers(1, 16))
+def test_zero_exponent_energy_is_exactly_one(cloud, block):
+    assert rd.discrete_energy(cloud, 0.0, block=block) == 1.0
+    prof = rd.energy_profile(cloud, [0.0], range(2, cloud.n + 1))
+    assert prof.values[0].tolist() == [1.0] * (cloud.n - 1)
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(clouds(), st.lists(exponent, min_size=1, max_size=3, unique=True), st.data())
+def test_profile_equals_energy_of_each_prefix(cloud, s_list, data):
+    s_grid = sorted(s_list)
+    n_grid = sorted(data.draw(st.sets(st.integers(2, cloud.n), min_size=1)))
+    prof = rd.energy_profile(cloud, s_grid, n_grid)
+    for j, n in enumerate(n_grid):
+        direct = rd.discrete_energy_multi(cloud.prefix(n), s_grid)
+        assert prof.values[:, j] == pytest.approx(direct, rel=1e-12)
+
+
+@settings(deadline=None, derandomize=True, max_examples=20)
+@given(st.integers(1, 3), exponent, st.integers(100, 160), st.integers(0, 2**32))
+def test_slln_path_equals_energy_of_each_prefix(d, s, n_max, seed):
+    measure = rd.UniformCube(d)
+    path = rd.slln_path(measure, s, n_max, seed)
+    cloud = rd.sample(measure, n_max, seed)
+    assert [n for n, _ in path] == list(range(2, n_max + 1))
+    for n in (2, 3, n_max // 2, n_max):
+        assert path[n - 2][1] == pytest.approx(
+            rd.discrete_energy(cloud.prefix(n), s), rel=1e-12
+        )
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(clouds(), st.lists(exponent, min_size=1, max_size=3), st.integers(1, 16))
+def test_thread_count_gives_identical_bits(cloud, s_list, block):
+    runs = [
+        rd.discrete_energy_multi(cloud, s_list, block=block, threads=t).tolist()
+        for t in (1, 2, 4)
+    ]
+    assert runs[0] == runs[1] == runs[2]
+    s = s_list[0]
+    radius = 0.3 * cloud.diameter()
+    truncated = [
+        rd.truncated_energy(cloud, s, radius, block=block, threads=t) for t in (1, 2, 4)
+    ]
+    assert truncated[0] == truncated[1] == truncated[2]
+    profiles = [
+        rd.energy_profile(cloud, [s], range(2, cloud.n + 1), threads=t).values.tolist()
+        for t in (1, 2, 4)
+    ]
+    assert profiles[0] == profiles[1] == profiles[2]
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(clouds(max_size=60), st.lists(exponent, min_size=1, max_size=3), st.integers(1, 40))
+def test_block_size_changes_only_rounding(cloud, s_list, block):
+    assert rd.discrete_energy_multi(cloud, s_list, block=block) == pytest.approx(
+        rd.discrete_energy_multi(cloud, s_list), rel=1e-12
+    )
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(clouds(), exponent, st.floats(0.01, 0.999))
+def test_truncated_equals_scaled_energy_below_half_min_gap(cloud, s, frac):
+    radius = frac * cloud.min_gap() / 2
+    n = cloud.n
+    assert rd.truncated_energy(cloud, s, radius) == pytest.approx(
+        (n - 1) / n * rd.discrete_energy(cloud, s), rel=1e-15
+    )
