@@ -376,9 +376,11 @@ def _cmd_dim(args) -> int:
         n_grid = _auto_n_grid(args, cloud)
         prof = energy_profile(cloud, s_grid, n_grid, threads=args.threads)
         window = tuple(_parse_list(args.window, int)) if args.window else default_window(n_grid)
-        est = dimension_estimate(
-            prof, args.threshold, cloud=cloud, window=window, threads=args.threads
-        )
+
+        def recompute(s_mid, n_sub):
+            return energy_profile(cloud, [s_mid], n_sub, threads=args.threads).values[0]
+
+        est = dimension_estimate(prof, args.threshold, window=window, recompute=recompute)
     payload = est.to_json()
     payload["n_grid"] = list(prof.n_grid)
     _emit_text(_envelope(args, payload, args._started), args.output)

@@ -115,7 +115,7 @@ def _row_sums(pts, exps, *, block=DEFAULT_BLOCK, threads=1, weight=None):
             for k0, k1 in spans:
                 _row_block(pts, k0, k1, exps, weight, out)
 
-    workers = min(threads, len(blocks))
+    workers = max(1, min(threads, len(blocks)))  # threads < 1 runs serially
     pool = _shared_pool(workers - 1) if workers > 1 else None
     futures = [pool.submit(run, blocks[t::workers]) for t in range(1, workers)]
     try:

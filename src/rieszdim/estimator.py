@@ -98,7 +98,6 @@ def dimension_estimate(
     cloud: Optional[PointCloud] = None,
     window: Optional[tuple] = None,
     recompute=None,
-    threads: int = 1,
 ) -> DimensionEstimate:
     """Largest exponent whose growth slope stays at or below the threshold.
 
@@ -107,8 +106,7 @@ def dimension_estimate(
     bracket midpoint (re-computing the profile row there when the source
     cloud, or a ``recompute(s_mid, n_sub)`` row builder, is supplied) to
     halve the grid resolution. Raises NoTransition when every slope is on
-    the same side of the threshold. ``threads`` bounds the workers of the
-    recomputation from ``cloud``.
+    the same side of the threshold.
     """
     if not 0 < threshold <= 0.2:
         raise ValueError("threshold must lie in (0, 0.2]")
@@ -131,7 +129,7 @@ def dimension_estimate(
     s_hat = s_lo
     if recompute is None and cloud is not None:
         def recompute(s_mid, n_sub):
-            return energy_profile(cloud, [s_mid], n_sub, threads=threads).values[0]
+            return energy_profile(cloud, [s_mid], n_sub).values[0]
     if recompute is not None:
         s_mid = 0.5 * (s_lo + s_hi)
         n_sub = [profile.n_grid[j] for j in cols]

@@ -294,6 +294,10 @@ def test_threads_flag_does_not_change_payload(capsys, tmp_path):
     _, out1, _ = run_cli(base + ["--threads", "1"], capsys)
     _, out4, _ = run_cli(base + ["--threads", "4"], capsys)
     assert payload_of(out1)["value"] == payload_of(out4)["value"]
+    for t in ("0", "-2"):
+        code, out, _ = run_cli(base + ["--threads", t], capsys)
+        assert code == 0
+        assert payload_of(out)["value"] == payload_of(out1)["value"]
 
 
 def test_usage_error_exit_code(capsys):

@@ -65,6 +65,21 @@ def test_thread_count_does_not_change_bits():
         assert serial == parallel  # bit identical
 
 
+def test_thread_counts_below_one_run_serially():
+    # zero or negative counts must neither fail nor skip blocks
+    c = random_cloud(5, 300, 2)
+    want = rd.discrete_energy_multi(c, [0.0, 0.5, 1.3], block=16, threads=1).tolist()
+    for t in (0, -1, -2, -5):
+        got = rd.discrete_energy_multi(c, [0.0, 0.5, 1.3], block=16, threads=t)
+        assert got.tolist() == want
+    radius = 0.3 * c.diameter()
+    assert rd.truncated_energy(c, 0.5, radius, block=16, threads=-2) == rd.truncated_energy(
+        c, 0.5, radius, block=16, threads=1
+    )
+    prof = [rd.energy_profile(c, [0.5], [10, 100, 300], threads=t).values.tolist() for t in (1, 0, -2)]
+    assert prof[0] == prof[1] == prof[2]
+
+
 def test_concurrent_callers_get_identical_bits():
     # eight callers at once, asking for 2..5 workers, so the shared pool is
     # grown while other callers use it
