@@ -359,28 +359,26 @@ def _cmd_dim(args) -> int:
                 v *= 2
             n_grid.append(args.n)
         _check_pairs(args, max(n_grid))
-        clouds = [grid_1d(n) for n in n_grid]
-        prof = profile_from_family(clouds, s_grid, threads=args.threads)
 
-        def recompute(s_mid, n_sub):
-            sub = profile_from_family(
-                [grid_1d(n) for n in n_sub], [s_mid], threads=args.threads
-            )
-            return sub.values[0]
-
-        window = tuple(_parse_list(args.window, int)) if args.window else default_window(n_grid)
-        est = dimension_estimate(prof, args.threshold, window=window, recompute=recompute)
+        def profile(s_list, ns):
+            clouds = [grid_1d(n) for n in ns]
+            return profile_from_family(clouds, s_list, threads=args.threads)
     else:
         cloud = _load_cloud(args)
         _check_pairs(args, cloud.n)
         n_grid = _auto_n_grid(args, cloud)
-        prof = energy_profile(cloud, s_grid, n_grid, threads=args.threads)
-        window = tuple(_parse_list(args.window, int)) if args.window else default_window(n_grid)
 
-        def recompute(s_mid, n_sub):
-            return energy_profile(cloud, [s_mid], n_sub, threads=args.threads).values[0]
+        def profile(s_list, ns):
+            return energy_profile(cloud, s_list, ns, threads=args.threads)
 
-        est = dimension_estimate(prof, args.threshold, window=window, recompute=recompute)
+    prof = profile(s_grid, n_grid)
+    window = tuple(_parse_list(args.window, int)) if args.window else default_window(n_grid)
+    est = dimension_estimate(
+        prof,
+        args.threshold,
+        window=window,
+        recompute=lambda s, ns: profile([s], ns).values[0],
+    )
     payload = est.to_json()
     payload["n_grid"] = list(prof.n_grid)
     _emit_text(_envelope(args, payload, args._started), args.output)
@@ -409,13 +407,10 @@ def _cmd_varscan(args) -> int:
     return 0
 
 
-def _write_per_rep_csv(path, measure, s, n_grid, reps, seed) -> None:
-    from .stats import replicate_energies
-
+def _write_per_rep_csv(path, report) -> None:
     buf = io.StringIO()
     buf.write("n,rep,J\n")
-    for n in n_grid:
-        values = replicate_energies(measure, [s], n, reps, seed)[0]
+    for n, values in zip(report.n_grid, report.replicates):
         for r, j in enumerate(values):
             buf.write(f"{n},{r},{j:.17g}\n")
     _emit_text(buf.getvalue(), path)
@@ -431,7 +426,7 @@ def _cmd_lln_mean(args) -> int:
         measure, args.s, args.n, args.reps, args.seed, oracle=oracle
     )
     if args.per_rep_csv:
-        _write_per_rep_csv(args.per_rep_csv, measure, args.s, [args.n], args.reps, args.seed)
+        _write_per_rep_csv(args.per_rep_csv, report)
     _emit_text(_envelope(args, report.to_json(), args._started), args.output)
     return 0
 
@@ -449,7 +444,7 @@ def _cmd_lln_weak(args) -> int:
         args.seed,
     )
     if args.per_rep_csv:
-        _write_per_rep_csv(args.per_rep_csv, measure, args.s, n_grid, args.reps, args.seed)
+        _write_per_rep_csv(args.per_rep_csv, report)
     _emit_text(_envelope(args, report.to_json(), args._started), args.output)
     return 0
 

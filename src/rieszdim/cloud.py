@@ -8,6 +8,7 @@ the sets whose energies the profile and estimator modules track.
 from __future__ import annotations
 
 import io
+import math
 import os
 
 import numpy as np
@@ -16,7 +17,7 @@ from .errors import DimensionMismatch, DuplicatePoints, TooFewPoints
 
 __all__ = ["PointCloud", "read_csv", "write_csv"]
 
-_BLOCK = 2048
+_TILE = 1 << 15  # values per row strip, so its buffers stay in cache
 
 
 class PointCloud:
@@ -71,9 +72,9 @@ class PointCloud:
         return PointCloud(self._points[:k], _validate=False)
 
     def diameter(self) -> float:
-        """Largest pairwise distance (exact, block-wise)."""
+        """Largest pairwise distance (exact, strip by strip)."""
         best = 0.0
-        for d2 in _pair_tiles(self._points, _BLOCK):
+        for d2 in _pair_tiles(self._points):
             best = max(best, float(d2.max()))
         return float(np.sqrt(best))
 
@@ -81,7 +82,7 @@ class PointCloud:
         """Smallest pairwise distance."""
         if self.n < 2:
             raise TooFewPoints("min_gap needs at least 2 points")
-        best = min(float(d2.min()) for d2 in _pair_tiles(self._points, _BLOCK))
+        best = min(float(d2.min()) for d2 in _pair_tiles(self._points))
         return float(np.sqrt(best))
 
 
@@ -101,25 +102,32 @@ def _tile(a: np.ndarray, b: np.ndarray, *, dot: bool = False) -> np.ndarray:
     return tile
 
 
-def _pair_tiles(pts: np.ndarray, block: int, *, dot: bool = False):
-    """Yield the values of the pairs i < j of ``pts``, one tile at a time.
+def _row_blocks(n: int) -> list:
+    """Row strips [k0, k1) whose rows times k1 columns hold about _TILE values."""
+    out = []
+    k0 = 0
+    while k0 < n:
+        rows = (math.isqrt(k0 * k0 + 4 * _TILE) - k0) // 2
+        k1 = min(n, k0 + max(1, rows))
+        out.append((k0, k1))
+        k0 = k1
+    return out
+
+
+def _pair_tiles(pts: np.ndarray, *, dot: bool = False):
+    """Yield the values of the pairs j < k of ``pts``, one row strip at a time.
 
     Values are squared distances or, with ``dot``, dot products; dot
-    products also cover the self-pairs i == j. Tiles pair row blocks
-    i0 <= j0 of ``block`` points in row-major order, and each yields its
-    values flattened row by row. Every value is built one coordinate at a
-    time in coordinate order, starting from +0.0, so it does not depend on
-    ``block`` and a zero is never -0.0.
+    products also cover the self-pairs j == k. Each strip of
+    :func:`_row_blocks` yields its values row by row. Every value is built
+    one coordinate at a time in coordinate order, starting from +0.0, so it
+    does not depend on the strips and a zero is never -0.0.
     """
-    n = pts.shape[0]
-    for i0 in range(0, n, block):
-        a = pts[i0 : i0 + block]
-        for j0 in range(i0, n, block):
-            tile = _tile(a, pts[j0 : j0 + block], dot=dot)
-            if i0 == j0:
-                tile = tile[~np.tri(len(a), k=-1 if dot else 0, dtype=bool)]
-            if tile.size:
-                yield tile.ravel()
+    for k0, k1 in _row_blocks(pts.shape[0]):
+        tile = _tile(pts[k0:k1], pts[:k1], dot=dot)
+        values = tile[np.tri(k1 - k0, k1, k0 - (not dot), dtype=bool)]
+        if values.size:  # a strip holding only row 0 has no pair j < k
+            yield values
 
 
 def write_csv(cloud: PointCloud, path) -> None:

@@ -7,13 +7,13 @@ The discrete s-energy of an n-point set P is
 with Euclidean distance, summed over ordered pairs (equivalently twice the
 unordered-pair sum). Every energy here is arithmetic on one array, the row
 sums R_s[k] = sum_{j<k} |x_k - x_j|^{-s} for all exponents at once. Rows are
-computed in blocks against all earlier points: squared distances are
-accumulated one coordinate at a time, log d2 is taken once per block, and
-each kernel is exp(-s/2 * log d2), with s = 0 an exact count. Block bounds
-do not depend on the thread count and each block writes only its own rows,
-so R is bit-identical at any thread count. Totals are exact ``math.fsum``
-reductions of R; prefix totals are one compensated running sum over R. A
-sum that overflows is inf, never nan.
+computed in the row strips of ``cloud._row_blocks`` against all earlier
+points: squared distances are accumulated one coordinate at a time, log d2
+is taken once per strip, and each kernel is exp(-s/2 * log d2), with s = 0
+an exact count. Strip bounds do not depend on the thread count and each
+strip writes only its own rows, so R is bit-identical at any thread count.
+Totals are exact ``math.fsum`` reductions of R; prefix totals are one
+compensated running sum over R. A sum that overflows is inf, never nan.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, _tile
+from .cloud import PointCloud, _row_blocks, _tile
 from .errors import DimensionMismatch, DuplicatePoints, TooFewPoints
 
 __all__ = [
@@ -37,9 +37,6 @@ __all__ = [
     "riesz_potential_discrete",
     "truncated_energy",
 ]
-
-DEFAULT_BLOCK = 2048
-_TILE = 1 << 15  # values per row block, so its buffers stay in cache
 
 _pool = None
 _pool_size = 0
@@ -58,34 +55,30 @@ def _shared_pool(threads: int) -> ThreadPoolExecutor:
         return _pool
 
 
-def _row_blocks(n: int, block: int) -> list:
-    """Row ranges [k0, k1) whose rows times k1 columns hold about _TILE values."""
-    out = []
-    k0 = 0
-    while k0 < n:
-        rows = (math.isqrt(k0 * k0 + 4 * _TILE) - k0) // 2
-        k1 = min(n, k0 + max(1, min(block, rows)))
-        out.append((k0, k1))
-        k0 = k1
-    return out
-
-
 def _row_block(pts, k0, k1, exps, weight, out) -> None:
     """Write the row sums of rows k0..k1-1 over columns j < k to out[:, k0:k1]."""
     rows = k1 - k0
+    lower = np.tri(rows, k=-1)
     d2 = _tile(pts[k0:k1], pts[:k1])
-    upper = d2[:, k0:]  # the pairs j >= k: skipped, set to 1 so log is 0
-    upper[~np.tri(rows, k=-1, dtype=bool)] = 1.0
-    if not d2.all():
-        raise DuplicatePoints("coinciding points encountered in pair sum")
-    if weight is None:
-        w = None
-        lower = np.tri(rows, k=-1)
-    else:
-        w = weight(np.sqrt(d2))
-        w[:, k0:] *= np.tri(rows, k=-1)
-        d2[w == 0.0] = 1.0  # a zero weight must not meet an infinite kernel
+    d2[:, k0:][lower == 0.0] = 1.0  # the pairs j >= k: skipped, set to 1 so log is 0
+    w = None
+    if weight is not None:
+        w = weight(np.sqrt(d2))  # a pair whose square underflows is weighted at r = 0
+        w[:, k0:] *= lower
+    tiny = None
+    if not d2.all():  # distances below ~1.5e-162 square to 0: rescale their differences
+        tiny = np.nonzero(d2 == 0.0)
+        diff = pts[k0 + tiny[0]] - pts[tiny[1]]
+        top = np.abs(diff).max(axis=1)
+        if not top.all():
+            raise DuplicatePoints("coinciding points encountered in pair sum")
+        tiny_log = 2.0 * np.log(top) + np.log(np.square(diff / top[:, None]).sum(axis=1))
+        d2[tiny] = 1.0
     L = np.log(d2, out=d2)
+    if tiny is not None:
+        L[tiny] = tiny_log
+    if w is not None:
+        L[w == 0.0] = 0.0  # a zero weight must not meet an infinite kernel
     buf = np.empty_like(L)
     for i, s in enumerate(exps):
         if s == 0.0:
@@ -100,7 +93,7 @@ def _row_block(pts, k0, k1, exps, weight, out) -> None:
         buf.sum(axis=1, out=out[i, k0:k1])
 
 
-def _row_sums(pts, exps, *, block=DEFAULT_BLOCK, threads=1, weight=None):
+def _row_sums(pts, exps, *, threads=1, weight=None):
     """R[i, k] = sum_{j<k} weight(r) * r^{-exps[i]}, r = |x_k - x_j|, shape (S, n).
 
     Raises DuplicatePoints on a zero distance. ``weight`` optionally maps
@@ -108,7 +101,7 @@ def _row_sums(pts, exps, *, block=DEFAULT_BLOCK, threads=1, weight=None):
     """
     exps = [float(s) for s in exps]
     out = np.zeros((len(exps), pts.shape[0]))
-    blocks = _row_blocks(pts.shape[0], block)
+    blocks = _row_blocks(pts.shape[0])
 
     def run(spans):
         with np.errstate(over="ignore"):
@@ -149,9 +142,7 @@ def _running_totals(r: np.ndarray) -> np.ndarray:
         return np.where(np.isinf(tot), tot, tot + np.cumsum(err))
 
 
-def discrete_energy(
-    cloud: PointCloud, s: float, *, block: int = DEFAULT_BLOCK, threads: int = 1
-) -> float:
+def discrete_energy(cloud: PointCloud, s: float, *, threads: int = 1) -> float:
     """Discrete s-energy J_s of a cloud.
 
     Requires n >= 2 distinct points and s >= 0; J_0 is exactly 1 for any
@@ -162,13 +153,11 @@ def discrete_energy(
     if s < 0:
         raise ValueError("exponent s must be nonnegative")
     n = cloud.n
-    R = _row_sums(cloud.points, [s], block=block, threads=threads)
+    R = _row_sums(cloud.points, [s], threads=threads)
     return _fsum(R[0]) / (n * (n - 1) // 2)
 
 
-def discrete_energy_multi(
-    cloud: PointCloud, s_list, *, block: int = DEFAULT_BLOCK, threads: int = 1
-) -> np.ndarray:
+def discrete_energy_multi(cloud: PointCloud, s_list, *, threads: int = 1) -> np.ndarray:
     """J_s for several exponents with a single distance pass.
 
     Each value is fsum(R_s) / (n(n-1)/2), the mean over unordered pairs; a
@@ -179,7 +168,7 @@ def discrete_energy_multi(
     if any(s < 0 for s in s_list):
         raise ValueError("exponents must be nonnegative")
     n = cloud.n
-    R = _row_sums(cloud.points, s_list, block=block, threads=threads)
+    R = _row_sums(cloud.points, s_list, threads=threads)
     return np.array([_fsum(row) / (n * (n - 1) // 2) for row in R])
 
 
@@ -289,12 +278,7 @@ def _cutoff(u: np.ndarray) -> np.ndarray:
 
 
 def truncated_energy(
-    cloud: PointCloud,
-    s: float,
-    radius: float,
-    *,
-    block: int = DEFAULT_BLOCK,
-    threads: int = 1,
+    cloud: PointCloud, s: float, radius: float, *, threads: int = 1
 ) -> float:
     """Truncated energy of the normalized counting measure.
 
@@ -314,5 +298,5 @@ def truncated_energy(
     def weight(r):
         return 1.0 - _cutoff(r / radius)
 
-    R = _row_sums(cloud.points, [s], block=block, threads=threads, weight=weight)
+    R = _row_sums(cloud.points, [s], threads=threads, weight=weight)
     return _fsum(R[0]) / (n * n / 2)

@@ -30,9 +30,6 @@ __all__ = [
     "default_erdos_exponents",
 ]
 
-_BLOCK = 1024
-
-
 @dataclass(frozen=True)
 class ValueSet:
     """Sorted distinct values with the dedup resolution that produced them."""
@@ -109,7 +106,7 @@ def distance_set(cloud: PointCloud, quantization="auto") -> ValueSet:
         raise TooFewPoints("distance set needs at least 2 points")
     pts = cloud.points
     if quantization in ("auto", "exact") and _exact_mode_fits(pts):
-        values = np.sqrt(_dedup_tiles(_pair_tiles(pts, _BLOCK), 1.0))
+        values = np.sqrt(_dedup_tiles(_pair_tiles(pts), 1.0))
         return ValueSet("distance", values, "exact", values.size)
     if quantization == "exact":
         raise ValueError(
@@ -122,7 +119,7 @@ def distance_set(cloud: PointCloud, quantization="auto") -> ValueSet:
         step = float(quantization)
     if step <= 0:
         raise ValueError("quantization step must be positive")
-    values = _dedup_tiles((np.sqrt(d2) for d2 in _pair_tiles(pts, _BLOCK)), step)
+    values = _dedup_tiles((np.sqrt(d2) for d2 in _pair_tiles(pts)), step)
     return ValueSet("distance", values, step, values.size)
 
 
@@ -140,7 +137,7 @@ def dot_product_set(cloud: PointCloud, quantization: Optional[float] = None) -> 
         step = float(quantization)
     if step <= 0:
         raise ValueError("quantization step must be positive")
-    values = _dedup_tiles(_pair_tiles(pts, _BLOCK, dot=True), step)
+    values = _dedup_tiles(_pair_tiles(pts, dot=True), step)
     return ValueSet("dot-product", values, step, values.size)
 
 

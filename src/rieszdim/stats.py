@@ -12,7 +12,7 @@ bit-for-bit from (measure, s, n grid, reps, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -39,7 +39,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Serializable record of one statistical experiment."""
+    """Serializable record of one statistical experiment.
+
+    ``replicates`` holds J_s per replicate, one array per n_grid entry; it
+    is kept for per-replicate output and is not part of :meth:`to_json`.
+    """
 
     kind: str
     measure: dict
@@ -51,6 +55,7 @@ class ExperimentReport:
     oracle: Optional[float] = None
     oracle_method: Optional[str] = None
     eps: Optional[float] = None
+    replicates: tuple = field(default=(), repr=False, compare=False)
 
     def to_json(self) -> dict:
         doc = {
@@ -134,6 +139,7 @@ def expectation_experiment(
         cells=(cell,),
         oracle=ref,
         oracle_method=method,
+        replicates=(values,),
     )
 
 
@@ -161,8 +167,10 @@ def wlln_exceedance(
     if ref is None or math.isinf(ref):
         raise OracleUnavailable("exceedance experiment needs a finite oracle")
     cells = []
+    replicates = []
     for n in n_grid:
         values = replicate_energies(measure, [s], n, reps, seed)[0]
+        replicates.append(values)
         rate = float(np.mean(np.abs(values - ref) > eps))
         cells.append(
             {
@@ -184,6 +192,7 @@ def wlln_exceedance(
         oracle=ref,
         oracle_method=method,
         eps=eps,
+        replicates=tuple(replicates),
     )
 
 

@@ -9,12 +9,14 @@ score over 1 (see its inline analysis for the extreme-value arithmetic).
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 import rieszdim as rd
+import rieszdim.cloud as cloud_mod
 from rieszdim.energy import discrete_energy_multi
 
 
@@ -227,9 +229,10 @@ def test_criterion_10_determinism_and_oracle_equivalence():
         pts = rng.random((n, d))
         cloud = rd.PointCloud(pts)
         s = float(rng.choice([0.4, 1.0, 1.6]))
-        serial = rd.discrete_energy(cloud, s, block=8, threads=1)
-        parallel = rd.discrete_energy(cloud, s, block=8, threads=4)
-        single = rd.discrete_energy(cloud, s)  # one block, different order
+        with mock.patch.object(cloud_mod, "_TILE", 64):  # strips of at most 8 rows
+            serial = rd.discrete_energy(cloud, s, threads=1)
+            parallel = rd.discrete_energy(cloud, s, threads=4)
+        single = rd.discrete_energy(cloud, s)  # one strip, different order
         worst = max(
             worst,
             abs(parallel - serial) / serial,

@@ -57,6 +57,14 @@ def test_energy_duplicate_points_exit_code(capsys, tmp_path):
     assert "DuplicatePoints" in err
 
 
+def test_energy_of_points_closer_than_square_underflow(capsys, tmp_path):
+    path = tmp_path / "tiny.csv"
+    path.write_text("0\n1e-300\n0.5\n")
+    code, out, _ = run_cli(["energy", "--input", str(path), "--s", "0.5"], capsys)
+    assert code == 0
+    assert payload_of(out)["value"] == pytest.approx((1e150 + 2.0 * 0.5**-0.5) / 3.0)
+
+
 def test_energy_profile_mode(capsys, tmp_path):
     path = tmp_path / "pts.csv"
     rd.write_csv(rd.grid_1d(16), path)
@@ -389,6 +397,36 @@ def test_per_rep_csv(capsys, tmp_path):
     values = rd.replicate_energies(rd.UniformCube(1), [0.5], 30, 30, seed=4)[0]
     got = [float(line.split(",")[2]) for line in lines[1:]]
     assert got == values.tolist()
+
+
+@pytest.mark.parametrize(
+    "argv, sizes",
+    [
+        (["lln-mean", "--s", "0.3", "--n", "30"], [30]),
+        (["lln-weak", "--s", "0.3", "--eps", "0.5", "--n-grid", "20,30,40"], [20, 30, 40]),
+    ],
+)
+def test_per_rep_csv_computes_each_replicate_set_once(argv, sizes, capsys, tmp_path, monkeypatch):
+    import rieszdim.stats as stats_mod
+
+    calls = []
+    real = stats_mod.replicate_energies
+
+    def counting(measure, s_list, n, reps, seed):
+        calls.append(n)
+        return real(measure, s_list, n, reps, seed)
+
+    monkeypatch.setattr(stats_mod, "replicate_energies", counting)
+    csv_path = tmp_path / "reps.csv"
+    code, _, _ = run_cli(
+        argv + ["--measure", "cube", "--dim", "1", "--reps", "30", "--seed", "4",
+                "--per-rep-csv", str(csv_path)],
+        capsys,
+    )
+    assert code == 0
+    assert calls == sizes
+    lines = csv_path.read_text().strip().splitlines()
+    assert len(lines) == 1 + 30 * len(sizes)
 
 
 def test_measure_json_input(capsys, tmp_path):

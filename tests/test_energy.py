@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rieszdim as rd
+import rieszdim.cloud as cloud_mod
 from conftest import random_cloud
 
 
@@ -50,46 +52,50 @@ def test_blocked_matches_naive_on_random_clouds():
             )
 
 
-def test_small_blocks_match_single_block():
+def test_small_blocks_match_single_block(monkeypatch):
     c = random_cloud(9, 200, 2)
     a = rd.discrete_energy(c, 0.7)
-    b = rd.discrete_energy(c, 0.7, block=32)
+    monkeypatch.setattr(cloud_mod, "_TILE", 32 * 32)
+    b = rd.discrete_energy(c, 0.7)
     assert a == pytest.approx(b, rel=1e-10)
 
 
-def test_thread_count_does_not_change_bits():
+def test_thread_count_does_not_change_bits(monkeypatch):
+    monkeypatch.setattr(cloud_mod, "_TILE", 64 * 64)
     c = random_cloud(3, 300, 2)
     for s in (0.5, 1.3):
-        serial = rd.discrete_energy(c, s, block=64, threads=1)
-        parallel = rd.discrete_energy(c, s, block=64, threads=4)
+        serial = rd.discrete_energy(c, s, threads=1)
+        parallel = rd.discrete_energy(c, s, threads=4)
         assert serial == parallel  # bit identical
 
 
-def test_thread_counts_below_one_run_serially():
+def test_thread_counts_below_one_run_serially(monkeypatch):
     # zero or negative counts must neither fail nor skip blocks
+    monkeypatch.setattr(cloud_mod, "_TILE", 16 * 16)
     c = random_cloud(5, 300, 2)
-    want = rd.discrete_energy_multi(c, [0.0, 0.5, 1.3], block=16, threads=1).tolist()
+    want = rd.discrete_energy_multi(c, [0.0, 0.5, 1.3], threads=1).tolist()
     for t in (0, -1, -2, -5):
-        got = rd.discrete_energy_multi(c, [0.0, 0.5, 1.3], block=16, threads=t)
+        got = rd.discrete_energy_multi(c, [0.0, 0.5, 1.3], threads=t)
         assert got.tolist() == want
     radius = 0.3 * c.diameter()
-    assert rd.truncated_energy(c, 0.5, radius, block=16, threads=-2) == rd.truncated_energy(
-        c, 0.5, radius, block=16, threads=1
+    assert rd.truncated_energy(c, 0.5, radius, threads=-2) == rd.truncated_energy(
+        c, 0.5, radius, threads=1
     )
     prof = [rd.energy_profile(c, [0.5], [10, 100, 300], threads=t).values.tolist() for t in (1, 0, -2)]
     assert prof[0] == prof[1] == prof[2]
 
 
-def test_concurrent_callers_get_identical_bits():
+def test_concurrent_callers_get_identical_bits(monkeypatch):
     # eight callers at once, asking for 2..5 workers, so the shared pool is
     # grown while other callers use it
+    monkeypatch.setattr(cloud_mod, "_TILE", 16 * 16)
     c = random_cloud(7, 400, 2)
-    want = rd.discrete_energy_multi(c, [0.5, 1.5], block=16).tolist()
+    want = rd.discrete_energy_multi(c, [0.5, 1.5]).tolist()
     results = []
 
     def call(workers):
         results.append(
-            rd.discrete_energy_multi(c, [0.5, 1.5], block=16, threads=workers).tolist()
+            rd.discrete_energy_multi(c, [0.5, 1.5], threads=workers).tolist()
         )
 
     callers = [threading.Thread(target=call, args=(2 + i % 4,)) for i in range(8)]
@@ -310,6 +316,33 @@ def test_overflowing_sum_of_finite_terms_gives_inf():
     assert prof.values[0, 1] == math.inf
 
 
+def test_distinct_points_whose_squared_distance_underflows():
+    # 1e-300 squared underflows to 0, yet the points are distinct
+    c = rd.PointCloud([[0.0], [1e-300], [0.5]])
+    want = (1e150 + 2.0 * 0.5**-0.5) / 3.0  # about 3.3e149
+    assert rd.discrete_energy(c, 0.5) == pytest.approx(want, rel=1e-12)
+    assert rd.discrete_energy(c, 4.0) == math.inf
+    assert rd.discrete_energy_multi(c, [0.0, 0.5]).tolist() == pytest.approx([1.0, want], rel=1e-12)
+    prof = rd.energy_profile(c, [0.5], [2, 3])
+    assert prof.values[0].tolist() == pytest.approx([1e150, want], rel=1e-12)
+    # both coordinates tiny: the distance is 5e-300
+    c2 = rd.PointCloud([[0.0, 0.0], [3e-300, 4e-300], [0.5, 0.2]])
+    far = 2.0 * 0.29**-0.25
+    assert rd.discrete_energy(c2, 0.5) == pytest.approx(
+        (5e-300**-0.5 + far) / 3.0, rel=1e-12
+    )
+    # the truncated kernel weights the tiny pair at 0
+    assert rd.truncated_energy(c, 0.5, 0.1) == pytest.approx(
+        2.0 * 0.5**-0.5 / 4.5, rel=1e-15
+    )
+
+
+def test_exactly_coinciding_points_still_raise():
+    c = rd.PointCloud([[0.0, 1.0], [0.5, 0.5], [0.0, 1.0]], _validate=False)
+    with pytest.raises(rd.DuplicatePoints):
+        rd.discrete_energy(c, 0.5)
+
+
 def test_slln_path_overflow_gives_inf(monkeypatch):
     import rieszdim.stats as stats_mod
 
@@ -357,7 +390,8 @@ def test_energy_scales_as_minus_s_power(cloud, s, lam):
 @settings(deadline=None, derandomize=True, max_examples=40)
 @given(clouds(), st.integers(1, 16))
 def test_zero_exponent_energy_is_exactly_one(cloud, block):
-    assert rd.discrete_energy(cloud, 0.0, block=block) == 1.0
+    with mock.patch.object(cloud_mod, "_TILE", block * block):
+        assert rd.discrete_energy(cloud, 0.0) == 1.0
     prof = rd.energy_profile(cloud, [0.0], range(2, cloud.n + 1))
     assert prof.values[0].tolist() == [1.0] * (cloud.n - 1)
 
@@ -389,17 +423,15 @@ def test_slln_path_equals_energy_of_each_prefix(d, s, n_max, seed):
 @settings(deadline=None, derandomize=True, max_examples=40)
 @given(clouds(), st.lists(exponent, min_size=1, max_size=3), st.integers(1, 16))
 def test_thread_count_gives_identical_bits(cloud, s_list, block):
-    runs = [
-        rd.discrete_energy_multi(cloud, s_list, block=block, threads=t).tolist()
-        for t in (1, 2, 4)
-    ]
-    assert runs[0] == runs[1] == runs[2]
-    s = s_list[0]
-    radius = 0.3 * cloud.diameter()
-    truncated = [
-        rd.truncated_energy(cloud, s, radius, block=block, threads=t) for t in (1, 2, 4)
-    ]
-    assert truncated[0] == truncated[1] == truncated[2]
+    with mock.patch.object(cloud_mod, "_TILE", block * block):
+        runs = [
+            rd.discrete_energy_multi(cloud, s_list, threads=t).tolist() for t in (1, 2, 4)
+        ]
+        assert runs[0] == runs[1] == runs[2]
+        s = s_list[0]
+        radius = 0.3 * cloud.diameter()
+        truncated = [rd.truncated_energy(cloud, s, radius, threads=t) for t in (1, 2, 4)]
+        assert truncated[0] == truncated[1] == truncated[2]
     profiles = [
         rd.energy_profile(cloud, [s], range(2, cloud.n + 1), threads=t).values.tolist()
         for t in (1, 2, 4)
@@ -410,9 +442,9 @@ def test_thread_count_gives_identical_bits(cloud, s_list, block):
 @settings(deadline=None, derandomize=True, max_examples=40)
 @given(clouds(max_size=60), st.lists(exponent, min_size=1, max_size=3), st.integers(1, 40))
 def test_block_size_changes_only_rounding(cloud, s_list, block):
-    assert rd.discrete_energy_multi(cloud, s_list, block=block) == pytest.approx(
-        rd.discrete_energy_multi(cloud, s_list), rel=1e-12
-    )
+    with mock.patch.object(cloud_mod, "_TILE", block * block):
+        small = rd.discrete_energy_multi(cloud, s_list)
+    assert small == pytest.approx(rd.discrete_energy_multi(cloud, s_list), rel=1e-12)
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import rieszdim as rd
 import rieszdim.cloud as cloud_mod
-import rieszdim.sets as sets_mod
 from rieszdim.sets import default_erdos_exponents
 
 
@@ -305,7 +304,7 @@ def test_distance_set_same_at_every_block_size(name, monkeypatch):
     step = 1e-9 * cloud.diameter()
     oracle = oracle_min_per_key(pair_distances(pts.tolist()), step)
     for block in BLOCKS:
-        monkeypatch.setattr(sets_mod, "_BLOCK", block)
+        monkeypatch.setattr(cloud_mod, "_TILE", block * block)
         vs = rd.distance_set(cloud, step)
         assert vs.values.tolist() == oracle, block
         auto = rd.distance_set(cloud)
@@ -329,7 +328,7 @@ def test_dot_product_set_same_at_every_block_size(name, monkeypatch):
     scale = max(dot(p, p) for p in points)
     oracle = oracle_min_per_key([dot(a, b) for a in points for b in points], 1e-9 * scale)
     for block in BLOCKS:
-        monkeypatch.setattr(sets_mod, "_BLOCK", block)
+        monkeypatch.setattr(cloud_mod, "_TILE", block * block)
         vs = rd.dot_product_set(cloud)
         assert vs.quantization == 1e-9 * scale
         assert vs.values.tolist() == oracle, block
@@ -340,7 +339,7 @@ def test_diameter_and_min_gap_same_at_every_block_size(name, monkeypatch):
     pts = tiling_clouds()[name]
     dists = pair_distances(pts.tolist())
     for block in BLOCKS + (2048,):
-        monkeypatch.setattr(cloud_mod, "_BLOCK", block)
+        monkeypatch.setattr(cloud_mod, "_TILE", block * block)
         cloud = rd.PointCloud(pts)
         assert cloud.diameter() == max(dists), block
         assert cloud.min_gap() == min(dists), block
