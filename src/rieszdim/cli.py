@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -81,7 +82,20 @@ def _emit_text(text: str, path) -> None:
             f.write(text)
 
 
+def _inf_to_null(obj):
+    """``obj`` with every infinite float replaced by None (JSON ``null``)."""
+    if isinstance(obj, float) and math.isinf(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: _inf_to_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_inf_to_null(v) for v in obj]
+    return obj
+
+
 def _envelope(args, payload: dict, started: float) -> str:
+    """The JSON result envelope; an infinity is written as ``null``, and any
+    other non-finite value raises rather than yield invalid JSON."""
     config = {
         k: v
         for k, v in vars(args).items()
@@ -96,7 +110,7 @@ def _envelope(args, payload: dict, started: float) -> str:
         "timing_seconds": round(time.time() - started, 6),
         "payload": payload,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_inf_to_null(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _parse_list(text, cast):

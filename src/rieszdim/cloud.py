@@ -79,10 +79,12 @@ class PointCloud:
         return float(np.sqrt(best))
 
     def min_gap(self) -> float:
-        """Smallest pairwise distance."""
+        """Smallest pairwise distance (positive: the points are distinct)."""
         if self.n < 2:
             raise TooFewPoints("min_gap needs at least 2 points")
         best = min(float(d2.min()) for d2 in _pair_tiles(self._points))
+        if best == 0.0:  # a distance below ~1.5e-162 squared to 0
+            return min(float(r.min()) for r in _pair_distances(self._points))
         return float(np.sqrt(best))
 
 
@@ -128,6 +130,37 @@ def _pair_tiles(pts: np.ndarray, *, dot: bool = False):
         values = tile[np.tri(k1 - k0, k1, k0 - (not dot), dtype=bool)]
         if values.size:  # a strip holding only row 0 has no pair j < k
             yield values
+
+
+def _small_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise |a - b| for pairs whose squared distance underflows to 0.
+
+    Each difference is rescaled by its largest magnitude before squaring,
+    so a distance down to the subnormal range is recovered; it is 0 only
+    where the points coincide.
+    """
+    diff = a - b
+    top = np.abs(diff).max(axis=1)
+    scale = np.where(top > 0.0, top, 1.0)
+    return top * np.sqrt(np.square(diff / scale[:, None]).sum(axis=1))
+
+
+def _pair_distances(pts: np.ndarray):
+    """Yield the distances of the pairs j < k of ``pts``, strip by strip.
+
+    The same strips and order as :func:`_pair_tiles`, square-rooted. A
+    distance below about 1.5e-162 squares to 0; only on a strip holding
+    such a 0 are those pairs recomputed by :func:`_small_distances`.
+    """
+    for k0, k1 in _row_blocks(pts.shape[0]):
+        mask = np.tri(k1 - k0, k1, k0 - 1, dtype=bool)
+        r = np.sqrt(_tile(pts[k0:k1], pts[:k1])[mask])
+        if not r.all():
+            rows, cols = np.nonzero(mask)
+            zero = r == 0.0
+            r[zero] = _small_distances(pts[k0 + rows[zero]], pts[cols[zero]])
+        if r.size:
+            yield r
 
 
 def write_csv(cloud: PointCloud, path) -> None:

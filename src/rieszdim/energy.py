@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, _row_blocks, _tile
+from .cloud import PointCloud, _row_blocks, _small_distances, _tile
 from .errors import DimensionMismatch, DuplicatePoints, TooFewPoints
 
 __all__ = [
@@ -66,17 +66,15 @@ def _row_block(pts, k0, k1, exps, weight, out) -> None:
         w = weight(np.sqrt(d2))  # a pair whose square underflows is weighted at r = 0
         w[:, k0:] *= lower
     tiny = None
-    if not d2.all():  # distances below ~1.5e-162 square to 0: rescale their differences
+    if not d2.all():  # distances below ~1.5e-162 square to 0: recover them
         tiny = np.nonzero(d2 == 0.0)
-        diff = pts[k0 + tiny[0]] - pts[tiny[1]]
-        top = np.abs(diff).max(axis=1)
-        if not top.all():
+        r = _small_distances(pts[k0 + tiny[0]], pts[tiny[1]])
+        if not r.all():
             raise DuplicatePoints("coinciding points encountered in pair sum")
-        tiny_log = 2.0 * np.log(top) + np.log(np.square(diff / top[:, None]).sum(axis=1))
         d2[tiny] = 1.0
     L = np.log(d2, out=d2)
     if tiny is not None:
-        L[tiny] = tiny_log
+        L[tiny] = 2.0 * np.log(r)
     if w is not None:
         L[w == 0.0] = 0.0  # a zero weight must not meet an infinite kernel
     buf = np.empty_like(L)
@@ -265,10 +263,15 @@ def riesz_potential_discrete(cloud: PointCloud, x, s: float) -> float:
     if s == 0.0:
         return 1.0
     d2 = _tile(x[None, :], cloud.points)[0]
-    if not d2.all():
-        return math.inf
+    L = np.log(d2, where=d2 > 0.0, out=np.zeros_like(d2))
+    if not d2.all():  # distances below ~1.5e-162 square to 0: recover them
+        tiny = np.nonzero(d2 == 0.0)[0]
+        r = _small_distances(x[None, :], cloud.points[tiny])
+        if not r.all():
+            return math.inf
+        L[tiny] = 2.0 * np.log(r)
     with np.errstate(over="ignore"):
-        return _fsum(np.exp(-0.5 * s * np.log(d2))) / cloud.n
+        return _fsum(np.exp(-0.5 * s * L)) / cloud.n
 
 
 def _cutoff(u: np.ndarray) -> np.ndarray:

@@ -3,11 +3,12 @@
 Every variant is a probability measure with a seeded, counter-split sampler.
 Oracles exist for the unit interval, the unit square, and the unit circle;
 the interval is closed form, the square reduces to a smooth 1-D polar
-integral after the u = x - y substitution, and the circle has a Gamma
-closed form. Ball measures place radius c*n^{-1/s} balls on a cloud; their
-energy decomposes into a self-interaction term (evaluated by the radial
-reduction over the doubled-radius domain, matching the closed-form
+integral after the u = x - y substitution (16-node Gauss-Legendre), and the
+circle has a Gamma closed form. Ball measures place radius c*n^{-1/s} balls
+on a cloud; their energy decomposes into a self-interaction term (the
+closed-form radial reduction over the doubled-radius domain, which is the
 prediction constant) plus cross terms integrated by product quadrature.
+Everything here is numpy and ``math``; no adaptive quadrature is needed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy import integrate
 
 from .cloud import PointCloud
 from .energy import discrete_energy
@@ -217,22 +217,22 @@ def _square_energy(s: float) -> float:
 
     After u = x - y the energy is the integral of |u|^{-s} against the
     product triangle density; in polar coordinates the radial integral is a
-    polynomial moment with an exact antiderivative, leaving one smooth
-    angular integral on [0, pi/4].
+    polynomial moment with an exact antiderivative, leaving one angular
+    integral on [0, pi/4]. Its integrand is analytic there, so 16-node
+    Gauss-Legendre is exact to rounding for every 0 < s < 2.
     """
-
-    def angular(theta: float) -> float:
-        c = math.cos(theta)
-        v = math.sin(theta)
-        r = 1.0 / c
-        return (
-            r ** (2.0 - s) / (2.0 - s)
-            - (c + v) * r ** (3.0 - s) / (3.0 - s)
-            + c * v * r ** (4.0 - s) / (4.0 - s)
-        )
-
-    val, _ = integrate.quad(angular, 0.0, math.pi / 4.0, epsabs=1e-12, epsrel=1e-12)
-    return 8.0 * val
+    x, w = _gauss_nodes(16)
+    half = math.pi / 8.0
+    theta = half * (x + 1.0)
+    c = np.cos(theta)
+    v = np.sin(theta)
+    r = 1.0 / c
+    angular = (
+        r ** (2.0 - s) / (2.0 - s)
+        - (c + v) * r ** (3.0 - s) / (3.0 - s)
+        + c * v * r ** (4.0 - s) / (4.0 - s)
+    )
+    return 8.0 * half * float(np.dot(w, angular))
 
 
 def reference_energy(measure: MeasureSpec, s: float) -> float:
@@ -315,22 +315,23 @@ class BallPrediction:
 
 
 def _self_interaction_constant(d: int, s: float, c: float) -> float:
-    """sigma_d 2^{d-s} / (omega_d c^s (d-s)), via the radial integral.
+    """sigma_d 2^{d-s} / (omega_d c^s (d-s)), the closed-form radial reduction.
 
     This is the n-independent total of the same-ball terms when each
-    difference-variable integral is taken over the doubled-radius ball; the
+    difference-variable integral is taken over the doubled-radius ball
+    (the radial integral of r^{d-1-s} over [0, 2] is 2^{d-s} / (d-s)); the
     exact lens-overlap integral is smaller (see ball_self_energy_exact).
     """
-    radial, _ = integrate.quad(lambda r: r ** (d - 1.0 - s), 0.0, 2.0, epsabs=1e-12)
-    return unit_ball_surface(d) * radial / (unit_ball_volume(d) * c**s)
+    return unit_ball_surface(d) * 2.0 ** (d - s) / (unit_ball_volume(d) * c**s * (d - s))
 
 
 def ball_self_energy_exact(d: int, radius: float, s: float) -> float:
     """Exact self-energy of one uniform ball: E|x - y|^{-s}, x, y in B(0, radius).
 
-    Uses the convolution reduction with the true overlap volume. For d = 1
-    this is 2 (2 rho)^{-s} / ((1-s)(2-s)); it differs from the
-    doubled-radius reduction by the factor 1/(2-s) in d = 1.
+    Closed forms of the convolution reduction with the true overlap volume.
+    For d = 1 this is 2 (2 rho)^{-s} / ((1-s)(2-s)); it differs from the
+    doubled-radius reduction by the factor 1/(2-s) in d = 1. For d = 2 it
+    is rho^{-s} 2^{3-s} Gamma((3-s)/2) / (sqrt(pi) Gamma(3 - s/2) (2-s)).
     """
     if s >= d:
         return math.inf
@@ -338,15 +339,12 @@ def ball_self_energy_exact(d: int, radius: float, s: float) -> float:
         length = 2.0 * radius
         return 2.0 * length ** (-s) / ((1.0 - s) * (2.0 - s))
     if d == 2:
-
-        def f(t: float) -> float:
-            lens = 2.0 * radius**2 * math.acos(t / (2.0 * radius)) - (
-                t / 2.0
-            ) * math.sqrt(max(4.0 * radius**2 - t * t, 0.0))
-            return t ** (-s) * lens * 2.0 * math.pi * t
-
-        val, _ = integrate.quad(f, 0.0, 2.0 * radius, epsabs=1e-12, limit=200)
-        return val / (math.pi * radius**2) ** 2
+        return (
+            radius ** (-s)
+            * 2.0 ** (3.0 - s)
+            * math.gamma((3.0 - s) / 2.0)
+            / (math.sqrt(math.pi) * math.gamma(3.0 - s / 2.0) * (2.0 - s))
+        )
     raise UnsupportedDimension("exact self-energy implemented for d in {1, 2}")
 
 
@@ -494,11 +492,7 @@ def ball_energy_predicted(cloud: PointCloud, params: BallMeasureParams) -> BallP
         )
     epsilon = math.log(gap / required) / math.log(n)
     j = discrete_energy(cloud, s)
-    constant = (
-        unit_ball_surface(d)
-        * 2.0 ** (d - s)
-        / (unit_ball_volume(d) * params.c**s * (d - s))
-    )
+    constant = _self_interaction_constant(d, s, params.c)
     return BallPrediction(
         value=(n - 1) / n * j + constant,
         point_energy=j,

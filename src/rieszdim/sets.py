@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .cloud import PointCloud, _pair_tiles
+from .cloud import PointCloud, _pair_distances, _pair_tiles
 from .errors import TooFewPoints
 
 __all__ = [
@@ -119,7 +119,7 @@ def distance_set(cloud: PointCloud, quantization="auto") -> ValueSet:
         step = float(quantization)
     if step <= 0:
         raise ValueError("quantization step must be positive")
-    values = _dedup_tiles((np.sqrt(d2) for d2 in _pair_tiles(pts)), step)
+    values = _dedup_tiles(_pair_distances(pts), step)
     return ValueSet("distance", values, step, values.size)
 
 

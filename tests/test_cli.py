@@ -65,6 +65,39 @@ def test_energy_of_points_closer_than_square_underflow(capsys, tmp_path):
     assert payload_of(out)["value"] == pytest.approx((1e150 + 2.0 * 0.5**-0.5) / 3.0)
 
 
+def strict_json(text):
+    """Parse RFC 8259 JSON: reject the non-standard Infinity and NaN."""
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_overflowed_energy_is_written_as_null(capsys, tmp_path):
+    path = tmp_path / "close.csv"
+    path.write_text("0\n1e-100\n0.5\n")  # one term 1e400 at s = 4
+    code, out, _ = run_cli(["energy", "--input", str(path), "--s", "4"], capsys)
+    assert code == 0
+    assert strict_json(out)["payload"]["value"] is None
+    code, out, _ = run_cli(
+        ["energy", "--input", str(path), "--s-grid", "1,4", "--n-grid", "2,3"], capsys
+    )
+    assert code == 0
+    assert strict_json(out)["payload"]["values"][1] == [None, None]
+
+
+def test_envelope_refuses_nan(monkeypatch, capsys, tmp_path):
+    import rieszdim.cli as cli_mod
+
+    path = tmp_path / "two.csv"
+    path.write_text("0\n0.5\n")
+    monkeypatch.setattr(cli_mod, "discrete_energy", lambda *a, **k: float("nan"))
+    code, out, _ = run_cli(["energy", "--input", str(path), "--s", "1"], capsys)
+    assert code == 2
+    assert out == ""
+
+
 def test_energy_profile_mode(capsys, tmp_path):
     path = tmp_path / "pts.csv"
     rd.write_csv(rd.grid_1d(16), path)
@@ -349,6 +382,23 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "rieszdim" in proc.stdout
+
+
+def test_cli_start_up_loads_no_scipy():
+    # scipy is a test dependency only; the library must not import it
+    code = "import sys, rieszdim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "rieszdim", "--version"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert "rieszdim.cli" in imported
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
 
 def test_cross_process_determinism():

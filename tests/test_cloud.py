@@ -56,6 +56,14 @@ def test_diameter_and_min_gap():
     assert c.min_gap() == pytest.approx(1.0, abs=0)
 
 
+def test_min_gap_below_the_square_underflow():
+    # 1e-300 squared underflows to 0, yet the points are distinct
+    c = rd.PointCloud([[0.0], [1e-300], [0.5]])
+    assert c.min_gap() == pytest.approx(1e-300, rel=1e-15, abs=0.0)
+    c2 = rd.PointCloud([[0.0, 0.0], [3e-300, 4e-300], [0.5, 0.2]])
+    assert c2.min_gap() == pytest.approx(5e-300, rel=1e-15, abs=0.0)
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(42)
     pts = rng.random((50, 3)) * math.pi

@@ -337,6 +337,16 @@ def test_distinct_points_whose_squared_distance_underflows():
     )
 
 
+def test_potential_at_a_point_whose_squared_distance_underflows():
+    c = rd.PointCloud([[0.0], [0.5]])
+    want = (1e150 + (0.5 - 1e-300) ** -0.5) / 2.0  # about 5e149
+    assert rd.riesz_potential_discrete(c, [1e-300], 0.5) == pytest.approx(want, rel=1e-12)
+    assert rd.riesz_potential_discrete(c, [0.0], 0.5) == math.inf
+    c2 = rd.PointCloud([[0.0, 0.0], [0.5, 0.2]])
+    want2 = (5e-300**-0.5 + 0.29**-0.25) / 2.0
+    assert rd.riesz_potential_discrete(c2, [3e-300, 4e-300], 0.5) == pytest.approx(want2, rel=1e-12)
+
+
 def test_exactly_coinciding_points_still_raise():
     c = rd.PointCloud([[0.0, 1.0], [0.5, 0.5], [0.0, 1.0]], _validate=False)
     with pytest.raises(rd.DuplicatePoints):

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 import rieszdim as rd
-from rieszdim.measures import sample_detail, sobolev_dimension
+from rieszdim.measures import _self_interaction_constant, sample_detail, sobolev_dimension
 
 
 # ---------------------------------------------------------------- sampling
@@ -128,6 +128,22 @@ def test_circle_energy_matches_quadrature_oracle():
     assert rd.reference_energy(m, 1.0) == math.inf
 
 
+def test_square_energy_matches_angular_quadrature():
+    # the polar reduction's angular integrand, integrated adaptively
+    def angular(theta, s):
+        c, v = math.cos(theta), math.sin(theta)
+        r = 1.0 / c
+        return (
+            r ** (2.0 - s) / (2.0 - s)
+            - (c + v) * r ** (3.0 - s) / (3.0 - s)
+            + c * v * r ** (4.0 - s) / (4.0 - s)
+        )
+
+    for s in (0.1, 0.5, 1.0, 1.5, 1.9, 1.99):
+        val, _ = integrate.quad(angular, 0.0, math.pi / 4.0, args=(s,), epsabs=0.0, epsrel=1e-13)
+        assert rd.reference_energy(rd.UniformCube(2), s) == pytest.approx(8.0 * val, rel=1e-14)
+
+
 def test_reference_energy_monotone_in_s_for_unit_diameter():
     m = rd.UniformCube(1)
     vals = [rd.reference_energy(m, s) for s in (0.0, 0.2, 0.5, 0.8, 0.95)]
@@ -165,6 +181,65 @@ def test_exact_self_energy_is_smaller_than_reduction():
     oracle, _ = integrate.quad(lambda u: 2.0 * u**-0.5 * (2.0 - u) / 4.0, 0.0, 2.0)
     assert exact == pytest.approx(oracle, rel=1e-10)
     assert exact == pytest.approx((2.0 / 3.0) * 2.0 * math.sqrt(2.0), rel=1e-10)
+
+
+def test_self_interaction_constant_closed_form():
+    # sigma_d / omega_d = d, so the constant is d 2^{d-s} / (c^s (d-s))
+    for d in (1, 2, 3):
+        for s, c in ((0.5, 1.0), (0.9, 0.3), (d - 0.01, 4.0)):
+            radial, _ = integrate.quad(lambda r: r ** (d - 1.0 - s), 0.0, 2.0, epsabs=0.0, epsrel=1e-12)
+            want = d * 2.0 ** (d - s) / (c**s * (d - s))
+            got = _self_interaction_constant(d, s, c)
+            assert got == pytest.approx(want, rel=1e-14)
+            assert got == pytest.approx(d * radial / c**s, rel=1e-10)
+
+
+def test_ball_constant_is_the_numeric_same_ball_term():
+    cases = (
+        (rd.PointCloud(np.linspace(0.0, 1.0, 16).reshape(-1, 1)), 0.5, 0.5),
+        (rd.lattice(2, 2), 1.2, 0.1),
+    )
+    for cloud, s, c in cases:
+        params = rd.BallMeasureParams(s, c, cloud.n)
+        predicted = rd.ball_energy_predicted(cloud, params)
+        numeric = rd.ball_energy_numeric(cloud, params)
+        assert predicted.constant == numeric.same_ball
+
+
+def lens_self_energy(radius, s):
+    """E|x - y|^{-s} for x, y uniform on a disc, by quadrature of the
+    distance density: the lens area of two discs at distance t."""
+
+    def f(t):
+        lens = 2.0 * radius**2 * math.acos(t / (2.0 * radius)) - (t / 2.0) * math.sqrt(
+            max(4.0 * radius**2 - t * t, 0.0)
+        )
+        return t ** (-s) * lens * 2.0 * math.pi * t
+
+    val, _ = integrate.quad(f, 0.0, 2.0 * radius, epsabs=0.0, epsrel=1e-12, limit=200)
+    return val / (math.pi * radius**2) ** 2
+
+
+def test_exact_self_energy_disc_matches_lens_integral():
+    for s in (0.1, 0.3, 0.5, 1.0, 1.5, 1.9, -1.0):
+        assert rd.ball_self_energy_exact(2, 1.0, s) == pytest.approx(
+            lens_self_energy(1.0, s), rel=1e-10
+        )
+    # mean distance of the unit disc, and E|x - y|^2 = 2 E|x|^2 = 1
+    assert rd.ball_self_energy_exact(2, 1.0, -1.0) == pytest.approx(128.0 / (45.0 * math.pi), rel=1e-14)
+    assert rd.ball_self_energy_exact(2, 1.0, -2.0) == pytest.approx(1.0, rel=1e-14)
+    assert rd.ball_self_energy_exact(2, 1.0, 2.0) == math.inf
+
+
+def test_exact_self_energy_is_homogeneous_of_degree_minus_s():
+    for d in (1, 2):
+        for s in (0.1, 0.5, 1.5, 1.9):
+            if s >= d:
+                continue
+            unit = rd.ball_self_energy_exact(d, 1.0, s)
+            for rho in (1e-3, 0.5, 7.0):
+                got = rd.ball_self_energy_exact(d, rho, s)
+                assert got == pytest.approx(rho**-s * unit, rel=1e-13), (d, s, rho)
 
 
 def test_exact_self_energy_disc_against_monte_carlo():

@@ -96,6 +96,16 @@ def test_distance_set_isometry_invariance():
     assert np.allclose(a.values, b.values, atol=3e-9)
 
 
+def test_distance_set_below_the_square_underflow_has_no_zero():
+    # 1e-300 squared underflows to 0, yet the points are distinct
+    vs = rd.distance_set(rd.PointCloud([[0.0], [1e-300], [0.5]]))
+    assert vs.values.tolist() == pytest.approx([1e-300, 0.5], rel=1e-15, abs=0.0)
+    assert 0.0 not in vs.values
+    vs2 = rd.distance_set(rd.PointCloud([[0.0, 0.0], [3e-300, 4e-300], [0.5, 0.2]]))
+    assert vs2.count == 2  # 5e-300, and two far distances on one grid key
+    assert vs2.values[0] == pytest.approx(5e-300, rel=1e-15, abs=0.0)
+
+
 def test_distance_set_needs_two_points():
     with pytest.raises(rd.TooFewPoints):
         rd.distance_set(rd.PointCloud([[0.0]]))
