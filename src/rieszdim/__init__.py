@@ -14,6 +14,7 @@ from .errors import (
     DimensionMismatch,
     DuplicatePoints,
     HypothesisViolated,
+    NonFiniteResult,
     NoTransition,
     OracleUnavailable,
     RieszdimError,

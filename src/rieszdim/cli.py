@@ -27,7 +27,7 @@ from .energy import (
     profile_from_family,
     truncated_energy,
 )
-from .errors import RieszdimError, SizeCapExceeded
+from .errors import NonFiniteResult, RieszdimError, SizeCapExceeded
 from .estimator import (
     default_window,
     dimension_estimate,
@@ -82,20 +82,26 @@ def _emit_text(text: str, path) -> None:
             f.write(text)
 
 
-def _inf_to_null(obj):
-    """``obj`` with every infinite float replaced by None (JSON ``null``)."""
-    if isinstance(obj, float) and math.isinf(obj):
+def _inf_to_null(obj, where="envelope"):
+    """``obj`` with every infinite float replaced by None (JSON ``null``).
+
+    A NaN has no JSON encoding: it raises :class:`NonFiniteResult` naming
+    its place, so the command exits 1 like any other domain error.
+    """
+    if isinstance(obj, float) and not math.isfinite(obj):
+        if math.isnan(obj):
+            raise NonFiniteResult(f"{where} is NaN, which JSON cannot encode")
         return None
     if isinstance(obj, dict):
-        return {k: _inf_to_null(v) for k, v in obj.items()}
+        return {k: _inf_to_null(v, f"{where}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_inf_to_null(v) for v in obj]
+        return [_inf_to_null(v, f"{where}[{i}]") for i, v in enumerate(obj)]
     return obj
 
 
 def _envelope(args, payload: dict, started: float) -> str:
-    """The JSON result envelope; an infinity is written as ``null``, and any
-    other non-finite value raises rather than yield invalid JSON."""
+    """The JSON result envelope; an infinity is written as ``null`` and a
+    NaN raises :class:`NonFiniteResult` rather than yield invalid JSON."""
     config = {
         k: v
         for k, v in vars(args).items()
@@ -111,6 +117,15 @@ def _envelope(args, payload: dict, started: float) -> str:
         "payload": payload,
     }
     return json.dumps(_inf_to_null(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _emit_table(args, text: str, payload: dict) -> None:
+    """Write CSV ``text`` to --output and, with --json, the envelope of
+    ``payload``. The envelope is built first, so a NaN leaves no output."""
+    doc = _envelope(args, payload, args._started) if args.json else None
+    _emit_text(text, args.output)
+    if doc is not None:
+        _emit_text(doc, args.json)
 
 
 def _parse_list(text, cast):
@@ -270,11 +285,7 @@ def _measure_from_args(args):
 
 def _cmd_gen(args) -> int:
     cloud = _generate(args)
-    _emit_text(dumps_csv(cloud), args.output)
-    if args.json:
-        started = args._started
-        payload = {"points": cloud.n, "dim": cloud.dim}
-        _emit_text(_envelope(args, payload, started), args.json)
+    _emit_table(args, dumps_csv(cloud), {"points": cloud.n, "dim": cloud.dim})
     return 0
 
 
@@ -283,16 +294,14 @@ def _cmd_sample(args) -> int:
         raise SizeCapExceeded(f"{args.count} points exceed the cap {args.max_points}")
     measure = _measure_from_args(args)
     cloud, info = sample_detail(measure, args.count, args.seed)
-    _emit_text(dumps_csv(cloud), args.output)
-    if args.json:
-        payload = {
-            "points": cloud.n,
-            "dim": cloud.dim,
-            "measure": measure_to_json(measure),
-            "perturbed_duplicates": info.perturbed,
-            "method": "sampler",
-        }
-        _emit_text(_envelope(args, payload, args._started), args.json)
+    payload = {
+        "points": cloud.n,
+        "dim": cloud.dim,
+        "measure": measure_to_json(measure),
+        "perturbed_duplicates": info.perturbed,
+        "method": "sampler",
+    }
+    _emit_table(args, dumps_csv(cloud), payload)
     return 0
 
 
@@ -409,15 +418,13 @@ def _cmd_varscan(args) -> int:
     buf.write("s,score\n")
     for s, score in scores:
         buf.write(f"{s:.17g},{score:.17g}\n")
-    _emit_text(buf.getvalue(), args.output)
-    if args.json:
-        payload = {
-            "measure": measure_to_json(measure),
-            "n": args.n,
-            "reps": args.reps,
-            "scores": [{"s": s, "score": v} for s, v in scores],
-        }
-        _emit_text(_envelope(args, payload, args._started), args.json)
+    payload = {
+        "measure": measure_to_json(measure),
+        "n": args.n,
+        "reps": args.reps,
+        "scores": [{"s": s, "score": v} for s, v in scores],
+    }
+    _emit_table(args, buf.getvalue(), payload)
     return 0
 
 
@@ -555,9 +562,7 @@ def _cmd_erdos(args) -> int:
             f"{row['s0']:.17g},{row['exponent']:.17g},{report.count},{report.n},"
             f"{row['bound']:.17g},{row['ratio']:.17g}\n"
         )
-    _emit_text(buf.getvalue(), args.output)
-    if args.json:
-        _emit_text(_envelope(args, report.to_json(), args._started), args.json)
+    _emit_table(args, buf.getvalue(), report.to_json())
     return 0
 
 

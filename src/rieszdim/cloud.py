@@ -82,10 +82,7 @@ class PointCloud:
         """Smallest pairwise distance (positive: the points are distinct)."""
         if self.n < 2:
             raise TooFewPoints("min_gap needs at least 2 points")
-        best = min(float(d2.min()) for d2 in _pair_tiles(self._points))
-        if best == 0.0:  # a distance below ~1.5e-162 squared to 0
-            return min(float(r.min()) for r in _pair_distances(self._points))
-        return float(np.sqrt(best))
+        return min(float(r.min()) for r in _pair_distances(self._points))
 
 
 def _tile(a: np.ndarray, b: np.ndarray, *, dot: bool = False) -> np.ndarray:
@@ -132,17 +129,19 @@ def _pair_tiles(pts: np.ndarray, *, dot: bool = False):
             yield values
 
 
-def _small_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise |a - b| for pairs whose squared distance underflows to 0.
+def _scaled_differences(a: np.ndarray, b: np.ndarray):
+    """Row-wise ``(top, q)`` with |a - b| = top * sqrt(q), for tiny distances.
 
-    Each difference is rescaled by its largest magnitude before squaring,
-    so a distance down to the subnormal range is recovered; it is 0 only
-    where the points coincide.
+    ``top`` is the largest magnitude of a difference and ``q`` the sum of
+    the squared differences rescaled by it, so a distance whose square
+    underflows is still recovered, down to the subnormal range: log d2 is
+    2 log(top) + log(q) to rounding. ``top`` is 0 only where the points
+    coincide.
     """
     diff = a - b
     top = np.abs(diff).max(axis=1)
     scale = np.where(top > 0.0, top, 1.0)
-    return top * np.sqrt(np.square(diff / scale[:, None]).sum(axis=1))
+    return top, np.square(diff / scale[:, None]).sum(axis=1)
 
 
 def _pair_distances(pts: np.ndarray):
@@ -150,7 +149,7 @@ def _pair_distances(pts: np.ndarray):
 
     The same strips and order as :func:`_pair_tiles`, square-rooted. A
     distance below about 1.5e-162 squares to 0; only on a strip holding
-    such a 0 are those pairs recomputed by :func:`_small_distances`.
+    such a 0 are those pairs recomputed by :func:`_scaled_differences`.
     """
     for k0, k1 in _row_blocks(pts.shape[0]):
         mask = np.tri(k1 - k0, k1, k0 - 1, dtype=bool)
@@ -158,7 +157,8 @@ def _pair_distances(pts: np.ndarray):
         if not r.all():
             rows, cols = np.nonzero(mask)
             zero = r == 0.0
-            r[zero] = _small_distances(pts[k0 + rows[zero]], pts[cols[zero]])
+            top, q = _scaled_differences(pts[k0 + rows[zero]], pts[cols[zero]])
+            r[zero] = top * np.sqrt(q)
         if r.size:
             yield r
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, _row_blocks, _small_distances, _tile
+from .cloud import PointCloud, _row_blocks, _scaled_differences, _tile
 from .errors import DimensionMismatch, DuplicatePoints, TooFewPoints
 
 __all__ = [
@@ -68,13 +68,13 @@ def _row_block(pts, k0, k1, exps, weight, out) -> None:
     tiny = None
     if not d2.all():  # distances below ~1.5e-162 square to 0: recover them
         tiny = np.nonzero(d2 == 0.0)
-        r = _small_distances(pts[k0 + tiny[0]], pts[tiny[1]])
-        if not r.all():
+        top, q = _scaled_differences(pts[k0 + tiny[0]], pts[tiny[1]])
+        if not top.all():
             raise DuplicatePoints("coinciding points encountered in pair sum")
         d2[tiny] = 1.0
     L = np.log(d2, out=d2)
     if tiny is not None:
-        L[tiny] = 2.0 * np.log(r)
+        L[tiny] = 2.0 * np.log(top) + np.log(q)
     if w is not None:
         L[w == 0.0] = 0.0  # a zero weight must not meet an infinite kernel
     buf = np.empty_like(L)
@@ -266,10 +266,10 @@ def riesz_potential_discrete(cloud: PointCloud, x, s: float) -> float:
     L = np.log(d2, where=d2 > 0.0, out=np.zeros_like(d2))
     if not d2.all():  # distances below ~1.5e-162 square to 0: recover them
         tiny = np.nonzero(d2 == 0.0)[0]
-        r = _small_distances(x[None, :], cloud.points[tiny])
-        if not r.all():
+        top, q = _scaled_differences(x[None, :], cloud.points[tiny])
+        if not top.all():
             return math.inf
-        L[tiny] = 2.0 * np.log(r)
+        L[tiny] = 2.0 * np.log(top) + np.log(q)
     with np.errstate(over="ignore"):
         return _fsum(np.exp(-0.5 * s * L)) / cloud.n
 

@@ -47,3 +47,7 @@ class WindowTooSmall(RieszdimError):
 
 class NoTransition(RieszdimError):
     """No growth transition found in the scanned exponent range."""
+
+
+class NonFiniteResult(RieszdimError):
+    """A result is NaN, which has no JSON encoding."""

@@ -93,9 +93,25 @@ def test_envelope_refuses_nan(monkeypatch, capsys, tmp_path):
     path = tmp_path / "two.csv"
     path.write_text("0\n0.5\n")
     monkeypatch.setattr(cli_mod, "discrete_energy", lambda *a, **k: float("nan"))
-    code, out, _ = run_cli(["energy", "--input", str(path), "--s", "1"], capsys)
-    assert code == 2
+    code, out, err = run_cli(["energy", "--input", str(path), "--s", "1"], capsys)
+    assert code == 1  # a NaN result is a domain error, not a usage error
     assert out == ""
+    assert "NonFiniteResult" in err and "envelope.payload.value" in err
+
+
+def test_nan_envelope_leaves_no_csv_behind(monkeypatch, capsys, tmp_path):
+    import rieszdim.cli as cli_mod
+
+    monkeypatch.setattr(
+        cli_mod, "variance_blowup_scan", lambda *a, **k: [(0.5, 1.0), (1.5, float("nan"))]
+    )
+    table, doc = tmp_path / "scan.csv", tmp_path / "scan.json"
+    argv = ["varscan", "--measure", "cube", "--dim", "1", "--s-grid", "0.5,1.5",
+            "--n", "8", "--reps", "2", "--output", str(table), "--json", str(doc)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "envelope.payload.scores[1].score" in err
+    assert not table.exists() and not doc.exists()
 
 
 def test_energy_profile_mode(capsys, tmp_path):

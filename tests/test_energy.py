@@ -347,6 +347,21 @@ def test_potential_at_a_point_whose_squared_distance_underflows():
     assert rd.riesz_potential_discrete(c2, [3e-300, 4e-300], 0.5) == pytest.approx(want2, rel=1e-12)
 
 
+def test_subnormal_differences_keep_full_accuracy():
+    # tiny = 1e-320 is subnormal; log d2 = 2 log(top) + log(sum) stays exact
+    # to rounding where the distance itself would round on the subnormal grid
+    tiny = 1e-320
+    c = rd.PointCloud([[0.0, 0.0], [tiny, tiny], [0.5, 0.5]])
+    near = 2.0**-0.25 * tiny**-0.5  # (sqrt(2) tiny)^(-1/2), about 8.4e159
+    want = (near + 2.0 * 0.5**-0.25) / 3.0
+    assert rd.discrete_energy(c, 0.5) == pytest.approx(want, rel=1e-12)
+    assert rd.energy_profile(c, [0.5], [2, 3]).values[0].tolist() == pytest.approx(
+        [near, want], rel=1e-12
+    )
+    pot = rd.riesz_potential_discrete(rd.PointCloud([[0.0, 0.0], [0.5, 0.5]]), [tiny, tiny], 0.5)
+    assert pot == pytest.approx((near + 0.5**-0.25) / 2.0, rel=1e-12)
+
+
 def test_exactly_coinciding_points_still_raise():
     c = rd.PointCloud([[0.0, 1.0], [0.5, 0.5], [0.0, 1.0]], _validate=False)
     with pytest.raises(rd.DuplicatePoints):
