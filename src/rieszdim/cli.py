@@ -412,7 +412,12 @@ def _cmd_varscan(args) -> int:
     _check_pairs(args, args.n, reps=args.reps)
     measure = _measure_from_args(args)
     scores = variance_blowup_scan(
-        measure, _parse_list(args.s_grid, float), args.n, args.reps, args.seed
+        measure,
+        _parse_list(args.s_grid, float),
+        args.n,
+        args.reps,
+        args.seed,
+        threads=args.threads,
     )
     buf = io.StringIO()
     buf.write("s,score\n")
@@ -444,7 +449,7 @@ def _cmd_lln_mean(args) -> int:
     if args.no_oracle:
         oracle = None
     report = expectation_experiment(
-        measure, args.s, args.n, args.reps, args.seed, oracle=oracle
+        measure, args.s, args.n, args.reps, args.seed, oracle=oracle, threads=args.threads
     )
     if args.per_rep_csv:
         _write_per_rep_csv(args.per_rep_csv, report)
@@ -463,6 +468,7 @@ def _cmd_lln_weak(args) -> int:
         n_grid,
         args.reps,
         args.seed,
+        threads=args.threads,
     )
     if args.per_rep_csv:
         _write_per_rep_csv(args.per_rep_csv, report)
@@ -473,7 +479,7 @@ def _cmd_lln_weak(args) -> int:
 def _cmd_lln_path(args) -> int:
     _check_pairs(args, args.n_max)
     measure = _measure_from_args(args)
-    path = slln_path(measure, args.s, args.n_max, args.seed)
+    path = slln_path(measure, args.s, args.n_max, args.seed, threads=args.threads)
     payload = {
         "measure": measure_to_json(measure),
         "s": args.s,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .errors import DimensionMismatch, DuplicatePoints, TooFewPoints
 __all__ = ["PointCloud", "read_csv", "write_csv"]
 
 _TILE = 1 << 15  # values per row strip, so its buffers stay in cache
+_workspace = threading.local()
 
 
 class PointCloud:
@@ -39,7 +41,8 @@ class PointCloud:
         if _validate:
             if not np.all(np.isfinite(arr)):
                 raise ValueError("coordinates must be finite (no NaN/inf)")
-            if np.unique(arr, axis=0).shape[0] != arr.shape[0]:
+            rows = arr[np.lexsort(arr.T)]  # equal points (-0.0 == 0.0) end up adjacent
+            if (rows[1:] == rows[:-1]).all(axis=1).any():
                 raise DuplicatePoints(
                     f"cloud of {arr.shape[0]} points contains coinciding points"
                 )
@@ -85,16 +88,37 @@ class PointCloud:
         return min(float(r.min()) for r in _pair_distances(self._points))
 
 
+def _strip_buffers(size: int):
+    """This thread's two flat strip buffers, each holding at least ``size`` values.
+
+    They are allocated once per thread (at least ``_TILE`` values) and grown
+    only when a strip needs more, so a strip never page-faults fresh memory.
+    """
+    bufs = getattr(_workspace, "bufs", None)
+    if bufs is None or bufs[0].size < size:
+        size = max(size, _TILE)
+        bufs = _workspace.bufs = (np.empty(size), np.empty(size))
+    return bufs
+
+
 def _tile(a: np.ndarray, b: np.ndarray, *, dot: bool = False) -> np.ndarray:
     """Squared distances (or dot products) of every row of a with every row of b.
 
     Built one coordinate at a time in coordinate order, starting from +0.0,
-    with no (len(a), len(b), d) temporary.
+    with no (len(a), len(b), d) temporary. The tile is a view of buffer 0 of
+    this thread's strip workspace and its per-coordinate temporary is
+    buffer 1: the result is valid until the thread's next ``_tile`` call,
+    and buffer 1 is free for the caller until then.
     """
     op = np.multiply if dot else np.subtract
-    tile = np.zeros((len(a), len(b)))
+    shape = (len(a), len(b))
+    size = shape[0] * shape[1]
+    buf, tmp = _strip_buffers(size)
+    tile = buf[:size].reshape(shape)
+    t = tmp[:size].reshape(shape)
+    tile.fill(0.0)
     for k in range(a.shape[1]):
-        t = op.outer(a[:, k], b[:, k])
+        op.outer(a[:, k], b[:, k], out=t)
         if not dot:
             t *= t
         tile += t

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, _row_blocks, _scaled_differences, _tile
+from .cloud import PointCloud, _row_blocks, _scaled_differences, _strip_buffers, _tile
 from .errors import DimensionMismatch, DuplicatePoints, TooFewPoints
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
 _pool = None
 _pool_size = 0
 _pool_lock = threading.Lock()
+_triangles = (np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
 
 
 def _shared_pool(threads: int) -> ThreadPoolExecutor:
@@ -55,12 +56,45 @@ def _shared_pool(threads: int) -> ThreadPoolExecutor:
         return _pool
 
 
+def _deal(run, items, threads: int) -> None:
+    """Call ``run`` on the round-robin shares ``items[t::w]`` of w workers.
+
+    w is ``threads`` clamped to [1, len(items)] (below 1 runs serially).
+    The calling thread takes share 0 and the shared pool the rest, so a
+    ``run`` must never submit to the pool and wait on it. The first error
+    raised by any share is re-raised once every share has finished.
+    """
+    workers = max(1, min(threads, len(items)))
+    pool = _shared_pool(workers - 1) if workers > 1 else None
+    futures = [pool.submit(run, items[t::workers]) for t in range(1, workers)]
+    try:
+        run(items[::workers])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+
+
+def _triangle(rows: int):
+    """Strict lower triangle of a rows x rows block: (float 1/0 mask, its bool complement).
+
+    Sliced from one cached pair, rebuilt only when ``rows`` outgrows it (two
+    threads rebuilding at once each store a complete pair).
+    """
+    global _triangles
+    lower, upper = _triangles
+    if lower.shape[0] < rows:
+        lower = np.tri(rows, k=-1)
+        upper = lower == 0.0
+        _triangles = (lower, upper)
+    return lower[:rows, :rows], upper[:rows, :rows]
+
+
 def _row_block(pts, k0, k1, exps, weight, out) -> None:
     """Write the row sums of rows k0..k1-1 over columns j < k to out[:, k0:k1]."""
-    rows = k1 - k0
-    lower = np.tri(rows, k=-1)
+    lower, upper = _triangle(k1 - k0)
     d2 = _tile(pts[k0:k1], pts[:k1])
-    d2[:, k0:][lower == 0.0] = 1.0  # the pairs j >= k: skipped, set to 1 so log is 0
+    np.copyto(d2[:, k0:], 1.0, where=upper)  # the pairs j >= k: skipped, log 1 is 0
     w = None
     if weight is not None:
         w = weight(np.sqrt(d2))  # a pair whose square underflows is weighted at r = 0
@@ -77,7 +111,7 @@ def _row_block(pts, k0, k1, exps, weight, out) -> None:
         L[tiny] = 2.0 * np.log(top) + np.log(q)
     if w is not None:
         L[w == 0.0] = 0.0  # a zero weight must not meet an infinite kernel
-    buf = np.empty_like(L)
+    buf = _strip_buffers(L.size)[1][: L.size].reshape(L.shape)  # free once the tile is built
     for i, s in enumerate(exps):
         if s == 0.0:
             out[i, k0:k1] = np.arange(k0, k1) if w is None else w.sum(axis=1)
@@ -99,22 +133,13 @@ def _row_sums(pts, exps, *, threads=1, weight=None):
     """
     exps = [float(s) for s in exps]
     out = np.zeros((len(exps), pts.shape[0]))
-    blocks = _row_blocks(pts.shape[0])
 
     def run(spans):
         with np.errstate(over="ignore"):
             for k0, k1 in spans:
                 _row_block(pts, k0, k1, exps, weight, out)
 
-    workers = max(1, min(threads, len(blocks)))  # threads < 1 runs serially
-    pool = _shared_pool(workers - 1) if workers > 1 else None
-    futures = [pool.submit(run, blocks[t::workers]) for t in range(1, workers)]
-    try:
-        run(blocks[::workers])  # the calling thread takes the first share
-    finally:
-        wait(futures)
-    for f in futures:
-        f.result()
+    _deal(run, _row_blocks(pts.shape[0]), threads)
     return out
 
 

@@ -158,7 +158,7 @@ def dimension_estimate(
 
 
 def variance_blowup_scan(
-    measure: MeasureSpec, s_grid, n: int, reps: int, seed: int
+    measure: MeasureSpec, s_grid, n: int, reps: int, seed: int, *, threads: int = 1
 ) -> list:
     """Dispersion score max(J)/median(J) over replicates, per exponent.
 
@@ -168,12 +168,13 @@ def variance_blowup_scan(
     because the replicate with the closest pair dominates the maximum. The
     score itself need not become large. max/median is used because sample
     variance estimates an infinite second moment inconsistently. Raw scores
-    only, no classification.
+    only, no classification. Replicates are dealt to ``threads`` workers;
+    the scores are bit-identical at any thread count.
     """
     if reps < 50:
         raise ValueError("need reps >= 50")
     s_grid = [float(s) for s in s_grid]
-    values = replicate_energies(measure, s_grid, n, reps, seed)
+    values = replicate_energies(measure, s_grid, n, reps, seed, threads=threads)
     out = []
     for i, s in enumerate(s_grid):
         row = values[i]

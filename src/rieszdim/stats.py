@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import discrete_energy_multi, energy_profile
+from .energy import _deal, discrete_energy_multi, energy_profile
 from .errors import OracleUnavailable, UnsupportedVariant
 from .measures import (
     MeasureSpec,
@@ -76,17 +76,23 @@ class ExperimentReport:
 
 
 def replicate_energies(
-    measure: MeasureSpec, s_list, n: int, reps: int, seed: int
+    measure: MeasureSpec, s_list, n: int, reps: int, seed: int, *, threads: int = 1
 ) -> np.ndarray:
     """J_s per replicate, shape (len(s_list), reps).
 
-    Replicate r draws its cloud from the seed stream jumped r blocks, so
-    the array is independent of evaluation order.
+    Replicate r draws its cloud from the seed stream jumped r blocks and
+    writes only column r. Replicates are dealt round-robin to ``threads``
+    workers (below 1 runs serially), each computing its energies on one
+    thread, so the array is bit-identical to the serial loop at any thread
+    count.
     """
     out = np.empty((len(s_list), reps))
-    for r in range(reps):
-        cloud = sample(measure, n, seed, rep=r)
-        out[:, r] = discrete_energy_multi(cloud, s_list)
+
+    def run(rs):
+        for r in rs:
+            out[:, r] = discrete_energy_multi(sample(measure, n, seed, rep=r), s_list)
+
+    _deal(run, range(reps), threads)
     return out
 
 
@@ -109,6 +115,7 @@ def expectation_experiment(
     seed: int,
     *,
     oracle="auto",
+    threads: int = 1,
 ) -> ExperimentReport:
     """Mean and standard error of J_s over replicates, with oracle z-score.
 
@@ -118,7 +125,7 @@ def expectation_experiment(
     if reps < 30:
         raise ValueError("need reps >= 30")
     ref, method = _resolve_oracle(measure, s, oracle)
-    values = replicate_energies(measure, [s], n, reps, seed)[0]
+    values = replicate_energies(measure, [s], n, reps, seed, threads=threads)[0]
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(reps))
     cell = {
@@ -152,6 +159,7 @@ def wlln_exceedance(
     seed: int,
     *,
     oracle="auto",
+    threads: int = 1,
 ) -> ExperimentReport:
     """Empirical frequency of |J_s - I_s| > eps per sample size.
 
@@ -169,7 +177,7 @@ def wlln_exceedance(
     cells = []
     replicates = []
     for n in n_grid:
-        values = replicate_energies(measure, [s], n, reps, seed)[0]
+        values = replicate_energies(measure, [s], n, reps, seed, threads=threads)[0]
         replicates.append(values)
         rate = float(np.mean(np.abs(values - ref) > eps))
         cells.append(
@@ -196,7 +204,7 @@ def wlln_exceedance(
     )
 
 
-def slln_path(measure: MeasureSpec, s: float, n_max: int, seed: int):
+def slln_path(measure: MeasureSpec, s: float, n_max: int, seed: int, *, threads: int = 1):
     """One growing sample path: running J_s for every prefix of one draw.
 
     Draws x_1..x_{n_max} once and keeps the energy profile at every prefix
@@ -206,5 +214,5 @@ def slln_path(measure: MeasureSpec, s: float, n_max: int, seed: int):
     if n_max < 100:
         raise ValueError("need n_max >= 100")
     cloud = sample(measure, n_max, seed)
-    prof = energy_profile(cloud, [s], range(2, n_max + 1))
+    prof = energy_profile(cloud, [s], range(2, n_max + 1), threads=threads)
     return list(zip(prof.n_grid, prof.values[0].tolist()))

@@ -357,6 +357,47 @@ def test_threads_flag_does_not_change_payload(capsys, tmp_path):
         assert payload_of(out)["value"] == payload_of(out1)["value"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["varscan", "--measure", "cube", "--dim", "2", "--s-grid", "0.3,0.9", "--n", "30", "--reps", "50"],
+        ["lln-mean", "--measure", "cube", "--dim", "1", "--s", "0.4", "--n", "30", "--reps", "30"],
+        ["lln-weak", "--measure", "circle", "--s", "0.3", "--eps", "0.2", "--n-grid", "10,20,30", "--reps", "30"],
+        ["lln-path", "--measure", "cube", "--dim", "2", "--s", "0.6", "--n-max", "300"],
+    ],
+)
+def test_replicate_commands_ignore_threads_in_payload(argv, capsys, tmp_path, monkeypatch):
+    import rieszdim.energy as energy_mod
+
+    pool_requests = []
+    real_pool = energy_mod._shared_pool
+
+    def recording_pool(threads):
+        pool_requests.append(threads)
+        return real_pool(threads)
+
+    monkeypatch.setattr(energy_mod, "_shared_pool", recording_pool)
+    outputs = []
+    for t in ("1", "2", "0"):
+        pool_requests.clear()
+        extra = ["--seed", "5", "--threads", t]
+        if argv[0] == "varscan":
+            extra += ["--json", str(tmp_path / f"env{t}.json")]
+        if argv[0] == "lln-mean":
+            extra += ["--per-rep-csv", str(tmp_path / f"reps{t}.csv")]
+        code, out, _ = run_cli(argv + extra, capsys)
+        assert code == 0
+        assert bool(pool_requests) == (t == "2")  # the flag reaches the pool
+        if argv[0] == "varscan":
+            outputs.append((out, payload_of((tmp_path / f"env{t}.json").read_text())))
+        elif argv[0] == "lln-mean":
+            outputs.append((payload_of(out), (tmp_path / f"reps{t}.csv").read_bytes()))
+        else:
+            outputs.append(payload_of(out))
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["energy", "--nonsense"])
@@ -478,9 +519,9 @@ def test_per_rep_csv_computes_each_replicate_set_once(argv, sizes, capsys, tmp_p
     calls = []
     real = stats_mod.replicate_energies
 
-    def counting(measure, s_list, n, reps, seed):
+    def counting(measure, s_list, n, reps, seed, **kwargs):
         calls.append(n)
-        return real(measure, s_list, n, reps, seed)
+        return real(measure, s_list, n, reps, seed, **kwargs)
 
     monkeypatch.setattr(stats_mod, "replicate_energies", counting)
     csv_path = tmp_path / "reps.csv"

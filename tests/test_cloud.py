@@ -30,6 +30,26 @@ def test_negative_zero_counts_as_duplicate():
         rd.PointCloud([[0.0], [-0.0]])
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rejects_duplicates_at_non_adjacent_indices(d):
+    pts = np.random.default_rng(d).random((20, d))
+    pts[17] = pts[3]
+    with pytest.raises(rd.DuplicatePoints):
+        rd.PointCloud(pts)
+
+
+def test_negative_zero_counts_as_duplicate_in_two_dimensions():
+    with pytest.raises(rd.DuplicatePoints):
+        rd.PointCloud([[0.0, 1.0], [-0.0, 1.0]])
+
+
+def test_rows_differing_in_one_coordinate_are_distinct():
+    # equal in every coordinate but the first, or every coordinate but the last
+    assert rd.PointCloud([[0.0, 1.0, 2.0], [5.0, 1.0, 2.0], [0.0, 1.0, 7.0]]).n == 3
+    assert rd.PointCloud([[1.0, 2.0], [3.0, 2.0], [1.0, 3.0], [3.0, 3.0]]).n == 4
+    assert rd.PointCloud([[0.5, -1.0]]).n == 1
+
+
 def test_rejects_empty():
     with pytest.raises(ValueError):
         rd.PointCloud(np.empty((0, 2)))

@@ -1,4 +1,5 @@
 import math
+import subprocess
 import sys
 import threading
 from unittest import mock
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import rieszdim as rd
 import rieszdim.cloud as cloud_mod
+import rieszdim.energy as energy_mod
 from conftest import random_cloud
 
 
@@ -480,3 +482,141 @@ def test_truncated_equals_scaled_energy_below_half_min_gap(cloud, s, frac):
     assert rd.truncated_energy(cloud, s, radius) == pytest.approx(
         (n - 1) / n * rd.discrete_energy(cloud, s), rel=1e-15
     )
+
+
+# ------------------------------------------------------------ strip workspace
+
+
+def _in_fresh_thread(fn):
+    """Run fn on a new thread, whose strip workspace starts empty."""
+    box = []
+    t = threading.Thread(target=lambda: box.append(fn()))
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive() and box, "worker thread failed"
+    return box[0]
+
+
+def naive_row_sums(pts, exps):
+    return np.array(
+        [
+            [math.fsum(math.dist(pts[k], pts[j]) ** -s for j in range(k)) for k in range(len(pts))]
+            for s in exps
+        ]
+    )
+
+
+def test_workspace_grows_for_wide_single_row_strips(monkeypatch):
+    # a 16-value tile makes the first strip 4 x 4 and every later strip a
+    # single row as wide as its index, so the workspace must grow
+    monkeypatch.setattr(cloud_mod, "_TILE", 16)
+    pts = random_cloud(11, 50, 2).points
+    exps = [0.0, 0.7, 2.3]
+    assert cloud_mod._row_blocks(50)[0] == (0, 4)
+
+    def run():
+        cloud_mod._tile(pts[:4], pts[:4])
+        first = cloud_mod._workspace.bufs[0].size
+        R = energy_mod._row_sums(pts, exps)
+        return first, cloud_mod._workspace.bufs[0].size, R
+
+    first, last, R = _in_fresh_thread(run)
+    assert first == 16
+    assert last >= 50
+    want = naive_row_sums(pts.tolist(), exps)
+    assert R[0].tolist() == list(range(50))
+    np.testing.assert_allclose(R, want, rtol=1e-12, atol=0.0)
+
+
+_SMALL_CALLS = """
+import numpy as np, rieszdim as rd
+from rieszdim.sets import distance_set, dot_product_set
+if {large}:
+    big = rd.PointCloud(np.random.default_rng(5).random((2500, 3)) * 7.0)
+    rd.discrete_energy_multi(big, [0.5, 1.5]); distance_set(big)
+    rd.riesz_potential_discrete(big, [0.1, 0.2, 0.3], 0.5)
+c = rd.PointCloud(np.random.default_rng(6).random((37, 2)))
+vals = list(rd.discrete_energy_multi(c, [0.0, 0.5, 1.5])) + [
+    rd.truncated_energy(c, 0.8, 0.05),
+    rd.riesz_potential_discrete(c, [0.25, 0.5], 0.9),
+    c.diameter(), c.min_gap(),
+]
+vals += list(distance_set(c).values) + list(dot_product_set(c).values)
+print([float(v).hex() for v in vals])
+"""
+
+
+def test_large_call_leaves_no_stale_values_for_a_small_one():
+    def run(large):
+        code = _SMALL_CALLS.format(large=large)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert run(True) == run(False)
+
+
+def test_truncated_and_underflow_paths_on_a_reused_workspace():
+    tiny = rd.PointCloud([[0.0], [1e-300], [0.5]])
+    c = random_cloud(12, 90, 2)
+
+    def calls():
+        return [
+            rd.discrete_energy(tiny, 0.5),
+            rd.truncated_energy(tiny, 0.5, 0.1),
+            rd.truncated_energy(c, 1.2, 0.07),
+            rd.discrete_energy(c, 1.2),
+        ]
+
+    fresh = _in_fresh_thread(calls)
+
+    def dirty_then_calls():
+        rd.discrete_energy_multi(random_cloud(13, 800, 3, scale=9.0), [0.3, 2.0])
+        return calls()
+
+    assert _in_fresh_thread(dirty_then_calls) == fresh
+    assert calls() == fresh  # this thread's workspace is already in use
+    assert fresh[0] == pytest.approx((1e150 + 2.0 * 0.5**-0.5) / 3.0, rel=1e-12)
+    assert fresh[1] == pytest.approx(2.0 * 0.5**-0.5 / 4.5, rel=1e-15)
+
+
+def test_interleaved_strip_users_on_two_threads():
+    a = random_cloud(14, 400, 2).points
+    b = random_cloud(15, 300, 3).points
+    want_tiles = np.concatenate(list(cloud_mod._pair_tiles(a))).tolist()
+    want_rows = energy_mod._row_sums(b, [0.4, 1.7]).tolist()
+    results = []
+
+    def call():
+        for _ in range(5):
+            tiles = np.concatenate(list(cloud_mod._pair_tiles(a))).tolist()
+            rows = energy_mod._row_sums(b, [0.4, 1.7]).tolist()
+            results.append(tiles == want_tiles and rows == want_rows)
+
+    callers = [threading.Thread(target=call) for _ in range(2)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in callers)
+    assert results == [True] * 10
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor fault counts are Linux-only")
+def test_row_sums_do_not_page_fault_per_strip():
+    # each strip reuses the thread's workspace, so repeated calls map no
+    # new pages; allocating per strip costs hundreds of faults per call
+    resource = pytest.importorskip("resource")
+    pts = random_cloud(16, 300, 2).points
+    exps = [0.3, 0.6, 0.9, 1.2]
+    energy_mod._row_sums(pts, exps)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(200):
+        energy_mod._row_sums(pts, exps)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / 200 < 1.0

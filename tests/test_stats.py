@@ -1,6 +1,11 @@
 import math
+import sys
+import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import rieszdim as rd
@@ -146,3 +151,43 @@ def test_oracle_method_reporting():
     )
     assert explicit.oracle_method == "explicit"
     assert rd.reference_energy_method(rd.UniformCircle()) == "closed-form"
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(
+    st.sampled_from([rd.UniformCube(1), rd.UniformCube(2), rd.UniformCircle()]),
+    st.integers(2, 60),
+    st.integers(1, 12),
+    st.lists(st.floats(0.0, 2.5), min_size=1, max_size=4),
+    st.integers(0, 2**32),
+)
+def test_replicates_are_bit_identical_at_any_thread_count(measure, n, reps, s_list, seed):
+    serial = [
+        rd.discrete_energy_multi(rd.sample(measure, n, seed, rep=r), s_list) for r in range(reps)
+    ]
+    want = np.column_stack(serial).tobytes()
+    # every run stays alive, so no run can reuse the memory of an earlier one
+    runs = [rd.replicate_energies(measure, s_list, n, reps, seed, threads=t) for t in (1, 2, 4, 0, -1)]
+    assert [r.tobytes() for r in runs] == [want] * 5
+
+
+def test_concurrent_variance_scans_get_identical_scores():
+    args = (rd.UniformCube(2), [0.3, 0.9, 1.4], 40, 60, 8)
+    want = rd.variance_blowup_scan(*args)
+    results = []
+
+    def call():
+        results.append(rd.variance_blowup_scan(*args, threads=2))
+
+    callers = [threading.Thread(target=call) for _ in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in callers)
+    assert results == [want] * 4
