@@ -501,7 +501,7 @@ def _cmd_ballcheck(args) -> int:
     _check_pairs(args, cloud.n)
     params = BallMeasureParams(args.s, args.c, cloud.n)
     numeric = ball_energy_numeric(cloud, params, seed=args.seed)
-    predicted = ball_energy_predicted(cloud, params)
+    predicted = ball_energy_predicted(cloud, params, threads=args.threads)
     gap = abs(numeric.value - predicted.value) / predicted.value
     payload = {
         "s": args.s,

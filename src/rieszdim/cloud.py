@@ -89,7 +89,7 @@ class PointCloud:
 
 
 def _strip_buffers(size: int):
-    """This thread's two flat strip buffers, each holding at least ``size`` values.
+    """This thread's three flat strip buffers, each holding at least ``size`` values.
 
     They are allocated once per thread (at least ``_TILE`` values) and grown
     only when a strip needs more, so a strip never page-faults fresh memory.
@@ -97,7 +97,7 @@ def _strip_buffers(size: int):
     bufs = getattr(_workspace, "bufs", None)
     if bufs is None or bufs[0].size < size:
         size = max(size, _TILE)
-        bufs = _workspace.bufs = (np.empty(size), np.empty(size))
+        bufs = _workspace.bufs = (np.empty(size), np.empty(size), np.empty(size))
     return bufs
 
 
@@ -108,12 +108,12 @@ def _tile(a: np.ndarray, b: np.ndarray, *, dot: bool = False) -> np.ndarray:
     with no (len(a), len(b), d) temporary. The tile is a view of buffer 0 of
     this thread's strip workspace and its per-coordinate temporary is
     buffer 1: the result is valid until the thread's next ``_tile`` call,
-    and buffer 1 is free for the caller until then.
+    and buffers 1 and 2 are free for the caller until then.
     """
     op = np.multiply if dot else np.subtract
     shape = (len(a), len(b))
     size = shape[0] * shape[1]
-    buf, tmp = _strip_buffers(size)
+    buf, tmp, _ = _strip_buffers(size)
     tile = buf[:size].reshape(shape)
     t = tmp[:size].reshape(shape)
     tile.fill(0.0)

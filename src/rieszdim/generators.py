@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .energy import discrete_energy
+from .energy import discrete_energy, riesz_potential_discrete
 from .errors import SizeCapExceeded, TargetUnreachable
 
 __all__ = [
@@ -333,8 +333,10 @@ def energy_sequence_points(
     For each later target, far points are appended while even the far-point
     limit ((n-1)/(n+1)) J stays at or above the target; then one point is
     placed on a fresh segment toward x_1 and located by bracketing plus
-    bisection, using the intermediate value of J along the segment. Returns
-    (cloud, checkpoints) where checkpoints list (prefix size, achieved J).
+    bisection, using the intermediate value of J along the segment. Each
+    candidate is scored in O(n) from the current J and its potential; each
+    appended point takes one full energy. Returns (cloud, checkpoints) where
+    checkpoints list (prefix size, achieved J).
     """
     if d < 1:
         raise ValueError("ambient dimension must be >= 1")
@@ -352,11 +354,11 @@ def energy_sequence_points(
         # Decay loop: append far points while even the far limit cannot
         # drop below the target.
         while (n - 1) / (n + 1) * cur >= e_next:
-            pts.append(_far_point(pts, s, dir_index, max_doublings))
+            pts.append(_far_point(pts, cur, s, dir_index, max_doublings))
             dir_index += 1
             n = len(pts)
             cur = _energy(pts, s)
-        pts.append(_slide_point(pts, s, e_next, dir_index, tol, max_doublings, max_bisections))
+        pts.append(_slide_point(pts, cur, s, e_next, dir_index, tol, max_doublings, max_bisections))
         dir_index += 1
         cur = _energy(pts, s)
         if abs(cur - e_next) > tol * e_next:
@@ -376,27 +378,34 @@ def _extent(pts) -> float:
     return float(np.max(np.linalg.norm(arr, axis=1))) if len(pts) else 0.0
 
 
-def _energy_with(pts, s, candidate) -> float:
-    return _energy(pts + [candidate], s)
+def _energy_with(cloud, cur, s, candidate) -> float:
+    """J of ``cloud`` plus one candidate point, given J(cloud) = cur, in O(n).
+
+    J_{n+1} = (n(n-1) J_n + 2n U) / ((n+1) n), with U the cloud's potential
+    at the candidate.
+    """
+    n = cloud.n
+    return ((n - 1) * cur + 2.0 * riesz_potential_discrete(cloud, candidate, s)) / (n + 1)
 
 
-def _far_point(pts, s, dir_index, max_doublings) -> np.ndarray:
+def _far_point(pts, cur, s, dir_index, max_doublings) -> np.ndarray:
     """A point far enough that it barely perturbs J beyond the drop factor."""
     d = pts[0].shape[0]
     u = _direction(d, dir_index)
     n = len(pts)
-    limit = (n - 1) / (n + 1) * _energy(pts, s)
+    limit = (n - 1) / (n + 1) * cur
+    cloud = PointCloud(np.array(pts), _validate=False)
     t = _extent(pts) + 1.0
     for _ in range(max_doublings):
         cand = t * u
-        val = _energy_with(pts, s, cand)
+        val = _energy_with(cloud, cur, s, cand)
         if val - limit <= 1e-9 * limit:
             return cand
         t *= 2.0
     raise TargetUnreachable("far-point search exhausted its doubling budget")
 
 
-def _slide_point(pts, s, target, dir_index, tol, max_doublings, max_bisections):
+def _slide_point(pts, cur, s, target, dir_index, tol, max_doublings, max_bisections):
     """Place a point on a ray toward x_1 so that J equals ``target``.
 
     J is continuous on the open segment between the nearest obstruction and
@@ -405,6 +414,7 @@ def _slide_point(pts, s, target, dir_index, tol, max_doublings, max_bisections):
     """
     d = pts[0].shape[0]
     u = _direction(d, dir_index)
+    cloud = PointCloud(np.array(pts), _validate=False)
     # Innermost approachable parameter along the ray: origin in general
     # position, or just outside the outermost collinear point in d = 1.
     t_min = 0.0
@@ -413,14 +423,14 @@ def _slide_point(pts, s, target, dir_index, tol, max_doublings, max_bisections):
         t_min = max(on_ray) if on_ray else 0.0
     t_hi = _extent(pts) + 1.0
     for _ in range(max_doublings):
-        if _energy_with(pts, s, t_hi * u) < target:
+        if _energy_with(cloud, cur, s, t_hi * u) < target:
             break
         t_hi *= 2.0
     else:
         raise TargetUnreachable("outward bracket search exhausted doublings")
     t_lo = t_min + (t_hi - t_min) / 2.0
     for _ in range(200):
-        if _energy_with(pts, s, t_lo * u) > target:
+        if _energy_with(cloud, cur, s, t_lo * u) > target:
             break
         t_lo = t_min + (t_lo - t_min) / 2.0
     else:
@@ -428,7 +438,7 @@ def _slide_point(pts, s, target, dir_index, tol, max_doublings, max_bisections):
     best = None
     for _ in range(max_bisections):
         t_mid = 0.5 * (t_lo + t_hi)
-        val = _energy_with(pts, s, t_mid * u)
+        val = _energy_with(cloud, cur, s, t_mid * u)
         if abs(val - target) <= 0.25 * tol * target:
             best = t_mid
             break
@@ -438,7 +448,7 @@ def _slide_point(pts, s, target, dir_index, tol, max_doublings, max_bisections):
             t_hi = t_mid
     if best is None:
         best = 0.5 * (t_lo + t_hi)
-        if abs(_energy_with(pts, s, best * u) - target) > tol * target:
+        if abs(_energy_with(cloud, cur, s, best * u) - target) > tol * target:
             raise TargetUnreachable(
                 "bisection exhausted its iteration budget before the tolerance"
             )

@@ -468,7 +468,9 @@ def _uniform_in_ball(g: np.random.Generator, d: int, radius: float, count: int) 
     return v * r[:, None]
 
 
-def ball_energy_predicted(cloud: PointCloud, params: BallMeasureParams) -> BallPrediction:
+def ball_energy_predicted(
+    cloud: PointCloud, params: BallMeasureParams, *, threads: int = 1
+) -> BallPrediction:
     """Closed-form ball-measure energy: ((n-1)/n) J_s plus the ball constant.
 
     Requires 0 < s < d, n > 2^{s+1}, and separation: the smallest pairwise
@@ -491,7 +493,7 @@ def ball_energy_predicted(cloud: PointCloud, params: BallMeasureParams) -> BallP
             f"min pairwise gap {gap:.6g} must exceed 2 c n^(-1/s) = {required:.6g}"
         )
     epsilon = math.log(gap / required) / math.log(n)
-    j = discrete_energy(cloud, s)
+    j = discrete_energy(cloud, s, threads=threads)
     constant = _self_interaction_constant(d, s, params.c)
     return BallPrediction(
         value=(n - 1) / n * j + constant,

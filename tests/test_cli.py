@@ -364,6 +364,8 @@ def test_threads_flag_does_not_change_payload(capsys, tmp_path):
         ["lln-mean", "--measure", "cube", "--dim", "1", "--s", "0.4", "--n", "30", "--reps", "30"],
         ["lln-weak", "--measure", "circle", "--s", "0.3", "--eps", "0.2", "--n-grid", "10,20,30", "--reps", "30"],
         ["lln-path", "--measure", "cube", "--dim", "2", "--s", "0.6", "--n-max", "300"],
+        # not a replicate command: its point energy spans more than one strip
+        ["ballcheck", "--gen", "grid1d", "--n", "400", "--s", "0.5", "--c", "2.0"],
     ],
 )
 def test_replicate_commands_ignore_threads_in_payload(argv, capsys, tmp_path, monkeypatch):

@@ -75,9 +75,10 @@ def test_thread_counts_below_one_run_serially(monkeypatch):
     # zero or negative counts must neither fail nor skip blocks
     monkeypatch.setattr(cloud_mod, "_TILE", 16 * 16)
     c = random_cloud(5, 300, 2)
-    want = rd.discrete_energy_multi(c, [0.0, 0.5, 1.3], threads=1).tolist()
+    exps = [0.0, 1.3] + [round(0.1 * i, 10) for i in range(1, 26)]  # ladder runs too
+    want = rd.discrete_energy_multi(c, exps, threads=1).tolist()
     for t in (0, -1, -2, -5):
-        got = rd.discrete_energy_multi(c, [0.0, 0.5, 1.3], threads=t)
+        got = rd.discrete_energy_multi(c, exps, threads=t)
         assert got.tolist() == want
     radius = 0.3 * c.diameter()
     assert rd.truncated_energy(c, 0.5, radius, threads=-2) == rd.truncated_energy(
@@ -384,6 +385,14 @@ def test_slln_path_overflow_gives_inf(monkeypatch):
 
 coordinate = st.integers(-(10**4), 10**4).map(lambda k: k / 997.0)
 exponent = st.floats(0.0, 2.5)
+# a short list of any exponents, or a rounded arithmetic grid long enough
+# to span more than one ladder run
+exponent_lists = st.lists(exponent, min_size=1, max_size=3) | st.builds(
+    lambda a, h, k: [round(a + i * h, 10) for i in range(k)],
+    st.floats(0.0, 0.5),
+    st.sampled_from([0.01, 0.05, 0.1, 0.125]),
+    st.integers(20, 40),
+)
 
 
 @st.composite
@@ -448,7 +457,7 @@ def test_slln_path_equals_energy_of_each_prefix(d, s, n_max, seed):
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)
-@given(clouds(), st.lists(exponent, min_size=1, max_size=3), st.integers(1, 16))
+@given(clouds(), exponent_lists, st.integers(1, 16))
 def test_thread_count_gives_identical_bits(cloud, s_list, block):
     with mock.patch.object(cloud_mod, "_TILE", block * block):
         runs = [
@@ -460,14 +469,14 @@ def test_thread_count_gives_identical_bits(cloud, s_list, block):
         truncated = [rd.truncated_energy(cloud, s, radius, threads=t) for t in (1, 2, 4)]
         assert truncated[0] == truncated[1] == truncated[2]
     profiles = [
-        rd.energy_profile(cloud, [s], range(2, cloud.n + 1), threads=t).values.tolist()
+        rd.energy_profile(cloud, sorted(set(s_list)), range(2, cloud.n + 1), threads=t).values.tolist()
         for t in (1, 2, 4)
     ]
     assert profiles[0] == profiles[1] == profiles[2]
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)
-@given(clouds(max_size=60), st.lists(exponent, min_size=1, max_size=3), st.integers(1, 40))
+@given(clouds(max_size=60), exponent_lists, st.integers(1, 40))
 def test_block_size_changes_only_rounding(cloud, s_list, block):
     with mock.patch.object(cloud_mod, "_TILE", block * block):
         small = rd.discrete_energy_multi(cloud, s_list)
@@ -482,6 +491,114 @@ def test_truncated_equals_scaled_energy_below_half_min_gap(cloud, s, frac):
     assert rd.truncated_energy(cloud, s, radius) == pytest.approx(
         (n - 1) / n * rd.discrete_energy(cloud, s), rel=1e-15
     )
+
+
+# ---------------------------------------------------------- exponent ladder
+
+
+def _dim_grid(s_max):
+    """The exponent grid of ``rieszdim dim --s-max s_max`` (default steps)."""
+    return [round(s, 10) for s in np.arange(0.1, s_max + 1e-9, 0.1)]
+
+
+def test_ladder_plan_takes_one_step_factor_per_run():
+    # the rounded grids have several float steps that differ by a few ulp;
+    # an exact-equality step test would anchor almost every exponent
+    for s_max in (1.9, 2.5):
+        exps = [float(s) for s in _dim_grid(s_max)]
+        assert len(set(np.diff(exps))) > 1
+        runs = energy_mod._ladder(exps)
+        assert [len(rows) for _, _, rows in runs] == [16, len(exps) - 16]
+        assert [i for _, _, rows in runs for i in rows] == list(range(len(exps)))
+        for s, h, rows in runs:
+            assert s == exps[rows[0]] and h > 0.0
+            for m, i in enumerate(rows):
+                assert abs(s + m * h - exps[i]) <= 2.0 * math.ulp(exps[i])
+    # irregular lists take no more exp passes than one per exponent
+    assert [len(rows) for _, _, rows in energy_mod._ladder([0.2, 0.3, 0.5, 0.7])] == [1, 3]
+    assert [len(rows) for _, _, rows in energy_mod._ladder([0.0, 0.5, 1.0, 1.5])] == [1, 3]
+    for exps in ([1.5, 1.0, 0.5], [1.0, 1.0, 1.0], [0.5, 1.0], [2.0, 0.0, 2.0, 4.0]):
+        assert [len(rows) for _, _, rows in energy_mod._ladder(exps)] == [1] * len(exps)
+
+
+def test_ladder_matches_direct_exponents_on_odd_lists():
+    # two strips; each list mixes ladder runs with the cases that must anchor
+    c = random_cloud(21, 250, 2)
+    lists = [
+        [0.0, 0.5, 1.0, 1.5, 2.0],  # s = 0 then a run: the run must not be skipped
+        [0.4, 0.8, 1.2, 0.0, 1.6, 2.0, 2.4],  # s = 0 mid-list
+        [1.7, 0.3, 2.2, 0.9, 1.1, 1.3, 1.5, 0.6],  # unsorted
+        [2.4, 2.0, 1.6, 1.2, 0.8, 0.4],  # descending
+        [1.1, 1.1, 1.1, 2.2, 2.2, 3.3, 3.3],  # repeated
+        [round(0.1 * i, 10) for i in range(30, 0, -1)] + _dim_grid(3.0),
+    ]
+    for exps in lists:
+        got = rd.discrete_energy_multi(c, exps)
+        want = [rd.discrete_energy(c, s) for s in exps]
+        assert got.tolist() == pytest.approx(want, rel=1e-14)
+        assert [g for g, s in zip(got, exps) if s == 0.0] == [1.0] * exps.count(0.0)
+
+
+def test_ladder_from_the_smallest_subnormal_exponent_is_finite():
+    # -s/2 rounds to -0.0 at s = 5e-324: a kernel masked by L = +inf would be nan
+    c = random_cloud(22, 250, 2)
+    exps = [5e-324, 0.5, 1.0, 1.5]
+    got = rd.discrete_energy_multi(c, exps)
+    assert got[0] == 1.0
+    assert got.tolist() == pytest.approx([rd.discrete_energy(c, s) for s in exps], rel=1e-14)
+    prof = rd.energy_profile(c, exps, [2, 100, 250])
+    assert np.all(np.isfinite(prof.values))
+
+
+def test_ladder_over_an_underflowing_pair_gives_inf_not_nan():
+    # the 1e-300 pair's kernel overflows from s = 1.5 on; at 1e-320 the step
+    # factor itself overflows, and a descending step would reach inf * 0
+    for tiny, step in ((1e-300, 0.5), (1e-320, 0.5), (1e-320, 1.0)):
+        c = rd.PointCloud([[0.0], [tiny], [0.5], [0.75]])
+        up = [step * i for i in range(1, int(4 / step) + 1)]
+        for exps in (up, up[::-1]):
+            got = rd.discrete_energy_multi(c, exps)
+            want = [rd.discrete_energy(c, s) for s in exps]
+            assert not np.isnan(got).any()
+            assert got.tolist() == pytest.approx(want, rel=1e-14)
+            assert math.inf in want and math.inf in got.tolist()
+
+
+def test_truncated_kernel_ladder_on_a_multi_strip_cloud():
+    # the weight, including its zeros below the radius, is applied once per
+    # anchor and must ride the ladder unchanged
+    c = random_cloud(23, 400, 2)
+    pts = c.points
+    radius = 0.02
+    assert c.min_gap() < radius  # some pairs have weight 0
+
+    def weight(r):
+        return 1.0 - energy_mod._cutoff(r / radius)
+
+    exps = _dim_grid(2.5)
+    assert len(cloud_mod._row_blocks(400)) > 1
+    got = energy_mod._row_sums(pts, exps, weight=weight)
+    for i, s in enumerate(exps):
+        want = energy_mod._row_sums(pts, [s], weight=weight)[0]
+        np.testing.assert_allclose(got[i], want, rtol=1e-14, atol=0.0)
+
+
+def test_long_ladder_against_an_extended_precision_oracle():
+    # each prefix profile value of a 200-point cloud over 600 exponents, to a
+    # long double oracle; a ladder never re-anchored drifts to about 6e-14 here
+    n = 200
+    exps = [round(0.01 * i, 10) for i in range(1, 601)]
+    c = random_cloud(24, n, 2)
+    rows, cols = np.tril_indices(n, -1)  # pairs j < k, ordered by k
+    p = c.points.astype(np.longdouble)
+    half_log = np.log(((p[rows] - p[cols]) ** 2).sum(axis=1)) / 2
+    m = np.arange(2, n + 1)
+    last = m * (m - 1) // 2 - 1  # index of the last pair of the m-point prefix
+    want = np.array(
+        [np.cumsum(np.exp(-np.longdouble(s) * half_log))[last] for s in exps]
+    ) / (last + 1)
+    got = rd.energy_profile(c, exps, m).values
+    assert float(np.max(np.abs(got - want) / want)) < 3e-14
 
 
 # ------------------------------------------------------------ strip workspace

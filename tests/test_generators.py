@@ -270,6 +270,25 @@ def test_energy_sequence_mixed_targets_reproduced_by_direct_energy():
         assert abs(achieved - target) <= 1e-6 * target
 
 
+def test_energy_sequence_takes_one_full_energy_per_appended_point(monkeypatch):
+    # candidates are scored by the O(n) update from the potential; only the
+    # checkpoints and the tolerance checks pay a full pair sum
+    import rieszdim.generators as gen_mod
+
+    calls = []
+
+    def counting(cloud, s, **kw):
+        calls.append(cloud.n)
+        return rd.discrete_energy(cloud, s, **kw)
+
+    monkeypatch.setattr(gen_mod, "discrete_energy", counting)
+    spec = rd.EnergyTargetSpec(1.0, (10.0, 0.5, 3.0, 1.0), tolerance=1e-6)
+    cloud, checkpoints = rd.energy_sequence_points(spec, 2)
+    assert len(calls) <= (cloud.n - 2) + 1
+    for n, j in checkpoints:
+        assert j == rd.discrete_energy(cloud.prefix(n), 1.0)
+
+
 def test_energy_sequence_deep_drop_appends_points():
     spec = rd.EnergyTargetSpec(1.0, (10.0, 0.5))
     cloud, checkpoints = rd.energy_sequence_points(spec, 1)
