@@ -148,7 +148,7 @@ def _add_common(p):
     p.add_argument("-o", "--output", help="output file (default stdout); relative paths honor $" + OUTDIR_ENV)
 
 
-def _add_gen_args(p, prefix=""):
+def _add_gen_args(p):
     g = p.add_argument_group("generator")
     g.add_argument("--gen", choices=["grid1d", "lattice", "cantor", "semicircle", "energy-seq"])
     g.add_argument("--n", type=int, help="grid1d point count, or cantor subdivision base")
@@ -367,6 +367,8 @@ def _auto_n_grid(args, cloud: PointCloud):
 
 
 def _cmd_dim(args) -> int:
+    if not args.s_step > 0:
+        raise ValueError("--s-step must be positive")
     s_grid = [round(s, 10) for s in np.arange(args.s_min, args.s_max + 1e-9, args.s_step)]
     if getattr(args, "gen", None) == "grid1d":
         # Grid members are rescaled per n, not prefixes of one sequence;
@@ -477,6 +479,8 @@ def _cmd_lln_weak(args) -> int:
 
 
 def _cmd_lln_path(args) -> int:
+    if args.tail < 0:
+        raise ValueError("--tail must be >= 0")
     _check_pairs(args, args.n_max)
     measure = _measure_from_args(args)
     path = slln_path(measure, args.s, args.n_max, args.seed, threads=args.threads)
@@ -484,7 +488,7 @@ def _cmd_lln_path(args) -> int:
         "measure": measure_to_json(measure),
         "s": args.s,
         "n_max": args.n_max,
-        "tail": [{"n": n, "J": j} for n, j in path[-args.tail :]],
+        "tail": [{"n": n, "J": j} for n, j in path[max(0, len(path) - args.tail) :]],
     }
     if args.csv:
         buf = io.StringIO()

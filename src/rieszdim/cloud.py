@@ -194,8 +194,7 @@ def write_csv(cloud: PointCloud, path) -> None:
     round trip through text is bit-exact.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"# dim={cloud.dim}\n")
-        np.savetxt(f, cloud.points, delimiter=",", fmt="%.17g")
+        f.write(dumps_csv(cloud))
 
 
 def dumps_csv(cloud: PointCloud) -> str:

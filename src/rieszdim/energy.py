@@ -191,6 +191,12 @@ def _row_sums(pts, exps, *, threads=1, weight=None):
     return out
 
 
+def _check_exponents(exps) -> None:
+    """Refuse an exponent that is negative, infinite or NaN."""
+    if not all(0 <= s < math.inf for s in exps):
+        raise ValueError("exponents must be finite and nonnegative")
+
+
 def _fsum(values) -> float:
     """Exact sum of nonnegative terms; inf once it overflows."""
     try:
@@ -221,8 +227,7 @@ def discrete_energy(cloud: PointCloud, s: float, *, threads: int = 1) -> float:
     """
     if cloud.n < 2:
         raise TooFewPoints("discrete energy needs at least 2 points")
-    if s < 0:
-        raise ValueError("exponent s must be nonnegative")
+    _check_exponents([s])
     n = cloud.n
     R = _row_sums(cloud.points, [s], threads=threads)
     return _fsum(R[0]) / (n * (n - 1) // 2)
@@ -236,8 +241,7 @@ def discrete_energy_multi(cloud: PointCloud, s_list, *, threads: int = 1) -> np.
     """
     if cloud.n < 2:
         raise TooFewPoints("discrete energy needs at least 2 points")
-    if any(s < 0 for s in s_list):
-        raise ValueError("exponents must be nonnegative")
+    _check_exponents(s_list)
     n = cloud.n
     R = _row_sums(cloud.points, s_list, threads=threads)
     return np.array([_fsum(row) / (n * (n - 1) // 2) for row in R])
@@ -276,8 +280,7 @@ def _check_grids(s_grid, n_grid):
         raise ValueError("s_grid must be strictly ascending")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly ascending")
-    if any(s < 0 for s in s_grid):
-        raise ValueError("exponents must be nonnegative")
+    _check_exponents(s_grid)
     if n_grid and n_grid[0] < 2:
         raise TooFewPoints("prefix sizes must be at least 2")
     return s_grid, n_grid
@@ -326,8 +329,7 @@ def riesz_potential_discrete(cloud: PointCloud, x, s: float) -> float:
 
     Returns math.inf when x coincides with a cloud point and s > 0.
     """
-    if s < 0:
-        raise ValueError("exponent s must be nonnegative")
+    _check_exponents([s])
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != cloud.dim:
         raise DimensionMismatch(
@@ -365,10 +367,9 @@ def truncated_energy(
     """
     if cloud.n < 2:
         raise TooFewPoints("truncated energy needs at least 2 points")
-    if s < 0:
-        raise ValueError("exponent s must be nonnegative")
-    if radius <= 0:
-        raise ValueError("cutoff radius must be positive")
+    _check_exponents([s])
+    if not 0 < radius < math.inf:
+        raise ValueError("cutoff radius must be finite and positive")
     n = cloud.n
 
     def weight(r):

@@ -41,6 +41,9 @@ DEFAULT_MAX_POINTS = 100_000
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _SQ2 = math.sqrt(2.0) - 1.0
 
+_MAX_DOUBLINGS = 60  # outward doublings of a far-point or bracket search
+_MAX_BISECTIONS = 80  # bisection steps toward an energy target
+
 
 def grid_1d(n: int) -> PointCloud:
     """The 1-D grid {m/(n+1) : m = 1..n}, ascending."""
@@ -302,10 +305,10 @@ class EnergyTargetSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(float(e) for e in self.targets))
-        if self.s <= 0:
-            raise ValueError("exponent s must be positive")
-        if not self.targets or any(e <= 0 for e in self.targets):
-            raise ValueError("targets must be positive")
+        if not 0 < self.s < math.inf:
+            raise ValueError("exponent s must be finite and positive")
+        if not self.targets or not all(0 < e < math.inf for e in self.targets):
+            raise ValueError("targets must be finite and positive")
         if not 0 < self.tolerance <= 1e-3:
             raise ValueError("tolerance must lie in (0, 1e-3]")
 
@@ -320,13 +323,7 @@ def _direction(d: int, index: int) -> np.ndarray:
     return u
 
 
-def energy_sequence_points(
-    spec: EnergyTargetSpec,
-    d: int,
-    *,
-    max_doublings: int = 60,
-    max_bisections: int = 80,
-):
+def energy_sequence_points(spec: EnergyTargetSpec, d: int):
     """Build a sequence whose prefix energies hit the given targets.
 
     Inductive construction: x_1 at the origin, x_2 at distance e_1^{-1/s}.
@@ -354,11 +351,11 @@ def energy_sequence_points(
         # Decay loop: append far points while even the far limit cannot
         # drop below the target.
         while (n - 1) / (n + 1) * cur >= e_next:
-            pts.append(_far_point(pts, cur, s, dir_index, max_doublings))
+            pts.append(_far_point(pts, cur, s, dir_index))
             dir_index += 1
             n = len(pts)
             cur = _energy(pts, s)
-        pts.append(_slide_point(pts, cur, s, e_next, dir_index, tol, max_doublings, max_bisections))
+        pts.append(_slide_point(pts, cur, s, e_next, dir_index, tol))
         dir_index += 1
         cur = _energy(pts, s)
         if abs(cur - e_next) > tol * e_next:
@@ -388,7 +385,7 @@ def _energy_with(cloud, cur, s, candidate) -> float:
     return ((n - 1) * cur + 2.0 * riesz_potential_discrete(cloud, candidate, s)) / (n + 1)
 
 
-def _far_point(pts, cur, s, dir_index, max_doublings) -> np.ndarray:
+def _far_point(pts, cur, s, dir_index) -> np.ndarray:
     """A point far enough that it barely perturbs J beyond the drop factor."""
     d = pts[0].shape[0]
     u = _direction(d, dir_index)
@@ -396,7 +393,7 @@ def _far_point(pts, cur, s, dir_index, max_doublings) -> np.ndarray:
     limit = (n - 1) / (n + 1) * cur
     cloud = PointCloud(np.array(pts), _validate=False)
     t = _extent(pts) + 1.0
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         cand = t * u
         val = _energy_with(cloud, cur, s, cand)
         if val - limit <= 1e-9 * limit:
@@ -405,7 +402,7 @@ def _far_point(pts, cur, s, dir_index, max_doublings) -> np.ndarray:
     raise TargetUnreachable("far-point search exhausted its doubling budget")
 
 
-def _slide_point(pts, cur, s, target, dir_index, tol, max_doublings, max_bisections):
+def _slide_point(pts, cur, s, target, dir_index, tol):
     """Place a point on a ray toward x_1 so that J equals ``target``.
 
     J is continuous on the open segment between the nearest obstruction and
@@ -422,7 +419,7 @@ def _slide_point(pts, cur, s, target, dir_index, tol, max_doublings, max_bisecti
         on_ray = [float(p @ u) for p in pts if float(p @ u) > 0]
         t_min = max(on_ray) if on_ray else 0.0
     t_hi = _extent(pts) + 1.0
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         if _energy_with(cloud, cur, s, t_hi * u) < target:
             break
         t_hi *= 2.0
@@ -436,7 +433,7 @@ def _slide_point(pts, cur, s, target, dir_index, tol, max_doublings, max_bisecti
     else:
         raise TargetUnreachable("inward bracket search failed to exceed target")
     best = None
-    for _ in range(max_bisections):
+    for _ in range(_MAX_BISECTIONS):
         t_mid = 0.5 * (t_lo + t_hi)
         val = _energy_with(cloud, cur, s, t_mid * u)
         if abs(val - target) <= 0.25 * tol * target:

@@ -7,8 +7,13 @@ integral after the u = x - y substitution (16-node Gauss-Legendre), and the
 circle has a Gamma closed form. Ball measures place radius c*n^{-1/s} balls
 on a cloud; their energy decomposes into a self-interaction term (the
 closed-form radial reduction over the doubled-radius domain, which is the
-prediction constant) plus cross terms integrated by product quadrature.
-Everything here is numpy and ``math``; no adaptive quadrature is needed.
+prediction constant) plus cross terms. In d = 1 and 2 the cross terms take
+one product rule per ball (``_ball_rule``): the balls become one cloud of
+quadrature nodes, whose pairs of distinct balls are summed on the shared
+strips of ``cloud._row_blocks``. Past a fixed cost budget
+(``_QUADRATURE_BUDGET``), and in d >= 3, a seeded Monte Carlo estimate runs
+instead. Everything here is numpy and ``math``; no adaptive quadrature is
+needed.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .cloud import PointCloud
-from .energy import discrete_energy
+from .cloud import PointCloud, _row_blocks, _tile
+from .energy import _check_exponents, discrete_energy
 from .errors import (
     DuplicatePoints,
     HypothesisViolated,
@@ -53,6 +58,9 @@ __all__ = [
     "measure_to_json",
     "measure_from_json",
 ]
+
+_QUADRATURE_BUDGET = 200_000_000  # pairs x nodes^2 above which Monte Carlo runs
+_MC_SAMPLES = 200_000  # ball pairs drawn by the Monte Carlo fallback
 
 
 @dataclass(frozen=True)
@@ -221,7 +229,7 @@ def _square_energy(s: float) -> float:
     integral on [0, pi/4]. Its integrand is analytic there, so 16-node
     Gauss-Legendre is exact to rounding for every 0 < s < 2.
     """
-    x, w = _gauss_nodes(16)
+    x, w = np.polynomial.legendre.leggauss(16)
     half = math.pi / 8.0
     theta = half * (x + 1.0)
     c = np.cos(theta)
@@ -241,8 +249,7 @@ def reference_energy(measure: MeasureSpec, s: float) -> float:
     Returns math.inf once s reaches the variant's Sobolev dimension. I_0 is
     exactly 1 for every probability measure.
     """
-    if s < 0:
-        raise ValueError("exponent s must be nonnegative")
+    _check_exponents([s])
     if s == 0.0:
         return 1.0
     if isinstance(measure, UniformCube) and measure.dim == 1:
@@ -283,8 +290,8 @@ class BallMeasureParams:
     n: int
 
     def __post_init__(self):
-        if self.s <= 0 or self.c <= 0 or self.n < 1:
-            raise ValueError("need s > 0, c > 0, n >= 1")
+        if not (0 < self.s < math.inf and 0 < self.c < math.inf and self.n >= 1):
+            raise ValueError("need finite s > 0, finite c > 0, n >= 1")
 
     @property
     def radius(self) -> float:
@@ -348,82 +355,61 @@ def ball_self_energy_exact(d: int, radius: float, s: float) -> float:
     raise UnsupportedDimension("exact self-energy implemented for d in {1, 2}")
 
 
-def _gauss_nodes(m: int):
-    x, w = np.polynomial.legendre.leggauss(m)
-    return x, w
+def _ball_rule(d: int, radius: float):
+    """Product-rule nodes (m, d) and weights (m,) of a uniform unit-mass ball.
 
-
-def _cross_quadrature_1d(points: np.ndarray, radius: float, s: float, nodes: int = 24) -> float:
-    """Sum over ordered distinct pairs of E|x-y|^{-s}, x, y uniform per interval.
-
-    Gauss-Legendre product rule per pair; accuracy degrades only as balls
-    approach contact, which the separation hypothesis keeps away. Pairs are
-    processed in chunks to bound memory.
+    d = 1: 24-node Gauss-Legendre on [-radius, radius]. d = 2: 8 radial
+    Gauss-Legendre nodes in r^2 times 16 equal angles. None for d >= 3,
+    which has no rule (Monte Carlo runs there).
     """
-    x, w = _gauss_nodes(nodes)
-    off = radius * x
-    ww = np.outer(w, w) / 4.0
-    centers = points[:, 0]
-    n = centers.size
-    diff = centers[:, None] - centers[None, :]
-    iu = np.triu_indices(n, k=1)
-    seps = diff[iu]
-    delta = (off[:, None] - off[None, :])[None, :, :]
+    if d == 1:
+        x, w = np.polynomial.legendre.leggauss(24)
+        return radius * x[:, None], w / 2.0
+    if d == 2:
+        u, wu = np.polynomial.legendre.leggauss(8)
+        r = radius * np.sqrt(0.5 * (u + 1.0))
+        t = 2.0 * math.pi * np.arange(16) / 16
+        nodes = np.stack([np.outer(r, np.cos(t)), np.outer(r, np.sin(t))], axis=-1)
+        return nodes.reshape(-1, 2), np.repeat(wu / 32.0, 16)
+    return None
+
+
+def _cross_quadrature(
+    points: np.ndarray, nodes: np.ndarray, weights: np.ndarray, s: float
+) -> float:
+    """Sum over ordered pairs of distinct balls of E|x-y|^{-s} by the product rule.
+
+    Every ball becomes its nodes, stored ball by ball, and that cloud is
+    walked on the shared strips of ``cloud._row_blocks``. A node pair is
+    kept only when its column's ball comes strictly before its row's ball,
+    which also drops the same-ball pairs; each kept pair adds
+    w_a w_b d2^{-s/2}. Coinciding nodes of overlapping balls give inf.
+    """
+    m = len(weights)
+    cloud = (points[:, None, :] + nodes).reshape(-1, points.shape[1])
+    ball = np.arange(len(cloud)) // m
+    w = np.tile(weights, len(points))
     total = 0.0
-    chunk = 4096
-    for i0 in range(0, seps.size, chunk):
-        block = seps[i0 : i0 + chunk]
-        vals = np.abs(block[:, None, None] + delta) ** (-s)
-        per_pair = np.tensordot(vals, ww, axes=([1, 2], [0, 1]))
-        total += float(per_pair.sum())
+    for k0, k1 in _row_blocks(len(cloud)):
+        d2 = _tile(cloud[k0:k1], cloud[:k1])
+        np.copyto(d2, np.inf, where=ball[:k1] >= ball[k0:k1, None])  # inf^{-s/2} is 0
+        with np.errstate(divide="ignore"):
+            np.power(d2, -0.5 * s, out=d2)
+        total += float(w[k0:k1] @ d2 @ w[:k1])
     return 2.0 * total
 
 
-def _disc_nodes(radius: float, n_r: int = 8, n_t: int = 16):
-    """Quadrature nodes and weights for the uniform unit-mass disc."""
-    u, wu = _gauss_nodes(n_r)
-    u = 0.5 * (u + 1.0)
-    wu = 0.5 * wu
-    r = radius * np.sqrt(u)
-    t = 2.0 * math.pi * np.arange(n_t) / n_t
-    wt = np.full(n_t, 1.0 / n_t)
-    xs = np.outer(r, np.cos(t)).ravel()
-    ys = np.outer(r, np.sin(t)).ravel()
-    w = np.outer(wu, wt).ravel()
-    return np.column_stack([xs, ys]), w
-
-
-def _cross_quadrature_2d(points: np.ndarray, radius: float, s: float) -> float:
-    nodes, w = _disc_nodes(radius)
-    n = points.shape[0]
-    total = 0.0
-    pair_w = np.outer(w, w).ravel()
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = points[i] + nodes
-            b = points[j] + nodes
-            d = a[:, None, :] - b[None, :, :]
-            r = np.sqrt(np.sum(d * d, axis=2)).ravel()
-            total += 2.0 * float(np.dot(r ** (-s), pair_w))
-    return total
-
-
 def ball_energy_numeric(
-    cloud: PointCloud,
-    params: BallMeasureParams,
-    *,
-    method: str = "auto",
-    budget: int = 200_000_000,
-    mc_samples: int = 200_000,
-    seed: int = 0,
+    cloud: PointCloud, params: BallMeasureParams, *, seed: int = 0
 ) -> BallEnergyResult:
     """Energy of the ball measure on a cloud, by numerical integration.
 
     Same-ball terms use the radially symmetric reduction over the
     doubled-radius difference ball (the construction behind the closed-form
-    constant); distinct-ball terms use product quadrature per pair, or a
-    seeded Monte Carlo fallback with a reported standard error when the
-    quadrature budget is exceeded or the dimension is 3 or higher.
+    constant); distinct-ball terms use the product rule of
+    :func:`_ball_rule`, or a seeded Monte Carlo fallback with a reported
+    standard error when pairs x nodes^2 exceeds ``_QUADRATURE_BUDGET`` or
+    the dimension is 3 or higher.
     """
     d = cloud.dim
     s = params.s
@@ -434,28 +420,22 @@ def ball_energy_numeric(
     rho = params.radius
     same = _self_interaction_constant(d, s, params.c)
     n = cloud.n
-    pairs = n * (n - 1) // 2
-    cost = pairs * (24**2 if d == 1 else (8 * 16) ** 2)
-    use_mc = method == "monte-carlo" or d >= 3 or (method == "auto" and cost > budget)
     if n == 1:
         return BallEnergyResult(same, same, 0.0, "quadrature")
-    if use_mc:
+    rule = _ball_rule(d, rho)
+    if rule is None or n * (n - 1) // 2 * len(rule[1]) ** 2 > _QUADRATURE_BUDGET:
         g = stream(seed)
-        i = g.integers(0, n, mc_samples)
-        shift = g.integers(1, n, mc_samples)
+        i = g.integers(0, n, _MC_SAMPLES)
+        shift = g.integers(1, n, _MC_SAMPLES)
         j = (i + shift) % n  # distinct ball indices, uniform over ordered pairs
-        x = cloud.points[i] + _uniform_in_ball(g, d, rho, mc_samples)
-        y = cloud.points[j] + _uniform_in_ball(g, d, rho, mc_samples)
+        x = cloud.points[i] + _uniform_in_ball(g, d, rho, _MC_SAMPLES)
+        y = cloud.points[j] + _uniform_in_ball(g, d, rho, _MC_SAMPLES)
         vals = np.sum((x - y) ** 2, axis=1) ** (-s / 2.0)
         mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(mc_samples))
+        se = float(vals.std(ddof=1) / math.sqrt(_MC_SAMPLES))
         cross = (n - 1) / n * mean
         return BallEnergyResult(same + cross, same, cross, "monte-carlo", (n - 1) / n * se)
-    if d == 1:
-        raw = _cross_quadrature_1d(cloud.points, rho, s)
-    else:
-        raw = _cross_quadrature_2d(cloud.points, rho, s)
-    cross = raw / (n * n)
+    cross = _cross_quadrature(cloud.points, *rule, s) / (n * n)
     return BallEnergyResult(same + cross, same, cross, "quadrature")
 
 

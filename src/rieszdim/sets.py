@@ -13,6 +13,7 @@ are asymptotic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -176,13 +177,15 @@ def erdos_report(cloud: PointCloud, exponents=None, *, quantization="auto") -> E
 
     Observational: asymptotic growth claims admit no finite pass/fail.
     """
-    values = distance_set(cloud, quantization)
     if exponents is None:
         exponents = default_erdos_exponents(cloud.dim)
+    exponents = [float(s0) for s0 in exponents]
+    if not all(0 < s0 < math.inf for s0 in exponents):
+        raise ValueError("thresholds s0 must be finite and positive")
+    values = distance_set(cloud, quantization)
     n = cloud.n
     rows = []
     for s0 in exponents:
-        s0 = float(s0)
         expo = 1.0 / s0
         rows.append(
             {

@@ -26,7 +26,6 @@ from .measures import (
     reference_energy_method,
     sample,
 )
-from .rng import stream
 
 __all__ = [
     "ExperimentReport",
@@ -104,7 +103,10 @@ def _resolve_oracle(measure: MeasureSpec, s: float, oracle):
             raise OracleUnavailable(str(exc)) from exc
     if oracle is None:
         return None, None
-    return float(oracle), "explicit"
+    oracle = float(oracle)
+    if math.isnan(oracle):
+        raise ValueError("an explicit oracle must not be NaN")
+    return oracle, "explicit"
 
 
 def expectation_experiment(
@@ -166,8 +168,8 @@ def wlln_exceedance(
     The reference energy must be finite; experiments against an infinite
     oracle are refused rather than approximated.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be finite and positive")
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) < 3 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be ascending with at least 3 values")

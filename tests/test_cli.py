@@ -417,6 +417,50 @@ def test_bad_flag_value_exit_code(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["energy", "--gen", "grid1d", "--n", "8", "--s", "nan"],
+        ["energy", "--gen", "grid1d", "--n", "8", "--s", "0.5", "--cutoff-radius", "nan"],
+        ["lln-weak", "--measure", "cube", "--dim", "1", "--s", "0.3",
+         "--eps", "nan", "--n-grid", "20,40,80", "--reps", "40"],
+    ],
+    ids=["energy-s", "energy-cutoff-radius", "lln-weak-eps"],
+)
+def test_nan_flag_values_are_usage_errors(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["erdos", "--gen", "lattice", "--d", "2", "--k", "3", "--exponents", "0"],
+        ["dim", "--gen", "grid1d", "--n", "64", "--s-step", "0"],
+        ["lln-path", "--measure", "cube", "--dim", "1", "--s", "0.4",
+         "--n-max", "200", "--tail", "-1"],
+    ],
+    ids=["erdos-exponent-0", "dim-s-step-0", "lln-path-negative-tail"],
+)
+def test_degenerate_flag_values_are_usage_errors(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err
+
+
+def test_lln_path_tail_zero_is_empty(capsys):
+    code, out, _ = run_cli(
+        ["lln-path", "--measure", "cube", "--dim", "1", "--s", "0.4",
+         "--n-max", "200", "--tail", "0"],
+        capsys,
+    )
+    assert code == 0
+    assert payload_of(out)["tail"] == []
+
+
 def test_size_cap_exit_code(capsys):
     code, _, err = run_cli(
         ["gen", "--gen", "lattice", "--d", "2", "--k", "9", "--max-points", "1000"],

@@ -95,6 +95,13 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.points, c.points)
 
 
+def test_write_csv_writes_the_dumps_csv_bytes(tmp_path):
+    c = rd.PointCloud(np.random.default_rng(5).random((20, 2)) * 1e-3)
+    path = tmp_path / "cloud.csv"
+    rd.write_csv(c, path)
+    assert path.read_bytes() == dumps_csv(c).encode("utf-8")
+
+
 def test_csv_header_and_comments():
     text = "# dim=2\n# a comment\n0,0\n1,1\n"
     c = rd.read_csv(io.StringIO(text))

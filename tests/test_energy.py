@@ -163,6 +163,34 @@ def test_negative_exponent_rejected():
         rd.discrete_energy(rd.PointCloud([[0.0], [1.0]]), -0.5)
 
 
+_CLOUD = rd.PointCloud([[0.0], [0.5], [2.0]])
+_NON_FINITE_CALLS = {
+    "discrete_energy_inf": lambda: rd.discrete_energy(_CLOUD, math.inf),
+    "discrete_energy_nan": lambda: rd.discrete_energy(_CLOUD, math.nan),
+    "discrete_energy_multi_inf": lambda: rd.discrete_energy_multi(_CLOUD, [0.5, math.inf]),
+    "discrete_energy_multi_nan": lambda: rd.discrete_energy_multi(_CLOUD, [math.nan]),
+    "energy_profile_nan": lambda: rd.energy_profile(_CLOUD, [0.5, math.nan], [2, 3]),
+    "profile_from_family_nan": lambda: rd.profile_from_family([_CLOUD], [math.nan]),
+    "riesz_potential_discrete_nan": lambda: rd.riesz_potential_discrete(_CLOUD, [1.0], math.nan),
+    "truncated_energy_s_nan": lambda: rd.truncated_energy(_CLOUD, math.nan, 0.1),
+    "truncated_energy_radius_nan": lambda: rd.truncated_energy(_CLOUD, 0.5, math.nan),
+    "truncated_energy_radius_inf": lambda: rd.truncated_energy(_CLOUD, 0.5, math.inf),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_FINITE_CALLS))
+def test_non_finite_inputs_rejected_before_any_work(name, monkeypatch):
+    # NaN or inf exponents (and cutoff radii) are usage errors, raised before
+    # any pair is evaluated, never a silent nan
+    def no_work(*args, **kwargs):
+        raise AssertionError("pair work started")
+
+    monkeypatch.setattr(energy_mod, "_row_sums", no_work)
+    monkeypatch.setattr(energy_mod, "_tile", no_work)
+    with pytest.raises(ValueError):
+        _NON_FINITE_CALLS[name]()
+
+
 # ---------------------------------------------------------------- profiles
 
 

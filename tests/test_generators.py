@@ -306,3 +306,8 @@ def test_energy_target_spec_validation():
         rd.EnergyTargetSpec(1.0, (1.0,), tolerance=0.01)
     with pytest.raises(ValueError):
         rd.energy_sequence_points(rd.EnergyTargetSpec(1.5, (1.0,)), 1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            rd.EnergyTargetSpec(bad, (1.0, 2.0))
+        with pytest.raises(ValueError):
+            rd.EnergyTargetSpec(1.0, (1.0, bad))

@@ -5,7 +5,14 @@ import pytest
 from scipy import integrate
 
 import rieszdim as rd
-from rieszdim.measures import _self_interaction_constant, sample_detail, sobolev_dimension
+import rieszdim.cloud as cloud_mod
+import rieszdim.measures as measures_mod
+from rieszdim.measures import (
+    _cross_quadrature,
+    _self_interaction_constant,
+    sample_detail,
+    sobolev_dimension,
+)
 
 
 # ---------------------------------------------------------------- sampling
@@ -286,12 +293,14 @@ def test_cross_quadrature_matches_interval_antiderivative():
 
 
 def test_ball_energy_zero_like_exponent_total_mass():
-    # small s: the energy approaches 1 (probability measure); use the
-    # Monte Carlo path to cover totals including the same-ball share
+    # four far balls are well under the quadrature budget: the total is the
+    # same-ball constant plus the quadrature cross term
     params = rd.BallMeasureParams(0.5, 1.0, 4)
     cloud = rd.PointCloud([[0.0], [10.0], [20.0], [30.0]])
     res = rd.ball_energy_numeric(cloud, params)
+    assert res.method == "quadrature"
     assert res.value > 0
+    assert res.value == res.same_ball + res.cross
 
 
 def test_ball_numeric_vs_predicted_gap_small_and_shrinking():
@@ -366,12 +375,98 @@ def test_ball_numeric_monte_carlo_fallback():
     rng = np.random.default_rng(1)
     cloud = rd.PointCloud(rng.random((n, 3)) * 100.0)
     params = rd.BallMeasureParams(0.5, 1.0, n)
-    res = rd.ball_energy_numeric(cloud, params, seed=2, mc_samples=50_000)
+    res = rd.ball_energy_numeric(cloud, params, seed=2)
     assert res.method == "monte-carlo"
     assert res.standard_error is not None and res.standard_error > 0
     # sanity on scale: cross term near the point-pair average
     j = rd.discrete_energy(cloud, 0.5)
     assert res.cross == pytest.approx((n - 1) / n * j, rel=0.05)
+
+
+def per_pair_interval_rule(points, radius, s):
+    """Reference cross sum in d = 1: 24-node Gauss-Legendre per pair of intervals."""
+    x, w = np.polynomial.legendre.leggauss(24)
+    off = radius * x
+    ww = np.outer(w, w) / 4.0
+    c = points[:, 0]
+    total = 0.0
+    for i in range(len(c)):
+        for j in range(i + 1, len(c)):
+            total += float(np.sum(ww * np.abs(c[i] - c[j] + off[:, None] - off[None, :]) ** (-s)))
+    return 2.0 * total
+
+
+def per_pair_disc_rule(points, radius, s):
+    """Reference cross sum in d = 2: 8 radial x 16 angular nodes per pair of discs."""
+    u, wu = np.polynomial.legendre.leggauss(8)
+    r = radius * np.sqrt(0.5 * (u + 1.0))
+    t = 2.0 * math.pi * np.arange(16) / 16
+    nodes = np.column_stack([np.outer(r, np.cos(t)).ravel(), np.outer(r, np.sin(t)).ravel()])
+    pair_w = np.outer(0.5 * wu, np.full(16, 1.0 / 16)).ravel()
+    pair_w = np.outer(pair_w, pair_w).ravel()
+    total = 0.0
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            diff = (points[i] + nodes)[:, None, :] - (points[j] + nodes)[None, :, :]
+            dist = np.sqrt(np.sum(diff * diff, axis=2)).ravel()
+            total += 2.0 * float(np.dot(dist ** (-s), pair_w))
+    return total
+
+
+def quadrature_cases():
+    line = rd.PointCloud(np.linspace(0.0, 1.0, 50).reshape(-1, 1))
+    return ((line, 0.5, 4.0, per_pair_interval_rule), (rd.lattice(2, 2), 1.2, 1.0, per_pair_disc_rule))
+
+
+def test_cross_quadrature_matches_per_pair_rules():
+    for cloud, s, c, oracle in quadrature_cases():
+        params = rd.BallMeasureParams(s, c, cloud.n)
+        res = rd.ball_energy_numeric(cloud, params)
+        want = oracle(cloud.points, params.radius, s) / cloud.n**2
+        assert res.method == "quadrature"
+        assert res.cross == pytest.approx(want, rel=1e-12)
+
+
+def test_cross_quadrature_does_not_depend_on_the_strips(monkeypatch):
+    # 64-value strips cut through the nodes of one ball, so a same-ball test
+    # keyed on strip-local indices would change the value
+    want = [
+        rd.ball_energy_numeric(cloud, rd.BallMeasureParams(s, c, cloud.n)).cross
+        for cloud, s, c, _ in quadrature_cases()
+    ]
+    monkeypatch.setattr(cloud_mod, "_TILE", 64)
+    assert len(cloud_mod._row_blocks(50 * 24)) > 50
+    for (cloud, s, c, _), ref in zip(quadrature_cases(), want):
+        got = rd.ball_energy_numeric(cloud, rd.BallMeasureParams(s, c, cloud.n)).cross
+        assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_cross_quadrature_coinciding_nodes_is_inf():
+    # nodes at +-0.5 around centers 0 and 1: the two balls share the node 0.5
+    got = _cross_quadrature(np.array([[0.0], [1.0]]), np.array([[-0.5], [0.5]]), np.full(2, 0.5), 0.5)
+    assert got == math.inf
+
+
+def test_quadrature_budget_switch_points(monkeypatch):
+    # pairs x nodes^2 against 2e8: 1-D (24 nodes) switches between n = 833
+    # and 834, 2-D (128 nodes) between n = 156 and 157
+    monkeypatch.setattr(measures_mod, "_cross_quadrature", lambda *args: 0.0)
+    for d, last in ((1, 833), (2, 156)):
+        for n, method in ((last, "quadrature"), (last + 1, "monte-carlo")):
+            pts = np.zeros((n, d))
+            pts[:, 0] = np.linspace(0.0, 1.0, n)
+            cloud = rd.PointCloud(pts)
+            res = rd.ball_energy_numeric(cloud, rd.BallMeasureParams(0.5, 1.0, n))
+            assert res.method == method, (d, n)
+
+
+def test_monte_carlo_past_the_budget_matches_point_energy():
+    n, s = 834, 0.5
+    cloud = rd.PointCloud(np.linspace(0.0, 1.0, n).reshape(-1, 1))
+    res = rd.ball_energy_numeric(cloud, rd.BallMeasureParams(s, 1.0, n), seed=3)
+    assert res.method == "monte-carlo"
+    j = rd.discrete_energy(cloud, s)
+    assert abs(res.cross - (n - 1) / n * j) <= 4.0 * res.standard_error
 
 
 def test_ball_params_validation():
@@ -381,9 +476,20 @@ def test_ball_params_validation():
         rd.BallMeasureParams(0.0, 1.0, 4)
     with pytest.raises(ValueError):
         rd.BallMeasureParams(0.5, -1.0, 4)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            rd.BallMeasureParams(bad, 1.0, 4)
+        with pytest.raises(ValueError):
+            rd.BallMeasureParams(0.5, bad, 4)
     cloud = rd.PointCloud([[0.0], [1.0]])
     with pytest.raises(ValueError):
         rd.ball_energy_numeric(cloud, rd.BallMeasureParams(0.5, 1.0, 3))
+
+
+def test_reference_energy_rejects_non_finite_exponent():
+    for s in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            rd.reference_energy(rd.UniformCube(1), s)
 
 
 def test_ball_numeric_infinite_at_ambient_dimension():

@@ -215,6 +215,12 @@ def test_erdos_two_points():
         assert row["ratio"] == pytest.approx(1.0 / 2.0 ** (1.0 / row["s0"]), rel=1e-12)
 
 
+@pytest.mark.parametrize("s0", [0.0, -1.0, math.nan, math.inf])
+def test_erdos_rejects_bad_thresholds(s0):
+    with pytest.raises(ValueError):
+        rd.erdos_report(rd.PointCloud([[0.0], [1.0]]), [1.0, s0])
+
+
 def test_erdos_default_exponents():
     assert default_erdos_exponents(1) == [0.5]
     assert default_erdos_exponents(2) == [1.0, 1.25]

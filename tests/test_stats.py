@@ -89,6 +89,19 @@ def test_wlln_grid_validation():
         rd.wlln_exceedance(rd.UniformCube(1), 0.4, 0.1, [50, 200], 50, seed=0)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_wlln_rejects_non_finite_eps(eps):
+    with pytest.raises(ValueError):
+        rd.wlln_exceedance(rd.UniformCube(1), 0.4, eps, [10, 20, 40], 30, seed=0)
+
+
+def test_explicit_oracle_may_be_inf_but_not_nan():
+    with pytest.raises(ValueError):
+        rd.expectation_experiment(rd.UniformCube(1), 0.4, 10, 30, seed=0, oracle=math.nan)
+    report = rd.expectation_experiment(rd.UniformCube(1), 0.4, 10, 30, seed=0, oracle=math.inf)
+    assert report.oracle == math.inf and "z" not in report.cells[0]
+
+
 def test_slln_zero_exponent_path_constant():
     path = rd.slln_path(rd.UniformCube(1), 0.0, 150, seed=0)
     assert all(j == 1.0 for _, j in path)
