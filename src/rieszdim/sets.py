@@ -19,6 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import cloud as _cloud
 from .cloud import PointCloud, _pair_distances, _pair_tiles
 from .errors import TooFewPoints
 
@@ -42,7 +43,7 @@ class ValueSet:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if np.any(np.diff(v) <= 0):
+        if not (v[1:] > v[:-1]).all():  # a bool temporary only; NaN fails
             raise ValueError("values must be strictly increasing")
         object.__setattr__(self, "values", v)
         if self.count != v.size:
@@ -77,20 +78,93 @@ def _exact_mode_fits(pts: np.ndarray) -> bool:
     return float(np.sum(span * span)) <= _EXACT_D2_MAX
 
 
+# Grid keys rint(v / step) of 2^53 or more are beyond float resolution: past
+# it consecutive floats v / step are more than one key apart.
+_KEY_MAX = 2.0**53
+_MERGE_START = 1 << 17  # first merge-buffer capacity, in values (1 MiB)
+
+
+def _check_step(step: float, bound: float) -> None:
+    """Refuse a step that is not finite and positive, or whose keys reach 2^53 below ``bound``."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"quantization step must be finite and positive, got {step!r}")
+    if not bound / step < _KEY_MAX:
+        raise ValueError(
+            f"quantization step {step!r} is finer than values up to {bound:.6g} "
+            "resolve: grid keys would reach 2^53"
+        )
+
+
+def _keep_first_per_key(v: np.ndarray, step: float, last=None) -> np.ndarray:
+    """The values of sorted ``v`` that start a run of equal keys ``rint(v / step)``.
+
+    A first key equal to ``last``, the key before ``v``, continues that run.
+    ``rint`` values are integers, so comparing them as floats compares the
+    keys without an integer cast.
+    """
+    keys = v / step
+    np.rint(keys, out=keys)
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = last is None or keys[0] != last
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return v[first]
+
+
 def _min_per_key(values: np.ndarray, step: float) -> np.ndarray:
     """Per grid key ``rint(v / step)``, the smallest value, in key order.
 
     Keys are monotone in the values, so after sorting the values the first
     value of each run of equal keys is that key's minimum.
     """
-    v = np.sort(values)
-    keys = np.rint(v / step).astype(np.int64)
-    return v[np.r_[True, keys[1:] != keys[:-1]]]
+    return _keep_first_per_key(np.sort(values), step)
 
 
-def _dedup_tiles(tiles, step: float) -> np.ndarray:
-    """``_min_per_key`` over all tiles: per tile, then once over the merge."""
-    return _min_per_key(np.concatenate([_min_per_key(t, step) for t in tiles]), step)
+def _compact(buf: np.ndarray, p: int, step: float) -> int:
+    """``_min_per_key`` of ``buf[:p]``, in place at the front of ``buf``; returns its size.
+
+    Sorts the prefix in place, then walks it in chunks of about
+    ``cloud._TILE`` values, so no temporary outgrows a chunk. A chunk's first
+    key is compared with the previous chunk's last, so runs of equal keys may
+    cross chunk edges. Kept values move down to the write position, which
+    never passes the chunk being read.
+    """
+    buf[:p].sort()
+    chunk = _cloud._TILE
+    w = 0
+    last = None
+    for c0 in range(0, p, chunk):
+        v = buf[c0 : min(c0 + chunk, p)]
+        kept = _keep_first_per_key(v, step, last)
+        last = np.rint(v[-1] / step)
+        buf[w : w + kept.size] = kept
+        w += kept.size
+    return w
+
+
+def _dedup_tiles(tiles, pairs: int, step: float) -> np.ndarray:
+    """``_min_per_key`` over all tiles, merged in one buffer compacted in place.
+
+    Each tile's ``_min_per_key`` is appended to the merge buffer. When the
+    next one does not fit, the buffer is compacted in place. When that
+    leaves it more than half full, it grows to four times the compacted
+    values plus the tile, never past ``pairs``, the number of values of all
+    tiles, so compactions stay few and the buffer is a small multiple of
+    the answer. It grows and shrinks by ``ndarray.resize``, a realloc, which
+    remaps a large block instead of holding two copies of it.
+    """
+    buf = np.empty(min(_MERGE_START, pairs))
+    p = 0
+    for tile in tiles:
+        m = _min_per_key(tile, step)
+        if p + m.size > buf.size:
+            p = _compact(buf, p, step)
+            if 2 * (p + m.size) > buf.size:
+                buf.resize(min(4 * (p + m.size), pairs), refcheck=False)
+        buf[p : p + m.size] = m
+        p += m.size
+    p = _compact(buf, p, step)
+    buf.resize(p, refcheck=False)
+    return buf
 
 
 def distance_set(cloud: PointCloud, quantization="auto") -> ValueSet:
@@ -101,13 +175,18 @@ def distance_set(cloud: PointCloud, quantization="auto") -> ValueSet:
     1e-9 grid), "exact" to force integer mode, or an absolute grid step.
     Quantized values are the smallest distance per grid key, so equal inputs
     never split, values further apart than twice the step never merge, and
-    the result does not depend on the tiling.
+    the result does not depend on the tiling. A step that is not finite and
+    positive, or so fine that the grid keys of distances up to the
+    bounding-box diagonal reach 2^53, raises ValueError before any pair is
+    computed.
     """
     if cloud.n < 2:
         raise TooFewPoints("distance set needs at least 2 points")
     pts = cloud.points
+    pairs = cloud.n * (cloud.n - 1) // 2
     if quantization in ("auto", "exact") and _exact_mode_fits(pts):
-        values = np.sqrt(_dedup_tiles(_pair_tiles(pts), 1.0))
+        values = _dedup_tiles(_pair_tiles(pts), pairs, 1.0)
+        np.sqrt(values, out=values)
         return ValueSet("distance", values, "exact", values.size)
     if quantization == "exact":
         raise ValueError(
@@ -118,9 +197,11 @@ def distance_set(cloud: PointCloud, quantization="auto") -> ValueSet:
         step = 1e-9 * cloud.diameter()
     else:
         step = float(quantization)
-    if step <= 0:
-        raise ValueError("quantization step must be positive")
-    values = _dedup_tiles(_pair_distances(pts), step)
+    with np.errstate(over="ignore"):
+        span = pts.max(axis=0) - pts.min(axis=0)
+        diagonal = math.sqrt(float(np.sum(span * span)))
+    _check_step(step, diagonal)
+    values = _dedup_tiles(_pair_distances(pts), pairs, step)
     return ValueSet("distance", values, step, values.size)
 
 
@@ -128,17 +209,21 @@ def dot_product_set(cloud: PointCloud, quantization: Optional[float] = None) -> 
     """Distinct dot products over all ordered pairs, including x with itself.
 
     Default quantization is a relative 1e-9 grid on the largest squared
-    norm. Since x . y == y . x, the pairs i <= j give the whole set.
+    norm. Since x . y == y . x, the pairs i <= j give the whole set. A step
+    that is not finite and positive, or so fine that the grid keys of dot
+    products up to the largest squared norm reach 2^53, raises ValueError
+    before any pair is computed.
     """
     pts = cloud.points
-    if quantization is None:
+    with np.errstate(over="ignore"):
         scale = float(np.max(np.sum(pts * pts, axis=1)))
+    if quantization is None:
         step = 1e-9 * (scale if scale > 0 else 1.0)
     else:
         step = float(quantization)
-    if step <= 0:
-        raise ValueError("quantization step must be positive")
-    values = _dedup_tiles(_pair_tiles(pts, dot=True), step)
+    _check_step(step, scale)
+    pairs = cloud.n * (cloud.n + 1) // 2
+    values = _dedup_tiles(_pair_tiles(pts, dot=True), pairs, step)
     return ValueSet("dot-product", values, step, values.size)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,19 @@ def random_cloud(seed, n, d, scale=1.0):
         pts = scale * rng.random((n, d))
         if np.unique(pts, axis=0).shape[0] == n:
             return rd.PointCloud(pts)
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak memory traced while it ran, in bytes above the start.
+
+    numpy reports its array buffers to ``tracemalloc``, so the peak counts
+    every array ``fn`` holds at once, the returned one included.
+    """
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - start

@@ -400,6 +400,22 @@ def test_replicate_commands_ignore_threads_in_payload(argv, capsys, tmp_path, mo
     assert outputs[2] == outputs[0]
 
 
+def test_ballcheck_checks_hypotheses_before_quadrature(capsys, monkeypatch):
+    import rieszdim.cli as cli_mod
+
+    def refuse_quadrature(*args, **kwargs):
+        raise AssertionError("the quadrature ran before the hypotheses were checked")
+
+    monkeypatch.setattr(cli_mod, "ball_energy_numeric", refuse_quadrature)
+    # balls of radius 2 n^(-1/s) overlap on this grid
+    code, out, err = run_cli(
+        ["ballcheck", "--gen", "grid1d", "--n", "800", "--s", "0.9", "--c", "2"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "HypothesisViolated" in err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["energy", "--nonsense"])
@@ -424,8 +440,11 @@ def test_bad_flag_value_exit_code(capsys):
         ["energy", "--gen", "grid1d", "--n", "8", "--s", "0.5", "--cutoff-radius", "nan"],
         ["lln-weak", "--measure", "cube", "--dim", "1", "--s", "0.3",
          "--eps", "nan", "--n-grid", "20,40,80", "--reps", "40"],
+        ["distset", "--gen", "lattice", "--d", "2", "--k", "3", "--quantization", "nan"],
+        ["dotset", "--gen", "lattice", "--d", "2", "--k", "3", "--quantization", "nan"],
     ],
-    ids=["energy-s", "energy-cutoff-radius", "lln-weak-eps"],
+    ids=["energy-s", "energy-cutoff-radius", "lln-weak-eps", "distset-quantization",
+         "dotset-quantization"],
 )
 def test_nan_flag_values_are_usage_errors(argv, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -441,8 +460,16 @@ def test_nan_flag_values_are_usage_errors(argv, capsys):
         ["dim", "--gen", "grid1d", "--n", "64", "--s-step", "0"],
         ["lln-path", "--measure", "cube", "--dim", "1", "--s", "0.4",
          "--n-max", "200", "--tail", "-1"],
+        # an infinite step would merge every value into one; at 1e-30 the
+        # grid keys pass 2^53
+        ["distset", "--gen", "lattice", "--d", "2", "--k", "3", "--quantization", "inf"],
+        ["dotset", "--gen", "lattice", "--d", "2", "--k", "3", "--quantization", "inf"],
+        ["distset", "--gen", "grid1d", "--n", "50", "--quantization", "1e-30"],
+        ["dotset", "--gen", "grid1d", "--n", "50", "--quantization", "1e-30"],
     ],
-    ids=["erdos-exponent-0", "dim-s-step-0", "lln-path-negative-tail"],
+    ids=["erdos-exponent-0", "dim-s-step-0", "lln-path-negative-tail",
+         "distset-quantization-inf", "dotset-quantization-inf",
+         "distset-quantization-too-fine", "dotset-quantization-too-fine"],
 )
 def test_degenerate_flag_values_are_usage_errors(argv, capsys):
     code, out, err = run_cli(argv, capsys)

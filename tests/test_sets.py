@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 import rieszdim as rd
 import rieszdim.cloud as cloud_mod
+import rieszdim.sets as sets_mod
+from conftest import random_cloud, traced_peak
 from rieszdim.sets import default_erdos_exponents
 
 
@@ -407,3 +410,192 @@ def test_distance_set_ignores_point_order(points, random):
     assert a.count == b.count
     assert a.values.tolist() == b.values.tolist()
 
+
+# ------------------------------------------------------------ merge buffer
+
+
+def concat_dedup(tiles, step):
+    """The dedup the merge buffer replaced: per tile, then over the concatenation."""
+
+    def min_per_key(values):
+        v = np.sort(values)
+        keys = np.rint(v / step).astype(np.int64)
+        return v[np.r_[True, keys[1:] != keys[:-1]]]
+
+    return min_per_key(np.concatenate([min_per_key(t) for t in tiles]))
+
+
+def concat_distance_set(cloud):
+    pts = cloud.points
+    if sets_mod._exact_mode_fits(pts):
+        return np.sqrt(concat_dedup(cloud_mod._pair_tiles(pts), 1.0)), "exact"
+    step = 1e-9 * cloud.diameter()
+    return concat_dedup(cloud_mod._pair_distances(pts), step), step
+
+
+def concat_dot_product_set(cloud):
+    pts = cloud.points
+    scale = float(np.max(np.sum(pts * pts, axis=1)))
+    step = 1e-9 * (scale if scale > 0 else 1.0)
+    return concat_dedup(cloud_mod._pair_tiles(pts, dot=True), step), step
+
+
+def assert_same_as_concat(cloud):
+    for got, (values, quantization) in (
+        (rd.distance_set(cloud), concat_distance_set(cloud)),
+        (rd.dot_product_set(cloud), concat_dot_product_set(cloud)),
+    ):
+        assert got.values.tobytes() == values.tobytes()
+        assert got.count == values.size
+        assert got.quantization == quantization
+
+
+def integer_lattice(k):
+    return rd.PointCloud([[x, y] for x in range(k) for y in range(k)])
+
+
+IDENTITY_CLOUDS = {
+    "random-1d-2": lambda: random_cloud(1, 2, 1),
+    "random-1d-400": lambda: random_cloud(2, 400, 1),
+    "random-2d-2": lambda: random_cloud(3, 2, 2),
+    "random-2d-1500": lambda: random_cloud(11, 1500, 2),
+    "random-3d-3": lambda: random_cloud(4, 3, 3),
+    "random-3d-700": lambda: random_cloud(5, 700, 3),
+    "grid-1d-3000": lambda: rd.grid_1d(3000),
+    "lattice-60x60": lambda: integer_lattice(60),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_CLOUDS))
+def test_merge_buffer_matches_concatenate_and_sort(name):
+    assert_same_as_concat(IDENTITY_CLOUDS[name]())
+
+
+small_coords = st.integers(-12, 12)
+fine_coords = st.integers(-(10**6), 10**6).map(lambda k: k / 999_983.0)
+clouds_of_every_kind = st.one_of(
+    # generic: a fine grid, almost no repeated values
+    st.lists(st.tuples(fine_coords, fine_coords), min_size=1, max_size=40),
+    # integer coordinates: exact mode for distances
+    st.lists(st.tuples(small_coords, small_coords), min_size=1, max_size=40),
+    # few coordinate values off the integers: many repeated quantized values
+    st.lists(
+        st.tuples(small_coords.map(lambda k: k / 7.0), st.just(0.5)), min_size=1, max_size=40
+    ),
+).map(lambda pts: np.unique(np.array(pts, dtype=float).reshape(-1, 2), axis=0))
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(clouds_of_every_kind, st.booleans())
+def test_merge_buffer_matches_concatenate_and_sort_property(pts, tiny):
+    cloud = rd.PointCloud(pts)
+    tile = 5 * 5 if tiny else cloud_mod._TILE
+    start = 4 if tiny else sets_mod._MERGE_START
+    with mock.patch.object(cloud_mod, "_TILE", tile), mock.patch.object(
+        sets_mod, "_MERGE_START", start
+    ):
+        if cloud.n >= 2:
+            assert_same_as_concat(cloud)
+        else:
+            got = rd.dot_product_set(cloud)
+            values, _ = concat_dot_product_set(cloud)
+            assert got.values.tobytes() == values.tobytes()
+
+
+FORCED_COMPACTION_CLOUDS = {
+    "grid-1d-150": lambda: rd.grid_1d(150),
+    "lattice-12x12": lambda: integer_lattice(12),
+    "random-2d-120": lambda: random_cloud(6, 120, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORCED_COMPACTION_CLOUDS))
+def test_forced_compaction_and_growth(name, monkeypatch):
+    # strips and compaction chunks of about 7 x 7 values and a first buffer
+    # of 16 values: every call compacts and grows many times, and chunk
+    # edges fall inside runs of equal keys
+    cloud = FORCED_COMPACTION_CLOUDS[name]()
+    monkeypatch.setattr(cloud_mod, "_TILE", 7 * 7)
+    monkeypatch.setattr(sets_mod, "_MERGE_START", 16)
+    compactions = []
+    cut_runs = []
+    real_compact = sets_mod._compact
+
+    def counting_compact(buf, p, step):
+        keys = np.rint(np.sort(buf[:p]) / step)
+        edges = np.arange(cloud_mod._TILE, p, cloud_mod._TILE)
+        cut_runs.append(int(np.sum(keys[edges] == keys[edges - 1])))
+        compactions.append((buf.size, p))
+        return real_compact(buf, p, step)
+
+    monkeypatch.setattr(sets_mod, "_compact", counting_compact)
+    assert_same_as_concat(cloud)
+    assert len(compactions) > 10
+    assert max(size for size, _ in compactions) > 16  # the buffer grew
+    if name != "random-2d-120":  # generic values repeat no key
+        assert sum(cut_runs) > 0
+
+
+# ----------------------------------------------------- dedup memory bounds
+
+MiB = 1 << 20
+
+
+# (call, answers): the traced peak may reach answers x the answer's bytes + 4 MiB
+MEMORY_CASES = {
+    "random-2d-1500-distances": (lambda: rd.distance_set(random_cloud(11, 1500, 2)), 2),
+    "random-2d-1500-dots": (lambda: rd.dot_product_set(random_cloud(11, 1500, 2)), 2),
+    "grid-1d-3000-distances": (lambda: rd.distance_set(rd.grid_1d(3000)), 0),
+    "lattice-60x60-exact": (lambda: rd.distance_set(integer_lattice(60)), 0),
+    "grid-1d-3000-dots": (lambda: rd.dot_product_set(rd.grid_1d(3000)), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY_CASES))
+def test_dedup_memory_follows_the_answer(name):
+    call, answers = MEMORY_CASES[name]
+    vs, peak = traced_peak(call)
+    assert peak <= answers * vs.values.nbytes + 4 * MiB, (peak, vs.values.nbytes)
+
+
+# -------------------------------------------------- quantization refusals
+
+
+def refuse_pair_pass(*args, **kwargs):
+    raise AssertionError("the pair pass ran before the step was checked")
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-9, math.inf, -math.inf, math.nan])
+def test_steps_not_finite_and_positive_are_refused(step, monkeypatch):
+    cloud = random_cloud(5, 50, 2)
+    monkeypatch.setattr(sets_mod, "_dedup_tiles", refuse_pair_pass)
+    with pytest.raises(ValueError, match="finite and positive"):
+        rd.distance_set(cloud, step)
+    with pytest.raises(ValueError, match="finite and positive"):
+        rd.dot_product_set(cloud, step)
+
+
+def test_steps_finer_than_the_values_resolve_are_refused(monkeypatch):
+    # at 1e-30 the keys rint(v / step) would overflow int64 and merge all
+    # 1225 distances into one
+    cloud = random_cloud(5, 50, 2)
+    with monkeypatch.context() as m:
+        m.setattr(sets_mod, "_dedup_tiles", refuse_pair_pass)
+        with pytest.raises(ValueError, match="2\\^53"):
+            rd.distance_set(cloud, 1e-30)
+        with pytest.raises(ValueError, match="2\\^53"):
+            rd.dot_product_set(cloud, 1e-30)
+    # the bounds are the unit diagonal and the unit squared norm: keys below
+    # 2^53 pass, a key of 2^53 is refused
+    unit = rd.PointCloud([[0.0], [1.0]])
+    assert rd.distance_set(unit, 2.0**-52).values.tolist() == [1.0]
+    assert rd.dot_product_set(unit, 2.0**-52).values.tolist() == [0.0, 1.0]
+    with pytest.raises(ValueError, match="2\\^53"):
+        rd.distance_set(unit, 2.0**-53)
+    with pytest.raises(ValueError, match="2\\^53"):
+        rd.dot_product_set(unit, 2.0**-53)
+
+
+def test_value_set_refuses_nan():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        rd.ValueSet("distance", np.array([1.0, math.nan, 2.0]), 1e-9, 3)
