@@ -81,7 +81,6 @@ def _exact_mode_fits(pts: np.ndarray) -> bool:
 # Grid keys rint(v / step) of 2^53 or more are beyond float resolution: past
 # it consecutive floats v / step are more than one key apart.
 _KEY_MAX = 2.0**53
-_MERGE_START = 1 << 17  # first merge-buffer capacity, in values (1 MiB)
 
 
 def _check_step(step: float, bound: float) -> None:
@@ -144,15 +143,16 @@ def _compact(buf: np.ndarray, p: int, step: float) -> int:
 def _dedup_tiles(tiles, pairs: int, step: float) -> np.ndarray:
     """``_min_per_key`` over all tiles, merged in one buffer compacted in place.
 
-    Each tile's ``_min_per_key`` is appended to the merge buffer. When the
-    next one does not fit, the buffer is compacted in place. When that
+    Each tile's ``_min_per_key`` is appended to the merge buffer, which
+    starts at four strips of ``cloud._TILE`` values. When the next one does
+    not fit, the buffer is compacted in place. When that
     leaves it more than half full, it grows to four times the compacted
     values plus the tile, never past ``pairs``, the number of values of all
     tiles, so compactions stay few and the buffer is a small multiple of
     the answer. It grows and shrinks by ``ndarray.resize``, a realloc, which
     remaps a large block instead of holding two copies of it.
     """
-    buf = np.empty(min(_MERGE_START, pairs))
+    buf = np.empty(min(4 * _cloud._TILE, pairs))
     p = 0
     for tile in tiles:
         m = _min_per_key(tile, step)

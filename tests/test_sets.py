@@ -489,11 +489,7 @@ clouds_of_every_kind = st.one_of(
 @given(clouds_of_every_kind, st.booleans())
 def test_merge_buffer_matches_concatenate_and_sort_property(pts, tiny):
     cloud = rd.PointCloud(pts)
-    tile = 5 * 5 if tiny else cloud_mod._TILE
-    start = 4 if tiny else sets_mod._MERGE_START
-    with mock.patch.object(cloud_mod, "_TILE", tile), mock.patch.object(
-        sets_mod, "_MERGE_START", start
-    ):
+    with mock.patch.object(cloud_mod, "_TILE", 5 * 5 if tiny else cloud_mod._TILE):
         if cloud.n >= 2:
             assert_same_as_concat(cloud)
         else:
@@ -512,11 +508,10 @@ FORCED_COMPACTION_CLOUDS = {
 @pytest.mark.parametrize("name", sorted(FORCED_COMPACTION_CLOUDS))
 def test_forced_compaction_and_growth(name, monkeypatch):
     # strips and compaction chunks of about 7 x 7 values and a first buffer
-    # of 16 values: every call compacts and grows many times, and chunk
+    # of four of them: every call compacts and grows many times, and chunk
     # edges fall inside runs of equal keys
     cloud = FORCED_COMPACTION_CLOUDS[name]()
     monkeypatch.setattr(cloud_mod, "_TILE", 7 * 7)
-    monkeypatch.setattr(sets_mod, "_MERGE_START", 16)
     compactions = []
     cut_runs = []
     real_compact = sets_mod._compact
@@ -530,8 +525,8 @@ def test_forced_compaction_and_growth(name, monkeypatch):
 
     monkeypatch.setattr(sets_mod, "_compact", counting_compact)
     assert_same_as_concat(cloud)
-    assert len(compactions) > 10
-    assert max(size for size, _ in compactions) > 16  # the buffer grew
+    assert len(compactions) > 6  # over the distance and the dot-product call
+    assert max(size for size, _ in compactions) > 4 * 7 * 7  # the buffer grew
     if name != "random-2d-120":  # generic values repeat no key
         assert sum(cut_runs) > 0
 
