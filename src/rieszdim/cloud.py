@@ -19,6 +19,7 @@ from .errors import DimensionMismatch, DuplicatePoints, TooFewPoints
 __all__ = ["PointCloud", "read_csv", "write_csv"]
 
 _TILE = 1 << 15  # values per row strip, so its buffers stay in cache
+_NORMAL_MIN = np.finfo(float).tiny  # squares below it have lost bits to underflow
 _workspace = threading.local()
 
 
@@ -75,11 +76,8 @@ class PointCloud:
         return PointCloud(self._points[:k], _validate=False)
 
     def diameter(self) -> float:
-        """Largest pairwise distance (exact, strip by strip)."""
-        best = 0.0
-        for d2 in _pair_tiles(self._points):
-            best = max(best, float(d2.max()))
-        return float(np.sqrt(best))
+        """Largest pairwise distance (0 for a single point)."""
+        return max((float(r.max()) for r in _pair_distances(self._points)), default=0.0)
 
     def min_gap(self) -> float:
         """Smallest pairwise distance (positive: the points are distinct)."""
@@ -154,13 +152,12 @@ def _pair_tiles(pts: np.ndarray, *, dot: bool = False):
 
 
 def _scaled_differences(a: np.ndarray, b: np.ndarray):
-    """Row-wise ``(top, q)`` with |a - b| = top * sqrt(q), for tiny distances.
+    """Row-wise ``(top, q)`` with |a - b| = top * sqrt(q).
 
     ``top`` is the largest magnitude of a difference and ``q`` the sum of
-    the squared differences rescaled by it, so a distance whose square
-    underflows is still recovered, down to the subnormal range: log d2 is
-    2 log(top) + log(q) to rounding. ``top`` is 0 only where the points
-    coincide.
+    the squared differences rescaled by it, so 1 <= q <= d: neither
+    underflows nor overflows, whatever the scale of the distance. ``top``
+    is 0 only where the points coincide.
     """
     diff = a - b
     top = np.abs(diff).max(axis=1)
@@ -168,23 +165,44 @@ def _scaled_differences(a: np.ndarray, b: np.ndarray):
     return top, np.square(diff / scale[:, None]).sum(axis=1)
 
 
+def _distances(d2, a, b, mask=None, *, log=False):
+    """Distances (with ``log``, log d2) from the squared distances of ``_tile(a, b)``, in place.
+
+    ``d2`` is that tile, or its values ``tile[mask]``. A square in the
+    normal range keeps its bits: the distance is sqrt(d2). A square below
+    the smallest normal double has lost bits to underflow (it is 0 for
+    distances below about 1.5e-162), and one equal to inf has overflowed
+    (distances above about 1.3e154). Those pairs are rebuilt from
+    :func:`_scaled_differences`, as top * sqrt(q) or 2 log(top) + log(q).
+    Raises DuplicatePoints where top is 0.
+    """
+    root = np.log if log else np.sqrt
+    if d2.min() >= _NORMAL_MIN and d2.max() < math.inf:
+        return root(d2, out=d2)
+    lost = np.nonzero((d2 < _NORMAL_MIN) | (d2 == math.inf))
+    rows, cols = lost if mask is None else (ix[lost] for ix in np.nonzero(mask))
+    top, q = _scaled_differences(a[rows], b[cols])
+    if not top.all():
+        raise DuplicatePoints("coinciding points encountered in a pair pass")
+    d2[lost] = 1.0  # in range: the pass below takes no log of 0
+    root(d2, out=d2)
+    d2[lost] = 2.0 * np.log(top) + np.log(q) if log else top * np.sqrt(q)
+    return d2
+
+
 def _pair_distances(pts: np.ndarray):
     """Yield the distances of the pairs j < k of ``pts``, strip by strip.
 
-    The same strips and order as :func:`_pair_tiles`, square-rooted. A
-    distance below about 1.5e-162 squares to 0; only on a strip holding
-    such a 0 are those pairs recomputed by :func:`_scaled_differences`.
+    The same strips and order as :func:`_pair_tiles`, each value as
+    :func:`_distances` gives it.
     """
     for k0, k1 in _row_blocks(pts.shape[0]):
+        a, b = pts[k0:k1], pts[:k1]
         mask = np.tri(k1 - k0, k1, k0 - 1, dtype=bool)
-        r = np.sqrt(_tile(pts[k0:k1], pts[:k1])[mask])
-        if not r.all():
-            rows, cols = np.nonzero(mask)
-            zero = r == 0.0
-            top, q = _scaled_differences(pts[k0 + rows[zero]], pts[cols[zero]])
-            r[zero] = top * np.sqrt(q)
-        if r.size:
-            yield r
+        with np.errstate(over="ignore"):  # an overflowing square is rebuilt
+            d2 = _tile(a, b)[mask]
+        if d2.size:  # a strip holding only row 0 has no pair j < k
+            yield _distances(d2, a, b, mask)
 
 
 def write_csv(cloud: PointCloud, path) -> None:

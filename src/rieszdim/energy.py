@@ -9,9 +9,10 @@ unordered-pair sum). Every energy here is arithmetic on one array, the row
 sums R_s[k] = sum_{j<k} |x_k - x_j|^{-s} for all exponents at once. Rows are
 computed in the row strips of ``cloud._row_blocks`` against all earlier
 points: squared distances are accumulated one coordinate at a time and
-log d2 is taken once per strip. The kernels climb an exponent ladder: the
-exponent list is split once per call into runs of equal ascending steps h
-(equal to a few ulp), at most ``_RUN`` long. The first exponent of a run,
+log d2 is taken once per strip by ``cloud._distances``, which rebuilds a
+square that underflowed or overflowed. The kernels climb an exponent
+ladder: the exponent list is split once per call into runs of equal
+ascending steps h (equal to a few ulp), at most ``_RUN`` long. The first exponent of a run,
 its anchor, takes a direct exp(-s/2 * log d2), masked or weighted once;
 each later one is the previous kernel times the step factor
 exp(-h/2 * log d2), taken once per run and strip. An evenly spaced grid of
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, _row_blocks, _scaled_differences, _strip_buffers, _tile
+from .cloud import PointCloud, _distances, _row_blocks, _strip_buffers, _tile
 from .errors import DimensionMismatch, DuplicatePoints, TooFewPoints
 
 __all__ = [
@@ -133,22 +134,14 @@ def _ladder(exps) -> list:
 def _row_block(pts, k0, k1, runs, weight, out) -> None:
     """Write the row sums of rows k0..k1-1 over columns j < k to out[:, k0:k1]."""
     lower, upper = _triangle(k1 - k0)
-    d2 = _tile(pts[k0:k1], pts[:k1])
+    a, b = pts[k0:k1], pts[:k1]
+    d2 = _tile(a, b)
     np.copyto(d2[:, k0:], 1.0, where=upper)  # the pairs j >= k: skipped, log 1 is 0
     w = None
     if weight is not None:
-        w = weight(np.sqrt(d2))  # a pair whose square underflows is weighted at r = 0
+        w = weight(_distances(d2.copy(), a, b))
         w[:, k0:] *= lower
-    tiny = None
-    if not d2.all():  # distances below ~1.5e-162 square to 0: recover them
-        tiny = np.nonzero(d2 == 0.0)
-        top, q = _scaled_differences(pts[k0 + tiny[0]], pts[tiny[1]])
-        if not top.all():
-            raise DuplicatePoints("coinciding points encountered in pair sum")
-        d2[tiny] = 1.0
-    L = np.log(d2, out=d2)
-    if tiny is not None:
-        L[tiny] = 2.0 * np.log(top) + np.log(q)
+    L = _distances(d2, a, b, log=True)
     if w is not None:
         L[w == 0.0] = 0.0  # a zero weight must not meet an infinite kernel
     # buffers 1 and 2 are free once the tile is built: the kernel and the step factor
@@ -337,16 +330,12 @@ def riesz_potential_discrete(cloud: PointCloud, x, s: float) -> float:
         )
     if s == 0.0:
         return 1.0
-    d2 = _tile(x[None, :], cloud.points)[0]
-    L = np.log(d2, where=d2 > 0.0, out=np.zeros_like(d2))
-    if not d2.all():  # distances below ~1.5e-162 square to 0: recover them
-        tiny = np.nonzero(d2 == 0.0)[0]
-        top, q = _scaled_differences(x[None, :], cloud.points[tiny])
-        if not top.all():
-            return math.inf
-        L[tiny] = 2.0 * np.log(top) + np.log(q)
     with np.errstate(over="ignore"):
-        return _fsum(np.exp(-0.5 * s * L)) / cloud.n
+        try:
+            L = _distances(_tile(x[None, :], cloud.points), x[None, :], cloud.points, log=True)
+        except DuplicatePoints:
+            return math.inf
+        return _fsum(np.exp(-0.5 * s * L[0])) / cloud.n
 
 
 def _cutoff(u: np.ndarray) -> np.ndarray:

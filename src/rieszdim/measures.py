@@ -485,15 +485,6 @@ def ball_energy_predicted(
     )
 
 
-_MEASURE_TAGS = {
-    "uniform-cube": UniformCube,
-    "uniform-circle": UniformCircle,
-    "cantor-product": CantorProduct,
-    "rotating-semicircle": RotatingSemicircle,
-    "empirical": Empirical,
-}
-
-
 def measure_to_json(measure: MeasureSpec) -> dict:
     """Serializable dict form of a measure (variant tag plus parameters)."""
     if isinstance(measure, UniformCube):

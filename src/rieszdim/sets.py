@@ -75,7 +75,8 @@ def _exact_mode_fits(pts: np.ndarray) -> bool:
     if not np.all(pts == np.rint(pts)):
         return False
     span = pts.max(axis=0) - pts.min(axis=0)
-    return float(np.sum(span * span)) <= _EXACT_D2_MAX
+    # a span past the bound fails it; tested first, the others square without overflow
+    return bool(np.all(span <= _EXACT_D2_MAX)) and float(np.sum(span * span)) <= _EXACT_D2_MAX
 
 
 # Grid keys rint(v / step) of 2^53 or more are beyond float resolution: past
@@ -109,21 +110,14 @@ def _keep_first_per_key(v: np.ndarray, step: float, last=None) -> np.ndarray:
     return v[first]
 
 
-def _min_per_key(values: np.ndarray, step: float) -> np.ndarray:
-    """Per grid key ``rint(v / step)``, the smallest value, in key order.
-
-    Keys are monotone in the values, so after sorting the values the first
-    value of each run of equal keys is that key's minimum.
-    """
-    return _keep_first_per_key(np.sort(values), step)
-
-
 def _compact(buf: np.ndarray, p: int, step: float) -> int:
-    """``_min_per_key`` of ``buf[:p]``, in place at the front of ``buf``; returns its size.
+    """Compact ``buf[:p]`` in place to its smallest value per grid key; returns their count.
 
-    Sorts the prefix in place, then walks it in chunks of about
-    ``cloud._TILE`` values, so no temporary outgrows a chunk. A chunk's first
-    key is compared with the previous chunk's last, so runs of equal keys may
+    Keys ``rint(v / step)`` are monotone in the values, so once the prefix
+    is sorted in place the first value of each run of equal keys is that
+    key's minimum. The prefix is walked in chunks of about ``cloud._TILE``
+    values, so no temporary outgrows a chunk. A chunk's first key is
+    compared with the previous chunk's last, so runs of equal keys may
     cross chunk edges. Kept values move down to the write position, which
     never passes the chunk being read.
     """
@@ -141,27 +135,27 @@ def _compact(buf: np.ndarray, p: int, step: float) -> int:
 
 
 def _dedup_tiles(tiles, pairs: int, step: float) -> np.ndarray:
-    """``_min_per_key`` over all tiles, merged in one buffer compacted in place.
+    """Smallest value per grid key over all tiles, merged in one buffer compacted in place.
 
-    Each tile's ``_min_per_key`` is appended to the merge buffer, which
-    starts at four strips of ``cloud._TILE`` values. When the next one does
-    not fit, the buffer is compacted in place. When that
-    leaves it more than half full, it grows to four times the compacted
-    values plus the tile, never past ``pairs``, the number of values of all
-    tiles, so compactions stay few and the buffer is a small multiple of
-    the answer. It grows and shrinks by ``ndarray.resize``, a realloc, which
-    remaps a large block instead of holding two copies of it.
+    Each tile is appended raw to the merge buffer, which starts at four
+    strips of ``cloud._TILE`` values, so :func:`_compact` is the only pass
+    that sorts and keys values. When the next tile does not fit, the buffer
+    is compacted in place. When that leaves it more than half full, it
+    grows to four times the compacted values plus the tile, never past
+    ``pairs``, the number of values of all tiles, so compactions stay few
+    and the buffer is a small multiple of the answer plus a strip. It grows
+    and shrinks by ``ndarray.resize``, a realloc, which remaps a large
+    block instead of holding two copies of it.
     """
     buf = np.empty(min(4 * _cloud._TILE, pairs))
     p = 0
     for tile in tiles:
-        m = _min_per_key(tile, step)
-        if p + m.size > buf.size:
+        if p + tile.size > buf.size:
             p = _compact(buf, p, step)
-            if 2 * (p + m.size) > buf.size:
-                buf.resize(min(4 * (p + m.size), pairs), refcheck=False)
-        buf[p : p + m.size] = m
-        p += m.size
+            if 2 * (p + tile.size) > buf.size:
+                buf.resize(min(4 * (p + tile.size), pairs), refcheck=False)
+        buf[p : p + tile.size] = tile
+        p += tile.size
     p = _compact(buf, p, step)
     buf.resize(p, refcheck=False)
     return buf
@@ -197,10 +191,7 @@ def distance_set(cloud: PointCloud, quantization="auto") -> ValueSet:
         step = 1e-9 * cloud.diameter()
     else:
         step = float(quantization)
-    with np.errstate(over="ignore"):
-        span = pts.max(axis=0) - pts.min(axis=0)
-        diagonal = math.sqrt(float(np.sum(span * span)))
-    _check_step(step, diagonal)
+    _check_step(step, math.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
     values = _dedup_tiles(_pair_distances(pts), pairs, step)
     return ValueSet("distance", values, step, values.size)
 

@@ -84,6 +84,26 @@ def test_min_gap_below_the_square_underflow():
     assert c2.min_gap() == pytest.approx(5e-300, rel=1e-15, abs=0.0)
 
 
+def test_diameter_and_min_gap_where_the_squares_overflow():
+    # every square is past the largest double, yet every distance is finite
+    c = rd.PointCloud([[0.0], [1e200], [3e200]])
+    assert c.diameter() == 3e200
+    assert c.min_gap() == 1e200
+
+
+def test_diameter_below_the_square_underflow():
+    assert rd.PointCloud([[0.0], [1e-300]]).diameter() == 1e-300
+    c = rd.PointCloud([[0.0, 0.0], [3e-300, 4e-300]])
+    assert c.diameter() == pytest.approx(5e-300, rel=1e-15, abs=0.0)
+
+
+def test_min_gap_whose_square_is_subnormal():
+    # g^2 is subnormal, not 0: it keeps only its leading bits
+    g = 1.23456789e-161
+    c = rd.PointCloud([[0.0], [g], [0.5]])
+    assert c.min_gap() == pytest.approx(g, rel=1e-14, abs=0.0)
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(42)
     pts = rng.random((50, 3)) * math.pi

@@ -393,6 +393,36 @@ def test_subnormal_differences_keep_full_accuracy():
     assert pot == pytest.approx((near + 0.5**-0.25) / 2.0, rel=1e-12)
 
 
+def test_pair_sums_where_the_squares_overflow():
+    # the squares of 1e200, 2e200 and 3e200 overflow to inf; read as a
+    # distance of inf they would give the energy 0
+    c = rd.PointCloud([[0.0], [1e200], [3e200]])
+    far = [1e200**-0.5, 2e200**-0.5, 3e200**-0.5]
+    want = math.fsum(far) / 3.0  # about 7.6e-101
+    # exp(-s/2 log d2) carries the rounding of log d2 (about 921) into the
+    # kernel: a few 1e-14 relative
+    rel = 5e-14
+    assert rd.discrete_energy(c, 0.5) == pytest.approx(want, rel=rel)
+    assert rd.discrete_energy_multi(c, [0.0, 0.5]).tolist() == pytest.approx([1.0, want], rel=rel)
+    prof = rd.energy_profile(c, [0.5], [2, 3])
+    assert prof.values[0].tolist() == pytest.approx([far[0], want], rel=rel)
+    # a radius far below every gap leaves the cutoff fully open: (n-1)/n J
+    assert rd.truncated_energy(c, 0.5, 1e190) == pytest.approx(2.0 / 3.0 * want, rel=rel)
+    pot = rd.riesz_potential_discrete(c, [2e200], 0.5)
+    assert pot == pytest.approx((2e200**-0.5 + 2.0 * 1e200**-0.5) / 3.0, rel=rel)
+
+
+def test_pair_sums_at_a_gap_whose_square_is_subnormal():
+    # g^2 is subnormal, not 0: it keeps only its leading bits
+    g = 1.23456789e-161
+    c = rd.PointCloud([[0.0], [g], [0.5]])
+    # log d2 is about -740: its rounding reaches the kernel as a few 1e-14
+    rel = 5e-14
+    assert rd.discrete_energy(c, 1.0) == pytest.approx((1 / g + 2.0 + 1 / (0.5 - g)) / 3.0, rel=rel)
+    pot = rd.riesz_potential_discrete(rd.PointCloud([[0.0], [0.5]]), [g], 1.0)
+    assert pot == pytest.approx((1 / g + 1 / (0.5 - g)) / 2.0, rel=rel)
+
+
 def test_exactly_coinciding_points_still_raise():
     c = rd.PointCloud([[0.0, 1.0], [0.5, 0.5], [0.0, 1.0]], _validate=False)
     with pytest.raises(rd.DuplicatePoints):
@@ -519,6 +549,26 @@ def test_truncated_equals_scaled_energy_below_half_min_gap(cloud, s, frac):
     assert rd.truncated_energy(cloud, s, radius) == pytest.approx(
         (n - 1) / n * rd.discrete_energy(cloud, s), rel=1e-15
     )
+
+
+# any k in [-900, 900], or one from the tails where squares of 2^k P leave
+# the normal range: the distances of P lie in [1/997, 35], so some squares
+# underflow for k <= -502 and some overflow for k >= 507
+dyadic = st.integers(-900, 900) | st.integers(-900, -520) | st.integers(520, 900)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(clouds(), st.floats(0.0, 1.0), dyadic)
+def test_dyadic_rescaling_holds_at_any_scale(cloud, s, k):
+    # 2^k P has the distances of P times 2^k; no coordinate of it is
+    # subnormal, since every nonzero |x| of P is at least 1/997
+    scaled = rd.PointCloud(np.ldexp(cloud.points, k))
+    assert rd.discrete_energy(scaled, s) == pytest.approx(
+        2.0 ** (-k * s) * rd.discrete_energy(cloud, s), rel=1e-12
+    )
+    for got, ref in ((scaled.min_gap(), cloud.min_gap()), (scaled.diameter(), cloud.diameter())):
+        want = math.ldexp(ref, k)
+        assert abs(got - want) <= 2.0 * math.ulp(want)
 
 
 # ---------------------------------------------------------- exponent ladder

@@ -109,6 +109,25 @@ def test_distance_set_below_the_square_underflow_has_no_zero():
     assert vs2.values[0] == pytest.approx(5e-300, rel=1e-15, abs=0.0)
 
 
+def test_distance_set_where_the_squares_overflow():
+    # integer-valued coordinates past the exact-mode bound, squares past the
+    # largest double: the bounds and the distances stay finite
+    vs = rd.distance_set(rd.PointCloud([[0.0], [1e200], [3e200]]))
+    assert vs.values.tolist() == [1e200, 2e200, 3e200]
+
+
+def test_distance_set_auto_step_below_the_square_underflow():
+    vs = rd.distance_set(rd.PointCloud([[0.0], [1e-300]]))
+    assert vs.values.tolist() == [1e-300]
+    assert vs.quantization == 1e-9 * 1e-300
+
+
+def test_distance_set_at_a_gap_whose_square_is_subnormal():
+    g = 1.23456789e-161
+    vs = rd.distance_set(rd.PointCloud([[0.0], [g], [0.5]]))
+    assert vs.values[0] == pytest.approx(g, rel=1e-14, abs=0.0)
+
+
 def test_distance_set_needs_two_points():
     with pytest.raises(rd.TooFewPoints):
         rd.distance_set(rd.PointCloud([[0.0]]))
