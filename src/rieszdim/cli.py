@@ -3,7 +3,11 @@
 One subcommand per operation family: generators emit the point CSV format,
 analysis commands emit a JSON result envelope (tool version, config echo,
 timing, payload), and tabular reports emit CSV. Runs are reproducible from
-the config echo; every stochastic command records its seed. Exit codes:
+the config echo; every stochastic command records its seed. A command takes
+only the common flags it reads: ``--max-points`` (checked before any point
+is allocated) and ``-o`` everywhere, ``--max-pairs`` where pairs are
+computed, ``--seed`` on the stochastic commands, and ``--threads`` where the
+pair engine runs (``distset`` accepts it and ignores it). Exit codes:
 0 success, 1 domain error (the error class name goes to stderr), 2 usage.
 """
 
@@ -34,9 +38,11 @@ from .estimator import (
     variance_blowup_scan,
 )
 from .generators import (
+    DEFAULT_MAX_POINTS,
     CantorFactor,
     CantorSpec,
     EnergyTargetSpec,
+    _factor_from_json,
     cantor_points,
     cantor_prefix_sizes,
     energy_sequence_points,
@@ -132,6 +138,12 @@ def _parse_list(text, cast):
     return [cast(tok) for tok in str(text).split(",") if tok.strip() != ""]
 
 
+def _check_points(args, n: int) -> None:
+    """Refuse a cloud of n points past --max-points."""
+    if n > args.max_points:
+        raise SizeCapExceeded(f"{n} points exceed the cap {args.max_points}")
+
+
 def _check_pairs(args, *sizes, reps: int = 1) -> None:
     """Refuse a run whose pair evaluations, reps x pairs(n) summed over the
     cloud sizes, exceed --max-pairs."""
@@ -140,11 +152,15 @@ def _check_pairs(args, *sizes, reps: int = 1) -> None:
         raise SizeCapExceeded(f"{pairs} pairs exceed the cap {args.max_pairs}")
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-    p.add_argument("--threads", type=int, default=1, help="worker thread bound (results unchanged)")
-    p.add_argument("--max-points", type=int, default=100_000, help="point allocation cap")
-    p.add_argument("--max-pairs", type=int, default=10_000_000_000, help="pair evaluation cap")
+def _add_common(p, *, seed: bool, threads: bool, pairs: bool):
+    """The common flags a command reads: --max-points and -o always, the others on request."""
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+    if threads:
+        p.add_argument("--threads", type=int, default=1, help="worker thread bound (results unchanged)")
+    p.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS, help="point allocation cap")
+    if pairs:
+        p.add_argument("--max-pairs", type=int, default=10_000_000_000, help="pair evaluation cap")
     p.add_argument("-o", "--output", help="output file (default stdout); relative paths honor $" + OUTDIR_ENV)
 
 
@@ -169,10 +185,7 @@ def _cantor_spec_from_args(args) -> CantorSpec:
     if args.spec_json:
         with open(_resolve(args.spec_json), "r", encoding="utf-8") as f:
             doc = json.load(f)
-        factors = tuple(
-            CantorFactor(int(f["m"]), int(f["n"]), tuple(f.get("kept") or ()))
-            for f in doc["factors"]
-        )
+        factors = tuple(_factor_from_json(f) for f in doc["factors"])
         return CantorSpec(factors, int(doc["level"]))
     if args.m is None or args.n is None or args.level is None:
         raise SystemExit(_usage_error("cantor generation needs --m, --n and --level"))
@@ -189,24 +202,21 @@ def _usage_error(msg: str) -> int:
 
 def _generate(args) -> PointCloud:
     kind = args.gen
-    cap = args.max_points
     if kind == "grid1d":
         if args.n is None:
             raise SystemExit(_usage_error("grid1d needs --n"))
-        if args.n > cap:
-            raise SizeCapExceeded(f"grid1d of {args.n} points exceeds the cap {cap}")
+        _check_points(args, args.n)
         return grid_1d(args.n)
     if kind == "lattice":
         if args.d is None or args.k is None:
             raise SystemExit(_usage_error("lattice needs --d and --k"))
-        return lattice(args.d, args.k, max_points=cap)
+        return lattice(args.d, args.k, max_points=args.max_points)
     if kind == "cantor":
-        return cantor_points(_cantor_spec_from_args(args), max_points=cap)
+        return cantor_points(_cantor_spec_from_args(args), max_points=args.max_points)
     if kind == "semicircle":
         if args.phases is None or args.per_phase is None:
             raise SystemExit(_usage_error("semicircle needs --phases and --per-phase"))
-        if args.phases * args.per_phase > cap:
-            raise SizeCapExceeded("semicircle budget exceeds the point cap")
+        _check_points(args, args.phases * args.per_phase)
         return semicircle_phase_points(args.phases, args.per_phase)
     if kind == "energy-seq":
         if args.spec_json:
@@ -231,10 +241,7 @@ def _generate(args) -> PointCloud:
 def _load_cloud(args) -> PointCloud:
     if getattr(args, "input", None):
         cloud = read_csv(_resolve(args.input))
-        if cloud.n > args.max_points:
-            raise SizeCapExceeded(
-                f"input holds {cloud.n} points, cap is {args.max_points}"
-            )
+        _check_points(args, cloud.n)
         return cloud
     if getattr(args, "gen", None):
         return _generate(args)
@@ -279,7 +286,9 @@ def _measure_from_args(args):
     if kind == "empirical":
         if not args.points:
             raise SystemExit(_usage_error("empirical measure needs --points CSV"))
-        return Empirical(read_csv(_resolve(args.points)))
+        cloud = read_csv(_resolve(args.points))
+        _check_points(args, cloud.n)
+        return Empirical(cloud)
     raise SystemExit(_usage_error("provide --measure or --measure-json"))
 
 
@@ -290,8 +299,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.count > args.max_points:
-        raise SizeCapExceeded(f"{args.count} points exceed the cap {args.max_points}")
+    _check_points(args, args.count)
     measure = _measure_from_args(args)
     cloud, info = sample_detail(measure, args.count, args.seed)
     payload = {
@@ -383,6 +391,7 @@ def _cmd_dim(args) -> int:
                 n_grid.append(v)
                 v *= 2
             n_grid.append(args.n)
+        _check_points(args, max(n_grid))
         _check_pairs(args, max(n_grid))
 
         def profile(s_list, ns):
@@ -411,6 +420,7 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_varscan(args) -> int:
+    _check_points(args, args.n)
     _check_pairs(args, args.n, reps=args.reps)
     measure = _measure_from_args(args)
     scores = variance_blowup_scan(
@@ -445,6 +455,7 @@ def _write_per_rep_csv(path, report) -> None:
 
 
 def _cmd_lln_mean(args) -> int:
+    _check_points(args, args.n)
     _check_pairs(args, args.n, reps=args.reps)
     measure = _measure_from_args(args)
     oracle = "auto" if args.oracle is None else args.oracle
@@ -461,6 +472,7 @@ def _cmd_lln_mean(args) -> int:
 
 def _cmd_lln_weak(args) -> int:
     n_grid = _parse_list(args.n_grid, int)
+    _check_points(args, max(n_grid, default=0))
     _check_pairs(args, *n_grid, reps=args.reps)
     measure = _measure_from_args(args)
     report = wlln_exceedance(
@@ -481,6 +493,7 @@ def _cmd_lln_weak(args) -> int:
 def _cmd_lln_path(args) -> int:
     if args.tail < 0:
         raise ValueError("--tail must be >= 0")
+    _check_points(args, args.n_max)
     _check_pairs(args, args.n_max)
     measure = _measure_from_args(args)
     path = slln_path(measure, args.s, args.n_max, args.seed, threads=args.threads)
@@ -590,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a generated point cloud as CSV")
-    _add_common(p)
+    _add_common(p, seed=False, threads=False, pairs=False)
     _add_gen_args(p)
     p.add_argument("--json", help="also write a JSON result envelope here")
     p.set_defaults(func=_cmd_gen)
@@ -601,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
         "pairwise distances to the power s; --s-grid/--n-grid for a prefix "
         "profile, --cutoff-radius for the smoothly truncated variant",
     )
-    _add_common(p)
+    _add_common(p, seed=False, threads=True, pairs=True)
     _add_gen_args(p)
     p.add_argument("--input", help="point CSV file")
     p.add_argument("--s-grid", help="comma-separated exponents (profile mode)")
@@ -614,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="dimension estimate: largest exponent whose prefix-energy "
         "log-log growth stays at or below the threshold",
     )
-    _add_common(p)
+    _add_common(p, seed=False, threads=True, pairs=True)
     _add_gen_args(p)
     p.add_argument("--input", help="point CSV file")
     p.add_argument("--s-min", type=float, default=0.1)
@@ -631,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
         "the score is >= 1, and once the energy at twice the exponent diverges "
         "(s > d/2) its excess over 1 grows with the replicate count",
     )
-    _add_common(p)
+    _add_common(p, seed=True, threads=True, pairs=True)
     _add_measure_args(p)
     p.add_argument("--s-grid", required=True, help="comma-separated exponents")
     p.add_argument("--n", type=int, required=True, help="cloud size per replicate")
@@ -640,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_varscan)
 
     p = sub.add_parser("sample", help="draw an IID cloud from a measure, as CSV")
-    _add_common(p)
+    _add_common(p, seed=True, threads=False, pairs=False)
     _add_measure_args(p)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--json", help="also write a JSON result envelope here")
@@ -651,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replicate mean of J_s against the reference energy (the sample "
         "energy is unbiased for the measure energy at every n)",
     )
-    _add_common(p)
+    _add_common(p, seed=True, threads=True, pairs=True)
     _add_measure_args(p)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -666,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exceedance rates of |J_s - I_s| > eps per sample size "
         "(weak-law check: rates fall as n grows)",
     )
-    _add_common(p)
+    _add_common(p, seed=True, threads=True, pairs=True)
     _add_measure_args(p)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
@@ -680,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="one growing sample path with incremental running energies "
         "(strong-law check: tail deviations die out)",
     )
-    _add_common(p)
+    _add_common(p, seed=True, threads=True, pairs=True)
     _add_measure_args(p)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--n-max", type=int, required=True)
@@ -693,14 +706,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="ball-measure energy: numeric integration against the "
         "closed-form prediction ((n-1)/n J_s plus the ball constant)",
     )
-    _add_common(p)
+    _add_common(p, seed=True, threads=True, pairs=True)
     _add_gen_args(p)
     p.add_argument("--input", help="point CSV file")
     p.add_argument("--c", type=float, required=True, help="ball radius scale")
     p.set_defaults(func=_cmd_ballcheck)
 
     p = sub.add_parser("distset", help="distinct pairwise distances of a cloud")
-    _add_common(p)
+    # ignores --threads, which perfbench passes to every workload
+    _add_common(p, seed=False, threads=True, pairs=True)
     _add_gen_args(p)
     p.add_argument("--input", help="point CSV file")
     p.add_argument("--quantization", help="'exact', 'auto', or a grid step")
@@ -708,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_distset)
 
     p = sub.add_parser("dotset", help="distinct pairwise dot products (ordered pairs)")
-    _add_common(p)
+    _add_common(p, seed=False, threads=False, pairs=True)
     _add_gen_args(p)
     p.add_argument("--input", help="point CSV file")
     p.add_argument("--quantization", help="dedup grid step")
@@ -720,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="distinct-distance count against n^(1/s0) thresholds "
         "(observational growth report)",
     )
-    _add_common(p)
+    _add_common(p, seed=False, threads=False, pairs=True)
     _add_gen_args(p)
     p.add_argument("--input", help="point CSV file")
     p.add_argument("--exponents", help="comma-separated thresholds s0")

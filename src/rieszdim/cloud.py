@@ -157,12 +157,19 @@ def _scaled_differences(a: np.ndarray, b: np.ndarray):
     ``top`` is the largest magnitude of a difference and ``q`` the sum of
     the squared differences rescaled by it, so 1 <= q <= d: neither
     underflows nor overflows, whatever the scale of the distance. ``top``
-    is 0 only where the points coincide.
+    is 0 only where the points coincide. A row whose difference overflows
+    takes the difference of its halved coordinates and 4q instead, so
+    4 <= q <= 4d there; every other row keeps its bits.
     """
-    diff = a - b
+    with np.errstate(over="ignore"):
+        diff = a - b
+    wide = ~np.isfinite(diff).all(axis=1)
+    diff[wide] = a[wide] / 2.0 - b[wide] / 2.0
     top = np.abs(diff).max(axis=1)
     scale = np.where(top > 0.0, top, 1.0)
-    return top, np.square(diff / scale[:, None]).sum(axis=1)
+    q = np.square(diff / scale[:, None]).sum(axis=1)
+    q[wide] *= 4.0
+    return top, q
 
 
 def _distances(d2, a, b, mask=None, *, log=False):
@@ -173,8 +180,9 @@ def _distances(d2, a, b, mask=None, *, log=False):
     the smallest normal double has lost bits to underflow (it is 0 for
     distances below about 1.5e-162), and one equal to inf has overflowed
     (distances above about 1.3e154). Those pairs are rebuilt from
-    :func:`_scaled_differences`, as top * sqrt(q) or 2 log(top) + log(q).
-    Raises DuplicatePoints where top is 0.
+    :func:`_scaled_differences`, as top * sqrt(q) or 2 log(top) + log(q);
+    a distance past the largest double is inf. Raises DuplicatePoints where
+    top is 0.
     """
     root = np.log if log else np.sqrt
     if d2.min() >= _NORMAL_MIN and d2.max() < math.inf:
@@ -186,7 +194,8 @@ def _distances(d2, a, b, mask=None, *, log=False):
         raise DuplicatePoints("coinciding points encountered in a pair pass")
     d2[lost] = 1.0  # in range: the pass below takes no log of 0
     root(d2, out=d2)
-    d2[lost] = 2.0 * np.log(top) + np.log(q) if log else top * np.sqrt(q)
+    with np.errstate(over="ignore"):
+        d2[lost] = 2.0 * np.log(top) + np.log(q) if log else top * np.sqrt(q)
     return d2
 
 

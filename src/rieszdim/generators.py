@@ -102,6 +102,19 @@ class CantorFactor:
             raise ValueError("kept indices must lie in [0, n)")
 
 
+def _factor_tuple(factors) -> tuple:
+    """``factors`` as a non-empty tuple of CantorFactor; other entries are (m, n[, kept])."""
+    factors = tuple(f if isinstance(f, CantorFactor) else CantorFactor(*f) for f in factors)
+    if not factors:
+        raise ValueError("at least one factor required")
+    return factors
+
+
+def _factor_from_json(doc: dict) -> CantorFactor:
+    """A factor from its JSON form ``{"m": m, "n": n, "kept": [...]}``; kept is optional."""
+    return CantorFactor(int(doc["m"]), int(doc["n"]), tuple(doc.get("kept") or ()))
+
+
 def spread_kept(m: int, n: int) -> tuple:
     """Evenly spread kept indices including both ends (middle-thirds style)."""
     if m == 1:
@@ -117,13 +130,7 @@ class CantorSpec:
     level: int
 
     def __post_init__(self):
-        factors = tuple(
-            f if isinstance(f, CantorFactor) else CantorFactor(*f)
-            for f in self.factors
-        )
-        object.__setattr__(self, "factors", factors)
-        if not factors:
-            raise ValueError("at least one factor required")
+        object.__setattr__(self, "factors", _factor_tuple(self.factors))
         if self.level < 1:
             raise ValueError("level must be >= 1")
 

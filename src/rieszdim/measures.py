@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedDimension,
     UnsupportedVariant,
 )
-from .generators import CantorFactor
+from .generators import CantorFactor, _factor_from_json, _factor_tuple
 from .rng import stream
 
 __all__ = [
@@ -92,13 +92,7 @@ class CantorProduct:
     depth: Optional[int] = None
 
     def __post_init__(self):
-        factors = tuple(
-            f if isinstance(f, CantorFactor) else CantorFactor(*f)
-            for f in self.factors
-        )
-        object.__setattr__(self, "factors", factors)
-        if not factors:
-            raise ValueError("at least one factor required")
+        object.__setattr__(self, "factors", _factor_tuple(self.factors))
         if self.depth is not None and self.depth < 1:
             raise ValueError("depth must be >= 1")
 
@@ -514,10 +508,7 @@ def measure_from_json(doc: dict) -> MeasureSpec:
     if tag == "uniform-circle":
         return UniformCircle()
     if tag == "cantor-product":
-        factors = tuple(
-            CantorFactor(int(f["m"]), int(f["n"]), tuple(f.get("kept") or ()))
-            for f in doc["factors"]
-        )
+        factors = tuple(_factor_from_json(f) for f in doc["factors"])
         depth = doc.get("depth")
         return CantorProduct(factors, None if depth is None else int(depth))
     if tag == "rotating-semicircle":

@@ -65,6 +65,11 @@ class ValueSet:
 _EXACT_D2_MAX = 2**51
 
 
+def _half_spans(pts: np.ndarray) -> np.ndarray:
+    """Half the coordinate spans, from the halved extremes: finite for any finite cloud."""
+    return pts.max(axis=0) / 2.0 - pts.min(axis=0) / 2.0
+
+
 def _exact_mode_fits(pts: np.ndarray) -> bool:
     """Integer coordinates whose squared distances stay within _EXACT_D2_MAX.
 
@@ -74,9 +79,12 @@ def _exact_mode_fits(pts: np.ndarray) -> bool:
     """
     if not np.all(pts == np.rint(pts)):
         return False
-    span = pts.max(axis=0) - pts.min(axis=0)
+    half = _half_spans(pts)
     # a span past the bound fails it; tested first, the others square without overflow
-    return bool(np.all(span <= _EXACT_D2_MAX)) and float(np.sum(span * span)) <= _EXACT_D2_MAX
+    return (
+        bool(np.all(half <= _EXACT_D2_MAX / 2))
+        and 4.0 * float(np.sum(half * half)) <= _EXACT_D2_MAX
+    )
 
 
 # Grid keys rint(v / step) of 2^53 or more are beyond float resolution: past
@@ -191,7 +199,7 @@ def distance_set(cloud: PointCloud, quantization="auto") -> ValueSet:
         step = 1e-9 * cloud.diameter()
     else:
         step = float(quantization)
-    _check_step(step, math.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
+    _check_step(step, 2.0 * math.hypot(*_half_spans(pts)))  # inf past the largest double
     values = _dedup_tiles(_pair_distances(pts), pairs, step)
     return ValueSet("distance", values, step, values.size)
 

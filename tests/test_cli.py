@@ -314,6 +314,107 @@ def test_monte_carlo_commands_enforce_pair_cap(capsys, argv, pairs):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv, points",
+    [
+        # the largest cloud a command allocates, checked before any work
+        (["varscan", "--s-grid", "0.3", "--n", "40", "--reps", "50"], 40),
+        (["lln-mean", "--s", "0.5", "--n", "50", "--reps", "30", "--no-oracle"], 50),
+        (["lln-weak", "--s", "0.3", "--eps", "0.5", "--n-grid", "20,40,80", "--reps", "30"], 80),
+        (["lln-path", "--s", "0.4", "--n-max", "120"], 120),
+        (["dim", "--gen", "grid1d", "--n", "64"], 64),
+        # the grid family holds the grids of --n-grid, not of --n
+        (["dim", "--gen", "grid1d", "--n", "64", "--n-grid", "8,16,32,128"], 128),
+    ],
+)
+def test_commands_enforce_point_cap(capsys, argv, points):
+    if argv[0] != "dim":
+        argv = argv + ["--measure", "cube", "--dim", "1", "--seed", "2"]
+    code, out, err = run_cli(argv + ["--max-points", str(points - 1)], capsys)
+    assert code == 1
+    assert "SizeCapExceeded" in err
+    assert out == ""
+    code, _, _ = run_cli(argv + ["--max-points", str(points)], capsys)
+    assert code == 0
+
+
+def test_empirical_measure_enforces_point_cap(capsys, tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text("# dim=1\n0\n0.5\n1\n")
+    argv = ["sample", "--measure", "empirical", "--points", str(path), "--count", "2"]
+    code, out, err = run_cli(argv + ["--max-points", "2"], capsys)
+    assert code == 1
+    assert "SizeCapExceeded" in err
+    assert out == ""
+    code, _, _ = run_cli(argv + ["--max-points", "3"], capsys)
+    assert code == 0
+
+
+# which of the four common flags each subcommand reads; distset ignores
+# --threads, which perfbench passes to every workload
+COMMON_FLAGS = {
+    "gen": {"--max-points"},
+    "energy": {"--threads", "--max-points", "--max-pairs"},
+    "dim": {"--threads", "--max-points", "--max-pairs"},
+    "varscan": {"--seed", "--threads", "--max-points", "--max-pairs"},
+    "sample": {"--seed", "--max-points"},
+    "lln-mean": {"--seed", "--threads", "--max-points", "--max-pairs"},
+    "lln-weak": {"--seed", "--threads", "--max-points", "--max-pairs"},
+    "lln-path": {"--seed", "--threads", "--max-points", "--max-pairs"},
+    "ballcheck": {"--seed", "--threads", "--max-points", "--max-pairs"},
+    "distset": {"--threads", "--max-points", "--max-pairs"},
+    "dotset": {"--max-points", "--max-pairs"},
+    "erdos": {"--max-points", "--max-pairs"},
+}
+
+
+def test_each_subcommand_takes_only_the_common_flags_it_reads():
+    import argparse
+
+    from rieszdim.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    common = {"--seed", "--threads", "--max-points", "--max-pairs"}
+    taken = {
+        name: {o for a in p._actions for o in a.option_strings} & common
+        for name, p in sub.choices.items()
+    }
+    assert taken == COMMON_FLAGS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "--gen", "grid1d", "--n", "64", "--seed", "1"],
+        ["energy", "--gen", "grid1d", "--n", "8", "--s", "0.5", "--seed", "1"],
+        ["dotset", "--gen", "grid1d", "--n", "8", "--threads", "2"],
+        ["erdos", "--gen", "grid1d", "--n", "8", "--threads", "2"],
+        ["sample", "--measure", "cube", "--count", "3", "--threads", "2"],
+        ["gen", "--gen", "grid1d", "--n", "8", "--max-pairs", "5"],
+    ],
+)
+def test_deleted_common_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_benchmark_command_lines_parse():
+    # a deleted flag would fail every benchmark run; workloads.py imports no numpy
+    import runpy
+    from pathlib import Path
+
+    from rieszdim.cli import build_parser
+
+    bench = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+    parser = build_parser()
+    for name, workload in bench["WORKLOADS"].items():
+        for size in bench["SIZES"][name].values():
+            args = parser.parse_args(workload.argv(size, 7, "cloud.csv"))
+            assert args.threads == bench["THREADS"]
+
+
 def test_distset_exact_mode_out_of_range_is_usage_error(capsys, tmp_path):
     path = tmp_path / "far.csv"
     big = 2**25

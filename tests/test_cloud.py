@@ -91,6 +91,16 @@ def test_diameter_and_min_gap_where_the_squares_overflow():
     assert c.min_gap() == 1e200
 
 
+def test_diameter_and_min_gap_where_a_difference_overflows():
+    # 1e308 - (-1e308) is past the largest double: the diameter is inf, not nan
+    c = rd.PointCloud([[-1e308], [1e308], [0.0]])
+    assert c.diameter() == math.inf
+    assert c.min_gap() == 1e308
+    # only the overflowing row is halved: a subnormal gap keeps its bits
+    c2 = rd.PointCloud([[-1e308], [1e308], [0.0], [5e-324]])
+    assert c2.min_gap() == 5e-324
+
+
 def test_diameter_below_the_square_underflow():
     assert rd.PointCloud([[0.0], [1e-300]]).diameter() == 1e-300
     c = rd.PointCloud([[0.0, 0.0], [3e-300, 4e-300]])

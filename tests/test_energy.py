@@ -412,6 +412,19 @@ def test_pair_sums_where_the_squares_overflow():
     assert pot == pytest.approx((2e200**-0.5 + 2.0 * 1e200**-0.5) / 3.0, rel=rel)
 
 
+def test_pair_sums_where_a_difference_overflows():
+    # 1e308 - (-1e308) overflows; read as inf / inf it would make J nan
+    c = rd.PointCloud([[-1e308], [1e308], [0.0]])
+    far = 1e-154 / math.sqrt(2.0)  # (2e308)^-0.5
+    want = (2e-154 + far) / 3.0
+    rel = 1e-14
+    assert rd.discrete_energy(c, 0.5) == pytest.approx(want, rel=rel)
+    prof = rd.energy_profile(c, [0.5], [2, 3])
+    assert prof.values[0].tolist() == pytest.approx([far, want], rel=rel)
+    # a radius far below every gap leaves the cutoff fully open: (n-1)/n J
+    assert rd.truncated_energy(c, 0.5, 1e290) == pytest.approx(2.0 / 3.0 * want, rel=rel)
+
+
 def test_pair_sums_at_a_gap_whose_square_is_subnormal():
     # g^2 is subnormal, not 0: it keeps only its leading bits
     g = 1.23456789e-161

@@ -116,6 +116,15 @@ def test_distance_set_where_the_squares_overflow():
     assert vs.values.tolist() == [1e200, 2e200, 3e200]
 
 
+def test_distance_set_where_a_difference_overflows():
+    # the diameter 2e308 is inf, so no grid step resolves it; the spans are
+    # bounded without overflow, and every mode refuses the cloud
+    c = rd.PointCloud([[-1e308], [1e308], [0.0]])
+    for quantization in ("auto", "exact", 1.0):
+        with pytest.raises(ValueError):
+            rd.distance_set(c, quantization)
+
+
 def test_distance_set_auto_step_below_the_square_underflow():
     vs = rd.distance_set(rd.PointCloud([[0.0], [1e-300]]))
     assert vs.values.tolist() == [1e-300]
