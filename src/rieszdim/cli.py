@@ -9,6 +9,10 @@ is allocated) and ``-o`` everywhere, ``--max-pairs`` where pairs are
 computed, ``--seed`` on the stochastic commands, and ``--threads`` where the
 pair engine runs (``distset`` accepts it and ignores it). Exit codes:
 0 success, 1 domain error (the error class name goes to stderr), 2 usage.
+
+Each command imports the library modules it runs when it runs, so a call
+pays start-up only for those: ``--version`` loads none, ``distset`` loads
+``cloud`` and ``sets``.
 """
 
 from __future__ import annotations
@@ -20,51 +24,16 @@ import math
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .cloud import PointCloud, dumps_csv, read_csv
-from .energy import (
-    discrete_energy,
-    energy_profile,
-    profile_from_family,
-    truncated_energy,
-)
-from .errors import NonFiniteResult, RieszdimError, SizeCapExceeded
-from .estimator import (
-    default_window,
-    dimension_estimate,
-    variance_blowup_scan,
-)
-from .generators import (
-    DEFAULT_MAX_POINTS,
-    CantorFactor,
-    CantorSpec,
-    EnergyTargetSpec,
-    _factor_from_json,
-    cantor_points,
-    cantor_prefix_sizes,
-    energy_sequence_points,
-    grid_1d,
-    lattice,
-    semicircle_phase_points,
-)
-from .measures import (
-    BallMeasureParams,
-    CantorProduct,
-    Empirical,
-    RotatingSemicircle,
-    UniformCircle,
-    UniformCube,
-    ball_energy_numeric,
-    ball_energy_predicted,
-    measure_from_json,
-    measure_to_json,
-    sample_detail,
-)
-from .sets import distance_set, dot_product_set, erdos_report
-from .stats import expectation_experiment, slln_path, wlln_exceedance
+from .errors import DEFAULT_MAX_POINTS, NonFiniteResult, RieszdimError, SizeCapExceeded
+
+if TYPE_CHECKING:
+    from .cloud import PointCloud
+    from .generators import CantorSpec
 
 SCHEMA_VERSION = 1
 OUTDIR_ENV = "RIESZDIM_OUT"
@@ -178,10 +147,12 @@ def _add_gen_args(p):
     g.add_argument("--per-phase", type=int, help="semicircle points per phase (even)")
     g.add_argument("--s", type=float, help="exponent (energy-seq target exponent)")
     g.add_argument("--targets", help="comma-separated energy targets (energy-seq)")
-    g.add_argument("--tolerance", type=float, default=1e-6, help="relative target tolerance")
+    g.add_argument("--tolerance", type=float, help="relative target tolerance (energy-seq, default 1e-6)")
 
 
 def _cantor_spec_from_args(args) -> CantorSpec:
+    from .generators import CantorFactor, CantorSpec, _factor_from_json
+
     if args.spec_json:
         with open(_resolve(args.spec_json), "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -201,6 +172,15 @@ def _usage_error(msg: str) -> int:
 
 
 def _generate(args) -> PointCloud:
+    from .generators import (
+        EnergyTargetSpec,
+        cantor_points,
+        energy_sequence_points,
+        grid_1d,
+        lattice,
+        semicircle_phase_points,
+    )
+
     kind = args.gen
     if kind == "grid1d":
         if args.n is None:
@@ -222,24 +202,24 @@ def _generate(args) -> PointCloud:
         if args.spec_json:
             with open(_resolve(args.spec_json), "r", encoding="utf-8") as f:
                 doc = json.load(f)
-            spec = EnergyTargetSpec(
-                float(doc["s"]),
-                tuple(float(e) for e in doc["targets"]),
-                float(doc.get("tolerance", args.tolerance)),
-            )
+            s, targets = float(doc["s"]), doc["targets"]
+            tolerance = doc.get("tolerance", args.tolerance)
         elif args.s is None or not args.targets:
             raise SystemExit(_usage_error("energy-seq needs --s and --targets"))
         else:
-            spec = EnergyTargetSpec(
-                args.s, tuple(_parse_list(args.targets, float)), args.tolerance
-            )
-        cloud, _ = energy_sequence_points(spec, args.d or 1)
+            s, targets, tolerance = args.s, _parse_list(args.targets, float), args.tolerance
+        # without a tolerance the spec keeps its own default
+        extra = {} if tolerance is None else {"tolerance": float(tolerance)}
+        spec = EnergyTargetSpec(s, targets, **extra)
+        cloud, _ = energy_sequence_points(spec, args.d or 1, max_points=args.max_points)
         return cloud
     raise SystemExit(_usage_error("no generator selected (--gen)"))
 
 
 def _load_cloud(args) -> PointCloud:
     if getattr(args, "input", None):
+        from .cloud import read_csv
+
         cloud = read_csv(_resolve(args.input))
         _check_points(args, cloud.n)
         return cloud
@@ -267,6 +247,15 @@ def _add_measure_args(p):
 
 
 def _measure_from_args(args):
+    from .measures import (
+        CantorProduct,
+        Empirical,
+        RotatingSemicircle,
+        UniformCircle,
+        UniformCube,
+        measure_from_json,
+    )
+
     if args.measure_json:
         with open(_resolve(args.measure_json), "r", encoding="utf-8") as f:
             return measure_from_json(json.load(f))
@@ -278,6 +267,8 @@ def _measure_from_args(args):
     if kind == "cantor":
         if args.m is None or args.n_base is None:
             raise SystemExit(_usage_error("cantor measure needs --m and --n-base"))
+        from .generators import CantorFactor
+
         kept = tuple(_parse_list(args.kept, int)) if args.kept else ()
         factor = CantorFactor(args.m, args.n_base, kept)
         return CantorProduct((factor,) * args.factor_dim, args.depth)
@@ -286,6 +277,8 @@ def _measure_from_args(args):
     if kind == "empirical":
         if not args.points:
             raise SystemExit(_usage_error("empirical measure needs --points CSV"))
+        from .cloud import read_csv
+
         cloud = read_csv(_resolve(args.points))
         _check_points(args, cloud.n)
         return Empirical(cloud)
@@ -293,12 +286,17 @@ def _measure_from_args(args):
 
 
 def _cmd_gen(args) -> int:
+    from .cloud import dumps_csv
+
     cloud = _generate(args)
     _emit_table(args, dumps_csv(cloud), {"points": cloud.n, "dim": cloud.dim})
     return 0
 
 
 def _cmd_sample(args) -> int:
+    from .cloud import dumps_csv
+    from .measures import measure_to_json, sample_detail
+
     _check_points(args, args.count)
     measure = _measure_from_args(args)
     cloud, info = sample_detail(measure, args.count, args.seed)
@@ -314,6 +312,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_energy(args) -> int:
+    from .energy import discrete_energy, energy_profile, truncated_energy
+
     cloud = _load_cloud(args)
     _check_pairs(args, cloud.n)
     if args.s_grid and args.n_grid:
@@ -360,6 +360,8 @@ def _auto_n_grid(args, cloud: PointCloud):
     if args.n_grid:
         return _parse_list(args.n_grid, int)
     if getattr(args, "gen", None) == "cantor":
+        from .generators import cantor_prefix_sizes
+
         sizes = [s for s in cantor_prefix_sizes(_cantor_spec_from_args(args)) if s >= 4]
         return sizes
     if getattr(args, "gen", None) == "lattice":
@@ -375,10 +377,15 @@ def _auto_n_grid(args, cloud: PointCloud):
 
 
 def _cmd_dim(args) -> int:
+    from .energy import energy_profile, profile_from_family
+    from .estimator import default_window, dimension_estimate
+
     if not args.s_step > 0:
         raise ValueError("--s-step must be positive")
     s_grid = [round(s, 10) for s in np.arange(args.s_min, args.s_max + 1e-9, args.s_step)]
     if getattr(args, "gen", None) == "grid1d":
+        from .generators import grid_1d
+
         # Grid members are rescaled per n, not prefixes of one sequence;
         # profile the family of whole grids instead.
         if args.n is None:
@@ -420,6 +427,9 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_varscan(args) -> int:
+    from .estimator import variance_blowup_scan
+    from .measures import measure_to_json
+
     _check_points(args, args.n)
     _check_pairs(args, args.n, reps=args.reps)
     measure = _measure_from_args(args)
@@ -455,6 +465,8 @@ def _write_per_rep_csv(path, report) -> None:
 
 
 def _cmd_lln_mean(args) -> int:
+    from .stats import expectation_experiment
+
     _check_points(args, args.n)
     _check_pairs(args, args.n, reps=args.reps)
     measure = _measure_from_args(args)
@@ -471,6 +483,8 @@ def _cmd_lln_mean(args) -> int:
 
 
 def _cmd_lln_weak(args) -> int:
+    from .stats import wlln_exceedance
+
     n_grid = _parse_list(args.n_grid, int)
     _check_points(args, max(n_grid, default=0))
     _check_pairs(args, *n_grid, reps=args.reps)
@@ -491,6 +505,9 @@ def _cmd_lln_weak(args) -> int:
 
 
 def _cmd_lln_path(args) -> int:
+    from .measures import measure_to_json
+    from .stats import slln_path
+
     if args.tail < 0:
         raise ValueError("--tail must be >= 0")
     _check_points(args, args.n_max)
@@ -514,6 +531,8 @@ def _cmd_lln_path(args) -> int:
 
 
 def _cmd_ballcheck(args) -> int:
+    from .measures import BallMeasureParams, ball_energy_numeric, ball_energy_predicted
+
     cloud = _load_cloud(args)
     _check_pairs(args, cloud.n)
     params = BallMeasureParams(args.s, args.c, cloud.n)
@@ -549,6 +568,8 @@ def _cmd_ballcheck(args) -> int:
 
 
 def _cmd_distset(args) -> int:
+    from .sets import distance_set
+
     cloud = _load_cloud(args)
     _check_pairs(args, cloud.n)
     quant = args.quantization
@@ -564,6 +585,8 @@ def _cmd_distset(args) -> int:
 
 
 def _cmd_dotset(args) -> int:
+    from .sets import dot_product_set
+
     cloud = _load_cloud(args)
     _check_pairs(args, cloud.n + 1)  # pairs i <= j: n(n+1)/2, self-pairs included
     quant = float(args.quantization) if args.quantization else None
@@ -575,6 +598,8 @@ def _cmd_dotset(args) -> int:
 
 
 def _cmd_erdos(args) -> int:
+    from .sets import erdos_report
+
     cloud = _load_cloud(args)
     _check_pairs(args, cloud.n)
     exps = _parse_list(args.exponents, float) if args.exponents else None

@@ -1,4 +1,6 @@
-"""Domain error types shared across the package."""
+"""Domain error types shared across the package, and the default point cap."""
+
+DEFAULT_MAX_POINTS = 100_000  # point allocation cap of generators and the CLI
 
 
 class RieszdimError(Exception):

@@ -10,15 +10,16 @@ by one midpoint bisection between the bracketing grid exponents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .cloud import PointCloud
 from .energy import EnergyProfile, energy_profile
 from .errors import NoTransition, WindowTooSmall
-from .measures import MeasureSpec
-from .stats import replicate_energies
+
+if TYPE_CHECKING:
+    from .measures import MeasureSpec
 
 __all__ = [
     "DimensionEstimate",
@@ -171,6 +172,8 @@ def variance_blowup_scan(
     only, no classification. Replicates are dealt to ``threads`` workers;
     the scores are bit-identical at any thread count.
     """
+    from .stats import replicate_energies  # loads measures: only this scan samples
+
     if reps < 50:
         raise ValueError("need reps >= 50")
     s_grid = [float(s) for s in s_grid]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .energy import discrete_energy, riesz_potential_discrete
-from .errors import SizeCapExceeded, TargetUnreachable
+from .errors import DEFAULT_MAX_POINTS, SizeCapExceeded, TargetUnreachable
 
 __all__ = [
     "CantorFactor",
@@ -33,8 +33,6 @@ __all__ = [
     "energy_sequence_points",
     "spread_kept",
 ]
-
-DEFAULT_MAX_POINTS = 100_000
 
 # Kronecker rotation constants for the circle fillings: golden ratio
 # conjugate for the full circle, sqrt(2)-1 for the semicircle stream.
@@ -330,7 +328,9 @@ def _direction(d: int, index: int) -> np.ndarray:
     return u
 
 
-def energy_sequence_points(spec: EnergyTargetSpec, d: int):
+def energy_sequence_points(
+    spec: EnergyTargetSpec, d: int, *, max_points: int = DEFAULT_MAX_POINTS
+):
     """Build a sequence whose prefix energies hit the given targets.
 
     Inductive construction: x_1 at the origin, x_2 at distance e_1^{-1/s}.
@@ -339,15 +339,23 @@ def energy_sequence_points(spec: EnergyTargetSpec, d: int):
     placed on a fresh segment toward x_1 and located by bracketing plus
     bisection, using the intermediate value of J along the segment. Each
     candidate is scored in O(n) from the current J and its potential; each
-    appended point takes one full energy. Returns (cloud, checkpoints) where
-    checkpoints list (prefix size, achieved J).
+    appended point takes one full energy. The point count is known only as
+    the construction goes, so a point that would pass ``max_points`` raises
+    SizeCapExceeded before it is searched for. Returns (cloud, checkpoints)
+    where checkpoints list (prefix size, achieved J).
     """
     if d < 1:
         raise ValueError("ambient dimension must be >= 1")
     if spec.s > d:
         raise ValueError("exponent must satisfy 0 < s <= d")
+
+    def check_cap(count):
+        if count > max_points:
+            raise SizeCapExceeded(f"energy sequence would hold more than {max_points} points")
+
     s = spec.s
     tol = spec.tolerance
+    check_cap(2)
     pts = [np.zeros(d)]
     pts.append(pts[0] + spec.targets[0] ** (-1.0 / s) * _direction(d, 0))
     cur = _energy(pts, s)
@@ -358,10 +366,12 @@ def energy_sequence_points(spec: EnergyTargetSpec, d: int):
         # Decay loop: append far points while even the far limit cannot
         # drop below the target.
         while (n - 1) / (n + 1) * cur >= e_next:
+            check_cap(n + 1)
             pts.append(_far_point(pts, cur, s, dir_index))
             dir_index += 1
             n = len(pts)
             cur = _energy(pts, s)
+        check_cap(len(pts) + 1)
         pts.append(_slide_point(pts, cur, s, e_next, dir_index, tol))
         dir_index += 1
         cur = _energy(pts, s)

@@ -88,11 +88,11 @@ def test_overflowed_energy_is_written_as_null(capsys, tmp_path):
 
 
 def test_envelope_refuses_nan(monkeypatch, capsys, tmp_path):
-    import rieszdim.cli as cli_mod
+    import rieszdim.energy as energy_mod
 
     path = tmp_path / "two.csv"
     path.write_text("0\n0.5\n")
-    monkeypatch.setattr(cli_mod, "discrete_energy", lambda *a, **k: float("nan"))
+    monkeypatch.setattr(energy_mod, "discrete_energy", lambda *a, **k: float("nan"))
     code, out, err = run_cli(["energy", "--input", str(path), "--s", "1"], capsys)
     assert code == 1  # a NaN result is a domain error, not a usage error
     assert out == ""
@@ -100,10 +100,10 @@ def test_envelope_refuses_nan(monkeypatch, capsys, tmp_path):
 
 
 def test_nan_envelope_leaves_no_csv_behind(monkeypatch, capsys, tmp_path):
-    import rieszdim.cli as cli_mod
+    import rieszdim.estimator as estimator_mod
 
     monkeypatch.setattr(
-        cli_mod, "variance_blowup_scan", lambda *a, **k: [(0.5, 1.0), (1.5, float("nan"))]
+        estimator_mod, "variance_blowup_scan", lambda *a, **k: [(0.5, 1.0), (1.5, float("nan"))]
     )
     table, doc = tmp_path / "scan.csv", tmp_path / "scan.json"
     argv = ["varscan", "--measure", "cube", "--dim", "1", "--s-grid", "0.5,1.5",
@@ -350,6 +350,19 @@ def test_empirical_measure_enforces_point_cap(capsys, tmp_path):
     assert code == 0
 
 
+def test_energy_seq_enforces_point_cap(capsys):
+    # the 5 -> 0.05 drop at s = 1 takes 15 points
+    argv = ["gen", "--gen", "energy-seq", "--s", "1", "--targets", "5,0.05"]
+    for cap in ("10", "14"):
+        code, out, err = run_cli(argv + ["--max-points", cap], capsys)
+        assert code == 1
+        assert out == ""
+        assert "SizeCapExceeded" in err
+    code, out, _ = run_cli(argv + ["--max-points", "15"], capsys)
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 15
+
+
 # which of the four common flags each subcommand reads; distset ignores
 # --threads, which perfbench passes to every workload
 COMMON_FLAGS = {
@@ -413,6 +426,18 @@ def test_benchmark_command_lines_parse():
         for size in bench["SIZES"][name].values():
             args = parser.parse_args(workload.argv(size, 7, "cloud.csv"))
             assert args.threads == bench["THREADS"]
+
+
+def test_traced_benchmark_finds_what_it_wraps():
+    # the traced run rebinds each TRACED name in its home module; a moved
+    # name would silently drop its span. tracing.py imports only the stdlib.
+    import importlib
+    import runpy
+    from pathlib import Path
+
+    tracing = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"))
+    for module, attr, *_ in tracing["TRACED"]:
+        assert hasattr(importlib.import_module("rieszdim." + module), attr), (module, attr)
 
 
 def test_distset_exact_mode_out_of_range_is_usage_error(capsys, tmp_path):
@@ -502,12 +527,12 @@ def test_replicate_commands_ignore_threads_in_payload(argv, capsys, tmp_path, mo
 
 
 def test_ballcheck_checks_hypotheses_before_quadrature(capsys, monkeypatch):
-    import rieszdim.cli as cli_mod
+    import rieszdim.measures as measures_mod
 
     def refuse_quadrature(*args, **kwargs):
         raise AssertionError("the quadrature ran before the hypotheses were checked")
 
-    monkeypatch.setattr(cli_mod, "ball_energy_numeric", refuse_quadrature)
+    monkeypatch.setattr(measures_mod, "ball_energy_numeric", refuse_quadrature)
     # balls of radius 2 n^(-1/s) overlap on this grid
     code, out, err = run_cli(
         ["ballcheck", "--gen", "grid1d", "--n", "800", "--s", "0.9", "--c", "2"], capsys
@@ -632,6 +657,37 @@ def test_cli_start_up_loads_no_scipy():
     assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
 
+def _modules_loaded_by(argv):
+    code = (
+        "import json, sys\n"
+        "from rieszdim import cli\n"
+        "try:\n"
+        "    cli.main(sys.argv[1:])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'rieszdim']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    grid, sample = tmp_path / "grid.csv", tmp_path / "sample.csv"
+    assert main(["gen", "--gen", "grid1d", "--n", "20", "-o", str(grid)]) == 0
+    assert main(["sample", "--measure", "cube", "--dim", "2", "--count", "40",
+                 "-o", str(sample)]) == 0
+    assert _modules_loaded_by(["--version"]) == {"rieszdim", "rieszdim.cli", "rieszdim.errors"}
+    loaded = _modules_loaded_by(["distset", "--input", str(grid)])
+    assert "rieszdim.sets" in loaded
+    for name in ("energy", "estimator", "generators", "measures", "stats"):
+        assert "rieszdim." + name not in loaded
+    loaded = _modules_loaded_by(["dim", "--input", str(sample)])
+    assert "rieszdim.estimator" in loaded
+    for name in ("measures", "stats", "sets"):
+        assert "rieszdim." + name not in loaded
+
+
 def test_cross_process_determinism():
     args = [sys.executable, "-m", "rieszdim", "lln-mean", "--measure", "cube",
             "--dim", "1", "--s", "0.5", "--n", "40", "--reps", "30", "--seed", "99"]
@@ -661,6 +717,23 @@ def test_energy_seq_spec_json(capsys, tmp_path):
     assert code == 0
     values = [float(v) for v in out.strip().splitlines()[1:]]
     assert abs(values[1] - values[0]) == pytest.approx(0.5, abs=0)
+
+
+def test_tolerance_is_echoed_only_when_given(capsys, tmp_path):
+    code, out, _ = run_cli(["dim", "--gen", "grid1d", "--n", "64"], capsys)
+    assert code == 0
+    assert "tolerance" not in json.loads(out)["config"]
+    # energy-seq without --tolerance uses the spec's own default, 1e-6
+    argv = ["gen", "--gen", "energy-seq", "--s", "1", "--targets", "4,1,2", "--d", "2"]
+    code, default, _ = run_cli(argv, capsys)
+    assert code == 0 and len(default.splitlines()) > 3
+    _, explicit, _ = run_cli(argv + ["--tolerance", "1e-6"], capsys)
+    assert default == explicit
+    path = tmp_path / "targets.json"
+    path.write_text(json.dumps({"s": 1.0, "targets": [4, 1, 2]}))
+    _, from_json, _ = run_cli(["gen", "--gen", "energy-seq", "--spec-json", str(path),
+                               "--d", "2"], capsys)
+    assert from_json == default
 
 
 def test_per_rep_csv(capsys, tmp_path):

@@ -289,6 +289,35 @@ def test_energy_sequence_takes_one_full_energy_per_appended_point(monkeypatch):
         assert j == rd.discrete_energy(cloud.prefix(n), 1.0)
 
 
+def test_energy_sequence_refuses_a_point_past_the_cap(monkeypatch):
+    # 5 -> 0.05 at s = 1 in d = 1 needs 15 points; the 15th is refused
+    # before any energy or potential is computed for it
+    import rieszdim.generators as gen_mod
+
+    spec = rd.EnergyTargetSpec(1.0, (5.0, 0.05))
+    full, _ = rd.energy_sequence_points(spec, 1)
+    assert full.n == 15
+    sizes = []
+
+    def energy(cloud, s, **kw):
+        sizes.append(cloud.n)
+        return rd.discrete_energy(cloud, s, **kw)
+
+    def potential(cloud, x, s, **kw):
+        sizes.append(cloud.n + 1)
+        return rd.riesz_potential_discrete(cloud, x, s, **kw)
+
+    monkeypatch.setattr(gen_mod, "discrete_energy", energy)
+    monkeypatch.setattr(gen_mod, "riesz_potential_discrete", potential)
+    with pytest.raises(rd.SizeCapExceeded):
+        rd.energy_sequence_points(spec, 1, max_points=14)
+    assert max(sizes) == 14
+    capped, _ = rd.energy_sequence_points(spec, 1, max_points=15)
+    assert np.array_equal(capped.points, full.points)
+    with pytest.raises(rd.SizeCapExceeded):
+        rd.energy_sequence_points(rd.EnergyTargetSpec(1.0, (2.0,)), 1, max_points=1)
+
+
 def test_energy_sequence_deep_drop_appends_points():
     spec = rd.EnergyTargetSpec(1.0, (10.0, 0.5))
     cloud, checkpoints = rd.energy_sequence_points(spec, 1)
