@@ -3,6 +3,15 @@
 Order is significant. A cloud doubles as a generating sequence: ``prefix(k)``
 returns the first k points, so nested prefixes P_2, P_3, ... of one cloud are
 the sets whose energies the profile and estimator modules track.
+
+Pair passes build their values in tiles (``_tile``) of about ``_TILE``
+values, on one of two schedules. The fold (``_fold``, ``_fold_blocks``)
+pairs point j with point (j + δ) mod n in row δ, so rows 1 .. n/2 hold each
+unordered pair once in dense strips; every pass that needs no prefix order
+walks it (``diameter``, ``min_gap``, the pair iterators behind the dedup
+paths, and energy totals). The prefix row strips (``_row_blocks``) take rows
+[k0, k1) against the columns [0, k1) and serve prefix profiles and ball
+quadrature.
 """
 
 from __future__ import annotations
@@ -100,27 +109,39 @@ def _strip_buffers(size: int):
 
 
 def _tile(a: np.ndarray, b: np.ndarray, *, dot: bool = False) -> np.ndarray:
-    """Squared distances (or dot products) of every row of a with every row of b.
+    """Squared distances (or dot products) of the pairs of a tile, rows of a against b.
 
-    Built one coordinate at a time in coordinate order, starting from +0.0,
-    with no (len(a), len(b), d) temporary. The tile is a view of buffer 0 of
+    ``a`` is (rows, d), each row taken against every row of b, or
+    (rows, len(b), d), entry [i, j] taken against b[j] (a fold strip). Built
+    one coordinate at a time in coordinate order, with no (rows, len(b), d)
+    temporary. A squared difference is never -0.0, so the first coordinate's
+    squares are written straight into the tile; dot products start from
+    +0.0, so a zero product is never -0.0. The tile is a view of buffer 0 of
     this thread's strip workspace and its per-coordinate temporary is
     buffer 1: the result is valid until the thread's next ``_tile`` call,
     and buffers 1 and 2 are free for the caller until then.
     """
     op = np.multiply if dot else np.subtract
+    a = _paired(a)
     shape = (len(a), len(b))
     size = shape[0] * shape[1]
     buf, tmp, _ = _strip_buffers(size)
     tile = buf[:size].reshape(shape)
-    t = tmp[:size].reshape(shape)
-    tile.fill(0.0)
-    for k in range(a.shape[1]):
-        op.outer(a[:, k], b[:, k], out=t)
+    if dot:
+        tile.fill(0.0)
+    for k in range(b.shape[1]):
+        t = tile if k == 0 and not dot else tmp[:size].reshape(shape)
+        op(a[..., k], b[:, k], out=t)
         if not dot:
             t *= t
-        tile += t
+        if t is not tile:
+            tile += t
     return tile
+
+
+def _paired(a: np.ndarray) -> np.ndarray:
+    """``a`` as (rows, 1, d) or (rows, cols, d): the point each tile entry takes from a."""
+    return a[:, None] if a.ndim == 2 else a
 
 
 def _row_blocks(n: int) -> list:
@@ -135,20 +156,54 @@ def _row_blocks(n: int) -> list:
     return out
 
 
+def _fold(pts: np.ndarray) -> np.ndarray:
+    """The fold of ``pts``: a zero-copy (n // 2 + 1, n, d) view, entry [δ, j] = pts[(j + δ) % n].
+
+    Row δ is the window [δ, δ + n) of the cloud extended cyclically, so
+    against ``pts`` it holds the pairs {j, (j + δ) mod n}.
+    """
+    n, d = pts.shape
+    ext = np.concatenate((pts, pts[: n // 2]))
+    step, coord = ext.strides
+    fold = np.ndarray((n // 2 + 1, n, d), ext.dtype, ext, 0, (step, step, coord))
+    fold.flags.writeable = False  # its rows overlap
+    return fold
+
+
+def _fold_blocks(n: int, first: int = 1) -> list:
+    """Strips ``(δ0, δ1, size)`` of the fold rows first .. n // 2, about _TILE values each.
+
+    Rows 1 to ceil(n/2) - 1 take all n columns. For even n, row n/2 meets
+    each of its pairs twice, so only its first n/2 columns count. Every
+    unordered pair is thus in exactly one row, and a strip's pairs are the
+    first ``size`` values of its (δ1 - δ0) x n tile in C order. Row 0, the
+    self-pairs, starts the fold when ``first`` is 0.
+    """
+    last = n // 2 + 1
+    rows = last - first
+    if rows <= 0:
+        return []
+    strips = -(-rows * n // _TILE)  # ceil(rows * n / _TILE)
+    step = -(-rows // strips)
+    out = []
+    for d0 in range(first, last, step):
+        d1 = min(d0 + step, last)
+        cut = n // 2 if d1 == last and n % 2 == 0 else 0
+        out.append((d0, d1, (d1 - d0) * n - cut))
+    return out
+
+
 def _pair_tiles(pts: np.ndarray, *, dot: bool = False):
-    """Yield the values of the pairs j < k of ``pts``, one row strip at a time.
+    """Yield the values of the unordered pairs of ``pts``, one fold strip at a time.
 
     Values are squared distances or, with ``dot``, dot products; dot
-    products also cover the self-pairs j == k. Each strip of
-    :func:`_row_blocks` yields its values row by row. Every value is built
-    one coordinate at a time in coordinate order, starting from +0.0, so it
-    does not depend on the strips and a zero is never -0.0.
+    products also cover the self-pairs. Each strip of :func:`_fold_blocks`
+    yields a fresh array of its values. Every value is built one coordinate
+    at a time in coordinate order, so it does not depend on the strips.
     """
-    for k0, k1 in _row_blocks(pts.shape[0]):
-        tile = _tile(pts[k0:k1], pts[:k1], dot=dot)
-        values = tile[np.tri(k1 - k0, k1, k0 - (not dot), dtype=bool)]
-        if values.size:  # a strip holding only row 0 has no pair j < k
-            yield values
+    fold = _fold(pts)
+    for d0, d1, size in _fold_blocks(pts.shape[0], first=0 if dot else 1):
+        yield _tile(fold[d0:d1], pts, dot=dot).ravel()[:size].copy()
 
 
 def _scaled_differences(a: np.ndarray, b: np.ndarray):
@@ -172,24 +227,23 @@ def _scaled_differences(a: np.ndarray, b: np.ndarray):
     return top, q
 
 
-def _distances(d2, a, b, mask=None, *, log=False):
-    """Distances (with ``log``, log d2) from the squared distances of ``_tile(a, b)``, in place.
+def _distances(d2, a, b, *, log=False):
+    """Distances (with ``log``, log d2) from the squared distances ``d2 = _tile(a, b)``, in place.
 
-    ``d2`` is that tile, or its values ``tile[mask]``. A square in the
-    normal range keeps its bits: the distance is sqrt(d2). A square below
-    the smallest normal double has lost bits to underflow (it is 0 for
-    distances below about 1.5e-162), and one equal to inf has overflowed
-    (distances above about 1.3e154). Those pairs are rebuilt from
-    :func:`_scaled_differences`, as top * sqrt(q) or 2 log(top) + log(q);
-    a distance past the largest double is inf. Raises DuplicatePoints where
+    A square in the normal range keeps its bits: the distance is sqrt(d2).
+    A square below the smallest normal double has lost bits to underflow
+    (it is 0 for distances below about 1.5e-162), and one equal to inf has
+    overflowed (distances above about 1.3e154). Those pairs are rebuilt from
+    :func:`_scaled_differences`, as top * sqrt(q) or 2 log(top) + log(q); a
+    distance past the largest double is inf. Raises DuplicatePoints where
     top is 0.
     """
     root = np.log if log else np.sqrt
     if d2.min() >= _NORMAL_MIN and d2.max() < math.inf:
         return root(d2, out=d2)
     lost = np.nonzero((d2 < _NORMAL_MIN) | (d2 == math.inf))
-    rows, cols = lost if mask is None else (ix[lost] for ix in np.nonzero(mask))
-    top, q = _scaled_differences(a[rows], b[cols])
+    a = np.broadcast_to(_paired(a), d2.shape + b.shape[1:])
+    top, q = _scaled_differences(a[lost], b[lost[1]])
     if not top.all():
         raise DuplicatePoints("coinciding points encountered in a pair pass")
     d2[lost] = 1.0  # in range: the pass below takes no log of 0
@@ -200,18 +254,17 @@ def _distances(d2, a, b, mask=None, *, log=False):
 
 
 def _pair_distances(pts: np.ndarray):
-    """Yield the distances of the pairs j < k of ``pts``, strip by strip.
+    """Yield the distances of the unordered pairs of ``pts``, strip by strip.
 
     The same strips and order as :func:`_pair_tiles`, each value as
     :func:`_distances` gives it.
     """
-    for k0, k1 in _row_blocks(pts.shape[0]):
-        a, b = pts[k0:k1], pts[:k1]
-        mask = np.tri(k1 - k0, k1, k0 - 1, dtype=bool)
+    fold = _fold(pts)
+    for d0, d1, size in _fold_blocks(pts.shape[0]):
+        a = fold[d0:d1]
         with np.errstate(over="ignore"):  # an overflowing square is rebuilt
-            d2 = _tile(a, b)[mask]
-        if d2.size:  # a strip holding only row 0 has no pair j < k
-            yield _distances(d2, a, b, mask)
+            d2 = _tile(a, pts)
+        yield _distances(d2, a, pts).ravel()[:size].copy()
 
 
 def write_csv(cloud: PointCloud, path) -> None:

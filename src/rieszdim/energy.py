@@ -5,14 +5,28 @@ The discrete s-energy of an n-point set P is
     J_s(P) = (1/(n(n-1))) * sum_{x != y in P} |x - y|^{-s}
 
 with Euclidean distance, summed over ordered pairs (equivalently twice the
-unordered-pair sum). Every energy here is arithmetic on one array, the row
-sums R_s[k] = sum_{j<k} |x_k - x_j|^{-s} for all exponents at once. Rows are
-computed in the row strips of ``cloud._row_blocks`` against all earlier
-points: squared distances are accumulated one coordinate at a time and
-log d2 is taken once per strip by ``cloud._distances``, which rebuilds a
-square that underflowed or overflowed. The kernels climb an exponent
-ladder: the exponent list is split once per call into runs of equal
-ascending steps h (equal to a few ulp), at most ``_RUN`` long. The first exponent of a run,
+unordered-pair sum). Every energy here is arithmetic on kernel sums over
+strips of pairs, taken for all exponents at once by one strip kernel
+(``_strip_sums``) on one of two schedules:
+
+* Totals (``discrete_energy``, ``discrete_energy_multi``,
+  ``truncated_energy``, and so every replicate loop and
+  ``profile_from_family``) walk the fold of ``cloud._fold_blocks``: row δ
+  pairs point j with point (j + δ) mod n, so rows 1 .. n/2 hold every
+  unordered pair once, in dense strips with no masked upper triangle. Each
+  fold row is summed on its own and a total is the ``math.fsum`` of those
+  sums, so it is bit-identical at any thread count and any strip size.
+* Prefix profiles (``energy_profile``, hence ``slln_path``) need the row
+  sums R_s[k] = sum_{j<k} |x_k - x_j|^{-s} in prefix order. They walk the
+  row strips of ``cloud._row_blocks`` against all earlier points, skipping
+  the pairs j >= k of each strip's diagonal block; prefix totals are one
+  compensated running sum over R.
+
+In a strip, squared distances are accumulated one coordinate at a time and
+log d2 is taken once by ``cloud._distances``, which rebuilds a square that
+underflowed or overflowed. The kernels climb an exponent ladder: the
+exponent list is split once per call into runs of equal ascending steps h
+(equal to a few ulp), at most ``_RUN`` long. The first exponent of a run,
 its anchor, takes a direct exp(-s/2 * log d2), masked or weighted once;
 each later one is the previous kernel times the step factor
 exp(-h/2 * log d2), taken once per run and strip. An evenly spaced grid of
@@ -22,9 +36,8 @@ by about as much as the direct exp's own error (a few 1e-15 relative where
 s/2 * |log d2| is large); it stays within 3e-14 of an extended-precision
 oracle over a 600-exponent grid.
 Strip bounds do not depend on the thread count and each strip writes only
-its own rows, so R is bit-identical at any thread count. Totals are exact
-``math.fsum`` reductions of R; prefix totals are one compensated running
-sum over R. A sum that overflows is inf, never nan.
+its own rows, so every result is bit-identical at any thread count. A sum
+that overflows is inf, never nan.
 """
 
 from __future__ import annotations
@@ -36,7 +49,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, _distances, _row_blocks, _strip_buffers, _tile
+from .cloud import (
+    PointCloud,
+    _distances,
+    _fold,
+    _fold_blocks,
+    _row_blocks,
+    _strip_buffers,
+    _tile,
+)
 from .errors import DimensionMismatch, DuplicatePoints, TooFewPoints
 
 __all__ = [
@@ -131,57 +152,98 @@ def _ladder(exps) -> list:
     return runs
 
 
-def _row_block(pts, k0, k1, runs, weight, out) -> None:
-    """Write the row sums of rows k0..k1-1 over columns j < k to out[:, k0:k1]."""
-    lower, upper = _triangle(k1 - k0)
-    a, b = pts[k0:k1], pts[:k1]
+def _strip_sums(a, b, runs, weight, out, corner) -> None:
+    """Write the kernel sums of the rows of the strip ``_tile(a, b)`` to ``out`` (S x rows).
+
+    ``corner`` is None when every value of the strip is a pair. Otherwise it
+    is a pair (float 1/0 mask, its bool complement) laid on the strip's
+    bottom-right corner, whose values under mask 0 are skipped: the pairs
+    j >= k of a prefix strip's diagonal block, or the second half of the
+    last fold row of an even cloud.
+    """
     d2 = _tile(a, b)
-    np.copyto(d2[:, k0:], 1.0, where=upper)  # the pairs j >= k: skipped, log 1 is 0
+    if corner is not None:
+        keep, skip = corner
+        at = np.s_[-keep.shape[0] :, -keep.shape[1] :]
+        np.copyto(d2[at], 1.0, where=skip)  # skipped: log 1 is 0
     w = None
     if weight is not None:
         w = weight(_distances(d2.copy(), a, b))
-        w[:, k0:] *= lower
+        if corner is not None:
+            w[at] *= keep
     L = _distances(d2, a, b, log=True)
     if w is not None:
         L[w == 0.0] = 0.0  # a zero weight must not meet an infinite kernel
     # buffers 1 and 2 are free once the tile is built: the kernel and the step factor
-    K, E = (b[: L.size].reshape(L.shape) for b in _strip_buffers(L.size)[1:])
+    K, E = (buf[: L.size].reshape(L.shape) for buf in _strip_buffers(L.size)[1:])
     for s, h, rows in runs:
         if s == 0.0:
-            out[rows[0], k0:k1] = np.arange(k0, k1) if w is None else w.sum(axis=1)
+            if w is not None:
+                w.sum(axis=1, out=out[rows[0]])
+            else:
+                out[rows[0]] = L.shape[1]
+                if corner is not None:
+                    out[rows[0], at[0]] -= skip.sum(axis=1)
             continue
         np.multiply(L, -0.5 * s, out=K)
         np.exp(K, out=K)
-        if w is None:
-            K[:, k0:] *= lower
-        else:
+        if w is not None:
             K *= w
-        K.sum(axis=1, out=out[rows[0], k0:k1])
+        elif corner is not None:
+            K[at] *= keep
+        K.sum(axis=1, out=out[rows[0]])
         if len(rows) > 1:
             # a skipped or zero-weight pair has L = 0, so E = 1 keeps its 0
             np.multiply(L, -0.5 * h, out=E)
             np.exp(E, out=E)
             for i in rows[1:]:
                 K *= E
-                K.sum(axis=1, out=out[i, k0:k1])
+                K.sum(axis=1, out=out[i])
+
+
+def _sums(strips, width, exps, threads, weight):
+    """out[:, r0:r1] = :func:`_strip_sums` of each strip ``(a, b, r0, r1, corner)``; out is S x width."""
+    runs = _ladder([float(s) for s in exps])
+    out = np.zeros((len(exps), width))
+
+    def run(share):
+        with np.errstate(over="ignore"):
+            for a, b, r0, r1, corner in share:
+                _strip_sums(a, b, runs, weight, out[:, r0:r1], corner)
+
+    _deal(run, strips, threads)
+    return out
 
 
 def _row_sums(pts, exps, *, threads=1, weight=None):
     """R[i, k] = sum_{j<k} weight(r) * r^{-exps[i]}, r = |x_k - x_j|, shape (S, n).
 
-    Raises DuplicatePoints on a zero distance. ``weight`` optionally maps
-    distances to multiplicative pair weights (the truncated kernel).
+    Walks the prefix strips of ``cloud._row_blocks``. Raises DuplicatePoints
+    on a zero distance. ``weight`` optionally maps distances to
+    multiplicative pair weights (the truncated kernel).
     """
-    runs = _ladder([float(s) for s in exps])
-    out = np.zeros((len(exps), pts.shape[0]))
+    strips = [
+        (pts[k0:k1], pts[:k1], k0, k1, _triangle(k1 - k0))
+        for k0, k1 in _row_blocks(pts.shape[0])
+    ]
+    return _sums(strips, pts.shape[0], exps, threads, weight)
 
-    def run(spans):
-        with np.errstate(over="ignore"):
-            for k0, k1 in spans:
-                _row_block(pts, k0, k1, runs, weight, out)
 
-    _deal(run, _row_blocks(pts.shape[0]), threads)
-    return out
+def _fold_sums(pts, exps, *, threads=1, weight=None):
+    """F[i, δ - 1] = sum over fold row δ of weight(r) * r^{-exps[i]}, shape (S, n // 2).
+
+    Walks the fold strips of ``cloud._fold_blocks``, so every unordered pair
+    is summed once, in no prefix order: fsum(F[i]) is the pair total. Each
+    fold row is summed on its own, so F does not depend on the strips.
+    """
+    n = pts.shape[0]
+    fold = _fold(pts)
+    strips = []
+    for d0, d1, size in _fold_blocks(n):
+        cut = (d1 - d0) * n - size  # the second half of the last row of an even cloud
+        corner = (np.zeros((1, cut)), np.ones((1, cut), dtype=bool)) if cut else None
+        strips.append((fold[d0:d1], pts, d0 - 1, d1 - 1, corner))
+    return _sums(strips, n // 2, exps, threads, weight)
 
 
 def _check_exponents(exps) -> None:
@@ -222,8 +284,8 @@ def discrete_energy(cloud: PointCloud, s: float, *, threads: int = 1) -> float:
         raise TooFewPoints("discrete energy needs at least 2 points")
     _check_exponents([s])
     n = cloud.n
-    R = _row_sums(cloud.points, [s], threads=threads)
-    return _fsum(R[0]) / (n * (n - 1) // 2)
+    F = _fold_sums(cloud.points, [s], threads=threads)
+    return _fsum(F[0]) / (n * (n - 1) // 2)
 
 
 def discrete_energy_multi(cloud: PointCloud, s_list, *, threads: int = 1) -> np.ndarray:
@@ -236,8 +298,8 @@ def discrete_energy_multi(cloud: PointCloud, s_list, *, threads: int = 1) -> np.
         raise TooFewPoints("discrete energy needs at least 2 points")
     _check_exponents(s_list)
     n = cloud.n
-    R = _row_sums(cloud.points, s_list, threads=threads)
-    return np.array([_fsum(row) / (n * (n - 1) // 2) for row in R])
+    F = _fold_sums(cloud.points, s_list, threads=threads)
+    return np.array([_fsum(row) / (n * (n - 1) // 2) for row in F])
 
 
 @dataclass(frozen=True)
@@ -364,5 +426,5 @@ def truncated_energy(
     def weight(r):
         return 1.0 - _cutoff(r / radius)
 
-    R = _row_sums(cloud.points, [s], threads=threads, weight=weight)
-    return _fsum(R[0]) / (n * n / 2)
+    F = _fold_sums(cloud.points, [s], threads=threads, weight=weight)
+    return _fsum(F[0]) / (n * n / 2)

@@ -14,10 +14,13 @@ __all__ = ["stream"]
 
 
 def stream(seed: int, rep: int = 0) -> np.random.Generator:
-    """Generator for replicate ``rep`` of master ``seed``."""
+    """Generator for replicate ``rep`` of master ``seed``.
+
+    Replicate r starts at counter r * 2^128, the state of
+    ``Philox(key=seed).jumped(r)``, set directly instead of advanced to.
+    """
     if not 0 <= int(seed) < 2**64:
         raise ValueError("seed must fit in 64 bits")
-    bg = np.random.Philox(key=int(seed))
-    if rep:
-        bg = bg.jumped(int(rep))
-    return np.random.Generator(bg)
+    if not 0 <= int(rep) < 2**128:
+        raise ValueError("rep must fit in 128 bits")
+    return np.random.Generator(np.random.Philox(key=int(seed), counter=int(rep) << 128))

@@ -1,10 +1,12 @@
 import io
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import rieszdim as rd
+import rieszdim.cloud as cloud_mod
 from rieszdim.cloud import dumps_csv
 
 
@@ -112,6 +114,34 @@ def test_min_gap_whose_square_is_subnormal():
     g = 1.23456789e-161
     c = rd.PointCloud([[0.0], [g], [0.5]])
     assert c.min_gap() == pytest.approx(g, rel=1e-14, abs=0.0)
+
+
+def _sorted_values(tiles):
+    return sorted(np.concatenate([np.zeros(0), *tiles]).tolist())
+
+
+def test_fold_visits_each_pair_exactly_once(monkeypatch):
+    # both parities: for even n the half row n/2 must drop the pairs it meets twice
+    default = cloud_mod._TILE
+    for n in range(1, 41):
+        pts = np.random.default_rng(n).random((n, 1 + n % 3))
+        rows = pts.tolist()
+        squares, dots = [], []
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            sq = dot = 0.0
+            for x, y in zip(rows[i], rows[j]):
+                sq += (x - y) * (x - y)
+                dot += x * y
+            dots.append(dot)
+            if i != j:
+                squares.append(sq)
+        squares.sort()
+        dots.sort()
+        for tile in (1, 4, 16, max(n - 1, 1), default):
+            monkeypatch.setattr(cloud_mod, "_TILE", tile)
+            assert _sorted_values(cloud_mod._pair_tiles(pts)) == squares
+            assert _sorted_values(cloud_mod._pair_tiles(pts, dot=True)) == dots
+            assert _sorted_values(cloud_mod._pair_distances(pts)) == [math.sqrt(v) for v in squares]
 
 
 def test_csv_round_trip_is_exact(tmp_path):

@@ -828,3 +828,98 @@ def test_row_sums_do_not_page_fault_per_strip():
         energy_mod._row_sums(pts, exps)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults / 200 < 1.0
+
+
+# ------------------------------------------------------------------- fold
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(clouds(), exponent_lists)
+def test_fold_totals_are_bit_identical_at_any_tile_and_thread_count(cloud, s_list):
+    # every fold row is summed on its own, so totals depend on neither
+    default = cloud_mod._TILE
+    radius = 0.3 * cloud.diameter()
+    results = set()
+    for tile in (1, 16, 64, default):
+        with mock.patch.object(cloud_mod, "_TILE", tile):
+            for t in (1, 2, 4):
+                energies = rd.discrete_energy_multi(cloud, s_list, threads=t).tolist()
+                truncated = rd.truncated_energy(cloud, s_list[0], radius, threads=t)
+                results.add((tuple(energies), truncated))
+    assert len(results) == 1
+
+
+def prefix_distances(pts):
+    """Sorted distances of the pairs j < k, gathered from the prefix strips."""
+    out = []
+    for k0, k1 in cloud_mod._row_blocks(len(pts)):
+        a, b = pts[k0:k1], pts[:k1]
+        with np.errstate(over="ignore"):
+            d2 = cloud_mod._tile(a, b).copy()
+        np.copyto(d2[:, k0:], 1.0, where=np.tri(k1 - k0, dtype=bool).T)  # j >= k
+        out.append(cloud_mod._distances(d2, a, b)[np.tri(k1 - k0, k1, k0 - 1, dtype=bool)])
+    return np.sort(np.concatenate(out)).tolist()
+
+
+def _out_of_range_clouds():
+    # odd and even n: for even n the half fold row n/2 holds a lost pair
+    for n in (7, 8):
+        base = random_cloud(30 + n, n, 2).points
+        yield base * 1e-170  # every square underflows
+        yield base * 1e170  # every square overflows
+    yield [[-1e308], [1e308], [0.0]]  # a difference overflows
+    yield [[-1e308], [1e308], [0.0], [1.0]]
+    yield [[0.0], [5e-324], [0.5]]  # a subnormal gap
+    yield [[0.0], [0.5], [5e-324], [0.75]]
+
+
+@pytest.mark.parametrize("points", list(_out_of_range_clouds()))
+def test_fold_rebuilds_out_of_range_pairs(points):
+    c = rd.PointCloud(points)
+    pts, n = c.points, c.n
+    exps = [0.0, 0.5, 1.0, 1.7]
+    # the prefix strips' row sums are the totals' layout before the fold
+    want = [energy_mod._fsum(row) / (n * (n - 1) // 2) for row in energy_mod._row_sums(pts, exps)]
+    assert rd.discrete_energy_multi(c, exps).tolist() == pytest.approx(want, rel=1e-14)
+    assert rd.discrete_energy(c, 1.0) == pytest.approx(want[2], rel=1e-14)
+    radius = c.min_gap()
+
+    def weight(r):
+        return 1.0 - energy_mod._cutoff(r / radius)
+
+    with np.errstate(over="ignore"):
+        cut = energy_mod._fsum(energy_mod._row_sums(pts, [0.5], weight=weight)[0]) / (n * n / 2)
+    assert rd.truncated_energy(c, 0.5, radius) == pytest.approx(cut, rel=1e-14)
+    dists = prefix_distances(pts)
+    assert sorted(np.concatenate(list(cloud_mod._pair_distances(pts))).tolist()) == dists
+    assert (c.min_gap(), c.diameter()) == (dists[0], dists[-1])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e170])
+def test_fold_raises_on_coinciding_points(scale):
+    # points 0 and 2 meet in the half row of the even cloud, 0 and 3 in a full row of the odd one
+    for coords in ([0.0, 1.0, 0.0, 2.0], [0.0, 1.0, 2.0, 0.0, 3.0]):
+        c = rd.PointCloud(np.array(coords)[:, None] * scale, _validate=False)
+        calls = [
+            lambda: rd.discrete_energy_multi(c, [0.0, 0.5]),
+            lambda: rd.truncated_energy(c, 0.5, scale),
+            c.diameter,
+            c.min_gap,
+        ]
+        for call in calls:
+            with pytest.raises(rd.DuplicatePoints):
+                call()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor fault counts are Linux-only")
+def test_fold_sums_do_not_page_fault_per_strip():
+    # the fold twin of test_row_sums_do_not_page_fault_per_strip
+    resource = pytest.importorskip("resource")
+    c = random_cloud(16, 300, 2)
+    exps = [0.3, 0.6, 0.9, 1.2]
+    rd.discrete_energy_multi(c, exps)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(200):
+        rd.discrete_energy_multi(c, exps)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / 200 < 1.0

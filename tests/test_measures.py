@@ -7,6 +7,7 @@ from scipy import integrate
 import rieszdim as rd
 import rieszdim.cloud as cloud_mod
 import rieszdim.measures as measures_mod
+import rieszdim.rng as rng_mod
 from rieszdim.measures import (
     _cross_quadrature,
     _self_interaction_constant,
@@ -33,6 +34,19 @@ def test_replicate_streams_are_disjoint():
     a = rd.sample(m, 5, 7, rep=0)
     b = rd.sample(m, 5, 7, rep=1)
     assert not np.array_equal(a.points, b.points)
+
+
+def test_replicate_stream_is_the_jumped_stream():
+    # the counter is set to rep * 2^128 directly; past 2^64 it carries into word 3
+    for seed in (0, 2**64 - 1):
+        for rep in (0, 1, 7, 400, 2**40, 2**64 - 1, 2**64, 2**128 - 1):
+            got = rng_mod.stream(seed, rep)
+            want = np.random.Generator(np.random.Philox(key=seed).jumped(rep))
+            assert got.random(9).tolist() == want.random(9).tolist()
+            assert got.integers(0, 10**9, 9).tolist() == want.integers(0, 10**9, 9).tolist()
+    for rep in (-1, 2**128):
+        with pytest.raises(ValueError):
+            rng_mod.stream(0, rep)
 
 
 def test_circle_support():
