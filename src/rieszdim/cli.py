@@ -366,14 +366,16 @@ def _auto_n_grid(args, cloud: PointCloud):
         return sizes
     if getattr(args, "gen", None) == "lattice":
         return [2 ** (j * args.d) for j in range(1, args.k + 1) if 2 ** (j * args.d) >= 4]
-    lo = max(8, cloud.n // 64)
+    return _doubling_grid(max(8, cloud.n // 64), cloud.n)
+
+
+def _doubling_grid(lo: int, n: int) -> list:
+    """lo, 2 lo, 4 lo, ... below n, then n."""
     grid = []
-    v = lo
-    while v < cloud.n:
-        grid.append(v)
-        v *= 2
-    grid.append(cloud.n)
-    return sorted(set(grid))
+    while lo < n:
+        grid.append(lo)
+        lo *= 2
+    return grid + [n]
 
 
 def _cmd_dim(args) -> int:
@@ -390,14 +392,10 @@ def _cmd_dim(args) -> int:
         # profile the family of whole grids instead.
         if args.n is None:
             raise SystemExit(_usage_error("grid1d needs --n"))
-        n_grid = _parse_list(args.n_grid, int) if args.n_grid else None
-        if n_grid is None:
-            n_grid = []
-            v = max(8, args.n // 16)
-            while v < args.n:
-                n_grid.append(v)
-                v *= 2
-            n_grid.append(args.n)
+        if args.n_grid:
+            n_grid = _parse_list(args.n_grid, int)
+        else:
+            n_grid = _doubling_grid(max(8, args.n // 16), args.n)
         _check_points(args, max(n_grid))
         _check_pairs(args, max(n_grid))
 
@@ -538,7 +536,7 @@ def _cmd_ballcheck(args) -> int:
     params = BallMeasureParams(args.s, args.c, cloud.n)
     # the prediction checks the hypotheses, so a violation costs no quadrature
     predicted = ball_energy_predicted(cloud, params, threads=args.threads)
-    numeric = ball_energy_numeric(cloud, params, seed=args.seed)
+    numeric = ball_energy_numeric(cloud, params, seed=args.seed, threads=args.threads)
     gap = abs(numeric.value - predicted.value) / predicted.value
     payload = {
         "s": args.s,

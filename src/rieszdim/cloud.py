@@ -9,9 +9,9 @@ values, on one of two schedules. The fold (``_fold``, ``_fold_blocks``)
 pairs point j with point (j + δ) mod n in row δ, so rows 1 .. n/2 hold each
 unordered pair once in dense strips; every pass that needs no prefix order
 walks it (``diameter``, ``min_gap``, the pair iterators behind the dedup
-paths, and energy totals). The prefix row strips (``_row_blocks``) take rows
-[k0, k1) against the columns [0, k1) and serve prefix profiles and ball
-quadrature.
+paths, energy totals, and the ball cross terms). The prefix row strips
+(``_row_blocks``) take rows [k0, k1) against the columns [0, k1) and serve
+prefix profiles only.
 """
 
 from __future__ import annotations

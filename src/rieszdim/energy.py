@@ -25,8 +25,9 @@ strips of pairs, taken for all exponents at once by one strip kernel
 In a strip, squared distances are accumulated one coordinate at a time and
 log d2 is taken once by ``cloud._distances``, which rebuilds a square that
 underflowed or overflowed. The kernels climb an exponent ladder: the
-exponent list is split once per call into runs of equal ascending steps h
-(equal to a few ulp), at most ``_RUN`` long. The first exponent of a run,
+exponent list is split, once per distinct list (the plan is cached), into
+runs of equal ascending steps h (equal to a few ulp), at most ``_RUN``
+long. The first exponent of a run,
 its anchor, takes a direct exp(-s/2 * log d2), masked or weighted once;
 each later one is the previous kernel times the step factor
 exp(-h/2 * log d2), taken once per run and strip. An evenly spaced grid of
@@ -42,6 +43,7 @@ that overflows is inf, never nan.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -98,7 +100,10 @@ def _deal(run, items, threads: int) -> None:
     raised by any share is re-raised once every share has finished.
     """
     workers = max(1, min(threads, len(items)))
-    pool = _shared_pool(workers - 1) if workers > 1 else None
+    if workers == 1:
+        run(items)
+        return
+    pool = _shared_pool(workers - 1)
     futures = [pool.submit(run, items[t::workers]) for t in range(1, workers)]
     try:
         run(items[::workers])
@@ -123,8 +128,9 @@ def _triangle(rows: int):
     return lower[:rows, :rows], upper[:rows, :rows]
 
 
-def _ladder(exps) -> list:
-    """Split an exponent list into ladder runs ``(s, h, rows)``.
+@functools.lru_cache
+def _ladder(exps: tuple) -> tuple:
+    """Split an exponent tuple into ladder runs ``(s, h, rows)``, planned once per tuple.
 
     Row ``rows[0]`` is the anchor, at exponent s; each later row m of the
     run is the row before times r^-h, so it realizes the exponent s + m h.
@@ -149,7 +155,7 @@ def _ladder(exps) -> list:
             j, h = e + 1, step
         runs.append((s, h, range(i, j)))
         i = j
-    return runs
+    return tuple(runs)
 
 
 def _strip_sums(a, b, runs, weight, out, corner) -> None:
@@ -203,7 +209,7 @@ def _strip_sums(a, b, runs, weight, out, corner) -> None:
 
 def _sums(strips, width, exps, threads, weight):
     """out[:, r0:r1] = :func:`_strip_sums` of each strip ``(a, b, r0, r1, corner)``; out is S x width."""
-    runs = _ladder([float(s) for s in exps])
+    runs = _ladder(tuple(float(s) for s in exps))
     out = np.zeros((len(exps), width))
 
     def run(share):

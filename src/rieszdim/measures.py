@@ -7,13 +7,13 @@ integral after the u = x - y substitution (16-node Gauss-Legendre), and the
 circle has a Gamma closed form. Ball measures place radius c*n^{-1/s} balls
 on a cloud; their energy decomposes into a self-interaction term (the
 closed-form radial reduction over the doubled-radius domain, which is the
-prediction constant) plus cross terms. In d = 1 and 2 the cross terms take
-one product rule per ball (``_ball_rule``): the balls become one cloud of
-quadrature nodes, whose pairs of distinct balls are summed on the shared
-strips of ``cloud._row_blocks``. Past a fixed cost budget
-(``_QUADRATURE_BUDGET``), and in d >= 3, a seeded Monte Carlo estimate runs
-instead. Everything here is numpy and ``math``; no adaptive quadrature is
-needed.
+prediction constant) plus cross terms. In d = 1 and 2 the cross terms are
+deterministic at every size: pairs of balls at least ``_FAR`` radii apart
+take Pizzetti's series for ball means, summed for all its exponents in one
+pass on the fold of ``energy._fold_sums``, and the nearer pairs take one
+product rule per ball (``_ball_rule``). In d >= 3 a seeded Monte Carlo
+estimate runs instead. Everything here is numpy and ``math``; no adaptive
+quadrature is needed.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .cloud import PointCloud, _row_blocks, _tile
-from .energy import _check_exponents, discrete_energy
+from . import cloud as _cloud
+from .cloud import PointCloud, _distances, _fold_blocks, _pair_distances, _tile
+from .energy import _RUN, _check_exponents, _fold_sums, _fsum, discrete_energy
 from .errors import (
     DuplicatePoints,
     HypothesisViolated,
@@ -59,8 +60,8 @@ __all__ = [
     "measure_from_json",
 ]
 
-_QUADRATURE_BUDGET = 200_000_000  # pairs x nodes^2 above which Monte Carlo runs
-_MC_SAMPLES = 200_000  # ball pairs drawn by the Monte Carlo fallback
+_MC_SAMPLES = 200_000  # ball pairs drawn by Monte Carlo (d >= 3)
+_FAR = 2.0 ** (1.0 + 53.0 / (2 * _RUN))  # (2 / _FAR)^(2 _RUN) = 2^-53: one ladder run of terms
 
 
 @dataclass(frozen=True)
@@ -353,8 +354,8 @@ def _ball_rule(d: int, radius: float):
     """Product-rule nodes (m, d) and weights (m,) of a uniform unit-mass ball.
 
     d = 1: 24-node Gauss-Legendre on [-radius, radius]. d = 2: 8 radial
-    Gauss-Legendre nodes in r^2 times 16 equal angles. None for d >= 3,
-    which has no rule (Monte Carlo runs there).
+    Gauss-Legendre nodes in r^2 times 16 equal angles. d >= 3 has no rule
+    (Monte Carlo runs there).
     """
     if d == 1:
         x, w = np.polynomial.legendre.leggauss(24)
@@ -365,45 +366,90 @@ def _ball_rule(d: int, radius: float):
         t = 2.0 * math.pi * np.arange(16) / 16
         nodes = np.stack([np.outer(r, np.cos(t)), np.outer(r, np.sin(t))], axis=-1)
         return nodes.reshape(-1, 2), np.repeat(wu / 32.0, 16)
-    return None
+    raise UnsupportedDimension("the ball product rule covers d in {1, 2}")
 
 
-def _cross_quadrature(
-    points: np.ndarray, nodes: np.ndarray, weights: np.ndarray, s: float
-) -> float:
-    """Sum over ordered pairs of distinct balls of E|x-y|^{-s} by the product rule.
+def _pizzetti(d: int, s: float, rho: float) -> list:
+    """Coefficients c_j of the cross term sum_j c_j r^{-s-2j}, j < ``_RUN``, of two balls.
 
-    Every ball becomes its nodes, stored ball by ball, and that cloud is
-    walked on the shared strips of ``cloud._row_blocks``. A node pair is
-    kept only when its column's ball comes strictly before its row's ball,
-    which also drops the same-ball pairs; each kept pair adds
-    w_a w_b d2^{-s/2}. Coinciding nodes of overlapping balls give inf.
+    Two uniform radius-rho balls whose centres are r > 2 rho apart: by
+    Pizzetti's formula the mean of a function over a ball is
+    sum_k b_k rho^{2k} Laplacian^k at the centre, b_k = Gamma(d/2+1) /
+    (4^k k! Gamma(d/2+k+1)), and Laplacian^j r^{-s} = prod_{i<j} (s+2i)
+    (s+2i+2-d) r^{-s-2j}. So c_j = a_j rho^{2j} prod_{i<j} (s+2i)(s+2i+2-d),
+    a_j = sum_{k+l=j} b_k b_l. The terms fall like (2 rho / r)^{2j}.
     """
-    m = len(weights)
-    cloud = (points[:, None, :] + nodes).reshape(-1, points.shape[1])
-    ball = np.arange(len(cloud)) // m
-    w = np.tile(weights, len(points))
-    total = 0.0
-    for k0, k1 in _row_blocks(len(cloud)):
-        d2 = _tile(cloud[k0:k1], cloud[:k1])
-        np.copyto(d2, np.inf, where=ball[:k1] >= ball[k0:k1, None])  # inf^{-s/2} is 0
-        with np.errstate(divide="ignore"):
-            np.power(d2, -0.5 * s, out=d2)
-        total += float(w[k0:k1] @ d2 @ w[:k1])
-    return 2.0 * total
+    b = [1.0]
+    for k in range(1, _RUN):
+        b.append(b[-1] / (2 * k * (d + 2 * k)))
+    out, p = [], 1.0
+    for j in range(_RUN):
+        a = math.fsum(b[k] * b[j - k] for k in range(j + 1))
+        out.append(a * rho ** (2 * j) * p)
+        p *= (s + 2 * j) * (s + 2 * j + 2 - d)
+    return out
+
+
+def _cross_sum(points: np.ndarray, rho: float, s: float, *, threads: int = 1) -> float:
+    """Sum over ordered pairs of distinct radius-rho balls of E|x-y|^{-s}, d = 1 or 2.
+
+    The centres are scaled exactly by a power of two 2^-e that puts the
+    radius in [1/2, 1), so no r^{-s-2j} of a far pair overflows; e is
+    bounded so that the scaled centres stay below 2^1000 when rho is tiny
+    or 0. The sum is scaled back by 2^{-es} once, in two steps, so that
+    only a result past the double range is inf. Far pairs, with centre
+    distance r >= ``_FAR`` rho, take the series of :func:`_pizzetti`: one
+    pass of ``energy._fold_sums`` over the exponents s, s + 2, ..., which
+    form one ladder run. Near pairs, found on the same fold strips, take
+    the product rule of :func:`_ball_rule`: in chunks of about
+    ``cloud._TILE`` values, each pair's centre difference against the node
+    offsets n_b - n_a, its kernel values dotted with the weights w_a w_b.
+    Coinciding nodes of overlapping balls give inf.
+    """
+    n, d = points.shape
+    e = max(math.frexp(rho)[1], math.frexp(float(np.abs(points).max()))[1] - 1000)
+    q = np.ldexp(points, -e)
+    rho_q = math.ldexp(rho, -e)
+    far = _FAR * rho_q
+    # a term whose coefficient underflows (rho = 0 keeps only j = 0) is left out
+    terms = [(s + 2 * j, c) for j, c in enumerate(_pizzetti(d, s, rho_q)) if c]
+    F = _fold_sums(q, [t for t, _ in terms], threads=threads, weight=lambda r: (r >= far) * 1.0)
+    sums = [np.array([c * _fsum(row) for (_, c), row in zip(terms, F)])]
+    near = []
+    for (d0, _, _), r in zip(_fold_blocks(n), _pair_distances(q)):
+        k = np.flatnonzero(r < far)
+        j = k % n
+        near.append(q[j] - q[(j + d0 + k // n) % n])
+    diffs = np.concatenate(near)
+    nodes, w = _ball_rule(d, rho_q)
+    offsets = (nodes[None, :, :] - nodes[:, None, :]).reshape(-1, d)
+    ww = np.outer(w, w).ravel()
+    rows = max(1, _cloud._TILE // len(ww))
+    with np.errstate(over="ignore"):
+        for i in range(0, len(diffs), rows):
+            a = diffs[i : i + rows]
+            try:
+                L = _distances(_tile(a, offsets), a, offsets, log=True)
+            except DuplicatePoints:
+                return math.inf
+            L *= -0.5 * s
+            sums.append(np.exp(L, out=L) @ ww)
+        k = math.floor(-e * s)
+        return float(np.ldexp(2.0 * _fsum(np.concatenate(sums)) * 2.0 ** (-e * s - k), k))
 
 
 def ball_energy_numeric(
-    cloud: PointCloud, params: BallMeasureParams, *, seed: int = 0
+    cloud: PointCloud, params: BallMeasureParams, *, seed: int = 0, threads: int = 1
 ) -> BallEnergyResult:
     """Energy of the ball measure on a cloud, by numerical integration.
 
     Same-ball terms use the radially symmetric reduction over the
     doubled-radius difference ball (the construction behind the closed-form
-    constant); distinct-ball terms use the product rule of
-    :func:`_ball_rule`, or a seeded Monte Carlo fallback with a reported
-    standard error when pairs x nodes^2 exceeds ``_QUADRATURE_BUDGET`` or
-    the dimension is 3 or higher.
+    constant). In d = 1 and 2 the distinct-ball terms are deterministic
+    (:func:`_cross_sum`: a far-field series plus the product rule of
+    :func:`_ball_rule` on near pairs), bit-identical at any ``threads``. In
+    d >= 3 they are a seeded Monte Carlo estimate (``seed``) with a
+    reported standard error.
     """
     d = cloud.dim
     s = params.s
@@ -416,8 +462,7 @@ def ball_energy_numeric(
     n = cloud.n
     if n == 1:
         return BallEnergyResult(same, same, 0.0, "quadrature")
-    rule = _ball_rule(d, rho)
-    if rule is None or n * (n - 1) // 2 * len(rule[1]) ** 2 > _QUADRATURE_BUDGET:
+    if d >= 3:
         g = stream(seed)
         i = g.integers(0, n, _MC_SAMPLES)
         shift = g.integers(1, n, _MC_SAMPLES)
@@ -429,7 +474,7 @@ def ball_energy_numeric(
         se = float(vals.std(ddof=1) / math.sqrt(_MC_SAMPLES))
         cross = (n - 1) / n * mean
         return BallEnergyResult(same + cross, same, cross, "monte-carlo", (n - 1) / n * se)
-    cross = _cross_quadrature(cloud.points, *rule, s) / (n * n)
+    cross = _cross_sum(cloud.points, rho, s, threads=threads) / (n * n)
     return BallEnergyResult(same + cross, same, cross, "quadrature")
 
 

@@ -149,16 +149,23 @@ def test_dim_cantor_example(capsys):
     assert payload["threshold"] == 0.2
 
 
-def test_dim_grid_family(capsys):
-    code, out, _ = run_cli(
-        ["dim", "--gen", "grid1d", "--n", "2048", "--n-grid", "256,512,1024,2048",
-         "--window", "256,2048"],
-        capsys,
+def test_dim_grid_family(capsys, tmp_path):
+    csv = tmp_path / "u1000.csv"
+    rd.write_csv(rd.sample(rd.UniformCube(1), 1000, 7), csv)
+    cases = (
+        (["--gen", "grid1d", "--n", "2048", "--n-grid", "256,512,1024,2048",
+          "--window", "256,2048"], [256, 512, 1024, 2048]),
+        # the default grids double from n // 16 (grid1d family) or n // 64 (prefixes)
+        (["--gen", "grid1d", "--n", "2048"], [128, 256, 512, 1024, 2048]),
+        (["--input", str(csv)], [15, 30, 60, 120, 240, 480, 960, 1000]),
     )
-    assert code == 0
-    payload = payload_of(out)
-    # short windows sit mid-transient; the estimate still lands near 1
-    assert 0.7 <= payload["s_hat"] <= 1.2
+    for argv, n_grid in cases:
+        code, out, _ = run_cli(["dim", *argv], capsys)
+        assert code == 0
+        payload = payload_of(out)
+        assert payload["n_grid"] == n_grid
+        # short windows sit mid-transient; the estimate still lands near 1
+        assert 0.7 <= payload["s_hat"] <= 1.2
 
 
 def test_sample_deterministic(capsys):
@@ -249,6 +256,19 @@ def test_ballcheck_payload(capsys):
     assert payload["numeric"]["method"] == "quadrature"
     assert payload["predicted"]["epsilon"] > 0
     assert payload["relative_gap"] < 0.02
+
+
+def test_ballcheck_integrates_lines_and_planes_at_any_size(capsys):
+    # 1000 intervals and 256 discs lie past the sizes where Monte Carlo
+    # once took over; the discs have near pairs for the product rule
+    for argv in (["--gen", "grid1d", "--n", "1000", "--s", "0.5"],
+                 ["--gen", "lattice", "--d", "2", "--k", "4", "--s", "1.2"]):
+        code, out, _ = run_cli(["ballcheck", *argv, "--c", "2.0"], capsys)
+        assert code == 0
+        numeric = payload_of(out)["numeric"]
+        assert numeric["method"] == "quadrature"
+        assert numeric["standard_error"] is None
+        assert payload_of(out)["relative_gap"] < 0.01
 
 
 def test_distset_json(capsys):

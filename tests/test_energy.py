@@ -598,7 +598,7 @@ def test_ladder_plan_takes_one_step_factor_per_run():
     for s_max in (1.9, 2.5):
         exps = [float(s) for s in _dim_grid(s_max)]
         assert len(set(np.diff(exps))) > 1
-        runs = energy_mod._ladder(exps)
+        runs = energy_mod._ladder(tuple(exps))
         assert [len(rows) for _, _, rows in runs] == [16, len(exps) - 16]
         assert [i for _, _, rows in runs for i in rows] == list(range(len(exps)))
         for s, h, rows in runs:
@@ -606,9 +606,9 @@ def test_ladder_plan_takes_one_step_factor_per_run():
             for m, i in enumerate(rows):
                 assert abs(s + m * h - exps[i]) <= 2.0 * math.ulp(exps[i])
     # irregular lists take no more exp passes than one per exponent
-    assert [len(rows) for _, _, rows in energy_mod._ladder([0.2, 0.3, 0.5, 0.7])] == [1, 3]
-    assert [len(rows) for _, _, rows in energy_mod._ladder([0.0, 0.5, 1.0, 1.5])] == [1, 3]
-    for exps in ([1.5, 1.0, 0.5], [1.0, 1.0, 1.0], [0.5, 1.0], [2.0, 0.0, 2.0, 4.0]):
+    assert [len(rows) for _, _, rows in energy_mod._ladder((0.2, 0.3, 0.5, 0.7))] == [1, 3]
+    assert [len(rows) for _, _, rows in energy_mod._ladder((0.0, 0.5, 1.0, 1.5))] == [1, 3]
+    for exps in ((1.5, 1.0, 0.5), (1.0, 1.0, 1.0), (0.5, 1.0), (2.0, 0.0, 2.0, 4.0)):
         assert [len(rows) for _, _, rows in energy_mod._ladder(exps)] == [1] * len(exps)
 
 

@@ -6,10 +6,12 @@ from scipy import integrate
 
 import rieszdim as rd
 import rieszdim.cloud as cloud_mod
-import rieszdim.measures as measures_mod
 import rieszdim.rng as rng_mod
 from rieszdim.measures import (
-    _cross_quadrature,
+    _FAR,
+    _ball_rule,
+    _cross_sum,
+    _pizzetti,
     _self_interaction_constant,
     sample_detail,
     sobolev_dimension,
@@ -442,45 +444,101 @@ def test_cross_quadrature_matches_per_pair_rules():
 
 
 def test_cross_quadrature_does_not_depend_on_the_strips(monkeypatch):
-    # 64-value strips cut through the nodes of one ball, so a same-ball test
-    # keyed on strip-local indices would change the value
+    # 64-value strips split the fold of the centres into many strips and put
+    # each near pair in a chunk of its own; neither may change the value
     want = [
         rd.ball_energy_numeric(cloud, rd.BallMeasureParams(s, c, cloud.n)).cross
         for cloud, s, c, _ in quadrature_cases()
     ]
     monkeypatch.setattr(cloud_mod, "_TILE", 64)
-    assert len(cloud_mod._row_blocks(50 * 24)) > 50
+    assert len(cloud_mod._fold_blocks(50)) > 10
     for (cloud, s, c, _), ref in zip(quadrature_cases(), want):
         got = rd.ball_energy_numeric(cloud, rd.BallMeasureParams(s, c, cloud.n)).cross
         assert got == pytest.approx(ref, rel=1e-12)
 
 
 def test_cross_quadrature_coinciding_nodes_is_inf():
-    # nodes at +-0.5 around centers 0 and 1: the two balls share the node 0.5
-    got = _cross_quadrature(np.array([[0.0], [1.0]]), np.array([[-0.5], [0.5]]), np.full(2, 0.5), 0.5)
-    assert got == math.inf
+    # unit intervals whose centres are 2 x_max apart (x_max the largest
+    # Gauss-Legendre node, and -x_max the smallest): they share a node
+    x_max = np.polynomial.legendre.leggauss(24)[0][-1]
+    assert _cross_sum(np.array([[0.0], [2.0 * x_max]]), 1.0, 0.5) == math.inf
 
 
-def test_quadrature_budget_switch_points(monkeypatch):
-    # pairs x nodes^2 against 2e8: 1-D (24 nodes) switches between n = 833
-    # and 834, 2-D (128 nodes) between n = 156 and 157
-    monkeypatch.setattr(measures_mod, "_cross_quadrature", lambda *args: 0.0)
-    for d, last in ((1, 833), (2, 156)):
-        for n, method in ((last, "quadrature"), (last + 1, "monte-carlo")):
-            pts = np.zeros((n, d))
-            pts[:, 0] = np.linspace(0.0, 1.0, n)
-            cloud = rd.PointCloud(pts)
-            res = rd.ball_energy_numeric(cloud, rd.BallMeasureParams(0.5, 1.0, n))
-            assert res.method == method, (d, n)
+def test_ball_method_follows_the_dimension():
+    # no size switch: d = 1 and 2 integrate past the sizes (834 and 157
+    # balls) where a cost budget once handed over to Monte Carlo; d = 3 has
+    # no product rule
+    for d, n, method in ((1, 834, "quadrature"), (2, 157, "quadrature"), (3, 8, "monte-carlo")):
+        pts = np.zeros((n, d))
+        pts[:, 0] = np.linspace(0.0, 1.0, n)
+        res = rd.ball_energy_numeric(rd.PointCloud(pts), rd.BallMeasureParams(0.5, 1.0, n))
+        assert res.method == method, (d, n)
+        assert (res.standard_error is None) == (method == "quadrature")
 
 
-def test_monte_carlo_past_the_budget_matches_point_energy():
+def test_cross_sum_of_a_large_line_matches_point_energy():
+    # radius 834^-2 against a gap of 1/833: the balls act as their centres
     n, s = 834, 0.5
     cloud = rd.PointCloud(np.linspace(0.0, 1.0, n).reshape(-1, 1))
-    res = rd.ball_energy_numeric(cloud, rd.BallMeasureParams(s, 1.0, n), seed=3)
-    assert res.method == "monte-carlo"
+    res = rd.ball_energy_numeric(cloud, rd.BallMeasureParams(s, 1.0, n))
     j = rd.discrete_energy(cloud, s)
-    assert abs(res.cross - (n - 1) / n * j) <= 4.0 * res.standard_error
+    assert res.cross == pytest.approx((n - 1) / n * j, rel=1e-6)
+
+
+def rule_pair(d, rho, r, s):
+    """E|x - y|^{-s} of two radius-rho balls r apart by the product rule of _ball_rule."""
+    nodes, w = _ball_rule(d, rho)
+    centre = np.zeros(d)
+    centre[0] = r
+    diff = (centre + nodes)[:, None, :] - nodes[None, :, :]
+    return float(np.sum(np.outer(w, w) * np.sum(diff * diff, axis=2) ** (-s / 2.0)))
+
+
+def test_far_series_matches_the_product_rule():
+    # at the far threshold and twice it both are exact to rounding
+    rho = 0.75
+    for d, exps in ((1, (0.1, 0.5, 0.9)), (2, (0.3, 1.0, 1.7, 1.95))):
+        for s in exps:
+            coeffs = _pizzetti(d, s, rho)
+            for r in (_FAR * rho, 2.0 * _FAR * rho):
+                series = math.fsum(c * r ** (-s - 2 * j) for j, c in enumerate(coeffs))
+                assert series == pytest.approx(rule_pair(d, rho, r, s), rel=1e-12), (d, s, r)
+
+
+def test_cross_sum_is_homogeneous_of_degree_minus_s():
+    # scaling by 2^k is exact, so only the final 2^{-ks} moves the value
+    for cloud, s, c in ((rd.grid_1d(64), 0.9, 0.5), (rd.lattice(2, 3), 1.2, 1.0)):
+        base = rd.ball_energy_numeric(cloud, rd.BallMeasureParams(s, c, cloud.n)).cross
+        for k in (-300, 300):
+            scaled = rd.PointCloud(np.ldexp(cloud.points, k))
+            got = rd.ball_energy_numeric(scaled, rd.BallMeasureParams(s, math.ldexp(c, k), cloud.n))
+            assert got.cross == pytest.approx(base * 2.0 ** (-k * s), rel=1e-12)
+
+
+def test_cross_sum_is_bit_identical_at_any_thread_count():
+    # 800 centres make ten fold strips; their nearest neighbours are near pairs
+    cloud = rd.grid_1d(800)
+    params = rd.BallMeasureParams(0.9, 0.5, cloud.n)
+    assert _FAR * params.radius > 1.0 / 799
+    got = {rd.ball_energy_numeric(cloud, params, threads=t).cross for t in (1, 2, 4)}
+    assert len(got) == 1
+
+
+def test_cross_sum_of_vanishing_radii_is_the_point_energy():
+    # s = 0.001 puts the radius at 4^-1000, which underflows to 0: only the
+    # point term of the series is taken, whose higher powers of the gap
+    # 1e-11 would overflow
+    line = rd.PointCloud([[0.0], [1e-11], [0.5], [1.0]])
+    res = rd.ball_energy_numeric(line, rd.BallMeasureParams(0.001, 1.0, 4))
+    assert res.cross == pytest.approx(0.75 * rd.discrete_energy(line, 0.001), rel=1e-12)
+    # the scale 2^-e is bounded so the centres stay finite: 2^1073 is not
+    assert _cross_sum(line.points, 5e-324, 0.5) == pytest.approx(
+        12 * rd.discrete_energy(line, 0.5), rel=1e-12
+    )
+    # 2^{-es} = 2^{1100} is past the double range; the value is not
+    square = rd.PointCloud(np.ldexp(rd.lattice(2, 2).points, -100))
+    want = 16 * 15 * rd.discrete_energy(square, 1.9)
+    assert _cross_sum(square.points, 2.0**-579, 1.9) == pytest.approx(want, rel=1e-12)
 
 
 def test_ball_params_validation():
