@@ -7,13 +7,13 @@ integral after the u = x - y substitution (16-node Gauss-Legendre), and the
 circle has a Gamma closed form. Ball measures place radius c*n^{-1/s} balls
 on a cloud; their energy decomposes into a self-interaction term (the
 closed-form radial reduction over the doubled-radius domain, which is the
-prediction constant) plus cross terms. In d = 1 and 2 the cross terms are
-deterministic at every size: pairs of balls at least ``_FAR`` radii apart
-take Pizzetti's series for ball means, summed for all its exponents in one
-pass on the fold of ``energy._fold_sums``, and the nearer pairs take one
-product rule per ball (``_ball_rule``). In d >= 3 a seeded Monte Carlo
-estimate runs instead. Everything here is numpy and ``math``; no adaptive
-quadrature is needed.
+prediction constant) plus cross terms, deterministic in every dimension:
+pairs of balls at least ``_FAR`` radii apart take Pizzetti's series for
+ball means, summed for all its exponents in one pass on the fold of
+``energy._fold_sums``, and the nearer pairs take one rule over the
+difference of two uniform points (``_difference_rule``), which depends on
+the centre distance alone. Everything here is numpy and ``math``; no
+adaptive quadrature is needed.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import Optional, Union
 import numpy as np
 
 from . import cloud as _cloud
-from .cloud import PointCloud, _distances, _fold_blocks, _pair_distances, _tile
-from .energy import _RUN, _check_exponents, _fold_sums, _fsum, discrete_energy
+from .cloud import PointCloud, _pair_distances
+from .energy import _RUN, _check_exponents, _deal, _fold_sums, _fsum, discrete_energy
 from .errors import (
     DuplicatePoints,
     HypothesisViolated,
@@ -60,7 +60,6 @@ __all__ = [
     "measure_from_json",
 ]
 
-_MC_SAMPLES = 200_000  # ball pairs drawn by Monte Carlo (d >= 3)
 _FAR = 2.0 ** (1.0 + 53.0 / (2 * _RUN))  # (2 / _FAR)^(2 _RUN) = 2^-53: one ladder run of terms
 
 
@@ -300,8 +299,6 @@ class BallEnergyResult:
     value: float
     same_ball: float
     cross: float
-    method: str
-    standard_error: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -323,8 +320,10 @@ def _self_interaction_constant(d: int, s: float, c: float) -> float:
     difference-variable integral is taken over the doubled-radius ball
     (the radial integral of r^{d-1-s} over [0, 2] is 2^{d-s} / (d-s)); the
     exact lens-overlap integral is smaller (see ball_self_energy_exact).
+    It is inf once c^s underflows, as it does for c = 1e-300.
     """
-    return unit_ball_surface(d) * 2.0 ** (d - s) / (unit_ball_volume(d) * c**s * (d - s))
+    denominator = unit_ball_volume(d) * c**s * (d - s)
+    return unit_ball_surface(d) * 2.0 ** (d - s) / denominator if denominator else math.inf
 
 
 def ball_self_energy_exact(d: int, radius: float, s: float) -> float:
@@ -350,23 +349,51 @@ def ball_self_energy_exact(d: int, radius: float, s: float) -> float:
     raise UnsupportedDimension("exact self-energy implemented for d in {1, 2}")
 
 
-def _ball_rule(d: int, radius: float):
-    """Product-rule nodes (m, d) and weights (m,) of a uniform unit-mass ball.
+def _difference_rule(u: np.ndarray, d: int, s: float, *, threads: int = 1) -> np.ndarray:
+    """Cross terms E|u e + z|^{-s} of two unit balls in R^d at centre distances ``u`` > 2.
 
-    d = 1: 24-node Gauss-Legendre on [-radius, radius]. d = 2: 8 radial
-    Gauss-Legendre nodes in r^2 times 16 equal angles. d >= 3 has no rule
-    (Monte Carlo runs there).
+    z, the difference of two uniform points of the balls, has the radial
+    density proportional to t^{d-1} times the volume of the lens of two unit
+    balls t apart; with t = 2 cos(phi) that is cos^{d-1}(phi) sin(phi)
+    S_d(phi), S_d = int_0^phi sin^d, analytic on [0, pi/2]: 24 Gauss-Legendre
+    nodes in phi. The angle theta of z to the centre line takes 48
+    Gauss-Legendre nodes on [0, pi] under the weight sin^{d-2}(theta) (in d =
+    1, theta = 0 and pi), so each u costs 1,152 values of ((u + t cos(theta))^2
+    + (t sin(theta))^2)^{-s/2}. The u go in chunks of about ``cloud._TILE``
+    values, dealt to ``threads``; each result depends on its own u alone.
     """
+    y, w = np.polynomial.legendre.leggauss(24)
+    phi = math.pi / 4.0 * (y + 1.0)
+    cos, sin = np.cos(phi), np.sin(phi)
+    S = [phi, 1.0 - cos]
+    for k in range(2, d + 1):
+        S.append((k - 1) / k * S[k - 2] - sin ** (k - 1) * cos / k)
+    radial = w * cos ** (d - 1) * sin * S[d]
     if d == 1:
-        x, w = np.polynomial.legendre.leggauss(24)
-        return radius * x[:, None], w / 2.0
-    if d == 2:
-        u, wu = np.polynomial.legendre.leggauss(8)
-        r = radius * np.sqrt(0.5 * (u + 1.0))
-        t = 2.0 * math.pi * np.arange(16) / 16
-        nodes = np.stack([np.outer(r, np.cos(t)), np.outer(r, np.sin(t))], axis=-1)
-        return nodes.reshape(-1, 2), np.repeat(wu / 32.0, 16)
-    raise UnsupportedDimension("the ball product rule covers d in {1, 2}")
+        x, sin_t, angular = np.array([1.0, -1.0]), np.zeros(2), np.ones(2)
+    else:
+        y, w = np.polynomial.legendre.leggauss(48)
+        theta = math.pi / 2.0 * (y + 1.0)
+        x, sin_t = np.cos(theta), np.sin(theta)
+        angular = w * sin_t ** (d - 2)
+    P, Q = np.outer(2.0 * cos, x).ravel(), np.outer(2.0 * cos, sin_t).ravel() ** 2
+    W = np.outer(radial / radial.sum(), angular / angular.sum()).ravel()
+    out = np.empty(len(u))
+    rows = max(1, _cloud._TILE // len(W))
+
+    def run(share):
+        for i in share:
+            K = np.add(u[i : i + rows, None], P)
+            K *= K
+            K += Q
+            np.log(K, out=K)
+            K *= -0.5 * s
+            np.exp(K, out=K)
+            K *= W
+            K.sum(axis=1, out=out[i : i + rows])
+
+    _deal(run, range(0, len(u), rows), threads)
+    return out
 
 
 def _pizzetti(d: int, s: float, rho: float) -> list:
@@ -391,100 +418,65 @@ def _pizzetti(d: int, s: float, rho: float) -> list:
 
 
 def _cross_sum(points: np.ndarray, rho: float, s: float, *, threads: int = 1) -> float:
-    """Sum over ordered pairs of distinct radius-rho balls of E|x-y|^{-s}, d = 1 or 2.
+    """Sum over ordered pairs of distinct radius-rho balls of E|x-y|^{-s}.
 
-    The centres are scaled exactly by a power of two 2^-e that puts the
-    radius in [1/2, 1), so no r^{-s-2j} of a far pair overflows; e is
-    bounded so that the scaled centres stay below 2^1000 when rho is tiny
-    or 0. The sum is scaled back by 2^{-es} once, in two steps, so that
-    only a result past the double range is inf. Far pairs, with centre
-    distance r >= ``_FAR`` rho, take the series of :func:`_pizzetti`: one
-    pass of ``energy._fold_sums`` over the exponents s, s + 2, ..., which
-    form one ladder run. Near pairs, found on the same fold strips, take
-    the product rule of :func:`_ball_rule`: in chunks of about
-    ``cloud._TILE`` values, each pair's centre difference against the node
-    offsets n_b - n_a, its kernel values dotted with the weights w_a w_b.
-    Coinciding nodes of overlapping balls give inf.
+    Near pairs, with centre distance r < ``_FAR`` rho, take
+    :func:`_difference_rule` at r / rho; the walk that finds them also finds
+    the smallest centre distance. The centres are then scaled exactly by a
+    power of two 2^-e that puts it in [1/2, 1), so no r^{-s-2j} overflows;
+    e is bounded so that the scaled centres stay below 2^1000. Far pairs
+    take the series of :func:`_pizzetti`: one pass of ``energy._fold_sums``
+    over the exponents s, s + 2, ..., which form one ladder run. The sum is
+    scaled back by 2^{-es} once, in two steps, so that only a result past
+    the double range is inf. Every pair sum is exact (``math.fsum``), so
+    the result is bit-identical at any ``threads``. Raises
+    HypothesisViolated when balls touch or overlap (r <= 2 rho).
     """
-    n, d = points.shape
-    e = max(math.frexp(rho)[1], math.frexp(float(np.abs(points).max()))[1] - 1000)
+    d = points.shape[1]
+    near, low = [], math.inf
+    for r in _pair_distances(points):
+        near.append(r[r < _FAR * rho])
+        low = min(low, float(r.min()))
+    r = np.concatenate(near)
+    if r.size and r.min() <= 2.0 * rho:
+        raise HypothesisViolated(f"balls overlap: two centres are {r.min() / rho:.6g} radii apart")
+    e = max(math.frexp(low)[1], math.frexp(float(np.abs(points).max()))[1] - 1000)
     q = np.ldexp(points, -e)
     rho_q = math.ldexp(rho, -e)
     far = _FAR * rho_q
     # a term whose coefficient underflows (rho = 0 keeps only j = 0) is left out
     terms = [(s + 2 * j, c) for j, c in enumerate(_pizzetti(d, s, rho_q)) if c]
     F = _fold_sums(q, [t for t, _ in terms], threads=threads, weight=lambda r: (r >= far) * 1.0)
-    sums = [np.array([c * _fsum(row) for (_, c), row in zip(terms, F)])]
-    near = []
-    for (d0, _, _), r in zip(_fold_blocks(n), _pair_distances(q)):
-        k = np.flatnonzero(r < far)
-        j = k % n
-        near.append(q[j] - q[(j + d0 + k // n) % n])
-    diffs = np.concatenate(near)
-    nodes, w = _ball_rule(d, rho_q)
-    offsets = (nodes[None, :, :] - nodes[:, None, :]).reshape(-1, d)
-    ww = np.outer(w, w).ravel()
-    rows = max(1, _cloud._TILE // len(ww))
+    sums = [c * _fsum(row) for (_, c), row in zip(terms, F)]
+    if r.size:
+        sums.append(rho_q**-s * _fsum(_difference_rule(r / rho, d, s, threads=threads)))
+    k = math.floor(-e * s)
     with np.errstate(over="ignore"):
-        for i in range(0, len(diffs), rows):
-            a = diffs[i : i + rows]
-            try:
-                L = _distances(_tile(a, offsets), a, offsets, log=True)
-            except DuplicatePoints:
-                return math.inf
-            L *= -0.5 * s
-            sums.append(np.exp(L, out=L) @ ww)
-        k = math.floor(-e * s)
-        return float(np.ldexp(2.0 * _fsum(np.concatenate(sums)) * 2.0 ** (-e * s - k), k))
+        return float(np.ldexp(2.0 * _fsum(np.array(sums)) * 2.0 ** (-e * s - k), k))
 
 
 def ball_energy_numeric(
-    cloud: PointCloud, params: BallMeasureParams, *, seed: int = 0, threads: int = 1
+    cloud: PointCloud, params: BallMeasureParams, *, threads: int = 1
 ) -> BallEnergyResult:
     """Energy of the ball measure on a cloud, by numerical integration.
 
     Same-ball terms use the radially symmetric reduction over the
     doubled-radius difference ball (the construction behind the closed-form
-    constant). In d = 1 and 2 the distinct-ball terms are deterministic
-    (:func:`_cross_sum`: a far-field series plus the product rule of
-    :func:`_ball_rule` on near pairs), bit-identical at any ``threads``. In
-    d >= 3 they are a seeded Monte Carlo estimate (``seed``) with a
-    reported standard error.
+    constant). The distinct-ball terms are deterministic in every
+    dimension (:func:`_cross_sum`: a far-field series plus the difference
+    rule on near pairs), bit-identical at any ``threads``. Overlapping
+    balls raise HypothesisViolated.
     """
     d = cloud.dim
     s = params.s
-    if params.n != cloud.n:
+    n = cloud.n
+    if params.n != n:
         raise ValueError("params.n must equal the cloud size")
     if s >= d:
-        return BallEnergyResult(math.inf, math.inf, 0.0, "analytic")
-    rho = params.radius
+        return BallEnergyResult(math.inf, math.inf, 0.0)
     same = _self_interaction_constant(d, s, params.c)
-    n = cloud.n
-    if n == 1:
-        return BallEnergyResult(same, same, 0.0, "quadrature")
-    if d >= 3:
-        g = stream(seed)
-        i = g.integers(0, n, _MC_SAMPLES)
-        shift = g.integers(1, n, _MC_SAMPLES)
-        j = (i + shift) % n  # distinct ball indices, uniform over ordered pairs
-        x = cloud.points[i] + _uniform_in_ball(g, d, rho, _MC_SAMPLES)
-        y = cloud.points[j] + _uniform_in_ball(g, d, rho, _MC_SAMPLES)
-        vals = np.sum((x - y) ** 2, axis=1) ** (-s / 2.0)
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(_MC_SAMPLES))
-        cross = (n - 1) / n * mean
-        return BallEnergyResult(same + cross, same, cross, "monte-carlo", (n - 1) / n * se)
-    cross = _cross_sum(cloud.points, rho, s, threads=threads) / (n * n)
-    return BallEnergyResult(same + cross, same, cross, "quadrature")
-
-
-def _uniform_in_ball(g: np.random.Generator, d: int, radius: float, count: int) -> np.ndarray:
-    if d == 1:
-        return radius * (2.0 * g.random((count, 1)) - 1.0)
-    v = g.normal(size=(count, d))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    r = radius * g.random(count) ** (1.0 / d)
-    return v * r[:, None]
+    cross = _cross_sum(cloud.points, params.radius, s, threads=threads) / (n * n) if n > 1 else 0.0
+    return BallEnergyResult(same + cross, same, cross)
 
 
 def ball_energy_predicted(

@@ -253,22 +253,31 @@ def test_ballcheck_payload(capsys):
     )
     assert code == 0
     payload = payload_of(out)
-    assert payload["numeric"]["method"] == "quadrature"
+    assert set(payload["numeric"]) == {"value", "same_ball", "cross"}
     assert payload["predicted"]["epsilon"] > 0
     assert payload["relative_gap"] < 0.02
 
 
 def test_ballcheck_integrates_lines_and_planes_at_any_size(capsys):
     # 1000 intervals and 256 discs lie past the sizes where Monte Carlo
-    # once took over; the discs have near pairs for the product rule
+    # once took over; the discs have near pairs for the difference rule
     for argv in (["--gen", "grid1d", "--n", "1000", "--s", "0.5"],
                  ["--gen", "lattice", "--d", "2", "--k", "4", "--s", "1.2"]):
         code, out, _ = run_cli(["ballcheck", *argv, "--c", "2.0"], capsys)
         assert code == 0
-        numeric = payload_of(out)["numeric"]
-        assert numeric["method"] == "quadrature"
-        assert numeric["standard_error"] is None
+        assert set(payload_of(out)["numeric"]) == {"value", "same_ball", "cross"}
         assert payload_of(out)["relative_gap"] < 0.01
+
+
+def test_ballcheck_tiny_radius_scale_is_a_domain_error(capsys):
+    # c^s underflows at c = 1e-300: both energies are inf, so their relative
+    # gap is NaN, which the envelope refuses
+    code, out, err = run_cli(
+        ["ballcheck", "--gen", "lattice", "--d", "2", "--k", "2", "--s", "1.5", "--c", "1e-300"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "NonFiniteResult" in err
 
 
 def test_distset_json(capsys):
@@ -394,7 +403,7 @@ COMMON_FLAGS = {
     "lln-mean": {"--seed", "--threads", "--max-points", "--max-pairs"},
     "lln-weak": {"--seed", "--threads", "--max-points", "--max-pairs"},
     "lln-path": {"--seed", "--threads", "--max-points", "--max-pairs"},
-    "ballcheck": {"--seed", "--threads", "--max-points", "--max-pairs"},
+    "ballcheck": {"--threads", "--max-points", "--max-pairs"},
     "distset": {"--threads", "--max-points", "--max-pairs"},
     "dotset": {"--max-points", "--max-pairs"},
     "erdos": {"--max-points", "--max-pairs"},
@@ -424,6 +433,7 @@ def test_each_subcommand_takes_only_the_common_flags_it_reads():
         ["erdos", "--gen", "grid1d", "--n", "8", "--threads", "2"],
         ["sample", "--measure", "cube", "--count", "3", "--threads", "2"],
         ["gen", "--gen", "grid1d", "--n", "8", "--max-pairs", "5"],
+        ["ballcheck", "--gen", "grid1d", "--n", "64", "--s", "0.5", "--c", "4", "--seed", "1"],
     ],
 )
 def test_deleted_common_flags_are_usage_errors(argv, capsys):
@@ -431,6 +441,24 @@ def test_deleted_common_flags_are_usage_errors(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_readme_tour_writes_every_input_before_reading_it():
+    # the tour is meant to run top to bottom in an empty directory; this
+    # reads its fenced block and runs no command
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI tour", 1)[1].split("```")[1]
+    commands = [line.split() for line in block.splitlines() if line.startswith("rieszdim ")]
+    assert len(commands) > 10
+    written = set()
+    for argv in commands:
+        flags = list(zip(argv, argv[1:]))
+        for flag, value in flags:
+            if flag == "--input":
+                assert value in written, " ".join(argv)
+        written.update(value for flag, value in flags if flag in ("-o", "--output"))
 
 
 def test_benchmark_command_lines_parse():
@@ -512,6 +540,8 @@ def test_threads_flag_does_not_change_payload(capsys, tmp_path):
         ["lln-path", "--measure", "cube", "--dim", "2", "--s", "0.6", "--n-max", "300"],
         # not a replicate command: its point energy spans more than one strip
         ["ballcheck", "--gen", "grid1d", "--n", "400", "--s", "0.5", "--c", "2.0"],
+        # its 930 near pairs are dealt to the threads in 34 chunks
+        ["ballcheck", "--gen", "lattice", "--d", "2", "--k", "4", "--s", "1.2", "--c", "2.0"],
     ],
 )
 def test_replicate_commands_ignore_threads_in_payload(argv, capsys, tmp_path, monkeypatch):
@@ -528,7 +558,7 @@ def test_replicate_commands_ignore_threads_in_payload(argv, capsys, tmp_path, mo
     outputs = []
     for t in ("1", "2", "0"):
         pool_requests.clear()
-        extra = ["--seed", "5", "--threads", t]
+        extra = ["--threads", t] + (["--seed", "5"] if "--seed" in COMMON_FLAGS[argv[0]] else [])
         if argv[0] == "varscan":
             extra += ["--json", str(tmp_path / f"env{t}.json")]
         if argv[0] == "lln-mean":

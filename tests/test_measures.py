@@ -1,16 +1,21 @@
+import dataclasses
+import functools
+import inspect
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import gammaln, logsumexp
+from scipy.spatial.distance import pdist
 
 import rieszdim as rd
 import rieszdim.cloud as cloud_mod
 import rieszdim.rng as rng_mod
 from rieszdim.measures import (
     _FAR,
-    _ball_rule,
     _cross_sum,
+    _difference_rule,
     _pizzetti,
     _self_interaction_constant,
     sample_detail,
@@ -290,31 +295,29 @@ def test_two_far_balls_cross_term_asymptote():
 
 def test_cross_quadrature_matches_interval_antiderivative():
     # independent closed form for two disjoint intervals: iterated exact
-    # integration of (y - x)^{-s}
+    # integration of (y - x)^{-s}; 2.2 radii apart is a near pair
     s = 0.7
     params = rd.BallMeasureParams(s, 2.0, 2)
     rho = params.radius
-    sep = 10.0 * rho
-    cloud = rd.PointCloud([[0.0], [sep]])
 
     def anti(t):
         return t ** (2.0 - s) / ((1.0 - s) * (2.0 - s))
 
-    x0, x1 = -rho, rho
-    y0, y1 = sep - rho, sep + rho
-    exact = (anti(y1 - x0) - anti(y1 - x1) - anti(y0 - x0) + anti(y0 - x1)) / (2 * rho) ** 2
-    res = rd.ball_energy_numeric(cloud, params)
-    # cross term sums both ordered pairs with weight 1/n^2
-    assert res.cross == pytest.approx(2.0 * exact / 4.0, rel=1e-9)
+    for sep in (2.2 * rho, 10.0 * rho):
+        cloud = rd.PointCloud([[0.0], [sep]])
+        x0, x1 = -rho, rho
+        y0, y1 = sep - rho, sep + rho
+        exact = (anti(y1 - x0) - anti(y1 - x1) - anti(y0 - x0) + anti(y0 - x1)) / (2 * rho) ** 2
+        res = rd.ball_energy_numeric(cloud, params)
+        # cross term sums both ordered pairs with weight 1/n^2
+        assert res.cross == pytest.approx(2.0 * exact / 4.0, rel=1e-9), sep / rho
 
 
 def test_ball_energy_zero_like_exponent_total_mass():
-    # four far balls are well under the quadrature budget: the total is the
-    # same-ball constant plus the quadrature cross term
+    # the total is the same-ball constant plus the cross term
     params = rd.BallMeasureParams(0.5, 1.0, 4)
     cloud = rd.PointCloud([[0.0], [10.0], [20.0], [30.0]])
     res = rd.ball_energy_numeric(cloud, params)
-    assert res.method == "quadrature"
     assert res.value > 0
     assert res.value == res.same_ball + res.cross
 
@@ -358,12 +361,11 @@ def test_predicted_rejects_overlapping_balls():
 
 
 def test_two_far_discs_cross_term_asymptote():
-    # d = 2 product quadrature: two discs far apart approach (1/2) L^{-s}
+    # two discs far apart approach (1/2) L^{-s}
     params = rd.BallMeasureParams(0.5, 1.0, 2)
     sep = 500.0 * params.radius
     cloud = rd.PointCloud([[0.0, 0.0], [sep, 0.0]])
     res = rd.ball_energy_numeric(cloud, params)
-    assert res.method == "quadrature"
     assert res.cross == pytest.approx(0.5 * sep**-0.5, rel=1e-2)
 
 
@@ -386,60 +388,114 @@ def test_disc_cross_term_against_monte_carlo():
     assert res.cross == pytest.approx(2.0 * mc / 4.0, rel=3e-3)
 
 
-def test_ball_numeric_monte_carlo_fallback():
-    n = 8
-    rng = np.random.default_rng(1)
-    cloud = rd.PointCloud(rng.random((n, 3)) * 100.0)
-    params = rd.BallMeasureParams(0.5, 1.0, n)
-    res = rd.ball_energy_numeric(cloud, params, seed=2)
-    assert res.method == "monte-carlo"
-    assert res.standard_error is not None and res.standard_error > 0
-    # sanity on scale: cross term near the point-pair average
-    j = rd.discrete_energy(cloud, 0.5)
-    assert res.cross == pytest.approx((n - 1) / n * j, rel=0.05)
+@functools.lru_cache
+def pizzetti_log_a(d, terms=1500):
+    """log a_j, a_j = sum_{k+l=j} b_k b_l, b_k = Gamma(d/2+1) / (4^k k! Gamma(d/2+k+1))."""
+    k = np.arange(terms)
+    lb = gammaln(d / 2 + 1) - k * math.log(4.0) - gammaln(k + 1) - gammaln(d / 2 + k + 1)
+    out = []
+    for j in np.array_split(k, -(-terms // 250)):
+        i = k[: j[-1] + 1]
+        pairs = lb[i] + lb[np.abs(j[:, None] - i)]
+        pairs[i > j[:, None]] = -np.inf
+        out.append(logsumexp(pairs, axis=1))
+    return np.concatenate(out)
 
 
-def per_pair_interval_rule(points, radius, s):
-    """Reference cross sum in d = 1: 24-node Gauss-Legendre per pair of intervals."""
-    x, w = np.polynomial.legendre.leggauss(24)
-    off = radius * x
-    ww = np.outer(w, w) / 4.0
-    c = points[:, 0]
-    total = 0.0
-    for i in range(len(c)):
-        for j in range(i + 1, len(c)):
-            total += float(np.sum(ww * np.abs(c[i] - c[j] + off[:, None] - off[None, :]) ** (-s)))
-    return 2.0 * total
+def pizzetti_oracle(d, s, u, terms=1500):
+    """Cross term of two unit balls at centre distances u > 2: Pizzetti's series in log space.
+
+    sum_j a_j prod_{i<j} (s+2i)(s+2i+2-d) u^{-s-2j}, each term's magnitude
+    taken as one exp of its log and its sign from the signed products; it
+    converges like (2/u)^{2j} and shares no code with the library.
+    """
+    u = np.asarray(u, dtype=float)
+    j = np.arange(terms)
+    f = (s + 2 * j) * (s + 2 * j + 2 - d)
+    with np.errstate(divide="ignore"):
+        log_f = np.log(np.abs(f))
+    log_p = np.concatenate(([0.0], np.cumsum(log_f[:-1])))
+    sign = np.concatenate(([1.0], np.cumprod(np.sign(f[:-1]))))
+    log_terms = (pizzetti_log_a(d, terms) + log_p)[:, None] - np.outer(s + 2 * j, np.log(u))
+    return (sign[:, None] * np.exp(log_terms)).sum(axis=0)
 
 
-def per_pair_disc_rule(points, radius, s):
-    """Reference cross sum in d = 2: 8 radial x 16 angular nodes per pair of discs."""
-    u, wu = np.polynomial.legendre.leggauss(8)
-    r = radius * np.sqrt(0.5 * (u + 1.0))
-    t = 2.0 * math.pi * np.arange(16) / 16
-    nodes = np.column_stack([np.outer(r, np.cos(t)).ravel(), np.outer(r, np.sin(t)).ravel()])
-    pair_w = np.outer(0.5 * wu, np.full(16, 1.0 / 16)).ravel()
-    pair_w = np.outer(pair_w, pair_w).ravel()
-    total = 0.0
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            diff = (points[i] + nodes)[:, None, :] - (points[j] + nodes)[None, :, :]
-            dist = np.sqrt(np.sum(diff * diff, axis=2)).ravel()
-            total += 2.0 * float(np.dot(dist ** (-s), pair_w))
-    return total
+def oracle_cross_sum(points, rho, s):
+    """Sum over ordered pairs of distinct radius-rho balls of their cross term, by the oracle."""
+    u, count = np.unique(pdist(points) / rho, return_counts=True)
+    return 2.0 * rho**-s * math.fsum(count * pizzetti_oracle(points.shape[1], s, u))
+
+
+def test_pizzetti_oracle_converges_and_matches_closed_forms():
+    # 500 more terms change nothing (the terms fall at least like
+    # 0.952^j); d = 1 has the interval closed form, and in d = 3 a ball's
+    # mean of the harmonic r^{-1} is its centre value
+    for d in (1, 2, 3, 4):
+        for s in (0.1 * d, 0.97 * d):
+            u = np.array([2.05, 2.2, _FAR])
+            np.testing.assert_allclose(
+                pizzetti_oracle(d, s, u), pizzetti_oracle(d, s, u, terms=2000), rtol=1e-14
+            )
+    s, u = 0.7, 2.05
+
+    def anti(t):
+        return t ** (2.0 - s) / ((1.0 - s) * (2.0 - s))
+
+    exact = (anti(u + 2.0) - 2.0 * anti(u) + anti(u - 2.0)) / 4.0
+    assert pizzetti_oracle(1, s, [u])[0] == pytest.approx(exact, rel=1e-13)
+    assert pizzetti_oracle(3, 1.0, [u])[0] == pytest.approx(1.0 / u, rel=1e-15)
+
+
+def test_difference_rule_matches_the_log_space_series():
+    # per pair, for s spanning (0, d): <= 1e-12 from 2.2 radii, <= 1e-7 at
+    # 2.05 radii, where the balls almost touch
+    u = np.array([2.05, 2.2, 2.5, 4.0, _FAR])
+    for d in (1, 2, 3, 4):
+        for s in (0.1 * d, 0.5 * d, 0.75 * d, 0.97 * d):
+            err = np.abs(_difference_rule(u, d, s) / pizzetti_oracle(d, s, u) - 1.0)
+            assert err[0] <= 1e-7, (d, s)
+            assert err[1:].max() <= 1e-12, (d, s)
+
+
+def test_ball_numeric_in_three_dimensions_matches_the_oracle():
+    # the 4 x 4 x 4 lattice with 2 rho = 0.9 gap: its 144 nearest pairs are
+    # 2.22 radii apart, and 1,164 of its 2,016 pairs are near pairs
+    cloud = rd.lattice(3, 2)
+    s = 1.5
+    rho = 0.45 * cloud.min_gap()
+    params = rd.BallMeasureParams(s, rho * cloud.n ** (1.0 / s), cloud.n)
+    res = rd.ball_energy_numeric(cloud, params)
+    want = oracle_cross_sum(cloud.points, params.radius, s) / cloud.n**2
+    assert res.cross == pytest.approx(want, rel=1e-10)
+
+
+def test_discs_that_almost_touch_match_the_oracle_sum():
+    # 2 rho = 0.98 gap at s = 1.5: nearest neighbours are 2.04 radii apart
+    for k in (3, 4):
+        cloud = rd.lattice(2, k)
+        s = 1.5
+        rho = 0.49 * cloud.min_gap()
+        params = rd.BallMeasureParams(s, rho * cloud.n ** (1.0 / s), cloud.n)
+        res = rd.ball_energy_numeric(cloud, params)
+        want = oracle_cross_sum(cloud.points, params.radius, s) / cloud.n**2
+        assert res.cross == pytest.approx(want, rel=1e-7), k
 
 
 def quadrature_cases():
+    # the discs and the dyadic line have near pairs 2.5 and 2.2 radii apart
     line = rd.PointCloud(np.linspace(0.0, 1.0, 50).reshape(-1, 1))
-    return ((line, 0.5, 4.0, per_pair_interval_rule), (rd.lattice(2, 2), 1.2, 1.0, per_pair_disc_rule))
+    return (
+        (line, 0.5, 4.0),
+        (rd.lattice(1, 6), 0.5, 64 / 2.2),
+        (rd.lattice(2, 2), 1.2, 1.0),
+    )
 
 
 def test_cross_quadrature_matches_per_pair_rules():
-    for cloud, s, c, oracle in quadrature_cases():
+    for cloud, s, c in quadrature_cases():
         params = rd.BallMeasureParams(s, c, cloud.n)
         res = rd.ball_energy_numeric(cloud, params)
-        want = oracle(cloud.points, params.radius, s) / cloud.n**2
-        assert res.method == "quadrature"
+        want = oracle_cross_sum(cloud.points, params.radius, s) / cloud.n**2
         assert res.cross == pytest.approx(want, rel=1e-12)
 
 
@@ -448,32 +504,39 @@ def test_cross_quadrature_does_not_depend_on_the_strips(monkeypatch):
     # each near pair in a chunk of its own; neither may change the value
     want = [
         rd.ball_energy_numeric(cloud, rd.BallMeasureParams(s, c, cloud.n)).cross
-        for cloud, s, c, _ in quadrature_cases()
+        for cloud, s, c in quadrature_cases()
     ]
     monkeypatch.setattr(cloud_mod, "_TILE", 64)
     assert len(cloud_mod._fold_blocks(50)) > 10
-    for (cloud, s, c, _), ref in zip(quadrature_cases(), want):
+    for (cloud, s, c), ref in zip(quadrature_cases(), want):
         got = rd.ball_energy_numeric(cloud, rd.BallMeasureParams(s, c, cloud.n)).cross
         assert got == pytest.approx(ref, rel=1e-12)
 
 
-def test_cross_quadrature_coinciding_nodes_is_inf():
-    # unit intervals whose centres are 2 x_max apart (x_max the largest
-    # Gauss-Legendre node, and -x_max the smallest): they share a node
-    x_max = np.polynomial.legendre.leggauss(24)[0][-1]
-    assert _cross_sum(np.array([[0.0], [2.0 * x_max]]), 1.0, 0.5) == math.inf
+def test_overlapping_balls_raise_hypothesis_violated():
+    # touching (r = 2 rho) or overlapping balls have no near-pair rule
+    for sep in (2.0, 1.5):
+        with pytest.raises(rd.HypothesisViolated):
+            _cross_sum(np.array([[0.0], [sep]]), 1.0, 0.5)
+    cloud = rd.lattice(2, 2)
+    params = rd.BallMeasureParams(1.2, 0.6 * cloud.min_gap() * 16 ** (1 / 1.2), 16)
+    with pytest.raises(rd.HypothesisViolated):
+        rd.ball_energy_numeric(cloud, params)
 
 
-def test_ball_method_follows_the_dimension():
-    # no size switch: d = 1 and 2 integrate past the sizes (834 and 157
-    # balls) where a cost budget once handed over to Monte Carlo; d = 3 has
-    # no product rule
-    for d, n, method in ((1, 834, "quadrature"), (2, 157, "quadrature"), (3, 8, "monte-carlo")):
+def test_ball_numeric_is_one_deterministic_rule_in_every_dimension():
+    # no size switch and no Monte Carlo: a line of balls 2.5 radii apart
+    # matches the oracle in d = 1 .. 4, with no seed to take
+    assert [f.name for f in dataclasses.fields(rd.BallEnergyResult)] == ["value", "same_ball", "cross"]
+    assert "seed" not in inspect.signature(rd.ball_energy_numeric).parameters
+    n, s = 20, 0.5
+    for d in (1, 2, 3, 4):
         pts = np.zeros((n, d))
-        pts[:, 0] = np.linspace(0.0, 1.0, n)
-        res = rd.ball_energy_numeric(rd.PointCloud(pts), rd.BallMeasureParams(0.5, 1.0, n))
-        assert res.method == method, (d, n)
-        assert (res.standard_error is None) == (method == "quadrature")
+        pts[:, 0] = np.arange(n) * 2.5
+        params = rd.BallMeasureParams(s, n ** (1.0 / s), n)
+        res = rd.ball_energy_numeric(rd.PointCloud(pts), params)
+        want = oracle_cross_sum(pts, params.radius, s) / n**2
+        assert res.cross == pytest.approx(want, rel=1e-12), d
 
 
 def test_cross_sum_of_a_large_line_matches_point_energy():
@@ -485,24 +548,16 @@ def test_cross_sum_of_a_large_line_matches_point_energy():
     assert res.cross == pytest.approx((n - 1) / n * j, rel=1e-6)
 
 
-def rule_pair(d, rho, r, s):
-    """E|x - y|^{-s} of two radius-rho balls r apart by the product rule of _ball_rule."""
-    nodes, w = _ball_rule(d, rho)
-    centre = np.zeros(d)
-    centre[0] = r
-    diff = (centre + nodes)[:, None, :] - nodes[None, :, :]
-    return float(np.sum(np.outer(w, w) * np.sum(diff * diff, axis=2) ** (-s / 2.0)))
-
-
-def test_far_series_matches_the_product_rule():
+def test_far_series_matches_the_difference_rule():
     # at the far threshold and twice it both are exact to rounding
     rho = 0.75
-    for d, exps in ((1, (0.1, 0.5, 0.9)), (2, (0.3, 1.0, 1.7, 1.95))):
-        for s in exps:
+    for d in (1, 2, 3, 4):
+        for s in (0.1 * d, 0.5 * d, 0.85 * d, 0.97 * d):
             coeffs = _pizzetti(d, s, rho)
             for r in (_FAR * rho, 2.0 * _FAR * rho):
                 series = math.fsum(c * r ** (-s - 2 * j) for j, c in enumerate(coeffs))
-                assert series == pytest.approx(rule_pair(d, rho, r, s), rel=1e-12), (d, s, r)
+                rule = rho**-s * _difference_rule(np.array([r / rho]), d, s)[0]
+                assert series == pytest.approx(rule, rel=1e-12), (d, s, r)
 
 
 def test_cross_sum_is_homogeneous_of_degree_minus_s():
@@ -516,12 +571,15 @@ def test_cross_sum_is_homogeneous_of_degree_minus_s():
 
 
 def test_cross_sum_is_bit_identical_at_any_thread_count():
-    # 800 centres make ten fold strips; their nearest neighbours are near pairs
-    cloud = rd.grid_1d(800)
-    params = rd.BallMeasureParams(0.9, 0.5, cloud.n)
-    assert _FAR * params.radius > 1.0 / 799
-    got = {rd.ball_energy_numeric(cloud, params, threads=t).cross for t in (1, 2, 4)}
-    assert len(got) == 1
+    # 800 centres make ten fold strips; their 799 nearest neighbours are
+    # near pairs. The 256 discs and 512 balls have 930 and 3,696 near pairs;
+    # near pairs go 28 to a chunk.
+    for cloud, s, c in ((rd.grid_1d(800), 0.9, 0.5), (rd.lattice(2, 4), 1.2, 2.0), (rd.lattice(3, 3), 1.5, 2.0)):
+        params = rd.BallMeasureParams(s, c, cloud.n)
+        near = sum(int((r < _FAR * params.radius).sum()) for r in cloud_mod._pair_distances(cloud.points))
+        assert near > 4 * cloud_mod._TILE // 1152, cloud
+        got = {rd.ball_energy_numeric(cloud, params, threads=t) for t in (1, 2, 4)}
+        assert len(got) == 1, cloud
 
 
 def test_cross_sum_of_vanishing_radii_is_the_point_energy():
@@ -562,6 +620,18 @@ def test_reference_energy_rejects_non_finite_exponent():
     for s in (math.nan, math.inf):
         with pytest.raises(ValueError):
             rd.reference_energy(rd.UniformCube(1), s)
+
+
+def test_tiny_radius_scale_gives_an_infinite_constant():
+    # c^s underflows to 0 at c = 1e-300: the ball constant is past the
+    # double range, and the prediction and the integration agree on inf
+    cloud = rd.lattice(2, 2)
+    params = rd.BallMeasureParams(1.5, 1e-300, cloud.n)
+    predicted = rd.ball_energy_predicted(cloud, params)
+    numeric = rd.ball_energy_numeric(cloud, params)
+    assert predicted.constant == numeric.same_ball == math.inf
+    assert predicted.value == numeric.value == math.inf
+    assert numeric.cross == pytest.approx((cloud.n - 1) / cloud.n * predicted.point_energy, rel=1e-12)
 
 
 def test_ball_numeric_infinite_at_ambient_dimension():
