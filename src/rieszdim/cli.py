@@ -10,6 +10,10 @@ computed, ``--seed`` on the stochastic commands, and ``--threads`` where the
 pair engine runs (``distset`` accepts it and ignores it). Exit codes:
 0 success, 1 domain error (the error class name goes to stderr), 2 usage.
 
+A handler only computes: it returns its payload and the text of each file
+it writes. ``main`` builds the envelope before it writes anything, so a NaN
+result leaves no file and no stdout.
+
 Each command imports the library modules it runs when it runs, so a call
 pays start-up only for those: ``--version`` loads none, ``distset`` loads
 ``cloud`` and ``sets``.
@@ -18,7 +22,6 @@ pays start-up only for those: ``--version`` loads none, ``distset`` loads
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -74,14 +77,15 @@ def _inf_to_null(obj, where="envelope"):
     return obj
 
 
+def _read_json(path):
+    with open(_resolve(path), "r", encoding="utf-8") as f:
+        return json.load(f)
+
+
 def _envelope(args, payload: dict, started: float) -> str:
     """The JSON result envelope; an infinity is written as ``null`` and a
     NaN raises :class:`NonFiniteResult` rather than yield invalid JSON."""
-    config = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("func", "_started") and v is not None
-    }
+    config = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     doc = {
         "tool": "rieszdim",
         "version": __version__,
@@ -92,15 +96,6 @@ def _envelope(args, payload: dict, started: float) -> str:
         "payload": payload,
     }
     return json.dumps(_inf_to_null(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _emit_table(args, text: str, payload: dict) -> None:
-    """Write CSV ``text`` to --output and, with --json, the envelope of
-    ``payload``. The envelope is built first, so a NaN leaves no output."""
-    doc = _envelope(args, payload, args._started) if args.json else None
-    _emit_text(text, args.output)
-    if doc is not None:
-        _emit_text(doc, args.json)
 
 
 def _parse_list(text, cast):
@@ -133,9 +128,13 @@ def _add_common(p, *, seed: bool, threads: bool, pairs: bool):
     p.add_argument("-o", "--output", help="output file (default stdout); relative paths honor $" + OUTDIR_ENV)
 
 
-def _add_gen_args(p):
-    g = p.add_argument_group("generator")
-    g.add_argument("--gen", choices=["grid1d", "lattice", "cantor", "semicircle", "energy-seq"])
+def _add_gen_args(p, with_input=True):
+    """The generator flags; with ``with_input``, ``--input`` as the other source of the cloud."""
+    g = p.add_argument_group("point cloud")
+    source = g.add_mutually_exclusive_group()
+    source.add_argument("--gen", choices=["grid1d", "lattice", "cantor", "semicircle", "energy-seq"])
+    if with_input:
+        source.add_argument("--input", help="point CSV file")
     g.add_argument("--n", type=int, help="grid1d point count, or cantor subdivision base")
     g.add_argument("--d", type=int, help="ambient dimension (lattice, cantor product, energy-seq)")
     g.add_argument("--k", type=int, help="lattice refinement level")
@@ -154,8 +153,7 @@ def _cantor_spec_from_args(args) -> CantorSpec:
     from .generators import CantorFactor, CantorSpec, _factor_from_json
 
     if args.spec_json:
-        with open(_resolve(args.spec_json), "r", encoding="utf-8") as f:
-            doc = json.load(f)
+        doc = _read_json(args.spec_json)
         factors = tuple(_factor_from_json(f) for f in doc["factors"])
         return CantorSpec(factors, int(doc["level"]))
     if args.m is None or args.n is None or args.level is None:
@@ -200,8 +198,7 @@ def _generate(args) -> PointCloud:
         return semicircle_phase_points(args.phases, args.per_phase)
     if kind == "energy-seq":
         if args.spec_json:
-            with open(_resolve(args.spec_json), "r", encoding="utf-8") as f:
-                doc = json.load(f)
+            doc = _read_json(args.spec_json)
             s, targets = float(doc["s"]), doc["targets"]
             tolerance = doc.get("tolerance", args.tolerance)
         elif args.s is None or not args.targets:
@@ -217,15 +214,18 @@ def _generate(args) -> PointCloud:
 
 
 def _load_cloud(args) -> PointCloud:
-    if getattr(args, "input", None):
+    """The --input or --gen cloud, refused past --max-points or --max-pairs."""
+    if args.input:
         from .cloud import read_csv
 
         cloud = read_csv(_resolve(args.input))
         _check_points(args, cloud.n)
-        return cloud
-    if getattr(args, "gen", None):
-        return _generate(args)
-    raise SystemExit(_usage_error("provide --input CSV or --gen KIND"))
+    elif args.gen:
+        cloud = _generate(args)
+    else:
+        raise SystemExit(_usage_error("provide --input CSV or --gen KIND"))
+    _check_pairs(args, cloud.n)
+    return cloud
 
 
 def _add_measure_args(p):
@@ -257,8 +257,7 @@ def _measure_from_args(args):
     )
 
     if args.measure_json:
-        with open(_resolve(args.measure_json), "r", encoding="utf-8") as f:
-            return measure_from_json(json.load(f))
+        return measure_from_json(_read_json(args.measure_json))
     kind = args.measure
     if kind == "cube":
         return UniformCube(args.dim)
@@ -285,15 +284,14 @@ def _measure_from_args(args):
     raise SystemExit(_usage_error("provide --measure or --measure-json"))
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[dict, dict]:
     from .cloud import dumps_csv
 
     cloud = _generate(args)
-    _emit_table(args, dumps_csv(cloud), {"points": cloud.n, "dim": cloud.dim})
-    return 0
+    return {"points": cloud.n, "dim": cloud.dim}, {args.output: dumps_csv(cloud)}
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> tuple[dict, dict]:
     from .cloud import dumps_csv
     from .measures import measure_to_json, sample_detail
 
@@ -307,16 +305,18 @@ def _cmd_sample(args) -> int:
         "perturbed_duplicates": info.perturbed,
         "method": "sampler",
     }
-    _emit_table(args, dumps_csv(cloud), payload)
-    return 0
+    return payload, {args.output: dumps_csv(cloud)}
 
 
-def _cmd_energy(args) -> int:
+def _cmd_energy(args) -> tuple[dict, dict]:
     from .energy import discrete_energy, energy_profile, truncated_energy
 
+    single = (args.s, args.cutoff_radius) != (None, None)
+    if (args.s_grid or args.n_grid) and (single or not (args.s_grid and args.n_grid)):
+        raise SystemExit(_usage_error(
+            "a profile needs --s-grid and --n-grid, and takes no --s or --cutoff-radius"))
     cloud = _load_cloud(args)
-    _check_pairs(args, cloud.n)
-    if args.s_grid and args.n_grid:
+    if args.s_grid:
         prof = energy_profile(
             cloud,
             _parse_list(args.s_grid, float),
@@ -352,19 +352,18 @@ def _cmd_energy(args) -> int:
             "n": cloud.n,
             "dim": cloud.dim,
         }
-    _emit_text(_envelope(args, payload, args._started), args.output)
-    return 0
+    return payload, {}
 
 
 def _auto_n_grid(args, cloud: PointCloud):
     if args.n_grid:
         return _parse_list(args.n_grid, int)
-    if getattr(args, "gen", None) == "cantor":
+    if args.gen == "cantor":
         from .generators import cantor_prefix_sizes
 
         sizes = [s for s in cantor_prefix_sizes(_cantor_spec_from_args(args)) if s >= 4]
         return sizes
-    if getattr(args, "gen", None) == "lattice":
+    if args.gen == "lattice":
         return [2 ** (j * args.d) for j in range(1, args.k + 1) if 2 ** (j * args.d) >= 4]
     return _doubling_grid(max(8, cloud.n // 64), cloud.n)
 
@@ -378,14 +377,14 @@ def _doubling_grid(lo: int, n: int) -> list:
     return grid + [n]
 
 
-def _cmd_dim(args) -> int:
+def _cmd_dim(args) -> tuple[dict, dict]:
     from .energy import energy_profile, profile_from_family
     from .estimator import default_window, dimension_estimate
 
     if not args.s_step > 0:
         raise ValueError("--s-step must be positive")
     s_grid = [round(s, 10) for s in np.arange(args.s_min, args.s_max + 1e-9, args.s_step)]
-    if getattr(args, "gen", None) == "grid1d":
+    if args.gen == "grid1d":
         from .generators import grid_1d
 
         # Grid members are rescaled per n, not prefixes of one sequence;
@@ -397,14 +396,13 @@ def _cmd_dim(args) -> int:
         else:
             n_grid = _doubling_grid(max(8, args.n // 16), args.n)
         _check_points(args, max(n_grid))
-        _check_pairs(args, max(n_grid))
+        _check_pairs(args, *n_grid)
 
         def profile(s_list, ns):
             clouds = [grid_1d(n) for n in ns]
             return profile_from_family(clouds, s_list, threads=args.threads)
     else:
         cloud = _load_cloud(args)
-        _check_pairs(args, cloud.n)
         n_grid = _auto_n_grid(args, cloud)
 
         def profile(s_list, ns):
@@ -420,11 +418,10 @@ def _cmd_dim(args) -> int:
     )
     payload = est.to_json()
     payload["n_grid"] = list(prof.n_grid)
-    _emit_text(_envelope(args, payload, args._started), args.output)
-    return 0
+    return payload, {}
 
 
-def _cmd_varscan(args) -> int:
+def _cmd_varscan(args) -> tuple[dict, dict]:
     from .estimator import variance_blowup_scan
     from .measures import measure_to_json
 
@@ -439,48 +436,42 @@ def _cmd_varscan(args) -> int:
         args.seed,
         threads=args.threads,
     )
-    buf = io.StringIO()
-    buf.write("s,score\n")
-    for s, score in scores:
-        buf.write(f"{s:.17g},{score:.17g}\n")
     payload = {
         "measure": measure_to_json(measure),
         "n": args.n,
         "reps": args.reps,
         "scores": [{"s": s, "score": v} for s, v in scores],
     }
-    _emit_table(args, buf.getvalue(), payload)
-    return 0
+    table = "s,score\n" + "".join(f"{s:.17g},{score:.17g}\n" for s, score in scores)
+    return payload, {args.output: table}
 
 
-def _write_per_rep_csv(path, report) -> None:
-    buf = io.StringIO()
-    buf.write("n,rep,J\n")
-    for n, values in zip(report.n_grid, report.replicates):
-        for r, j in enumerate(values):
-            buf.write(f"{n},{r},{j:.17g}\n")
-    _emit_text(buf.getvalue(), path)
+def _per_rep_files(args, report) -> dict:
+    """The --per-rep-csv file of an experiment report, if asked for."""
+    if not args.per_rep_csv:
+        return {}
+    rows = (
+        f"{n},{r},{j:.17g}\n"
+        for n, values in zip(report.n_grid, report.replicates)
+        for r, j in enumerate(values)
+    )
+    return {args.per_rep_csv: "n,rep,J\n" + "".join(rows)}
 
 
-def _cmd_lln_mean(args) -> int:
+def _cmd_lln_mean(args) -> tuple[dict, dict]:
     from .stats import expectation_experiment
 
     _check_points(args, args.n)
     _check_pairs(args, args.n, reps=args.reps)
     measure = _measure_from_args(args)
-    oracle = "auto" if args.oracle is None else args.oracle
-    if args.no_oracle:
-        oracle = None
+    oracle = None if args.no_oracle else "auto" if args.oracle is None else args.oracle
     report = expectation_experiment(
         measure, args.s, args.n, args.reps, args.seed, oracle=oracle, threads=args.threads
     )
-    if args.per_rep_csv:
-        _write_per_rep_csv(args.per_rep_csv, report)
-    _emit_text(_envelope(args, report.to_json(), args._started), args.output)
-    return 0
+    return report.to_json(), _per_rep_files(args, report)
 
 
-def _cmd_lln_weak(args) -> int:
+def _cmd_lln_weak(args) -> tuple[dict, dict]:
     from .stats import wlln_exceedance
 
     n_grid = _parse_list(args.n_grid, int)
@@ -496,13 +487,10 @@ def _cmd_lln_weak(args) -> int:
         args.seed,
         threads=args.threads,
     )
-    if args.per_rep_csv:
-        _write_per_rep_csv(args.per_rep_csv, report)
-    _emit_text(_envelope(args, report.to_json(), args._started), args.output)
-    return 0
+    return report.to_json(), _per_rep_files(args, report)
 
 
-def _cmd_lln_path(args) -> int:
+def _cmd_lln_path(args) -> tuple[dict, dict]:
     from .measures import measure_to_json
     from .stats import slln_path
 
@@ -518,21 +506,17 @@ def _cmd_lln_path(args) -> int:
         "n_max": args.n_max,
         "tail": [{"n": n, "J": j} for n, j in path[max(0, len(path) - args.tail) :]],
     }
-    if args.csv:
-        buf = io.StringIO()
-        buf.write("n,J\n")
-        for n, j in path:
-            buf.write(f"{n},{j:.17g}\n")
-        _emit_text(buf.getvalue(), args.csv)
-    _emit_text(_envelope(args, payload, args._started), args.output)
-    return 0
+    if not args.csv:
+        return payload, {}
+    return payload, {args.csv: "n,J\n" + "".join(f"{n},{j:.17g}\n" for n, j in path)}
 
 
-def _cmd_ballcheck(args) -> int:
+def _cmd_ballcheck(args) -> tuple[dict, dict]:
+    from dataclasses import asdict
+
     from .measures import BallMeasureParams, ball_energy_numeric, ball_energy_predicted
 
     cloud = _load_cloud(args)
-    _check_pairs(args, cloud.n)
     params = BallMeasureParams(args.s, args.c, cloud.n)
     # the prediction checks the hypotheses, so a violation costs no quadrature
     predicted = ball_energy_predicted(cloud, params, threads=args.threads)
@@ -544,30 +528,17 @@ def _cmd_ballcheck(args) -> int:
         "n": cloud.n,
         "dim": cloud.dim,
         "radius": params.radius,
-        "numeric": {
-            "value": numeric.value,
-            "same_ball": numeric.same_ball,
-            "cross": numeric.cross,
-        },
-        "predicted": {
-            "value": predicted.value,
-            "point_energy": predicted.point_energy,
-            "constant": predicted.constant,
-            "epsilon": predicted.epsilon,
-            "min_gap": predicted.min_gap,
-            "required_gap": predicted.required_gap,
-        },
+        "numeric": asdict(numeric),
+        "predicted": asdict(predicted),
         "relative_gap": gap,
     }
-    _emit_text(_envelope(args, payload, args._started), args.output)
-    return 0
+    return payload, {}
 
 
-def _cmd_distset(args) -> int:
+def _cmd_distset(args) -> tuple[dict, dict]:
     from .sets import distance_set
 
     cloud = _load_cloud(args)
-    _check_pairs(args, cloud.n)
     quant = args.quantization
     if quant not in (None, "exact", "auto"):
         quant = float(quant)
@@ -576,11 +547,10 @@ def _cmd_distset(args) -> int:
     vs = distance_set(cloud, quant)
     payload = vs.to_json(max_values=10**9 if args.full else 100_000)
     payload["n"] = cloud.n
-    _emit_text(_envelope(args, payload, args._started), args.output)
-    return 0
+    return payload, {}
 
 
-def _cmd_dotset(args) -> int:
+def _cmd_dotset(args) -> tuple[dict, dict]:
     from .sets import dot_product_set
 
     cloud = _load_cloud(args)
@@ -589,26 +559,21 @@ def _cmd_dotset(args) -> int:
     vs = dot_product_set(cloud, quant)
     payload = vs.to_json(max_values=10**9 if args.full else 100_000)
     payload["n"] = cloud.n
-    _emit_text(_envelope(args, payload, args._started), args.output)
-    return 0
+    return payload, {}
 
 
-def _cmd_erdos(args) -> int:
+def _cmd_erdos(args) -> tuple[dict, dict]:
     from .sets import erdos_report
 
     cloud = _load_cloud(args)
-    _check_pairs(args, cloud.n)
     exps = _parse_list(args.exponents, float) if args.exponents else None
     report = erdos_report(cloud, exps)
-    buf = io.StringIO()
-    buf.write("s0,exponent,count,n,bound,ratio\n")
-    for row in report.rows:
-        buf.write(
-            f"{row['s0']:.17g},{row['exponent']:.17g},{report.count},{report.n},"
-            f"{row['bound']:.17g},{row['ratio']:.17g}\n"
-        )
-    _emit_table(args, buf.getvalue(), report.to_json())
-    return 0
+    rows = (
+        f"{row['s0']:.17g},{row['exponent']:.17g},{report.count},{report.n},"
+        f"{row['bound']:.17g},{row['ratio']:.17g}\n"
+        for row in report.rows
+    )
+    return report.to_json(), {args.output: "s0,exponent,count,n,bound,ratio\n" + "".join(rows)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -625,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a generated point cloud as CSV")
     _add_common(p, seed=False, threads=False, pairs=False)
-    _add_gen_args(p)
+    _add_gen_args(p, with_input=False)
     p.add_argument("--json", help="also write a JSON result envelope here")
     p.set_defaults(func=_cmd_gen)
 
@@ -637,7 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p, seed=False, threads=True, pairs=True)
     _add_gen_args(p)
-    p.add_argument("--input", help="point CSV file")
     p.add_argument("--s-grid", help="comma-separated exponents (profile mode)")
     p.add_argument("--n-grid", help="comma-separated prefix sizes (profile mode)")
     p.add_argument("--cutoff-radius", type=float, help="truncated-kernel radius")
@@ -650,7 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p, seed=False, threads=True, pairs=True)
     _add_gen_args(p)
-    p.add_argument("--input", help="point CSV file")
     p.add_argument("--s-min", type=float, default=0.1)
     p.add_argument("--s-max", type=float, default=1.9)
     p.add_argument("--s-step", type=float, default=0.1)
@@ -690,8 +653,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--oracle", type=float, help="explicit reference energy")
-    p.add_argument("--no-oracle", action="store_true", help="waive the oracle comparison")
+    oracle = p.add_mutually_exclusive_group()
+    oracle.add_argument("--oracle", type=float, help="explicit reference energy")
+    oracle.add_argument("--no-oracle", action="store_true", help="waive the oracle comparison")
     p.add_argument("--per-rep-csv", help="write per-replicate energies as CSV here")
     p.set_defaults(func=_cmd_lln_mean)
 
@@ -729,7 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p, seed=False, threads=True, pairs=True)
     _add_gen_args(p)
-    p.add_argument("--input", help="point CSV file")
     p.add_argument("--c", type=float, required=True, help="ball radius scale")
     p.set_defaults(func=_cmd_ballcheck)
 
@@ -737,7 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
     # ignores --threads, which perfbench passes to every workload
     _add_common(p, seed=False, threads=True, pairs=True)
     _add_gen_args(p)
-    p.add_argument("--input", help="point CSV file")
     p.add_argument("--quantization", help="'exact', 'auto', or a grid step")
     p.add_argument("--full", action="store_true", help="emit values past the 1e5 cap")
     p.set_defaults(func=_cmd_distset)
@@ -745,7 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dotset", help="distinct pairwise dot products (ordered pairs)")
     _add_common(p, seed=False, threads=False, pairs=True)
     _add_gen_args(p)
-    p.add_argument("--input", help="point CSV file")
     p.add_argument("--quantization", help="dedup grid step")
     p.add_argument("--full", action="store_true", help="emit values past the 1e5 cap")
     p.set_defaults(func=_cmd_dotset)
@@ -757,7 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p, seed=False, threads=False, pairs=True)
     _add_gen_args(p)
-    p.add_argument("--input", help="point CSV file")
     p.add_argument("--exponents", help="comma-separated thresholds s0")
     p.add_argument("--json", help="also write a JSON result envelope here")
     p.set_defaults(func=_cmd_erdos)
@@ -766,17 +726,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._started = time.time()
+    args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        payload, files = args.func(args)
+        doc = _envelope(args, payload, started)
     except RieszdimError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         # bad flag values (ranges, grids, seeds) are usage errors
         return _usage_error(str(exc))
+    for path, text in files.items():
+        _emit_text(text, path)
+    # gen, sample, varscan and erdos put their table on -o, the envelope on --json
+    if not hasattr(args, "json"):
+        _emit_text(doc, args.output)
+    elif args.json:
+        _emit_text(doc, args.json)
+    return 0
 
 
 def entry() -> None:

@@ -320,9 +320,13 @@ def _self_interaction_constant(d: int, s: float, c: float) -> float:
     difference-variable integral is taken over the doubled-radius ball
     (the radial integral of r^{d-1-s} over [0, 2] is 2^{d-s} / (d-s)); the
     exact lens-overlap integral is smaller (see ball_self_energy_exact).
-    It is inf once c^s underflows, as it does for c = 1e-300.
+    It is inf once c^s underflows, as it does for c = 1e-300, and its limit
+    0 once c^s overflows, as it does for c = 1e300.
     """
-    denominator = unit_ball_volume(d) * c**s * (d - s)
+    try:
+        denominator = unit_ball_volume(d) * c**s * (d - s)
+    except OverflowError:
+        return 0.0
     return unit_ball_surface(d) * 2.0 ** (d - s) / denominator if denominator else math.inf
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -112,6 +113,58 @@ def test_nan_envelope_leaves_no_csv_behind(monkeypatch, capsys, tmp_path):
     assert code == 1
     assert "envelope.payload.scores[1].score" in err
     assert not table.exists() and not doc.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # at s = 200 every replicate energy overflows, and inf / inf is a NaN
+        ["varscan", "--measure", "cube", "--dim", "1", "--s-grid", "0.5,200",
+         "--n", "30", "--reps", "50"],
+        ["lln-mean", "--measure", "cube", "--s", "200", "--n", "50", "--reps", "30",
+         "--no-oracle", "--per-rep-csv", "rep.csv", "-o", "out.json"],
+    ],
+)
+def test_nan_result_writes_nothing(argv, tmp_path):
+    # a child process: the NaN comes with numpy warnings, which fail this suite
+    env = {**os.environ, "RIESZDIM_OUT": str(tmp_path)}
+    proc = subprocess.run([sys.executable, "-m", "rieszdim", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "NonFiniteResult" in proc.stderr
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+# with both -o and --json: test_nan_envelope_leaves_no_csv_behind
+@pytest.mark.parametrize("outputs", [[], ["-o", "scan.csv"], ["--json", "scan.json"]])
+def test_nan_score_writes_nothing_with_any_output_flags(outputs, capsys, tmp_path, monkeypatch):
+    import rieszdim.estimator as estimator_mod
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(
+        estimator_mod, "variance_blowup_scan", lambda *a, **k: [(0.5, 1.0), (1.5, float("nan"))]
+    )
+    argv = ["varscan", "--measure", "cube", "--dim", "1", "--s-grid", "0.5,1.5",
+            "--n", "8", "--reps", "50"]
+    code, out, err = run_cli(argv + outputs, capsys)
+    assert code == 1
+    assert "envelope.payload.scores[1].score" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_nan_path_leaves_no_path_csv(capsys, tmp_path, monkeypatch):
+    import rieszdim.stats as stats_mod
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(stats_mod, "slln_path", lambda *a, **k: [(2, 1.0), (3, float("nan"))])
+    argv = ["lln-path", "--measure", "cube", "--s", "0.4", "--n-max", "3", "--csv", "p.csv"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "envelope.payload.tail[1].J" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_energy_profile_mode(capsys, tmp_path):
@@ -341,6 +394,49 @@ def test_monte_carlo_commands_enforce_pair_cap(capsys, argv, pairs):
     assert out == ""
     code, _, _ = run_cli(argv + ["--max-pairs", str(pairs)], capsys)
     assert code == 0
+
+
+def test_grid_family_counts_the_pairs_of_every_member(capsys):
+    # every grid of the family is computed in full: 28 + 120 + 276 + 496 + 1128 + 2016
+    argv = ["dim", "--gen", "grid1d", "--n", "64", "--n-grid", "8,16,24,32,48,64"]
+    code, out, err = run_cli(argv + ["--max-pairs", "4063"], capsys)
+    assert code == 1
+    assert "SizeCapExceeded" in err
+    assert out == ""
+    code, _, _ = run_cli(argv + ["--max-pairs", "4064"], capsys)
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a profile needs both grids, and takes no single exponent or cutoff
+        ["energy", "--input", "g.csv", "--s-grid", "0.5,1", "--s", "1"],
+        ["energy", "--input", "g.csv", "--n-grid", "4,8", "--s", "1"],
+        ["energy", "--input", "g.csv", "--s-grid", "0.5", "--n-grid", "4,8", "--s", "1"],
+        ["energy", "--input", "g.csv", "--s-grid", "0.5", "--n-grid", "4,8",
+         "--cutoff-radius", "0.1"],
+        # a cloud comes from one source
+        ["energy", "--input", "g.csv", "--gen", "lattice", "--d", "2", "--k", "2", "--s", "1"],
+        ["dim", "--input", "g.csv", "--gen", "grid1d", "--n", "64"],
+        ["ballcheck", "--input", "g.csv", "--gen", "grid1d", "--n", "8", "--s", "0.5", "--c", "1"],
+        ["distset", "--input", "g.csv", "--gen", "grid1d", "--n", "8"],
+        ["dotset", "--input", "g.csv", "--gen", "grid1d", "--n", "8"],
+        ["erdos", "--input", "g.csv", "--gen", "grid1d", "--n", "8"],
+        # an oracle is given or waived, not both
+        ["lln-mean", "--measure", "cube", "--s", "0.5", "--n", "50", "--reps", "30",
+         "--oracle", "2.6", "--no-oracle"],
+    ],
+)
+def test_conflicting_flags_are_usage_errors(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rd.write_csv(rd.grid_1d(8), tmp_path / "g.csv")
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(

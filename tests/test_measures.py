@@ -634,6 +634,16 @@ def test_tiny_radius_scale_gives_an_infinite_constant():
     assert numeric.cross == pytest.approx((cloud.n - 1) / cloud.n * predicted.point_energy, rel=1e-12)
 
 
+def test_huge_radius_scale_gives_a_zero_constant():
+    # c^s overflows at c = 1e300: the constant takes its limit 0, as the
+    # underflow above takes inf, and overlapping balls are still refused
+    assert _self_interaction_constant(2, 1.5, 1e300) == 0.0
+    one = rd.ball_energy_numeric(rd.PointCloud([[0.5, 0.5]]), rd.BallMeasureParams(1.5, 1e300, 1))
+    assert (one.value, one.same_ball, one.cross) == (0.0, 0.0, 0.0)
+    with pytest.raises(rd.HypothesisViolated):
+        rd.ball_energy_numeric(rd.lattice(2, 2), rd.BallMeasureParams(1.5, 1e300, 16))
+
+
 def test_ball_numeric_infinite_at_ambient_dimension():
     cloud = rd.PointCloud([[0.0], [1.0]])
     res = rd.ball_energy_numeric(cloud, rd.BallMeasureParams(1.0, 1.0, 2))
