@@ -170,16 +170,14 @@ def variance_blowup_scan(
     score itself need not become large. max/median is used because sample
     variance estimates an infinite second moment inconsistently. Raw scores
     only, no classification. Replicates are dealt to ``threads`` workers;
-    the scores are bit-identical at any thread count.
+    the scores are bit-identical at any thread count. A score that would
+    be NaN (every replicate energy inf, or every one 0) raises
+    NonFiniteResult.
     """
-    from .stats import replicate_energies  # loads measures: only this scan samples
+    from .stats import _dispersion, replicate_energies  # loads measures: only this scan samples
 
     if reps < 50:
         raise ValueError("need reps >= 50")
     s_grid = [float(s) for s in s_grid]
     values = replicate_energies(measure, s_grid, n, reps, seed, threads=threads)
-    out = []
-    for i, s in enumerate(s_grid):
-        row = values[i]
-        out.append((s, float(row.max() / np.median(row))))
-    return out
+    return [(s, _dispersion(row, s, n)) for s, row in zip(s_grid, values)]

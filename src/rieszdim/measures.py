@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
@@ -33,8 +33,10 @@ from .errors import (
     UnsupportedDimension,
     UnsupportedVariant,
 )
-from .generators import CantorFactor, _factor_from_json, _factor_tuple
 from .rng import stream
+
+if TYPE_CHECKING:
+    from .generators import CantorFactor
 
 __all__ = [
     "UniformCube",
@@ -92,6 +94,8 @@ class CantorProduct:
     depth: Optional[int] = None
 
     def __post_init__(self):
+        from .generators import _factor_tuple  # loaded only for Cantor measures
+
         object.__setattr__(self, "factors", _factor_tuple(self.factors))
         if self.depth is not None and self.depth < 1:
             raise ValueError("depth must be >= 1")
@@ -549,6 +553,8 @@ def measure_from_json(doc: dict) -> MeasureSpec:
     if tag == "uniform-circle":
         return UniformCircle()
     if tag == "cantor-product":
+        from .generators import _factor_from_json
+
         factors = tuple(_factor_from_json(f) for f in doc["factors"])
         depth = doc.get("depth")
         return CantorProduct(factors, None if depth is None else int(depth))

@@ -12,13 +12,16 @@ bit-for-bit from (measure, s, n grid, reps, seed).
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import pickle
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .energy import _deal, discrete_energy_multi, energy_profile
-from .errors import OracleUnavailable, UnsupportedVariant
+from .errors import NonFiniteResult, OracleUnavailable, UnsupportedVariant
 from .measures import (
     MeasureSpec,
     measure_to_json,
@@ -34,6 +37,8 @@ __all__ = [
     "wlln_exceedance",
     "slln_path",
 ]
+
+_ROUND_POINTS = 1 << 20  # points drawn per round of replicates: bounds the clouds held at once
 
 
 @dataclass(frozen=True)
@@ -80,19 +85,118 @@ def replicate_energies(
     """J_s per replicate, shape (len(s_list), reps).
 
     Replicate r draws its cloud from the seed stream jumped r blocks and
-    writes only column r. Replicates are dealt round-robin to ``threads``
-    workers (below 1 runs serially), each computing its energies on one
-    thread, so the array is bit-identical to the serial loop at any thread
-    count.
+    writes only column r. The clouds are drawn here, in rep order, in
+    rounds of about ``_ROUND_POINTS`` points; each round's energies are
+    dealt round-robin to ``threads`` workers (below 1 runs serially) by
+    :func:`_forked_columns`, each computing its energies on one thread, so
+    the array is bit-identical to the serial loop at any thread count.
     """
     out = np.empty((len(s_list), reps))
-
-    def run(rs):
-        for r in rs:
-            out[:, r] = discrete_energy_multi(sample(measure, n, seed, rep=r), s_list)
-
-    _deal(run, range(reps), threads)
+    per_round = max(1, _ROUND_POINTS // max(n, 1))
+    for r0 in range(0, reps, per_round):
+        clouds = [sample(measure, n, seed, rep=r) for r in range(r0, min(reps, r0 + per_round))]
+        out[:, r0 : r0 + len(clouds)] = _forked_columns(
+            lambda j: discrete_energy_multi(clouds[j], s_list), len(clouds), len(s_list), threads
+        )
     return out
+
+
+def _forked_columns(column, count: int, rows: int, threads: int) -> np.ndarray:
+    """The (rows, count) array whose column j is ``column(j)``, dealt to worker processes.
+
+    Columns are dealt round-robin to w workers, w being ``threads`` clamped
+    to [1, count]. The caller computes share 0; shares 1 .. w-1 run in
+    children forked for this call, which write their columns to anonymous
+    shared memory, report an error over a pipe and leave through
+    ``os._exit`` (so they never flush inherited stdio buffers or run
+    ``atexit`` handlers). A child has only the forking thread, so
+    ``column`` must not use the thread pool. Every child is reaped before
+    this returns or raises: the first error, the caller's own before the
+    children's, is re-raised, a child killed by a signal surfaces as
+    ChildProcessError, and on an error in the caller (KeyboardInterrupt
+    included) the children are killed first. With one worker, or without
+    ``os.fork``, the shares go to the threads of ``energy._deal``.
+    """
+    workers = max(1, min(threads, count))
+    forked = workers > 1 and hasattr(os, "fork")
+    size = rows * count
+    out = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), count=size) if forked else np.empty(size)
+    out = out.reshape(rows, count)
+
+    def run(share):
+        for j in share:
+            out[:, j] = column(j)
+
+    if not forked:
+        _deal(run, range(count), workers)
+        return out
+    pending, pipes = [], []  # (pid, read end) of each child not yet reaped; every read end
+    try:
+        for t in range(1, workers):
+            r, w = os.pipe()
+            pipes.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(run, range(t, count, workers), w)
+            finally:
+                os.close(w)  # before the next fork, so only its own child holds it
+            pending.append((pid, r))
+        run(range(0, count, workers))
+        errors = []
+        while pending:
+            errors.append(_reap(*pending[0]))
+            del pending[0]
+    finally:
+        if pending:  # the caller's share or a reap raised: kill and reap the rest
+            import signal
+
+            for pid, _ in pending:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):
+                    pass  # reaped just before the error
+        for r in pipes:
+            os.close(r)
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return out
+
+
+def _worker(run, share, pipe: int) -> None:
+    """Run one share in a forked child and leave through ``os._exit``; never returns."""
+    code = 0
+    try:
+        run(share)
+    except BaseException as exc:
+        code = 1
+        try:
+            data = pickle.dumps(exc)
+            pickle.loads(data)
+        except Exception:  # any error that does not survive the round trip
+            data = pickle.dumps(f"{type(exc).__name__}: {exc}")
+        with open(pipe, "wb", closefd=False) as f:
+            f.write(data)
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, pipe: int):
+    """Wait for a worker child: the error it reported or died of, else None."""
+    with open(pipe, "rb", closefd=False) as f:
+        data = f.read()  # to end of file, so a child never blocks on a full pipe
+    _, status = os.waitpid(pid, 0)
+    if data:
+        exc = pickle.loads(data)  # written by this program's own child
+        return exc if isinstance(exc, BaseException) else ChildProcessError(exc)
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        return ChildProcessError(f"worker {pid} was killed by signal {-code}")
+    if code:
+        return ChildProcessError(f"worker {pid} exited with status {code} and no error")
+    return None
 
 
 def _resolve_oracle(measure: MeasureSpec, s: float, oracle):
@@ -109,6 +213,31 @@ def _resolve_oracle(measure: MeasureSpec, s: float, oracle):
     return oracle, "explicit"
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a 1-D array, without the ``numpy.ma`` import np.median makes."""
+    v = np.sort(values)
+    h = len(v) // 2
+    return float(v[h]) if len(v) % 2 else (float(v[h - 1]) + float(v[h])) / 2
+
+
+def _dispersion(values: np.ndarray, s: float, n: int) -> float:
+    """max / median of replicate energies (>= 0); NonFiniteResult where it would be NaN."""
+    top, mid = float(values.max()), _median(values)
+    if top == mid and mid in (0.0, math.inf):
+        raise NonFiniteResult(f"max/median of J_s at s={s}, n={n} is {top}/{mid}, which is NaN")
+    return top / mid if mid else math.inf
+
+
+def _mean_se(values: np.ndarray, s: float, n: int) -> tuple:
+    """Mean and standard error of replicate energies; NonFiniteResult once a value is infinite."""
+    mean = float(values.mean())
+    if math.isinf(mean):
+        raise NonFiniteResult(
+            f"J_s at s={s}, n={n} is infinite in some replicate, so its standard error is NaN"
+        )
+    return mean, float(values.std(ddof=1) / math.sqrt(len(values)))
+
+
 def expectation_experiment(
     measure: MeasureSpec,
     s: float,
@@ -122,20 +251,15 @@ def expectation_experiment(
     """Mean and standard error of J_s over replicates, with oracle z-score.
 
     ``oracle`` is "auto" (use the reference energy, error if unavailable),
-    an explicit value, or None to waive the comparison.
+    an explicit value, or None to waive the comparison. A replicate energy
+    that is inf makes the standard error NaN: it raises NonFiniteResult.
     """
     if reps < 30:
         raise ValueError("need reps >= 30")
     ref, method = _resolve_oracle(measure, s, oracle)
     values = replicate_energies(measure, [s], n, reps, seed, threads=threads)[0]
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(reps))
-    cell = {
-        "n": n,
-        "mean": mean,
-        "se": se,
-        "dispersion": float(values.max() / np.median(values)),
-    }
+    mean, se = _mean_se(values, s, n)
+    cell = {"n": n, "mean": mean, "se": se, "dispersion": _dispersion(values, s, n)}
     if ref is not None and not math.isinf(ref):
         cell["z"] = (mean - ref) / se if se > 0 else 0.0
     return ExperimentReport(
@@ -181,15 +305,10 @@ def wlln_exceedance(
     for n in n_grid:
         values = replicate_energies(measure, [s], n, reps, seed, threads=threads)[0]
         replicates.append(values)
+        mean, se = _mean_se(values, s, n)
         rate = float(np.mean(np.abs(values - ref) > eps))
         cells.append(
-            {
-                "n": n,
-                "rate": rate,
-                "mean": float(values.mean()),
-                "se": float(values.std(ddof=1) / math.sqrt(reps)),
-                "dispersion": float(values.max() / np.median(values)),
-            }
+            {"n": n, "rate": rate, "mean": mean, "se": se, "dispersion": _dispersion(values, s, n)}
         )
     return ExperimentReport(
         kind="wlln",

@@ -643,17 +643,26 @@ def test_threads_flag_does_not_change_payload(capsys, tmp_path):
 def test_replicate_commands_ignore_threads_in_payload(argv, capsys, tmp_path, monkeypatch):
     import rieszdim.energy as energy_mod
 
-    pool_requests = []
-    real_pool = energy_mod._shared_pool
+    pool_requests, forks = [], []
+    real_pool, real_fork = energy_mod._shared_pool, os.fork
 
     def recording_pool(threads):
         pool_requests.append(threads)
         return real_pool(threads)
 
+    def recording_fork():
+        pid = real_fork()
+        forks.append(pid)  # only the parent's list outlives the child
+        return pid
+
     monkeypatch.setattr(energy_mod, "_shared_pool", recording_pool)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    # replicate loops deal their replicates to forked workers, the others to the pool
+    workers = forks if argv[0] in ("varscan", "lln-mean", "lln-weak") else pool_requests
     outputs = []
     for t in ("1", "2", "0"):
         pool_requests.clear()
+        forks.clear()
         extra = ["--threads", t] + (["--seed", "5"] if "--seed" in COMMON_FLAGS[argv[0]] else [])
         if argv[0] == "varscan":
             extra += ["--json", str(tmp_path / f"env{t}.json")]
@@ -661,7 +670,7 @@ def test_replicate_commands_ignore_threads_in_payload(argv, capsys, tmp_path, mo
             extra += ["--per-rep-csv", str(tmp_path / f"reps{t}.csv")]
         code, out, _ = run_cli(argv + extra, capsys)
         assert code == 0
-        assert bool(pool_requests) == (t == "2")  # the flag reaches the pool
+        assert bool(workers) == (t == "2")  # the flag reaches the workers
         if argv[0] == "varscan":
             outputs.append((out, payload_of((tmp_path / f"env{t}.json").read_text())))
         elif argv[0] == "lln-mean":
@@ -803,17 +812,19 @@ def test_cli_start_up_loads_no_scipy():
     assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
 
-def _modules_loaded_by(argv):
+def _modules_loaded_by(argv, prefixes=("rieszdim",)):
     code = (
         "import json, sys\n"
         "from rieszdim import cli\n"
         "try:\n"
-        "    cli.main(sys.argv[1:])\n"
+        "    cli.main(sys.argv[2:])\n"
         "except SystemExit:\n"
         "    pass\n"
-        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'rieszdim']))\n"
+        "tops = sys.argv[1].split(',')\n"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] in tops]))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code, ",".join(prefixes), *argv],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.strip().splitlines()[-1]))
 
@@ -832,6 +843,13 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert "rieszdim.estimator" in loaded
     for name in ("measures", "stats", "sets"):
         assert "rieszdim." + name not in loaded
+    # np.median would load numpy.ma; only Cantor measures need the generators
+    for argv in (["varscan", "--measure", "cube", "--s-grid", "0.3,0.7", "--n", "30",
+                  "--reps", "50", "--threads", "2"],
+                 ["lln-mean", "--measure", "cube", "--s", "0.3", "--n", "30", "--reps", "30"]):
+        loaded = _modules_loaded_by(argv, prefixes=("rieszdim", "numpy"))
+        assert "rieszdim.stats" in loaded
+        assert not {"numpy.ma", "rieszdim.generators", "rieszdim.sets"} & loaded
 
 
 def test_cross_process_determinism():

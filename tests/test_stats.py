@@ -1,6 +1,9 @@
 import math
+import os
+import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -204,3 +207,108 @@ def test_concurrent_variance_scans_get_identical_scores():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in callers)
     assert results == [want] * 4
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_replicate_rounds_on_workers_match_the_serial_loop(monkeypatch):
+    import rieszdim.stats as stats_mod
+
+    want = rd.replicate_energies(rd.UniformCube(2), [0.3, 1.1], 40, 37, seed=6).tobytes()
+    monkeypatch.setattr(stats_mod, "_ROUND_POINTS", 200)  # rounds of 5 replicates
+    for t in (2, 3):
+        got = rd.replicate_energies(rd.UniformCube(2), [0.3, 1.1], 40, 37, seed=6, threads=t)
+        assert got.tobytes() == want
+    _no_child_left()
+    monkeypatch.delattr(os, "fork")  # a platform without fork deals the rounds to threads
+    got = rd.replicate_energies(rd.UniformCube(2), [0.3, 1.1], 40, 37, seed=6, threads=3)
+    assert got.tobytes() == want
+
+
+def _failing_share(monkeypatch, in_parent, fail):
+    """Patch the replicate energy so that ``fail()`` runs in the parent's share or a child's."""
+    import rieszdim.stats as stats_mod
+
+    parent, real = os.getpid(), stats_mod.discrete_energy_multi
+
+    def energy(cloud, s_list):
+        if (os.getpid() == parent) == in_parent:
+            fail()
+        return real(cloud, s_list)
+
+    monkeypatch.setattr(stats_mod, "discrete_energy_multi", energy)
+
+
+@pytest.mark.parametrize("in_parent", [False, True], ids=["child", "parent"])
+def test_worker_errors_come_back_typed(monkeypatch, in_parent):
+    def fail():
+        raise rd.DuplicatePoints("coincident draw")
+
+    _failing_share(monkeypatch, in_parent, fail)
+    with pytest.raises(rd.DuplicatePoints, match="coincident draw"):
+        rd.replicate_energies(rd.UniformCube(1), [0.5], 20, 12, seed=1, threads=3)
+    _no_child_left()
+
+
+def test_unpicklable_and_fatal_child_errors_surface(monkeypatch):
+    class Local(Exception):  # a local class does not pickle
+        pass
+
+    def unpicklable():
+        raise Local("only its name and message come back")
+
+    _failing_share(monkeypatch, False, unpicklable)
+    with pytest.raises(ChildProcessError, match="Local: only its name and message come back"):
+        rd.replicate_energies(rd.UniformCube(1), [0.5], 20, 12, seed=1, threads=2)
+    _no_child_left()
+    _failing_share(monkeypatch, False, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(ChildProcessError, match="killed by signal"):
+        rd.replicate_energies(rd.UniformCube(1), [0.5], 20, 12, seed=1, threads=2)
+    _no_child_left()
+
+
+def test_an_error_in_the_parent_share_kills_the_children(monkeypatch):
+    import rieszdim.stats as stats_mod
+
+    parent, real = os.getpid(), stats_mod.discrete_energy_multi
+
+    def energy(cloud, s_list):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(20)  # the child's two replicates outlast the test unless it is killed
+        return real(cloud, s_list)
+
+    monkeypatch.setattr(stats_mod, "discrete_energy_multi", energy)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        rd.replicate_energies(rd.UniformCube(1), [0.5], 20, 4, seed=1, threads=2)
+    assert time.monotonic() - start < 10
+    _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rd.variance_blowup_scan(rd.UniformCube(1), [0.5, 200], 30, 50, 0),
+        lambda: rd.expectation_experiment(rd.UniformCube(1), 200, 50, 30, 0, oracle=None),
+        lambda: rd.wlln_exceedance(rd.UniformCube(1), 200, 0.1, [30, 40, 50], 30, 0, oracle=1.0),
+    ],
+    ids=["varscan", "expectation", "wlln"],
+)
+def test_nan_statistics_raise_naming_exponent_and_n(call):
+    # at s = 200 every replicate energy overflows; inf / inf and inf - inf are NaN
+    with pytest.raises(rd.NonFiniteResult, match=r"s=200(\.0)?, n=(30|50)"):
+        call()
+
+
+def test_median_matches_numpy_bit_for_bit():
+    from rieszdim.stats import _median
+
+    rng = np.random.default_rng(3)
+    for size in range(1, 60):
+        values = rng.random(size) * 10.0 ** rng.integers(-3, 4)
+        assert _median(values) == np.median(values)
+    assert _median(np.array([1.0, math.inf])) == math.inf
