@@ -17,6 +17,10 @@ result leaves no file and no stdout.
 Each command imports the library modules it runs when it runs, so a call
 pays start-up only for those: ``--version`` loads none, ``distset`` loads
 ``cloud`` and ``sets``.
+
+``main`` returns the exit code and ends nothing, for in-process callers. A
+``rieszdim`` process enters through ``rieszdim.__main__.run``, which
+flushes the output and leaves through ``os._exit`` after ``main``.
 """
 
 from __future__ import annotations
@@ -745,11 +749,3 @@ def main(argv=None) -> int:
     elif args.json:
         _emit_text(doc, args.json)
     return 0
-
-
-def entry() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    sys.exit(main())

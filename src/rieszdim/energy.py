@@ -45,8 +45,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,44 +74,70 @@ __all__ = [
 ]
 
 _RUN = 16  # exponents per ladder run: a direct exp re-anchors at least this often
-_pool = None
-_pool_size = 0
-_pool_lock = threading.Lock()
 _triangles = (np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
+_jobs = queue.SimpleQueue()  # (run, share, t, done) for the dealer's worker threads
+_workers = 0  # worker threads started in this process
+_workers_lock = threading.Lock()
 
 
-def _shared_pool(threads: int) -> ThreadPoolExecutor:
-    """The process-wide worker pool, grown to at least ``threads`` workers."""
-    global _pool, _pool_size
-    with _pool_lock:
-        if _pool_size < threads:
-            # a replaced pool finishes its work; its idle threads exit once
-            # it is garbage collected
-            _pool = ThreadPoolExecutor(threads, thread_name_prefix="rieszdim")
-            _pool_size = threads
-        return _pool
+def _serve(jobs) -> None:
+    """A dealer worker thread: run the shares it is handed, for the life of the process."""
+    while True:
+        run, share, t, done = jobs.get()
+        done.put((t, _share_error(run, share)))
+        del run, share, done  # an idle worker holds nothing of its last job
+
+
+def _share_error(run, share):
+    """Run a worker's share: the error it raised, for the dealing caller to re-raise, or None."""
+    try:
+        run(share)
+    except BaseException as exc:
+        return exc
+    return None
+
+
+def _forget_workers() -> None:
+    """Reset the dealer in a forked child, which has none of its parent's worker threads."""
+    global _jobs, _workers, _workers_lock
+    _jobs, _workers, _workers_lock = queue.SimpleQueue(), 0, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_forget_workers)
 
 
 def _deal(run, items, threads: int) -> None:
     """Call ``run`` on the round-robin shares ``items[t::w]`` of w workers.
 
     w is ``threads`` clamped to [1, len(items)] (below 1 runs serially).
-    The calling thread takes share 0 and the shared pool the rest, so a
-    ``run`` must never submit to the pool and wait on it. The first error
-    raised by any share is re-raised once every share has finished.
+    The calling thread takes share 0; shares 1 .. w-1 go to daemon worker
+    threads that persist across calls and are started on demand, so a
+    ``run`` must never deal and wait on the workers itself. Every share
+    finishes before this returns or raises; the caller's own error is
+    raised first, otherwise the first worker share's. A forked child
+    starts with no workers and starts its own.
     """
+    global _workers
     workers = max(1, min(threads, len(items)))
     if workers == 1:
         run(items)
         return
-    pool = _shared_pool(workers - 1)
-    futures = [pool.submit(run, items[t::workers]) for t in range(1, workers)]
+    if _workers < workers - 1:
+        with _workers_lock:
+            for _ in range(_workers, workers - 1):
+                threading.Thread(target=_serve, args=(_jobs,), name="rieszdim", daemon=True).start()
+                _workers += 1
+    done = queue.SimpleQueue()  # one (t, error) per finished worker share
+    for t in range(1, workers):
+        _jobs.put((run, items[t::workers], t, done))
     try:
         run(items[::workers])
     finally:
-        wait(futures)
-    for f in futures:
-        f.result()
+        reports = sorted(done.get() for _ in range(1, workers))
+    for _, exc in reports:
+        if exc is not None:
+            raise exc
 
 
 def _triangle(rows: int):

@@ -109,13 +109,14 @@ def _forked_columns(column, count: int, rows: int, threads: int) -> np.ndarray:
     children forked for this call, which write their columns to anonymous
     shared memory, report an error over a pipe and leave through
     ``os._exit`` (so they never flush inherited stdio buffers or run
-    ``atexit`` handlers). A child has only the forking thread, so
-    ``column`` must not use the thread pool. Every child is reaped before
-    this returns or raises: the first error, the caller's own before the
-    children's, is re-raised, a child killed by a signal surfaces as
-    ChildProcessError, and on an error in the caller (KeyboardInterrupt
-    included) the children are killed first. With one worker, or without
-    ``os.fork``, the shares go to the threads of ``energy._deal``.
+    ``atexit`` handlers). A child has only the forking thread; should
+    ``column`` deal strips, ``energy._deal`` starts the child's own worker
+    threads. Every child is reaped before this returns or raises: the
+    first error, the caller's own before the children's, is re-raised, a
+    child killed by a signal surfaces as ChildProcessError, and on an error
+    in the caller (KeyboardInterrupt included) the children are killed
+    first. With one worker, or without ``os.fork``, the shares go to the
+    threads of ``energy._deal``.
     """
     workers = max(1, min(threads, count))
     forked = workers > 1 and hasattr(os, "fork")

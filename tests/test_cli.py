@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -643,25 +644,25 @@ def test_threads_flag_does_not_change_payload(capsys, tmp_path):
 def test_replicate_commands_ignore_threads_in_payload(argv, capsys, tmp_path, monkeypatch):
     import rieszdim.energy as energy_mod
 
-    pool_requests, forks = [], []
-    real_pool, real_fork = energy_mod._shared_pool, os.fork
+    worker_shares, forks = [], []
+    real_share, real_fork = energy_mod._share_error, os.fork
 
-    def recording_pool(threads):
-        pool_requests.append(threads)
-        return real_pool(threads)
+    def recording_share(run, share):
+        worker_shares.append(share)
+        return real_share(run, share)
 
     def recording_fork():
         pid = real_fork()
         forks.append(pid)  # only the parent's list outlives the child
         return pid
 
-    monkeypatch.setattr(energy_mod, "_shared_pool", recording_pool)
+    monkeypatch.setattr(energy_mod, "_share_error", recording_share)
     monkeypatch.setattr(os, "fork", recording_fork)
-    # replicate loops deal their replicates to forked workers, the others to the pool
-    workers = forks if argv[0] in ("varscan", "lln-mean", "lln-weak") else pool_requests
+    # replicate loops deal their replicates to forked workers, the others to worker threads
+    workers = forks if argv[0] in ("varscan", "lln-mean", "lln-weak") else worker_shares
     outputs = []
     for t in ("1", "2", "0"):
-        pool_requests.clear()
+        worker_shares.clear()
         forks.clear()
         extra = ["--threads", t] + (["--seed", "5"] if "--seed" in COMMON_FLAGS[argv[0]] else [])
         if argv[0] == "varscan":
@@ -786,6 +787,16 @@ def test_outdir_env_redirects_relative_paths(capsys, tmp_path, monkeypatch):
 
 
 def test_console_entry_point():
+    # the console script and ``python -m rieszdim`` share one entry
+    tomllib = pytest.importorskip("tomllib")
+    import importlib
+
+    import rieszdim.__main__ as entry_mod
+
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"), "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["rieszdim"]
+    module, name = target.split(":")
+    assert getattr(importlib.import_module(module), name) is entry_mod.run
     proc = subprocess.run(
         [sys.executable, "-m", "rieszdim", "--version"],
         capture_output=True,
@@ -793,6 +804,100 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "rieszdim" in proc.stdout
+
+
+def _without_timing(data: bytes) -> bytes:
+    return re.sub(rb'"timing_seconds": [0-9.e-]+', b'"timing_seconds": 0', data)
+
+
+def _files_in(directory):
+    return {p.name: _without_timing(p.read_bytes()) for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "--gen", "grid1d", "--n", "64"],
+        ["sample", "--measure", "cube", "--dim", "2", "--count", "20", "-o", "pts.csv",
+         "--json", "env.json"],
+        ["ballcheck", "--gen", "grid1d", "--n", "800", "--s", "0.9", "--c", "2"],  # domain error
+        ["energy", "--nonsense"],  # usage error raised by argparse
+        ["--version"],
+        ["-h"],
+    ],
+    ids=["stdout", "files", "domain-error", "usage-error", "version", "help"],
+)
+def test_module_entry_matches_in_process_main(argv, capsys, tmp_path, monkeypatch):
+    child, here = tmp_path / "child", tmp_path / "here"
+    child.mkdir()
+    here.mkdir()
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    monkeypatch.chdir(here)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    # the child runs elsewhere, so it finds the package by absolute path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rd.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "rieszdim", *argv], capture_output=True,
+                          cwd=child, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == code
+    assert _without_timing(proc.stdout) == _without_timing(out.encode())
+    assert _files_in(child) == _files_in(here)
+
+
+@pytest.mark.parametrize(
+    "patch, code, handler_runs",
+    [
+        ("", 0, False),
+        ("import rieszdim.cli as cli\ncli.main = lambda argv=None: 1 / 0\n", 1, True),
+    ],
+    ids=["hard-exit", "uncaught-error"],
+)
+def test_entry_skips_interpreter_teardown(patch, code, handler_runs):
+    # an atexit handler fires only when the process leaves by the interpreter's own path
+    script = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'atexit handler ran')\n"
+        + patch +
+        "sys.argv = ['rieszdim', '--version']\n"
+        "runpy.run_module('rieszdim', run_name='__main__')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == code
+    assert ("atexit handler ran" in proc.stdout) == handler_runs
+    assert ("Traceback" in proc.stderr) == handler_runs
+    if not handler_runs:
+        assert proc.stdout == f"rieszdim {rd.__version__}\n"
+
+
+def test_entry_freezes_start_up_objects_before_main():
+    script = (
+        "import gc, runpy, rieszdim.cli as cli\n"
+        "cli.main = lambda argv=None: print(gc.isenabled(), gc.get_freeze_count() > 0) or 0\n"
+        "runpy.run_module('rieszdim', run_name='__main__')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True True\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["gen", "--gen", "grid1d", "--n", "3000"], ["dim", "--gen", "grid1d", "--n", "300"]]
+)
+def test_closed_stdout_is_one_error_line(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "rieszdim", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: BrokenPipeError: ")
 
 
 def test_cli_start_up_loads_no_scipy():
@@ -839,17 +944,22 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert "rieszdim.sets" in loaded
     for name in ("energy", "estimator", "generators", "measures", "stats"):
         assert "rieszdim." + name not in loaded
-    loaded = _modules_loaded_by(["dim", "--input", str(sample)])
+    # the dealer's worker threads need neither an executor nor the logging it imports
+    unused = {"concurrent.futures", "logging"}
+    loaded = _modules_loaded_by(["dim", "--input", str(sample), "--threads", "2"],
+                                prefixes=("rieszdim", "concurrent", "logging"))
     assert "rieszdim.estimator" in loaded
     for name in ("measures", "stats", "sets"):
         assert "rieszdim." + name not in loaded
+    assert not unused & loaded
     # np.median would load numpy.ma; only Cantor measures need the generators
     for argv in (["varscan", "--measure", "cube", "--s-grid", "0.3,0.7", "--n", "30",
                   "--reps", "50", "--threads", "2"],
                  ["lln-mean", "--measure", "cube", "--s", "0.3", "--n", "30", "--reps", "30"]):
-        loaded = _modules_loaded_by(argv, prefixes=("rieszdim", "numpy"))
+        loaded = _modules_loaded_by(argv, prefixes=("rieszdim", "numpy", "concurrent", "logging"))
         assert "rieszdim.stats" in loaded
         assert not {"numpy.ma", "rieszdim.generators", "rieszdim.sets"} & loaded
+        assert not unused & loaded
 
 
 def test_cross_process_determinism():

@@ -1,7 +1,10 @@
 import math
+import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -89,8 +92,8 @@ def test_thread_counts_below_one_run_serially(monkeypatch):
 
 
 def test_concurrent_callers_get_identical_bits(monkeypatch):
-    # eight callers at once, asking for 2..5 workers, so the shared pool is
-    # grown while other callers use it
+    # eight callers at once, asking for 2..5 workers, so the dealer may start
+    # workers while other callers use them
     monkeypatch.setattr(cloud_mod, "_TILE", 16 * 16)
     c = random_cloud(7, 400, 2)
     want = rd.discrete_energy_multi(c, [0.5, 1.5]).tolist()
@@ -923,3 +926,78 @@ def test_fold_sums_do_not_page_fault_per_strip():
         rd.discrete_energy_multi(c, exps)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults / 200 < 1.0
+
+
+# ------------------------------------------------------------------ dealer
+
+
+def test_dealer_reraises_share_errors_typed():
+    # items range(6) at 3 workers: the caller takes [0, 3], the workers [1, 4] and [2, 5]
+    def worker_fails(share):
+        if share[0] == 2:
+            raise rd.DuplicatePoints("share 2")
+
+    with pytest.raises(rd.DuplicatePoints, match="share 2"):
+        energy_mod._deal(worker_fails, range(6), 3)
+
+    def all_fail(share):
+        if share[0] == 1:
+            time.sleep(0.05)  # finishes last, and its error still wins over share 2's
+        raise (rd.TooFewPoints if share[0] else rd.DuplicatePoints)(f"share {share[0]}")
+
+    with pytest.raises(rd.DuplicatePoints, match="share 0"):  # the caller's own first
+        energy_mod._deal(all_fail, range(6), 3)
+    with pytest.raises(rd.TooFewPoints, match="share 1"):
+        energy_mod._deal(lambda share: share[0] and all_fail(share), range(6), 3)
+
+
+def test_interrupt_in_the_callers_share_waits_for_the_others():
+    finished = []
+
+    def run(share):
+        if share[0] == 0:
+            raise KeyboardInterrupt
+        time.sleep(0.1)
+        finished.append(share[0])
+
+    with pytest.raises(KeyboardInterrupt):
+        energy_mod._deal(run, range(3), 3)
+    assert sorted(finished) == [1, 2]
+
+
+def test_dealer_threads_are_reused_daemons():
+    ran_on = set()
+
+    def run(share):
+        ran_on.add(threading.current_thread())
+
+    energy_mod._deal(run, range(2), 2)
+    count = threading.active_count()
+    for _ in range(100):
+        energy_mod._deal(run, range(2), 2)
+    assert threading.active_count() == count
+    workers = ran_on - {threading.current_thread()}
+    assert workers and all(t.daemon for t in workers)
+    assert len(workers) <= energy_mod._workers
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_deals_to_workers_of_its_own():
+    energy_mod._deal(lambda share: None, range(2), 2)  # the parent has a worker to inherit
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            seen = []
+            energy_mod._deal(seen.extend, range(4), 2)
+            code = 0 if sorted(seen) == [0, 1, 2, 3] else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 20
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child waited on workers it does not have")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
