@@ -17,6 +17,7 @@ _EXPORTS = {
         "discrete_energy",
         "discrete_energy_multi",
         "energy_profile",
+        "grid_1d_profile",
         "profile_from_family",
         "riesz_potential_discrete",
         "truncated_energy",

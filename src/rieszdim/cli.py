@@ -7,7 +7,8 @@ the config echo; every stochastic command records its seed. A command takes
 only the common flags it reads: ``--max-points`` (checked before any point
 is allocated) and ``-o`` everywhere, ``--max-pairs`` where pairs are
 computed, ``--seed`` on the stochastic commands, and ``--threads`` where the
-pair engine runs (``distset`` accepts it and ignores it). Exit codes:
+pair engine runs (``distset`` and ``dim --gen grid1d``, whose grids have a
+closed form, accept it and ignore it). Exit codes:
 0 success, 1 domain error (the error class name goes to stderr), 2 usage.
 
 A handler only computes: it returns its payload and the text of each file
@@ -382,17 +383,15 @@ def _doubling_grid(lo: int, n: int) -> list:
 
 
 def _cmd_dim(args) -> tuple[dict, dict]:
-    from .energy import energy_profile, profile_from_family
+    from .energy import energy_profile, grid_1d_profile
     from .estimator import default_window, dimension_estimate
 
     if not args.s_step > 0:
         raise ValueError("--s-step must be positive")
     s_grid = [round(s, 10) for s in np.arange(args.s_min, args.s_max + 1e-9, args.s_step)]
     if args.gen == "grid1d":
-        from .generators import grid_1d
-
         # Grid members are rescaled per n, not prefixes of one sequence;
-        # profile the family of whole grids instead.
+        # profile the family of whole grids instead, in closed form.
         if args.n is None:
             raise SystemExit(_usage_error("grid1d needs --n"))
         if args.n_grid:
@@ -401,10 +400,7 @@ def _cmd_dim(args) -> tuple[dict, dict]:
             n_grid = _doubling_grid(max(8, args.n // 16), args.n)
         _check_points(args, max(n_grid))
         _check_pairs(args, *n_grid)
-
-        def profile(s_list, ns):
-            clouds = [grid_1d(n) for n in ns]
-            return profile_from_family(clouds, s_list, threads=args.threads)
+        profile = grid_1d_profile
     else:
         cloud = _load_cloud(args)
         n_grid = _auto_n_grid(args, cloud)

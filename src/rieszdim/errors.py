@@ -52,4 +52,4 @@ class NoTransition(RieszdimError):
 
 
 class NonFiniteResult(RieszdimError):
-    """A result is NaN, which has no JSON encoding."""
+    """A result is NaN, which has no JSON encoding, or would be computed from a 0 or inf."""

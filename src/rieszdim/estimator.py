@@ -9,6 +9,7 @@ by one midpoint bisection between the bracketing grid exponents.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .energy import EnergyProfile, energy_profile
-from .errors import NoTransition, WindowTooSmall
+from .errors import NonFiniteResult, NoTransition, WindowTooSmall
 
 if TYPE_CHECKING:
     from .measures import MeasureSpec
@@ -59,6 +60,15 @@ def default_window(n_grid) -> tuple:
     return (lo, n_grid[-1])
 
 
+def _check_finite(row, s, n_sub) -> None:
+    """Refuse an energy that is 0, inf or NaN: its log would give a NaN slope."""
+    for v, n in zip(row, n_sub):
+        if not 0.0 < v < math.inf:
+            raise NonFiniteResult(
+                f"energy at s = {s!r}, n = {n} is {float(v)!r}; a slope needs finite positive energies"
+            )
+
+
 def _fit(profile: EnergyProfile, window) -> tuple:
     n_lo, n_hi = window
     cols = [j for j, n in enumerate(profile.n_grid) if n_lo <= n <= n_hi]
@@ -66,7 +76,10 @@ def _fit(profile: EnergyProfile, window) -> tuple:
         raise WindowTooSmall(
             f"window {window} holds {len(cols)} grid points, need at least 4"
         )
-    logn = np.log([profile.n_grid[j] for j in cols])
+    n_sub = [profile.n_grid[j] for j in cols]
+    for s, row in zip(profile.s_grid, profile.values):
+        _check_finite(row[cols], s, n_sub)
+    logn = np.log(n_sub)
     slopes = []
     residuals = []
     for i in range(len(profile.s_grid)):
@@ -85,8 +98,9 @@ def _fit(profile: EnergyProfile, window) -> tuple:
 def adaptability_slopes(profile: EnergyProfile, window) -> list:
     """Least-squares slope of log J_s(P_n) against log n, per exponent.
 
-    Requires at least four prefix sizes inside the window. A slope near
-    zero witnesses bounded energy at that exponent.
+    Requires at least four prefix sizes inside the window, and raises
+    NonFiniteResult on an energy there that is 0 or inf. A slope near zero
+    witnesses bounded energy at that exponent.
     """
     slopes, _, _ = _fit(profile, window)
     return list(zip(profile.s_grid, slopes))
@@ -107,7 +121,8 @@ def dimension_estimate(
     bracket midpoint (re-computing the profile row there when the source
     cloud, or a ``recompute(s_mid, n_sub)`` row builder, is supplied) to
     halve the grid resolution. Raises NoTransition when every slope is on
-    the same side of the threshold.
+    the same side of the threshold, and NonFiniteResult, naming s and n,
+    when an energy it fits (the bisection row included) is 0 or inf.
     """
     if not 0 < threshold <= 0.2:
         raise ValueError("threshold must lie in (0, 0.2]")
@@ -134,8 +149,10 @@ def dimension_estimate(
     if recompute is not None:
         s_mid = 0.5 * (s_lo + s_hi)
         n_sub = [profile.n_grid[j] for j in cols]
+        row = recompute(s_mid, n_sub)
+        _check_finite(row, s_mid, n_sub)
         logn = np.log(n_sub)
-        logj = np.log(recompute(s_mid, n_sub))
+        logj = np.log(row)
         mid_slope = float(np.polyfit(logn, logj, 1)[0])
         refined = {"s_mid": s_mid, "slope": mid_slope}
         if mid_slope <= threshold:

@@ -15,8 +15,7 @@ def grid_family_profile():
     """
     n_grid = [512, 1024, 2048, 4096, 8192]
     s_grid = [round(0.1 * i, 1) for i in range(1, 20)]
-    clouds = [rd.grid_1d(n) for n in n_grid]
-    return rd.profile_from_family(clouds, s_grid)
+    return rd.grid_1d_profile(s_grid, n_grid)
 
 
 def random_cloud(seed, n, d, scale=1.0):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import rieszdim as rd
+from conftest import random_cloud
 from rieszdim.cli import main
 
 
@@ -220,6 +221,32 @@ def test_dim_grid_family(capsys, tmp_path):
         assert payload["n_grid"] == n_grid
         # short windows sit mid-transient; the estimate still lands near 1
         assert 0.7 <= payload["s_hat"] <= 1.2
+
+
+def test_dim_grid_family_is_the_estimate_of_its_closed_form(capsys):
+    code, out, _ = run_cli(["dim", "--gen", "grid1d", "--n", "1024", "--threads", "2"], capsys)
+    assert code == 0
+    n_grid = [64, 128, 256, 512, 1024]
+    s_grid = [round(0.1 * i, 1) for i in range(1, 20)]
+
+    def recompute(s, ns):
+        return rd.grid_1d_profile([s], ns).values[0]
+
+    est = rd.dimension_estimate(rd.grid_1d_profile(s_grid, n_grid), 0.1, recompute=recompute)
+    assert payload_of(out) == json.loads(json.dumps({**est.to_json(), "n_grid": n_grid}))
+
+
+def test_dim_refuses_an_energy_that_overflows_before_its_log(capsys, tmp_path):
+    # an energy that overflows has no log: it is refused by name, not fitted to a NaN slope
+    csv = tmp_path / "tiny.csv"
+    rd.write_csv(random_cloud(3, 400, 2, scale=1e-150), csv)
+    for argv, where in (
+        (["--input", str(csv)], "energy at s = 20.1, n = 64 is inf"),
+        (["--gen", "grid1d", "--n", "256"], "energy at s = 140.1, n = 256 is inf"),
+    ):
+        code, out, err = run_cli(["dim", *argv, "--s-max", "400", "--s-step", "20"], capsys)
+        assert code == 1 and out == ""
+        assert "NonFiniteResult" in err and where in err
 
 
 def test_sample_deterministic(capsys):
@@ -952,6 +979,10 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     for name in ("measures", "stats", "sets"):
         assert "rieszdim." + name not in loaded
     assert not unused & loaded
+    # the grid family has a closed form: no grid is generated
+    loaded = _modules_loaded_by(["dim", "--gen", "grid1d", "--n", "64", "--threads", "2"])
+    assert {"rieszdim.energy", "rieszdim.estimator"} <= loaded
+    assert "rieszdim.generators" not in loaded
     # np.median would load numpy.ma; only Cantor measures need the generators
     for argv in (["varscan", "--measure", "cube", "--s-grid", "0.3,0.7", "--n", "30",
                   "--reps", "50", "--threads", "2"],

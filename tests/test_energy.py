@@ -1,3 +1,4 @@
+import decimal
 import math
 import os
 import signal
@@ -174,6 +175,7 @@ _NON_FINITE_CALLS = {
     "discrete_energy_multi_nan": lambda: rd.discrete_energy_multi(_CLOUD, [math.nan]),
     "energy_profile_nan": lambda: rd.energy_profile(_CLOUD, [0.5, math.nan], [2, 3]),
     "profile_from_family_nan": lambda: rd.profile_from_family([_CLOUD], [math.nan]),
+    "grid_1d_profile_nan": lambda: rd.grid_1d_profile([math.nan], [2, 3]),
     "riesz_potential_discrete_nan": lambda: rd.riesz_potential_discrete(_CLOUD, [1.0], math.nan),
     "truncated_energy_s_nan": lambda: rd.truncated_energy(_CLOUD, math.nan, 0.1),
     "truncated_energy_radius_nan": lambda: rd.truncated_energy(_CLOUD, 0.5, math.nan),
@@ -252,6 +254,64 @@ def test_energy_profile_type_validation():
         rd.EnergyProfile((0.5,), (2, 3), np.ones((2, 2)))
     with pytest.raises(ValueError):
         rd.EnergyProfile((0.5,), (2,), -np.ones((1, 1)))
+
+
+# ----------------------------------------------------------- 1-D grid family
+
+# the ``dim`` default exponents, the exact count s = 0 and an s past overflow
+_GRID_EXPS = [0.0] + [round(0.1 * i, 10) for i in range(1, 20)] + [1000.0]
+_GRID_SIZES = [2, 3, 10, 257, 1000, 3072]
+
+
+def test_grid_closed_form_matches_the_pair_engine():
+    got = rd.grid_1d_profile(_GRID_EXPS, _GRID_SIZES)
+    want = rd.profile_from_family([rd.grid_1d(n) for n in _GRID_SIZES], _GRID_EXPS)
+    assert (got.s_grid, got.n_grid) == (want.s_grid, want.n_grid)
+    assert got.values[0].tolist() == [1.0] * len(_GRID_SIZES)
+    assert got.values[-1].tolist() == want.values[-1].tolist() == [math.inf] * len(_GRID_SIZES)
+    np.testing.assert_allclose(got.values[1:-1], want.values[1:-1], rtol=1e-14, atol=0.0)
+
+
+def test_grid_closed_form_against_an_extended_precision_oracle():
+    exps = _GRID_EXPS[1:-1]
+    got = rd.grid_1d_profile(exps, _GRID_SIZES).values
+    for j, n in enumerate(_GRID_SIZES):
+        k = np.arange(1, n, dtype=np.longdouble)
+        m = np.longdouble(n)
+        want = np.array(
+            [np.sum((m - k) * ((m + 1) / k) ** np.longdouble(s)) for s in exps]
+        ) / (m * (m - 1) / 2)
+        assert float(np.max(np.abs(got[:, j] - want) / want)) < 2e-15
+
+
+def test_grid_sum_with_some_overflowing_terms_gives_inf():
+    # at s = 90 only the nearest neighbours' term, (n - 1)(n + 1)^s, overflows
+    n = 3072
+    assert 90 * math.log((n + 1) / 2) < math.log(sys.float_info.max) < 90 * math.log(n + 1)
+    values = rd.grid_1d_profile([80.0, 90.0], [n]).values[:, 0]
+    assert math.isfinite(values[0]) and values[1] == math.inf
+
+
+@pytest.mark.parametrize(
+    "s_grid, n_grid",
+    [
+        ([0.5, 0.4], [4, 8]),  # exponents not ascending
+        ([0.5], [8, 4]),  # sizes not ascending
+        ([-0.5], [4, 8]),
+        ([0.5, math.inf], [4, 8]),
+        ([0.5], [1, 4]),  # a grid of one point
+    ],
+)
+def test_grid_closed_form_refuses_the_family_errors(s_grid, n_grid):
+    def error_of(call):
+        with pytest.raises(Exception) as info:
+            call()
+        return type(info.value), str(info.value)
+
+    clouds = [rd.PointCloud((np.arange(1, n + 1) / (n + 1))[:, None]) for n in n_grid]
+    assert error_of(lambda: rd.grid_1d_profile(s_grid, n_grid)) == error_of(
+        lambda: rd.profile_from_family(clouds, s_grid)
+    )
 
 
 # ---------------------------------------------------------------- potential
@@ -670,10 +730,10 @@ def test_truncated_kernel_ladder_on_a_multi_strip_cloud():
         return 1.0 - energy_mod._cutoff(r / radius)
 
     exps = _dim_grid(2.5)
-    assert len(cloud_mod._row_blocks(400)) > 1
-    got = energy_mod._row_sums(pts, exps, weight=weight)
+    assert len(cloud_mod._fold_blocks(400)) > 1
+    got = energy_mod._fold_sums(pts, exps, weight=weight)
     for i, s in enumerate(exps):
-        want = energy_mod._row_sums(pts, [s], weight=weight)[0]
+        want = energy_mod._fold_sums(pts, [s], weight=weight)[0]
         np.testing.assert_allclose(got[i], want, rtol=1e-14, atol=0.0)
 
 
@@ -876,6 +936,20 @@ def _out_of_range_clouds():
     yield [[0.0], [0.5], [5e-324], [0.75]]
 
 
+def _truncated_oracle(pts, s, radius):
+    """truncated_energy in 40-digit Decimal: no distance under- or overflows."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        rad, total = decimal.Decimal(radius), decimal.Decimal(0)
+        for k in range(len(pts)):
+            for j in range(k):
+                r = sum((decimal.Decimal(a) - decimal.Decimal(b)) ** 2
+                        for a, b in zip(pts[k], pts[j])).sqrt()
+                t = min(max(r / rad - 1, decimal.Decimal(0)), decimal.Decimal(1))
+                total += t * t * (3 - 2 * t) * r ** decimal.Decimal(-s)  # 1 - cutoff
+        return float(total / (len(pts) ** 2 / decimal.Decimal(2)))
+
+
 @pytest.mark.parametrize("points", list(_out_of_range_clouds()))
 def test_fold_rebuilds_out_of_range_pairs(points):
     c = rd.PointCloud(points)
@@ -886,13 +960,9 @@ def test_fold_rebuilds_out_of_range_pairs(points):
     assert rd.discrete_energy_multi(c, exps).tolist() == pytest.approx(want, rel=1e-14)
     assert rd.discrete_energy(c, 1.0) == pytest.approx(want[2], rel=1e-14)
     radius = c.min_gap()
-
-    def weight(r):
-        return 1.0 - energy_mod._cutoff(r / radius)
-
-    with np.errstate(over="ignore"):
-        cut = energy_mod._fsum(energy_mod._row_sums(pts, [0.5], weight=weight)[0]) / (n * n / 2)
-    assert rd.truncated_energy(c, 0.5, radius) == pytest.approx(cut, rel=1e-14)
+    # a rebuilt pair takes r^-s as exp(-s log r), good to about |s log r| ulps: 4e-14 at 2e308
+    got = rd.truncated_energy(c, 0.5, radius)
+    assert got == pytest.approx(_truncated_oracle(pts, 0.5, radius), rel=5e-14, abs=0)
     dists = prefix_distances(pts)
     assert sorted(np.concatenate(list(cloud_mod._pair_distances(pts))).tolist()) == dists
     assert (c.min_gap(), c.diameter()) == (dists[0], dists[-1])

@@ -47,8 +47,7 @@ def test_window_too_small():
 
 def test_grid_family_dimension_near_one(grid_family_profile):
     def recompute(s_mid, n_sub):
-        fam = rd.profile_from_family([rd.grid_1d(n) for n in n_sub], [s_mid])
-        return fam.values[0]
+        return rd.grid_1d_profile([s_mid], n_sub).values[0]
 
     est = rd.dimension_estimate(
         grid_family_profile, 0.1, window=(1024, 8192), recompute=recompute
@@ -145,6 +144,34 @@ def test_no_transition_when_all_steep():
     prof = EnergyProfile((0.5, 1.0), (10, 20, 40, 80), values)
     with pytest.raises(rd.NoTransition):
         rd.dimension_estimate(prof, 0.1)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+def test_non_finite_energy_in_the_window_is_refused_before_any_log(bad, monkeypatch):
+    values = np.vstack([[1.0, 1.0, 1.0, 1.0], [1.0, 2.0, bad, 8.0]])
+    prof = EnergyProfile((0.5, 1.5), (10, 20, 40, 80), values)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a log, ptp or polyfit ran")
+
+    for name in ("log", "ptp", "polyfit"):
+        monkeypatch.setattr(np, name, no_fit)
+    for call in (lambda: rd.adaptability_slopes(prof, (10, 80)),
+                 lambda: rd.dimension_estimate(prof, 0.1)):
+        with pytest.raises(rd.NonFiniteResult, match=r"s = 1\.5, n = 40 is"):
+            call()
+    monkeypatch.undo()
+    # outside the window the value is never fitted
+    assert rd.adaptability_slopes(
+        EnergyProfile((0.5,), (5, 10, 20, 40, 80), np.vstack([[bad, 1, 1, 1, 1]])), (10, 80)
+    ) == [(0.5, 0.0)]
+
+
+def test_non_finite_bisection_energy_is_refused():
+    values = np.vstack([[1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 4.0, 8.0]])
+    prof = EnergyProfile((0.5, 1.5), (10, 20, 40, 80), values)
+    with pytest.raises(rd.NonFiniteResult, match=r"s = 1\.0, n = 80 is inf"):
+        rd.dimension_estimate(prof, 0.1, recompute=lambda s, ns: np.array([1.0, 2.0, 4.0, np.inf]))
 
 
 def test_threshold_validation():

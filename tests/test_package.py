@@ -10,7 +10,7 @@ import rieszdim as rd
 PUBLIC = {
     "cloud": "PointCloud read_csv write_csv",
     "energy": "EnergyProfile discrete_energy discrete_energy_multi energy_profile "
-    "profile_from_family riesz_potential_discrete truncated_energy",
+    "grid_1d_profile profile_from_family riesz_potential_discrete truncated_energy",
     "errors": "DimensionMismatch DuplicatePoints HypothesisViolated NonFiniteResult "
     "NoTransition OracleUnavailable RieszdimError SizeCapExceeded TargetUnreachable "
     "TooFewPoints UnsupportedDimension UnsupportedVariant WindowTooSmall",
