@@ -126,7 +126,7 @@ def _add_common(p, *, seed: bool, threads: bool, pairs: bool):
     if seed:
         p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     if threads:
-        p.add_argument("--threads", type=int, default=1, help="worker thread bound (results unchanged)")
+        p.add_argument("--threads", type=int, default=1, help="worker bound (results unchanged)")
     p.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS, help="point allocation cap")
     if pairs:
         p.add_argument("--max-pairs", type=int, default=10_000_000_000, help="pair evaluation cap")

@@ -30,27 +30,29 @@ log d2 is taken once by ``cloud._distances``, which rebuilds a square that
 underflowed or overflowed. The kernels climb an exponent ladder: the
 exponent list is split, once per distinct list (the plan is cached), into
 runs of equal ascending steps h (equal to a few ulp), at most ``_RUN``
-long. The first exponent of a run,
-its anchor, takes a direct exp(-s/2 * log d2), masked or weighted once;
-each later one is the previous kernel times the step factor
-exp(-h/2 * log d2), taken once per run and strip. An evenly spaced grid of
-S exponents thus costs about S/8 exp passes per strip instead of S. s = 0
-is an exact count. A ladder value rounds differently from the direct exp,
-by about as much as the direct exp's own error (a few 1e-15 relative where
-s/2 * |log d2| is large); it stays within 3e-14 of an extended-precision
-oracle over a 600-exponent grid.
-Strip bounds do not depend on the thread count and each strip writes only
-its own rows, so every result is bit-identical at any thread count. A sum
-that overflows is inf, never nan.
+long. The first exponent of a run, its anchor, takes a direct
+exp(-s/2 * log d2), masked or weighted once; each later one is the
+previous kernel times the step factor exp(-h/2 * log d2), taken once per
+strip for each step h (runs of one step share it). An evenly spaced grid
+of S exponents thus costs about S/16 + 1 exp passes per strip instead of
+S. s = 0 is an exact count. A ladder value rounds differently from the
+direct exp, by about as much as the direct exp's own error (a few 1e-15
+relative where s/2 * |log d2| is large); it stays within 3e-14 of an
+extended-precision oracle over a 600-exponent grid. Each kernel row is
+summed by one ``einsum`` reduction of that row alone.
+Strips are dealt to forked worker processes by ``_deal`` (passes too
+small to pay for a fork run inline). Strip bounds do not depend on the
+worker count and each strip writes only its own rows, so every result is
+bit-identical at any thread count. A sum that overflows is inf, never nan.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import mmap
 import os
-import queue
-import threading
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,70 +80,117 @@ __all__ = [
 ]
 
 _RUN = 16  # exponents per ladder run: a direct exp re-anchors at least this often
+# The estimated time of a pass on one core, in ns, below which it runs
+# inline: a fork and reap costs about 2.4 ms, so from 10 ms on a second
+# worker saves about twice what it costs.
+_FORK_WORK = 10_000_000
 _triangles = (np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
-_jobs = queue.SimpleQueue()  # (run, share, t, done) for the dealer's worker threads
-_workers = 0  # worker threads started in this process
-_workers_lock = threading.Lock()
+_forked = False  # set in a forked worker, which never forks again
 
 
-def _serve(jobs) -> None:
-    """A dealer worker thread: run the shares it is handed, for the life of the process."""
-    while True:
-        run, share, t, done = jobs.get()
-        done.put((t, _share_error(run, share)))
-        del run, share, done  # an idle worker holds nothing of its last job
-
-
-def _share_error(run, share):
-    """Run a worker's share: the error it raised, for the dealing caller to re-raise, or None."""
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
     try:
-        run(share)
-    except BaseException as exc:
-        return exc
-    return None
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1
 
 
-def _forget_workers() -> None:
-    """Reset the dealer in a forked child, which has none of its parent's worker threads."""
-    global _jobs, _workers, _workers_lock
-    _jobs, _workers, _workers_lock = queue.SimpleQueue(), 0, threading.Lock()
+def _deal(run, items, shape, threads: int, work: int) -> np.ndarray:
+    """A zeroed array ``out`` of ``shape`` after ``run(share, out)`` on the shares ``items[t::w]``.
 
-
-if hasattr(os, "register_at_fork"):  # POSIX; elsewhere nothing forks
-    os.register_at_fork(after_in_child=_forget_workers)
-
-
-def _deal(run, items, threads: int) -> None:
-    """Call ``run`` on the round-robin shares ``items[t::w]`` of w workers.
-
-    w is ``threads`` clamped to [1, len(items)] (below 1 runs serially).
-    The calling thread takes share 0; shares 1 .. w-1 go to daemon worker
-    threads that persist across calls and are started on demand, so a
-    ``run`` must never deal and wait on the workers itself. Every share
-    finishes before this returns or raises; the caller's own error is
-    raised first, otherwise the first worker share's. A forked child
-    starts with no workers and starts its own.
+    w is ``threads`` clamped to [1, len(items)] and to the CPUs this process
+    may use (below 1 runs serially). A pass whose ``work``, its estimated
+    time on one core in ns, is below ``_FORK_WORK`` runs inline, as does
+    every pass without ``os.fork`` or inside a worker. Otherwise the caller
+    takes share 0, and shares 1 .. w-1 run in children forked for this
+    pass, which write into ``out`` in anonymous shared memory, report an
+    error over a pipe and leave through ``os._exit`` (so they never flush
+    inherited stdio buffers or run ``atexit`` handlers). Each share must
+    write only its own entries of ``out``. Every child is reaped before
+    this returns or raises: the first error, the caller's own before the
+    children's, is re-raised, a child killed by a signal surfaces as
+    ChildProcessError, and on an error in the caller (KeyboardInterrupt
+    included) the children are killed first.
     """
-    global _workers
-    workers = max(1, min(threads, len(items)))
+    workers = 1
+    if threads > 1 and work >= _FORK_WORK and not _forked and hasattr(os, "fork"):
+        workers = max(1, min(threads, len(items), _cpu_count()))
     if workers == 1:
-        run(items)
-        return
-    if _workers < workers - 1:
-        with _workers_lock:
-            for _ in range(_workers, workers - 1):
-                threading.Thread(target=_serve, args=(_jobs,), name="rieszdim", daemon=True).start()
-                _workers += 1
-    done = queue.SimpleQueue()  # one (t, error) per finished worker share
-    for t in range(1, workers):
-        _jobs.put((run, items[t::workers], t, done))
+        out = np.zeros(shape)
+        run(items, out)
+        return out
+    size = int(np.prod(shape))
+    out = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), count=size).reshape(shape)
+    pending, pipes = [], []  # (pid, read end) of each child not yet reaped; every read end
     try:
-        run(items[::workers])
+        for t in range(1, workers):
+            r, w = os.pipe()
+            pipes.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(run, items[t::workers], out, w)
+            finally:
+                os.close(w)  # before the next fork, so only its own child holds it
+            pending.append((pid, r))
+        run(items[::workers], out)
+        errors = []
+        while pending:
+            errors.append(_reap(*pending[0]))
+            del pending[0]
     finally:
-        reports = sorted(done.get() for _ in range(1, workers))
-    for _, exc in reports:
+        if pending:  # the caller's share or a reap raised: kill and reap the rest
+            import signal
+
+            for pid, _ in pending:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):
+                    pass  # reaped just before the error
+        for r in pipes:
+            os.close(r)
+    for exc in errors:
         if exc is not None:
             raise exc
+    return out
+
+
+def _worker(run, share, out, pipe: int) -> None:
+    """Run one share in a forked child and leave through ``os._exit``; never returns."""
+    global _forked
+    _forked = True
+    code = 0
+    try:
+        run(share, out)
+    except BaseException as exc:
+        code = 1
+        try:
+            data = pickle.dumps(exc)
+            pickle.loads(data)
+        except Exception:  # any error that does not survive the round trip
+            data = pickle.dumps(f"{type(exc).__name__}: {exc}")
+        with open(pipe, "wb", closefd=False) as f:
+            f.write(data)
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, pipe: int):
+    """Wait for a worker child: the error it reported or died of, else None."""
+    with open(pipe, "rb", closefd=False) as f:
+        data = f.read()  # to end of file, so a child never blocks on a full pipe
+    _, status = os.waitpid(pid, 0)
+    if data:
+        exc = pickle.loads(data)  # written by this program's own child
+        return exc if isinstance(exc, BaseException) else ChildProcessError(exc)
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        return ChildProcessError(f"worker {pid} was killed by signal {-code}")
+    if code:
+        return ChildProcessError(f"worker {pid} exited with status {code} and no error")
+    return None
 
 
 def _triangle(rows: int):
@@ -196,7 +245,10 @@ def _strip_sums(a, b, runs, weight, out, corner) -> None:
     is a pair (float 1/0 mask, its bool complement) laid on the strip's
     bottom-right corner, whose values under mask 0 are skipped: the pairs
     j >= k of a prefix strip's diagonal block, or the second half of the
-    last fold row of an even cloud.
+    last fold row of an even cloud. A row sum is one ``einsum`` reduction of
+    its row, whose bits depend on that row alone (a BLAS product with a ones
+    vector groups rows by fours, so its bits would depend on the strip). A
+    run whose step h equals the one before reuses its step factor.
     """
     d2 = _tile(a, b)
     if corner is not None:
@@ -213,10 +265,11 @@ def _strip_sums(a, b, runs, weight, out, corner) -> None:
         L[w == 0.0] = 0.0  # a zero weight must not meet an infinite kernel
     # buffers 1 and 2 are free once the tile is built: the kernel and the step factor
     K, E = (buf[: L.size].reshape(L.shape) for buf in _strip_buffers(L.size)[1:])
+    step = None  # the h whose step factor E holds
     for s, h, rows in runs:
         if s == 0.0:
             if w is not None:
-                w.sum(axis=1, out=out[rows[0]])
+                np.einsum("ij->i", w, out=out[rows[0]])
             else:
                 out[rows[0]] = L.shape[1]
                 if corner is not None:
@@ -228,28 +281,33 @@ def _strip_sums(a, b, runs, weight, out, corner) -> None:
             K *= w
         elif corner is not None:
             K[at] *= keep
-        K.sum(axis=1, out=out[rows[0]])
+        np.einsum("ij->i", K, out=out[rows[0]])
         if len(rows) > 1:
-            # a skipped or zero-weight pair has L = 0, so E = 1 keeps its 0
-            np.multiply(L, -0.5 * h, out=E)
-            np.exp(E, out=E)
+            if h != step:
+                # a skipped or zero-weight pair has L = 0, so E = 1 keeps its 0
+                np.multiply(L, -0.5 * h, out=E)
+                np.exp(E, out=E)
+                step = h
             for i in rows[1:]:
                 K *= E
-                K.sum(axis=1, out=out[i])
+                np.einsum("ij->i", K, out=out[i])
 
 
 def _sums(strips, width, exps, threads, weight):
-    """out[:, r0:r1] = :func:`_strip_sums` of each strip ``(a, b, r0, r1, corner)``; out is S x width."""
-    runs = _ladder(tuple(float(s) for s in exps))
-    out = np.zeros((len(exps), width))
+    """out[:, r0:r1] = :func:`_strip_sums` of each strip ``(a, b, r0, r1, corner)``; out is S x width.
 
-    def run(share):
+    The strips are dealt to ``threads`` workers by :func:`_deal`. A pair
+    costs about 1 ns per exponent plus 8 ns for its tile, log and first exp.
+    """
+    runs = _ladder(tuple(float(s) for s in exps))
+
+    def run(share, out):
         with np.errstate(over="ignore"):
             for a, b, r0, r1, corner in share:
                 _strip_sums(a, b, runs, weight, out[:, r0:r1], corner)
 
-    _deal(run, strips, threads)
-    return out
+    work = sum((r1 - r0) * len(b) for _, b, r0, r1, _ in strips) * (len(exps) + 8)
+    return _deal(run, strips, (len(exps), width), threads, work)
 
 
 def _row_sums(pts, exps, *, threads=1):

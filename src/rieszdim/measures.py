@@ -368,7 +368,9 @@ def _difference_rule(u: np.ndarray, d: int, s: float, *, threads: int = 1) -> np
     Gauss-Legendre nodes on [0, pi] under the weight sin^{d-2}(theta) (in d =
     1, theta = 0 and pi), so each u costs 1,152 values of ((u + t cos(theta))^2
     + (t sin(theta))^2)^{-s/2}. The u go in chunks of about ``cloud._TILE``
-    values, dealt to ``threads``; each result depends on its own u alone.
+    values, dealt to ``threads`` by ``energy._deal``. A chunk's weighted sums
+    are one BLAS product, so a result depends on its own u and its place in
+    the chunk (to rounding), never on the workers.
     """
     y, w = np.polynomial.legendre.leggauss(24)
     phi = math.pi / 4.0 * (y + 1.0)
@@ -386,10 +388,9 @@ def _difference_rule(u: np.ndarray, d: int, s: float, *, threads: int = 1) -> np
         angular = w * sin_t ** (d - 2)
     P, Q = np.outer(2.0 * cos, x).ravel(), np.outer(2.0 * cos, sin_t).ravel() ** 2
     W = np.outer(radial / radial.sum(), angular / angular.sum()).ravel()
-    out = np.empty(len(u))
     rows = max(1, _cloud._TILE // len(W))
 
-    def run(share):
+    def run(share, out):
         for i in share:
             K = np.add(u[i : i + rows, None], P)
             K *= K
@@ -397,11 +398,10 @@ def _difference_rule(u: np.ndarray, d: int, s: float, *, threads: int = 1) -> np
             np.log(K, out=K)
             K *= -0.5 * s
             np.exp(K, out=K)
-            K *= W
-            K.sum(axis=1, out=out[i : i + rows])
+            np.matmul(K, W, out=out[i : i + rows])
 
-    _deal(run, range(0, len(u), rows), threads)
-    return out
+    # a value takes about 6 ns: a log, an exp and its share of the product
+    return _deal(run, range(0, len(u), rows), len(u), threads, 6 * len(u) * len(W))
 
 
 def _pizzetti(d: int, s: float, rho: float) -> list:

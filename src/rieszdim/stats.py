@@ -12,9 +12,6 @@ bit-for-bit from (measure, s, n grid, reps, seed).
 from __future__ import annotations
 
 import math
-import mmap
-import os
-import pickle
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -88,116 +85,22 @@ def replicate_energies(
     writes only column r. The clouds are drawn here, in rep order, in
     rounds of about ``_ROUND_POINTS`` points; each round's energies are
     dealt round-robin to ``threads`` workers (below 1 runs serially) by
-    :func:`_forked_columns`, each computing its energies on one thread, so
-    the array is bit-identical to the serial loop at any thread count.
+    ``energy._deal``, each computing its energies on one thread, so the
+    array is bit-identical to the serial loop at any thread count. A
+    replicate costs what its pair pass costs plus about 50 us per call.
     """
     out = np.empty((len(s_list), reps))
     per_round = max(1, _ROUND_POINTS // max(n, 1))
     for r0 in range(0, reps, per_round):
         clouds = [sample(measure, n, seed, rep=r) for r in range(r0, min(reps, r0 + per_round))]
-        out[:, r0 : r0 + len(clouds)] = _forked_columns(
-            lambda j: discrete_energy_multi(clouds[j], s_list), len(clouds), len(s_list), threads
-        )
+
+        def run(share, energies):
+            for j in share:
+                energies[:, j] = discrete_energy_multi(clouds[j], s_list)
+
+        work = len(clouds) * (n * (n - 1) // 2 * (len(s_list) + 8) + 50_000)
+        out[:, r0 : r0 + len(clouds)] = _deal(run, range(len(clouds)), (len(s_list), len(clouds)), threads, work)
     return out
-
-
-def _forked_columns(column, count: int, rows: int, threads: int) -> np.ndarray:
-    """The (rows, count) array whose column j is ``column(j)``, dealt to worker processes.
-
-    Columns are dealt round-robin to w workers, w being ``threads`` clamped
-    to [1, count]. The caller computes share 0; shares 1 .. w-1 run in
-    children forked for this call, which write their columns to anonymous
-    shared memory, report an error over a pipe and leave through
-    ``os._exit`` (so they never flush inherited stdio buffers or run
-    ``atexit`` handlers). A child has only the forking thread; should
-    ``column`` deal strips, ``energy._deal`` starts the child's own worker
-    threads. Every child is reaped before this returns or raises: the
-    first error, the caller's own before the children's, is re-raised, a
-    child killed by a signal surfaces as ChildProcessError, and on an error
-    in the caller (KeyboardInterrupt included) the children are killed
-    first. With one worker, or without ``os.fork``, the shares go to the
-    threads of ``energy._deal``.
-    """
-    workers = max(1, min(threads, count))
-    forked = workers > 1 and hasattr(os, "fork")
-    size = rows * count
-    out = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), count=size) if forked else np.empty(size)
-    out = out.reshape(rows, count)
-
-    def run(share):
-        for j in share:
-            out[:, j] = column(j)
-
-    if not forked:
-        _deal(run, range(count), workers)
-        return out
-    pending, pipes = [], []  # (pid, read end) of each child not yet reaped; every read end
-    try:
-        for t in range(1, workers):
-            r, w = os.pipe()
-            pipes.append(r)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _worker(run, range(t, count, workers), w)
-            finally:
-                os.close(w)  # before the next fork, so only its own child holds it
-            pending.append((pid, r))
-        run(range(0, count, workers))
-        errors = []
-        while pending:
-            errors.append(_reap(*pending[0]))
-            del pending[0]
-    finally:
-        if pending:  # the caller's share or a reap raised: kill and reap the rest
-            import signal
-
-            for pid, _ in pending:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                except (ProcessLookupError, ChildProcessError):
-                    pass  # reaped just before the error
-        for r in pipes:
-            os.close(r)
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return out
-
-
-def _worker(run, share, pipe: int) -> None:
-    """Run one share in a forked child and leave through ``os._exit``; never returns."""
-    code = 0
-    try:
-        run(share)
-    except BaseException as exc:
-        code = 1
-        try:
-            data = pickle.dumps(exc)
-            pickle.loads(data)
-        except Exception:  # any error that does not survive the round trip
-            data = pickle.dumps(f"{type(exc).__name__}: {exc}")
-        with open(pipe, "wb", closefd=False) as f:
-            f.write(data)
-    finally:
-        os._exit(code)
-
-
-def _reap(pid: int, pipe: int):
-    """Wait for a worker child: the error it reported or died of, else None."""
-    with open(pipe, "rb", closefd=False) as f:
-        data = f.read()  # to end of file, so a child never blocks on a full pipe
-    _, status = os.waitpid(pid, 0)
-    if data:
-        exc = pickle.loads(data)  # written by this program's own child
-        return exc if isinstance(exc, BaseException) else ChildProcessError(exc)
-    code = os.waitstatus_to_exitcode(status)
-    if code < 0:
-        return ChildProcessError(f"worker {pid} was killed by signal {-code}")
-    if code:
-        return ChildProcessError(f"worker {pid} exited with status {code} and no error")
-    return None
 
 
 def _resolve_oracle(measure: MeasureSpec, s: float, oracle):

@@ -40,3 +40,20 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak - start
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Deal every pass, however small, to forked workers, on up to 4 CPUs."""
+    import rieszdim.energy as energy_mod
+
+    monkeypatch.setattr(energy_mod, "_FORK_WORK", 0)
+    monkeypatch.setattr(energy_mod, "_cpu_count", lambda: 4)
+
+
+def no_child_left():
+    """Assert that this process has no child left to reap."""
+    import os
+
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -664,32 +664,22 @@ def test_threads_flag_does_not_change_payload(capsys, tmp_path):
         ["lln-path", "--measure", "cube", "--dim", "2", "--s", "0.6", "--n-max", "300"],
         # not a replicate command: its point energy spans more than one strip
         ["ballcheck", "--gen", "grid1d", "--n", "400", "--s", "0.5", "--c", "2.0"],
-        # its 930 near pairs are dealt to the threads in 34 chunks
+        # its 930 near pairs are dealt to the workers in 34 chunks
         ["ballcheck", "--gen", "lattice", "--d", "2", "--k", "4", "--s", "1.2", "--c", "2.0"],
     ],
 )
-def test_replicate_commands_ignore_threads_in_payload(argv, capsys, tmp_path, monkeypatch):
-    import rieszdim.energy as energy_mod
-
-    worker_shares, forks = [], []
-    real_share, real_fork = energy_mod._share_error, os.fork
-
-    def recording_share(run, share):
-        worker_shares.append(share)
-        return real_share(run, share)
+def test_replicate_commands_ignore_threads_in_payload(argv, capsys, tmp_path, monkeypatch, forking):
+    # every pass, however small, is dealt to forked workers
+    forks, real_fork = [], os.fork
 
     def recording_fork():
         pid = real_fork()
         forks.append(pid)  # only the parent's list outlives the child
         return pid
 
-    monkeypatch.setattr(energy_mod, "_share_error", recording_share)
     monkeypatch.setattr(os, "fork", recording_fork)
-    # replicate loops deal their replicates to forked workers, the others to worker threads
-    workers = forks if argv[0] in ("varscan", "lln-mean", "lln-weak") else worker_shares
     outputs = []
     for t in ("1", "2", "0"):
-        worker_shares.clear()
         forks.clear()
         extra = ["--threads", t] + (["--seed", "5"] if "--seed" in COMMON_FLAGS[argv[0]] else [])
         if argv[0] == "varscan":
@@ -698,7 +688,7 @@ def test_replicate_commands_ignore_threads_in_payload(argv, capsys, tmp_path, mo
             extra += ["--per-rep-csv", str(tmp_path / f"reps{t}.csv")]
         code, out, _ = run_cli(argv + extra, capsys)
         assert code == 0
-        assert bool(workers) == (t == "2")  # the flag reaches the workers
+        assert bool(forks) == (t == "2")  # the flag reaches the workers
         if argv[0] == "varscan":
             outputs.append((out, payload_of((tmp_path / f"env{t}.json").read_text())))
         elif argv[0] == "lln-mean":
@@ -971,7 +961,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert "rieszdim.sets" in loaded
     for name in ("energy", "estimator", "generators", "measures", "stats"):
         assert "rieszdim." + name not in loaded
-    # the dealer's worker threads need neither an executor nor the logging it imports
+    # the dealer needs neither an executor nor the logging it imports
     unused = {"concurrent.futures", "logging"}
     loaded = _modules_loaded_by(["dim", "--input", str(sample), "--threads", "2"],
                                 prefixes=("rieszdim", "concurrent", "logging"))

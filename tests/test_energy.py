@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import rieszdim as rd
 import rieszdim.cloud as cloud_mod
 import rieszdim.energy as energy_mod
-from conftest import random_cloud
+from conftest import no_child_left, random_cloud
 
 
 def naive_energy(points, s):
@@ -1000,74 +1000,218 @@ def test_fold_sums_do_not_page_fault_per_strip():
 
 # ------------------------------------------------------------------ dealer
 
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
-def test_dealer_reraises_share_errors_typed():
-    # items range(6) at 3 workers: the caller takes [0, 3], the workers [1, 4] and [2, 5]
-    def worker_fails(share):
+
+def _counting_forks(monkeypatch):
+    """Wrap os.fork so that the parent's returned list counts its forks."""
+    forks, real = [], os.fork
+
+    def fork():
+        pid = real()
+        forks.append(pid)  # only the parent's list outlives the child
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@needs_fork
+def test_dealer_reraises_share_errors_typed(forking):
+    # items range(6) at 3 workers: the caller takes [0, 3], the children [1, 4] and [2, 5]
+    def worker_fails(share, out):
         if share[0] == 2:
             raise rd.DuplicatePoints("share 2")
 
     with pytest.raises(rd.DuplicatePoints, match="share 2"):
-        energy_mod._deal(worker_fails, range(6), 3)
+        energy_mod._deal(worker_fails, range(6), 6, 3, 0)
 
-    def all_fail(share):
+    def all_fail(share, out):
         if share[0] == 1:
             time.sleep(0.05)  # finishes last, and its error still wins over share 2's
         raise (rd.TooFewPoints if share[0] else rd.DuplicatePoints)(f"share {share[0]}")
 
     with pytest.raises(rd.DuplicatePoints, match="share 0"):  # the caller's own first
-        energy_mod._deal(all_fail, range(6), 3)
+        energy_mod._deal(all_fail, range(6), 6, 3, 0)
     with pytest.raises(rd.TooFewPoints, match="share 1"):
-        energy_mod._deal(lambda share: share[0] and all_fail(share), range(6), 3)
+        energy_mod._deal(lambda share, out: share[0] and all_fail(share, out), range(6), 6, 3, 0)
+    no_child_left()
 
 
-def test_interrupt_in_the_callers_share_waits_for_the_others():
-    finished = []
-
-    def run(share):
+@needs_fork
+def test_interrupt_in_the_callers_share_waits_for_the_others(forking):
+    # the children are killed and reaped before the caller's interrupt propagates
+    def run(share, out):
         if share[0] == 0:
             raise KeyboardInterrupt
-        time.sleep(0.1)
-        finished.append(share[0])
+        time.sleep(20)
 
+    start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        energy_mod._deal(run, range(3), 3)
-    assert sorted(finished) == [1, 2]
+        energy_mod._deal(run, range(3), 3, 3, 0)
+    assert time.monotonic() - start < 10
+    no_child_left()
 
 
-def test_dealer_threads_are_reused_daemons():
-    ran_on = set()
+@needs_fork
+def test_dealer_writes_a_zeroed_shared_array(forking):
+    def run(share, out):
+        for i in share:
+            out[i, 0] = os.getpid()  # column 1 is left as the dealer made it
 
-    def run(share):
-        ran_on.add(threading.current_thread())
-
-    energy_mod._deal(run, range(2), 2)
-    count = threading.active_count()
-    for _ in range(100):
-        energy_mod._deal(run, range(2), 2)
-    assert threading.active_count() == count
-    workers = ran_on - {threading.current_thread()}
-    assert workers and all(t.daemon for t in workers)
-    assert len(workers) <= energy_mod._workers
+    out = energy_mod._deal(run, range(4), (4, 2), 2, 0)
+    assert out[:, 1].tolist() == [0.0] * 4
+    assert out[0, 0] == out[2, 0] == os.getpid() != out[1, 0] == out[3, 0]
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_deals_to_workers_of_its_own():
-    energy_mod._deal(lambda share: None, range(2), 2)  # the parent has a worker to inherit
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            seen = []
-            energy_mod._deal(seen.extend, range(4), 2)
-            code = 0 if sorted(seen) == [0, 1, 2, 3] else 2
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 20
-    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-        time.sleep(0.01)
-    if done[0] == 0:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        pytest.fail("the forked child waited on workers it does not have")
-    assert os.waitstatus_to_exitcode(done[1]) == 0
+@needs_fork
+def test_workers_are_clamped_to_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(energy_mod, "_FORK_WORK", 0)
+    monkeypatch.setattr(energy_mod, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(cloud_mod, "_TILE", 16 * 16)
+    forks = _counting_forks(monkeypatch)
+    pts = random_cloud(2, 120, 2).points
+    want = energy_mod._row_sums(pts, [0.5, 1.5]).tobytes()
+    assert energy_mod._row_sums(pts, [0.5, 1.5], threads=1000).tobytes() == want
+    assert len(forks) == 1
+    forks.clear()
+    want = rd.replicate_energies(rd.UniformCube(1), [0.5], 20, 40, seed=3).tobytes()
+    got = rd.replicate_energies(rd.UniformCube(1), [0.5], 20, 40, seed=3, threads=1000)
+    assert got.tobytes() == want
+    assert len(forks) == 1
+    no_child_left()
+
+
+@needs_fork
+def test_a_worker_never_forks_again(forking, monkeypatch):
+    forks = _counting_forks(monkeypatch)
+    pts = random_cloud(3, 60, 2).points
+    monkeypatch.setattr(cloud_mod, "_TILE", 16 * 16)
+
+    def run(share, out):
+        for i in share:
+            before = len(forks)  # a child's copy ends with the 0 its fork returned
+            out[i] = energy_mod._row_sums(pts, [0.5], threads=4)[0, -1]
+            out[i + 2] = len(forks) - before
+
+    out = energy_mod._deal(run, range(2), 4, 2, 0)
+    assert len(forks) == 1 + 3  # the worker, then the caller's own pass on 4 workers
+    assert out[0] == out[1] and out[2:].tolist() == [3.0, 0.0]  # the worker's pass ran inline
+    no_child_left()
+
+
+def test_cpu_count_is_the_affinity_where_there_is_one(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert energy_mod._cpu_count() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert energy_mod._cpu_count() == (os.cpu_count() or 1)
+
+
+@needs_fork
+def test_sums_are_bit_identical_at_one_to_four_workers(forking, monkeypatch):
+    monkeypatch.setattr(cloud_mod, "_TILE", 16 * 16)  # many strips for every worker
+    exps = [0.0] + _dim_grid(2.5)
+    radius = 0.2
+
+    def weight(r):
+        return 1.0 - energy_mod._cutoff(r / radius)
+
+    for n, d in ((101, 2), (100, 3)):  # an even n has the half-row corner
+        pts = random_cloud(n, n, d).points
+        calls = [
+            lambda t: energy_mod._row_sums(pts, exps, threads=t),
+            lambda t: energy_mod._fold_sums(pts, exps, threads=t),
+            lambda t: energy_mod._fold_sums(pts, exps, threads=t, weight=weight),
+        ]
+        for call in calls:
+            runs = [call(t).tobytes() for t in (1, 2, 3, 4)]
+            assert runs == [runs[0]] * 4
+    from rieszdim.measures import _difference_rule
+
+    u = np.linspace(2.01, 12.0, 200)  # 7 chunks of 28
+    for d in (1, 2, 3):
+        runs = [_difference_rule(u, d, 1.3, threads=t).tobytes() for t in (1, 2, 3, 4)]
+        assert runs == [runs[0]] * 4
+    no_child_left()
+
+
+@needs_fork
+def test_duplicate_points_in_a_childs_strips_come_back_typed(forking, monkeypatch):
+    monkeypatch.setattr(cloud_mod, "_TILE", 16 * 16)
+    forks = _counting_forks(monkeypatch)
+    pts = random_cloud(4, 200, 2).points.copy()
+    k0, _ = cloud_mod._row_blocks(len(pts))[1]  # strip 1 goes to worker 1, a child
+    pts[k0] = pts[0]
+    with pytest.raises(rd.DuplicatePoints):
+        energy_mod._row_sums(pts, [0.5, 1.0], threads=2)
+    assert len(forks) == 1
+    no_child_left()
+
+
+@needs_fork
+def test_concurrent_callers_fork_at_once_and_get_identical_bits(forking, monkeypatch):
+    monkeypatch.setattr(energy_mod, "_cpu_count", lambda: 2)  # one child per caller
+    monkeypatch.setattr(cloud_mod, "_TILE", 16 * 16)
+    c = random_cloud(7, 200, 2)
+    want = rd.discrete_energy_multi(c, [0.5, 1.5]).tolist()
+    results = []
+    callers = [
+        threading.Thread(target=lambda: results.append(rd.discrete_energy_multi(c, [0.5, 1.5], threads=2).tolist()))
+        for _ in range(3)
+    ]
+    for t in callers:
+        t.start()
+    for t in callers:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in callers)
+    assert results == [want] * 3
+    no_child_left()
+
+
+def test_criterion_sized_passes_never_fork(monkeypatch):
+    def refuse():
+        raise AssertionError("a tiny pass forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(energy_mod, "_cpu_count", lambda: 4)
+    from rieszdim.measures import _difference_rule
+
+    for n in (4, 17, 39):
+        c = random_cloud(n, n, 2)
+        rd.discrete_energy(c, 0.7, threads=4)
+        rd.discrete_energy_multi(c, _dim_grid(2.5), threads=4)
+        rd.truncated_energy(c, 0.7, 0.1, threads=4)
+        rd.energy_profile(c, _dim_grid(2.5), [2, n], threads=4)
+    rd.replicate_energies(rd.UniformCube(2), [0.3, 0.9], 39, 30, seed=1, threads=4)
+    _difference_rule(np.linspace(2.1, 5.0, 100), 2, 1.2, threads=4)
+
+
+def test_sums_agree_with_an_exact_oracle_over_the_dim_grid():
+    # the ladder and the einsum row sums against fsum of r^-s, on d = 1-3 clouds
+    exps = _dim_grid(2.5)
+    worst = 0.0
+    for seed in range(6):
+        d = 1 + seed % 3
+        pts = random_cloud(seed, 60 + 17 * seed, d).points
+        n = len(pts)
+        R, F = energy_mod._row_sums(pts, exps), energy_mod._fold_sums(pts, exps)
+        for k in range(1, n):
+            r = np.sqrt(((pts[k] - pts[:k]) ** 2).sum(axis=1))
+            for i, s in enumerate(exps):
+                want = math.fsum((r**-s).tolist())
+                worst = max(worst, abs(R[i, k] - want) / want)
+        for delta in range(1, n // 2 + 1):
+            cols = n // 2 if 2 * delta == n else n
+            r = np.sqrt(((pts[:cols] - np.roll(pts, -delta, axis=0)[:cols]) ** 2).sum(axis=1))
+            for i, s in enumerate(exps):
+                want = math.fsum((r**-s).tolist())
+                worst = max(worst, abs(F[i, delta - 1] - want) / want)
+    assert worst <= 5.8e-15
+
+
+def test_an_overflowing_strip_sums_to_inf_not_nan():
+    pts = np.array([[0.0], [1e-200], [0.5], [1.0]])
+    exps = _dim_grid(2.5)
+    for sums in (energy_mod._row_sums(pts, exps), energy_mod._fold_sums(pts, exps)):
+        assert not np.isnan(sums).any()
+        assert math.inf in sums[-1].tolist()

@@ -4,6 +4,7 @@ import signal
 import sys
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import rieszdim as rd
+import rieszdim.energy as energy_mod
+from conftest import no_child_left
 
 
 def test_expectation_matches_interval_oracle():
@@ -182,8 +185,10 @@ def test_replicates_are_bit_identical_at_any_thread_count(measure, n, reps, s_li
         rd.discrete_energy_multi(rd.sample(measure, n, seed, rep=r), s_list) for r in range(reps)
     ]
     want = np.column_stack(serial).tobytes()
-    # every run stays alive, so no run can reuse the memory of an earlier one
-    runs = [rd.replicate_energies(measure, s_list, n, reps, seed, threads=t) for t in (1, 2, 4, 0, -1)]
+    # every run stays alive, so no run can reuse the memory of an earlier one; every
+    # round, however small, is dealt to forked workers on up to 4 CPUs
+    with mock.patch.object(energy_mod, "_FORK_WORK", 0), mock.patch.object(energy_mod, "_cpu_count", lambda: 4):
+        runs = [rd.replicate_energies(measure, s_list, n, reps, seed, threads=t) for t in (1, 2, 4, 0, -1)]
     assert [r.tobytes() for r in runs] == [want] * 5
 
 
@@ -209,12 +214,7 @@ def test_concurrent_variance_scans_get_identical_scores():
     assert results == [want] * 4
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_replicate_rounds_on_workers_match_the_serial_loop(monkeypatch):
+def test_replicate_rounds_on_workers_match_the_serial_loop(monkeypatch, forking):
     import rieszdim.stats as stats_mod
 
     want = rd.replicate_energies(rd.UniformCube(2), [0.3, 1.1], 40, 37, seed=6).tobytes()
@@ -222,8 +222,8 @@ def test_replicate_rounds_on_workers_match_the_serial_loop(monkeypatch):
     for t in (2, 3):
         got = rd.replicate_energies(rd.UniformCube(2), [0.3, 1.1], 40, 37, seed=6, threads=t)
         assert got.tobytes() == want
-    _no_child_left()
-    monkeypatch.delattr(os, "fork")  # a platform without fork deals the rounds to threads
+    no_child_left()
+    monkeypatch.delattr(os, "fork")  # a platform without fork runs the rounds serially
     got = rd.replicate_energies(rd.UniformCube(2), [0.3, 1.1], 40, 37, seed=6, threads=3)
     assert got.tobytes() == want
 
@@ -243,17 +243,17 @@ def _failing_share(monkeypatch, in_parent, fail):
 
 
 @pytest.mark.parametrize("in_parent", [False, True], ids=["child", "parent"])
-def test_worker_errors_come_back_typed(monkeypatch, in_parent):
+def test_worker_errors_come_back_typed(monkeypatch, forking, in_parent):
     def fail():
         raise rd.DuplicatePoints("coincident draw")
 
     _failing_share(monkeypatch, in_parent, fail)
     with pytest.raises(rd.DuplicatePoints, match="coincident draw"):
         rd.replicate_energies(rd.UniformCube(1), [0.5], 20, 12, seed=1, threads=3)
-    _no_child_left()
+    no_child_left()
 
 
-def test_unpicklable_and_fatal_child_errors_surface(monkeypatch):
+def test_unpicklable_and_fatal_child_errors_surface(monkeypatch, forking):
     class Local(Exception):  # a local class does not pickle
         pass
 
@@ -263,14 +263,14 @@ def test_unpicklable_and_fatal_child_errors_surface(monkeypatch):
     _failing_share(monkeypatch, False, unpicklable)
     with pytest.raises(ChildProcessError, match="Local: only its name and message come back"):
         rd.replicate_energies(rd.UniformCube(1), [0.5], 20, 12, seed=1, threads=2)
-    _no_child_left()
+    no_child_left()
     _failing_share(monkeypatch, False, lambda: os.kill(os.getpid(), signal.SIGKILL))
     with pytest.raises(ChildProcessError, match="killed by signal"):
         rd.replicate_energies(rd.UniformCube(1), [0.5], 20, 12, seed=1, threads=2)
-    _no_child_left()
+    no_child_left()
 
 
-def test_an_error_in_the_parent_share_kills_the_children(monkeypatch):
+def test_an_error_in_the_parent_share_kills_the_children(monkeypatch, forking):
     import rieszdim.stats as stats_mod
 
     parent, real = os.getpid(), stats_mod.discrete_energy_multi
@@ -286,7 +286,7 @@ def test_an_error_in_the_parent_share_kills_the_children(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         rd.replicate_energies(rd.UniformCube(1), [0.5], 20, 4, seed=1, threads=2)
     assert time.monotonic() - start < 10
-    _no_child_left()
+    no_child_left()
 
 
 @pytest.mark.parametrize(
