@@ -8,15 +8,19 @@ Pair passes build their values in tiles (``_tile``) of about ``_TILE``
 values, on one of two schedules. The fold (``_fold``, ``_fold_blocks``)
 pairs point j with point (j + δ) mod n in row δ, so rows 1 .. n/2 hold each
 unordered pair once in dense strips; every pass that needs no prefix order
-walks it (``diameter``, ``min_gap``, the pair iterators behind the dedup
-paths, energy totals, and the ball cross terms). The prefix row strips
-(``_row_blocks``) take rows [k0, k1) against the columns [0, k1) and serve
-prefix profiles only.
+walks it (``min_gap``, the pair iterators behind the dedup paths, energy
+totals, and the ball cross terms). ``diameter`` walks it over a few
+candidate points and then over the points that a bounding-box test cannot
+rule out, so on a generic cloud it walks a handful of points, yet returns
+the full walk's maximum to the bit. The prefix row strips (``_row_blocks``)
+take rows [k0, k1) against the columns [0, k1) and serve prefix profiles
+only.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import os
 import threading
@@ -29,6 +33,12 @@ __all__ = ["PointCloud", "read_csv", "write_csv"]
 
 _TILE = 1 << 15  # values per row strip, so its buffers stay in cache
 _NORMAL_MIN = np.finfo(float).tiny  # squares below it have lost bits to underflow
+_SUBNORMAL_MIN = 2.0**-1074  # the subnormal step
+# diameter(): diagonal candidates up to this dimension (2^(d-1) of them), and
+# the relative margin of its corner test, far above the few-ulp rounding of
+# a distance or a corner distance in any dimension below 2^30
+_DIAGONAL_DIM_MAX = 6
+_CORNER_MARGIN = 2.0**-20
 _workspace = threading.local()
 
 
@@ -85,14 +95,60 @@ class PointCloud:
         return PointCloud(self._points[:k], _validate=False)
 
     def diameter(self) -> float:
-        """Largest pairwise distance (0 for a single point)."""
-        return max((float(r.max()) for r in _pair_distances(self._points)), default=0.0)
+        """Largest pairwise distance (0 for a single point).
+
+        Bit-identical to the largest value of a full :func:`_pair_distances`
+        walk, though it walks only the points that can be in the longest
+        pair. Its lower bound ``lo`` is the exact pair maximum over a few
+        candidates: the extreme points along each coordinate and, for d <=
+        ``_DIAGONAL_DIM_MAX``, along each sign-pattern diagonal. A point is
+        in no pair longer than its distance to the far corner of the
+        bounding box, so it is dropped when that distance is below ``lo`` by
+        more than the rounding margin ``_CORNER_MARGIN`` plus one subnormal
+        step (a rebuilt distance may round up by half of one). The corner
+        distances take the offsets from the low corner, from halved
+        coordinates where a span may overflow, scaled by an exact power of
+        two into [0, 1], so they neither overflow nor underflow. The maximum
+        over the remaining points is returned; when none is dropped, that is
+        the full walk. There is no size threshold.
+        """
+        pts = self._points
+        if len(pts) < 2:
+            return 0.0
+        h = 0.5 if _half_spans(pts).max() > 2.0**1022 else 1.0  # spans past 2^1023 may overflow
+        off = pts * h - pts.min(axis=0) * h
+        k = math.frexp(float(off.max()))[1]  # every offset is below 2^k
+        u = np.ldexp(off, -k)
+        proj = np.einsum("nd,dm->nm", u, _directions(self.dim))  # no BLAS: its buffers cost RSS
+        cand = np.zeros(len(pts), dtype=bool)
+        cand[proj.argmin(axis=0)] = cand[proj.argmax(axis=0)] = True
+        lo = max(float(r.max()) for r in _pair_distances(pts[cand]))
+        if lo == math.inf:
+            return lo
+        corner2 = np.square(np.maximum(u, u.max(axis=0) - u)).sum(axis=1)
+        cut = math.ldexp(lo * h, -k) * (1.0 - _CORNER_MARGIN) - math.ldexp(_SUBNORMAL_MIN, -k)
+        far = corner2 >= max(cut, 0.0) ** 2
+        return max(float(r.max()) for r in _pair_distances(pts if far.all() else pts[far]))
 
     def min_gap(self) -> float:
         """Smallest pairwise distance (positive: the points are distinct)."""
         if self.n < 2:
             raise TooFewPoints("min_gap needs at least 2 points")
         return min(float(r.min()) for r in _pair_distances(self._points))
+
+
+def _half_spans(pts: np.ndarray) -> np.ndarray:
+    """Half the coordinate spans, from the halved extremes: finite for any finite cloud."""
+    return pts.max(axis=0) / 2.0 - pts.min(axis=0) / 2.0
+
+
+def _directions(d: int) -> np.ndarray:
+    """(d, m) unit axes, then for d <= _DIAGONAL_DIM_MAX the 2^(d-1) sign-pattern diagonals."""
+    axes = np.eye(d)
+    if d > _DIAGONAL_DIM_MAX:
+        return axes
+    signs = [(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=d - 1)]
+    return np.hstack((axes, np.array(signs).T))
 
 
 def _strip_buffers(size: int):

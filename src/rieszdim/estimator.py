@@ -120,9 +120,12 @@ def dimension_estimate(
     above the threshold; one bisection pass then re-fits the slope at the
     bracket midpoint (re-computing the profile row there when the source
     cloud, or a ``recompute(s_mid, n_sub)`` row builder, is supplied) to
-    halve the grid resolution. Raises NoTransition when every slope is on
-    the same side of the threshold, and NonFiniteResult, naming s and n,
-    when an energy it fits (the bisection row included) is 0 or inf.
+    halve the grid resolution. A row built from ``cloud`` runs on one
+    worker; pass ``recompute=`` to deal that pass, as the CLI's ``dim``
+    does with an ``energy_profile`` row at its ``--threads``. Raises
+    NoTransition when every slope is on the same side of the threshold, and
+    NonFiniteResult, naming s and n, when an energy it fits (the bisection
+    row included) is 0 or inf.
     """
     if not 0 < threshold <= 0.2:
         raise ValueError("threshold must lie in (0, 0.2]")

@@ -20,7 +20,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import cloud as _cloud
-from .cloud import PointCloud, _pair_distances, _pair_tiles
+from .cloud import PointCloud, _half_spans, _pair_distances, _pair_tiles
 from .errors import TooFewPoints
 
 __all__ = [
@@ -63,11 +63,6 @@ class ValueSet:
 # Exact mode needs every squared distance to be an integer at most 2^51:
 # such integers convert to float exactly and have distinct square roots.
 _EXACT_D2_MAX = 2**51
-
-
-def _half_spans(pts: np.ndarray) -> np.ndarray:
-    """Half the coordinate spans, from the halved extremes: finite for any finite cloud."""
-    return pts.max(axis=0) / 2.0 - pts.min(axis=0) / 2.0
 
 
 def _exact_mode_fits(pts: np.ndarray) -> bool:
@@ -147,13 +142,19 @@ def _dedup_tiles(tiles, pairs: int, step: float) -> np.ndarray:
 
     Each tile is appended raw to the merge buffer, which starts at four
     strips of ``cloud._TILE`` values, so :func:`_compact` is the only pass
-    that sorts and keys values. When the next tile does not fit, the buffer
-    is compacted in place. When that leaves it more than half full, it
-    grows to four times the compacted values plus the tile, never past
-    ``pairs``, the number of values of all tiles, so compactions stay few
-    and the buffer is a small multiple of the answer plus a strip. It grows
-    and shrinks by ``ndarray.resize``, a realloc, which remaps a large
-    block instead of holding two copies of it.
+    that sorts and keys values. When the next tile, of t values, does not
+    fit, the buffer is compacted in place to p values. When that leaves it
+    more than half full, it grows to 16 (p + t), never past ``pairs``, the
+    number of values of all tiles. So on a cloud whose values barely repeat
+    the first growth reaches ``pairs`` as soon as p is a sixteenth of it
+    (on 1500 generic planar points the first compaction keeps 99K of 1.12M
+    values), and the buffer is sorted twice, not once per growth. No key is
+    ever kept twice, so p never exceeds the answer: the buffer holds at
+    most max(4 ``cloud._TILE``, 16 (answer + t)) values, t the largest
+    tile, and never more than ``pairs``. The values do not depend on when
+    compaction runs: a key's minimum is the same over any split. The
+    buffer grows and shrinks by ``ndarray.resize``, a realloc, which remaps
+    a large block instead of holding two copies of it.
     """
     buf = np.empty(min(4 * _cloud._TILE, pairs))
     p = 0
@@ -161,7 +162,7 @@ def _dedup_tiles(tiles, pairs: int, step: float) -> np.ndarray:
         if p + tile.size > buf.size:
             p = _compact(buf, p, step)
             if 2 * (p + tile.size) > buf.size:
-                buf.resize(min(4 * (p + tile.size), pairs), refcheck=False)
+                buf.resize(min(16 * (p + tile.size), pairs), refcheck=False)
         buf[p : p + tile.size] = tile
         p += tile.size
     p = _compact(buf, p, step)
@@ -177,8 +178,11 @@ def distance_set(cloud: PointCloud, quantization="auto") -> ValueSet:
     1e-9 grid), "exact" to force integer mode, or an absolute grid step.
     Quantized values are the smallest distance per grid key, so equal inputs
     never split, values further apart than twice the step never merge, and
-    the result does not depend on the tiling. A step that is not finite and
-    positive, or so fine that the grid keys of distances up to the
+    the result does not depend on the tiling. The auto step comes from
+    :meth:`PointCloud.diameter`, which walks only the few points that can
+    reach the diameter, so the distances are collected in the one walk over
+    every pair, merged by :func:`_dedup_tiles`. A step that is not finite
+    and positive, or so fine that the grid keys of distances up to the
     bounding-box diagonal reach 2^53, raises ValueError before any pair is
     computed.
     """

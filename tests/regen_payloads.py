@@ -31,7 +31,9 @@ HERE = Path(__file__).resolve().parent
 MANIFEST = HERE / "payloads.json"
 
 # lines past the tour: the --json envelopes of the table commands, a
-# per-replicate CSV and the generator branches of dim and ballcheck
+# per-replicate CSV, the generator branches of dim and ballcheck, and the
+# quantized distset counts and steps on a generic cloud (the diameter walks
+# a pruned cloud) and on a circle (no point is pruned)
 EXTRA = [
     "varscan --measure cube --dim 1 --s-grid 0.3,0.7 --n 100 --reps 50 --seed 3 -o scan.csv --json scan.json",
     "erdos --gen lattice --d 2 --k 3 --exponents 1,1.5 -o erdos.csv --json erdos.json",
@@ -41,6 +43,8 @@ EXTRA = [
     "dim --gen grid1d --n 256 --threshold 0.1",
     "dim --gen lattice --d 2 --k 4 --s-max 2.5",
     "ballcheck --gen lattice --d 2 --k 4 --s 1.2 --c 2.0",
+    "distset --input sample.csv",
+    "distset --gen semicircle --phases 4 --per-phase 200",
 ]
 
 

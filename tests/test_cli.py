@@ -957,10 +957,14 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert main(["sample", "--measure", "cube", "--dim", "2", "--count", "40",
                  "-o", str(sample)]) == 0
     assert _modules_loaded_by(["--version"]) == {"rieszdim", "rieszdim.cli", "rieszdim.errors"}
-    loaded = _modules_loaded_by(["distset", "--input", str(grid)])
-    assert "rieszdim.sets" in loaded
-    for name in ("energy", "estimator", "generators", "measures", "stats"):
-        assert "rieszdim." + name not in loaded
+    # a 1-D np.unique would load numpy.ma (about 6 ms) in the diameter's candidate pass
+    for argv in (["distset", "--input", str(grid)], ["distset", "--input", str(sample)],
+                 ["erdos", "--input", str(sample)]):
+        loaded = _modules_loaded_by(argv, prefixes=("rieszdim", "numpy"))
+        assert "rieszdim.sets" in loaded
+        for name in ("energy", "estimator", "generators", "measures", "stats"):
+            assert "rieszdim." + name not in loaded
+        assert "numpy.ma" not in loaded
     # the dealer needs neither an executor nor the logging it imports
     unused = {"concurrent.futures", "logging"}
     loaded = _modules_loaded_by(["dim", "--input", str(sample), "--threads", "2"],

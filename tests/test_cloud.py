@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rieszdim as rd
 import rieszdim.cloud as cloud_mod
@@ -107,6 +109,80 @@ def test_diameter_below_the_square_underflow():
     assert rd.PointCloud([[0.0], [1e-300]]).diameter() == 1e-300
     c = rd.PointCloud([[0.0, 0.0], [3e-300, 4e-300]])
     assert c.diameter() == pytest.approx(5e-300, rel=1e-15, abs=0.0)
+
+
+def full_walk_diameter(cloud):
+    return max(r.max() for r in cloud_mod._pair_distances(cloud.points))
+
+
+def diameter_cloud(kind, seed, n, d, scale):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        pts = rng.random((n, d))
+    elif kind == "lattice":  # tied maxima between the corners
+        side = max(2, round(n ** (1.0 / d)))
+        pts = np.array(list(itertools.product(range(side), repeat=d)), dtype=float)
+    elif kind == "integers":  # a random subset of a small lattice
+        pts = rng.integers(-3, 4, size=(n, d)).astype(float)
+    else:  # on the unit sphere: every point is on the far side of a box corner, none is pruned
+        pts = rng.normal(size=(n, d))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+    pts = np.unique(pts * scale, axis=0)
+    return rd.PointCloud(pts) if len(pts) >= 2 else rd.PointCloud([[0.0] * d, [scale] * d])
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(
+    st.sampled_from(["uniform", "lattice", "integers", "sphere"]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 300),
+    st.integers(1, 4),
+    st.sampled_from([1.0, 2.0**1000, 2.0**-1000, 1e300, 1e-300, -3.0]),
+)
+def test_pruned_diameter_is_the_full_walk_maximum(kind, seed, n, d, scale):
+    cloud = diameter_cloud(kind, seed, n, d, scale)
+    got = cloud.diameter()
+    assert np.float64(got).tobytes() == full_walk_diameter(cloud).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-300, 2.0**-1060, 1e170, 1e307])
+def test_pruned_diameter_at_scales_where_squares_leave_the_normal_range(scale):
+    # squaring the raw corner offsets underflows at 1e-170: every point was
+    # pruned, the diameter read 0.0 and distance_set raised ValueError
+    pts = np.random.default_rng(8).random((300, 2))
+    if scale == 2.0**-1060:  # subnormal coordinates: small integers times it are exact
+        pts = np.rint(pts * 1000.0)
+    cloud = rd.PointCloud(np.unique(pts, axis=0) * scale)
+    full = full_walk_diameter(cloud)
+    assert full > 0.0
+    assert cloud.diameter() == full
+    if scale == 1e-170:
+        assert rd.distance_set(cloud).quantization == 1e-9 * full
+
+
+def test_pruned_diameter_where_a_rebuilt_distance_rounds_up():
+    # in units of the smallest subnormal the distance sqrt(13) = 3.61 rounds
+    # to 4, past both points' corner distances, 3.61: a relative margin
+    # alone would prune both
+    tiny = 2.0**-1074
+    cloud = rd.PointCloud([[0.0, 0.0], [2 * tiny, 3 * tiny]])
+    assert cloud.diameter() == full_walk_diameter(cloud) == 4 * tiny
+    # the halved extremes both round to 0 here, so the scale comes from the offsets
+    assert rd.PointCloud([[0.0], [tiny], [-tiny]]).diameter() == 2 * tiny
+
+
+def test_pruned_diameter_keeps_far_points_only(monkeypatch):
+    # uniform planar points: the corner test leaves a handful for the last walk
+    walked = []
+    real = cloud_mod._pair_distances
+
+    def counting(pts):
+        walked.append(len(pts))
+        return real(pts)
+
+    monkeypatch.setattr(cloud_mod, "_pair_distances", counting)
+    rd.PointCloud(np.random.default_rng(3).random((1500, 2))).diameter()
+    assert len(walked) == 2 and max(walked) < 50, walked
 
 
 def test_min_gap_whose_square_is_subnormal():

@@ -533,30 +533,101 @@ FORCED_COMPACTION_CLOUDS = {
 }
 
 
+def counting_compactions(monkeypatch):
+    """Patch the dedup to log each call's compactions as (buffer size, values, kept)."""
+    calls = []
+    real_dedup, real_compact = sets_mod._dedup_tiles, sets_mod._compact
+
+    def counting_dedup(tiles, pairs, step):
+        calls.append([])
+        return real_dedup(tiles, pairs, step)
+
+    def counting_compact(buf, p, step):
+        kept = real_compact(buf, p, step)
+        calls[-1].append((buf.size, p, kept))
+        return kept
+
+    monkeypatch.setattr(sets_mod, "_dedup_tiles", counting_dedup)
+    monkeypatch.setattr(sets_mod, "_compact", counting_compact)
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(FORCED_COMPACTION_CLOUDS))
 def test_forced_compaction_and_growth(name, monkeypatch):
     # strips and compaction chunks of about 7 x 7 values and a first buffer
-    # of four of them: every call compacts and grows many times, and chunk
-    # edges fall inside runs of equal keys
+    # of four of them: every call compacts and grows, and chunk edges fall
+    # inside runs of equal keys
     cloud = FORCED_COMPACTION_CLOUDS[name]()
     monkeypatch.setattr(cloud_mod, "_TILE", 7 * 7)
-    compactions = []
     cut_runs = []
     real_compact = sets_mod._compact
 
-    def counting_compact(buf, p, step):
+    def cut_counting_compact(buf, p, step):
         keys = np.rint(np.sort(buf[:p]) / step)
         edges = np.arange(cloud_mod._TILE, p, cloud_mod._TILE)
         cut_runs.append(int(np.sum(keys[edges] == keys[edges - 1])))
-        compactions.append((buf.size, p))
         return real_compact(buf, p, step)
 
-    monkeypatch.setattr(sets_mod, "_compact", counting_compact)
+    monkeypatch.setattr(sets_mod, "_compact", cut_counting_compact)
+    calls = counting_compactions(monkeypatch)
     assert_same_as_concat(cloud)
-    assert len(compactions) > 6  # over the distance and the dot-product call
-    assert max(size for size, _ in compactions) > 4 * 7 * 7  # the buffer grew
-    if name != "random-2d-120":  # generic values repeat no key
+    assert len(calls) == 2  # the distance and the dot-product call
+    compactions = [c for call in calls for c in call]
+    if name == "random-2d-120":
+        # no key repeats: two sixteenfold growths take the first buffer of
+        # 196 values past the 7140 distances and 7260 dot products, then
+        # one last compaction (growing by fours took four or five)
+        assert all(len(call) <= 3 for call in calls), calls
+    else:
+        assert len(compactions) > 6
         assert sum(cut_runs) > 0
+    assert max(size for size, _, _ in compactions) > 4 * 7 * 7  # the buffer grew
+
+
+def test_growth_stays_within_the_stated_bound(monkeypatch):
+    # on a grid as coarse as 0.02, half of the first strip's dot products
+    # share a key and almost all of the later ones do: the keys fill up
+    # early, and the answer is a small share of the values
+    cloud = random_cloud(6, 120, 2)
+    monkeypatch.setattr(cloud_mod, "_TILE", 7 * 7)
+    calls = counting_compactions(monkeypatch)
+    got = rd.dot_product_set(cloud, 0.02)
+    want = concat_dedup(cloud_mod._pair_tiles(cloud.points, dot=True), 0.02)
+    assert got.values.tobytes() == want.tobytes()
+    (log,) = calls
+    strips = [size for *_, size in cloud_mod._fold_blocks(cloud.n, first=0)]
+    ends = list(itertools.accumulate(strips))
+    pairs = ends[-1]
+    assert log[-1][2] / pairs < log[0][2] / log[0][1]  # the kept fraction falls
+    seen = kept = 0
+    for (size, p, k), (after, _, _) in zip(log, log[1:]):
+        seen += p - kept  # the values appended since the last compaction
+        kept = k
+        tile = strips[ends.index(seen) + 1]  # the strip that did not fit
+        if 2 * (kept + tile) <= size:
+            assert after == size  # at most half full: no growth
+        else:
+            assert after == min(16 * (kept + tile), pairs)
+    answer = got.values.size
+    bound = min(pairs, max(4 * 7 * 7, 16 * (answer + max(strips))))
+    assert 4 * 7 * 7 < max(size for size, _, _ in log) <= bound  # the buffer grew, within bound
+
+
+@pytest.mark.parametrize("call", [rd.distance_set, rd.erdos_report])
+def test_auto_mode_walks_the_whole_cloud_once(call, monkeypatch):
+    # the diameter that fixes the grid step walks a pruned cloud only
+    cloud = random_cloud(11, 1500, 2)
+    whole = []
+    real_tile = cloud_mod._tile
+
+    def counting_tile(a, b, **kwargs):
+        whole.append(len(b) == cloud.n)
+        return real_tile(a, b, **kwargs)
+
+    monkeypatch.setattr(cloud_mod, "_tile", counting_tile)
+    call(cloud)
+    assert sum(whole) == len(cloud_mod._fold_blocks(cloud.n))
+    assert len(whole) > sum(whole)  # the diameter's walks over fewer points
 
 
 # ----------------------------------------------------- dedup memory bounds
@@ -571,6 +642,9 @@ MEMORY_CASES = {
     "grid-1d-3000-distances": (lambda: rd.distance_set(rd.grid_1d(3000)), 0),
     "lattice-60x60-exact": (lambda: rd.distance_set(integer_lattice(60)), 0),
     "grid-1d-3000-dots": (lambda: rd.dot_product_set(rd.grid_1d(3000)), 3),
+    # keys fill up early, but the answer is only 1/36 of the 4.5M distances:
+    # the buffer grows to 16 times what a compaction keeps plus a strip
+    "random-2d-3000-step-1e-5": (lambda: rd.distance_set(random_cloud(11, 3000, 2), 1e-5), 16),
 }
 
 
