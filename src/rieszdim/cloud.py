@@ -5,16 +5,18 @@ returns the first k points, so nested prefixes P_2, P_3, ... of one cloud are
 the sets whose energies the profile and estimator modules track.
 
 Pair passes build their values in tiles (``_tile``) of about ``_TILE``
-values, on one of two schedules. The fold (``_fold``, ``_fold_blocks``)
-pairs point j with point (j + δ) mod n in row δ, so rows 1 .. n/2 hold each
-unordered pair once in dense strips; every pass that needs no prefix order
-walks it (``min_gap``, the pair iterators behind the dedup paths, energy
-totals, and the ball cross terms). ``diameter`` walks it over a few
-candidate points and then over the points that a bounding-box test cannot
-rule out, so on a generic cloud it walks a handful of points, yet returns
-the full walk's maximum to the bit. The prefix row strips (``_row_blocks``)
-take rows [k0, k1) against the columns [0, k1) and serve prefix profiles
-only.
+values, from coordinate-major operands, on one of two schedules. The fold
+(``_fold``, ``_fold_blocks``) pairs point j with point (j + δ) mod n in row
+δ, so rows 1 .. n/2 hold each unordered pair once in dense strips; every
+pass that needs no prefix order walks it (``min_gap``, the pair iterators
+behind the dedup paths, energy totals, and the ball cross terms).
+``diameter`` walks it over a few candidate points and then over the points
+that a bounding-box test cannot rule out, and returns the full walk's
+maximum to the bit. The test prunes well in low dimension only: of 1500
+uniform points (two seeds) it keeps 5-9 at d = 2 and 9-40 at d = 3, but
+146-373 at d = 6, 863-1483 at d = 7 and 1418-1452 at d = 8. The prefix
+row strips (``_row_blocks``) take rows [k0, k1) against the columns [0, k1)
+and serve prefix profiles only.
 """
 
 from __future__ import annotations
@@ -110,7 +112,11 @@ class PointCloud:
         coordinates where a span may overflow, scaled by an exact power of
         two into [0, 1], so they neither overflow nor underflow. The maximum
         over the remaining points is returned; when none is dropped, that is
-        the full walk. There is no size threshold.
+        the full walk. There is no size threshold. The corner test drops
+        most points in low dimension only: of 1500 uniform points (two
+        seeds) the second walk keeps 5-9 at d = 2 and 9-40 at d = 3, but
+        146-373 at d = 6, 863-1483 at d = 7 (5708-7941 of 8000) and
+        1418-1452 at d = 8.
         """
         pts = self._points
         if len(pts) < 2:
@@ -167,40 +173,32 @@ def _strip_buffers(size: int):
 def _tile(a: np.ndarray, b: np.ndarray, *, dot: bool = False) -> np.ndarray:
     """Squared distances (or dot products) of the pairs of a tile, rows of a against b.
 
-    ``a`` is (rows, d), each row taken against every row of b, or
-    (rows, len(b), d), entry [i, j] taken against b[j] (a fold strip). Built
-    one coordinate at a time in coordinate order, with no (rows, len(b), d)
-    temporary. A squared difference is never -0.0, so the first coordinate's
-    squares are written straight into the tile; dot products start from
-    +0.0, so a zero product is never -0.0. The tile is a view of buffer 0 of
-    this thread's strip workspace and its per-coordinate temporary is
-    buffer 1: the result is valid until the thread's next ``_tile`` call,
-    and buffers 1 and 2 are free for the caller until then.
+    Both operands are coordinate-major: ``b`` is (d, cols) and ``a`` is (d,
+    rows, 1), each row taken against every column of b, or (d, rows, cols),
+    entry [:, i, j] taken against b[:, j] (a fold strip). Built one
+    coordinate at a time in coordinate order, as ``op(a[k], b[k])``, with no
+    (d, rows, cols) temporary. A squared difference is never -0.0, so the
+    first coordinate's squares are written straight into the tile; dot
+    products start from +0.0, so a zero product is never -0.0. The tile is a
+    view of buffer 0 of this thread's strip workspace and its per-coordinate
+    temporary is buffer 1: the result is valid until the thread's next
+    ``_tile`` call, and buffers 1 and 2 are free for the caller until then.
     """
     op = np.multiply if dot else np.subtract
-    rows = a.ndim == 2
-    a = _paired(a)
-    shape = (len(a), len(b))
+    shape = (a.shape[1], b.shape[1])
     size = shape[0] * shape[1]
     buf, tmp, _ = _strip_buffers(size)
     tile = buf[:size].reshape(shape)
     if dot:
         tile.fill(0.0)
-    for k in range(b.shape[1]):
+    for k in range(len(b)):
         t = tile if k == 0 and not dot else tmp[:size].reshape(shape)
-        # a coordinate column is copied contiguous first: the broadcast streams faster
-        ak = np.ascontiguousarray(a[:, 0, k])[:, None] if rows else a[..., k]
-        op(ak, np.ascontiguousarray(b[:, k]), out=t)
+        op(a[k], b[k], out=t)
         if not dot:
             t *= t
         if t is not tile:
             tile += t
     return tile
-
-
-def _paired(a: np.ndarray) -> np.ndarray:
-    """``a`` as (rows, 1, d) or (rows, cols, d): the point each tile entry takes from a."""
-    return a[:, None] if a.ndim == 2 else a
 
 
 def _row_blocks(n: int) -> list:
@@ -216,15 +214,16 @@ def _row_blocks(n: int) -> list:
 
 
 def _fold(pts: np.ndarray) -> np.ndarray:
-    """The fold of ``pts``: a zero-copy (n // 2 + 1, n, d) view, entry [δ, j] = pts[(j + δ) % n].
+    """The fold of ``pts``: a zero-copy (d, n // 2 + 1, n) view, entry [:, δ, j] = pts[(j + δ) % n].
 
-    Row δ is the window [δ, δ + n) of the cloud extended cyclically, so
-    against ``pts`` it holds the pairs {j, (j + δ) mod n}.
+    Row δ is the window [δ, δ + n) of the coordinate-major cloud extended
+    cyclically, so against ``pts.T`` it holds the pairs {j, (j + δ) mod n}.
     """
     n, d = pts.shape
-    ext = np.concatenate((pts, pts[: n // 2]))
-    step, coord = ext.strides
-    fold = np.ndarray((n // 2 + 1, n, d), ext.dtype, ext, 0, (step, step, coord))
+    cols = np.ascontiguousarray(pts.T)
+    ext = np.concatenate((cols, cols[:, : n // 2]), axis=1)
+    span, step = ext.strides
+    fold = np.ndarray((d, n // 2 + 1, n), ext.dtype, ext, 0, (span, step, step))
     fold.flags.writeable = False  # its rows overlap
     return fold
 
@@ -260,28 +259,28 @@ def _pair_tiles(pts: np.ndarray, *, dot: bool = False):
     yields a fresh array of its values. Every value is built one coordinate
     at a time in coordinate order, so it does not depend on the strips.
     """
-    fold = _fold(pts)
+    fold, cols = _fold(pts), np.ascontiguousarray(pts.T)
     for d0, d1, size in _fold_blocks(pts.shape[0], first=0 if dot else 1):
-        yield _tile(fold[d0:d1], pts, dot=dot).ravel()[:size].copy()
+        yield _tile(fold[:, d0:d1], cols, dot=dot).ravel()[:size].copy()
 
 
 def _scaled_differences(a: np.ndarray, b: np.ndarray):
-    """Row-wise ``(top, q)`` with |a - b| = top * sqrt(q).
+    """Column-wise ``(top, q)`` with |a - b| = top * sqrt(q), for (d, m) operands.
 
     ``top`` is the largest magnitude of a difference and ``q`` the sum of
     the squared differences rescaled by it, so 1 <= q <= d: neither
     underflows nor overflows, whatever the scale of the distance. ``top``
-    is 0 only where the points coincide. A row whose difference overflows
-    takes the difference of its halved coordinates and 4q instead, so
-    4 <= q <= 4d there; every other row keeps its bits.
+    is 0 only where the points coincide. A column whose difference
+    overflows takes the difference of its halved coordinates and 4q
+    instead, so 4 <= q <= 4d there; every other column keeps its bits.
     """
     with np.errstate(over="ignore"):
         diff = a - b
-    wide = ~np.isfinite(diff).all(axis=1)
-    diff[wide] = a[wide] / 2.0 - b[wide] / 2.0
-    top = np.abs(diff).max(axis=1)
+    wide = ~np.isfinite(diff).all(axis=0)
+    diff[:, wide] = a[:, wide] / 2.0 - b[:, wide] / 2.0
+    top = np.abs(diff).max(axis=0)
     scale = np.where(top > 0.0, top, 1.0)
-    q = np.square(diff / scale[:, None]).sum(axis=1)
+    q = np.square(diff / scale).sum(axis=0)
     q[wide] *= 4.0
     return top, q
 
@@ -300,9 +299,10 @@ def _distances(d2, a, b, *, log=False):
     root = np.log if log else np.sqrt
     if d2.min() >= _NORMAL_MIN and d2.max() < math.inf:
         return root(d2, out=d2)
-    lost = np.nonzero((d2 < _NORMAL_MIN) | (d2 == math.inf))
-    a = np.broadcast_to(_paired(a), d2.shape + b.shape[1:])
-    top, q = _scaled_differences(a[lost], b[lost[1]])
+    lost = i, j = np.nonzero((d2 < _NORMAL_MIN) | (d2 == math.inf))
+    a = np.broadcast_to(a, a.shape[:1] + d2.shape)
+    # numpy lays these gathers out pair-major, so each q sums one contiguous run of d values
+    top, q = _scaled_differences(a[:, i, j], b[:, j])
     if not top.all():
         raise DuplicatePoints("coinciding points encountered in a pair pass")
     d2[lost] = 1.0  # in range: the pass below takes no log of 0
@@ -318,12 +318,12 @@ def _pair_distances(pts: np.ndarray):
     The same strips and order as :func:`_pair_tiles`, each value as
     :func:`_distances` gives it.
     """
-    fold = _fold(pts)
+    fold, cols = _fold(pts), np.ascontiguousarray(pts.T)
     for d0, d1, size in _fold_blocks(pts.shape[0]):
-        a = fold[d0:d1]
+        a = fold[:, d0:d1]
         with np.errstate(over="ignore"):  # an overflowing square is rebuilt
-            d2 = _tile(a, pts)
-        yield _distances(d2, a, pts).ravel()[:size].copy()
+            d2 = _tile(a, cols)
+        yield _distances(d2, a, cols).ravel()[:size].copy()
 
 
 def write_csv(cloud: PointCloud, path) -> None:

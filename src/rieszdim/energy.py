@@ -84,7 +84,7 @@ _RUN = 16  # exponents per ladder run: a direct exp re-anchors at least this oft
 # inline: a fork and reap costs about 2.4 ms, so from 10 ms on a second
 # worker saves about twice what it costs.
 _FORK_WORK = 10_000_000
-_triangles = (np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
+_triangle_mask = np.zeros((0, 0), dtype=bool)
 _forked = False  # set in a forked worker, which never forks again
 
 
@@ -193,19 +193,15 @@ def _reap(pid: int, pipe: int):
     return None
 
 
-def _triangle(rows: int):
-    """Strict lower triangle of a rows x rows block: (float 1/0 mask, its bool complement).
+def _triangle(rows: int) -> np.ndarray:
+    """Bool mask of a rows x rows block, True on and above the diagonal (the pairs j >= k).
 
-    Sliced from one cached pair, rebuilt only when ``rows`` outgrows it (two
-    threads rebuilding at once each store a complete pair).
+    Sliced from one cached mask, rebuilt only when ``rows`` outgrows it.
     """
-    global _triangles
-    lower, upper = _triangles
-    if lower.shape[0] < rows:
-        lower = np.tri(rows, k=-1)
-        upper = lower == 0.0
-        _triangles = (lower, upper)
-    return lower[:rows, :rows], upper[:rows, :rows]
+    global _triangle_mask
+    if _triangle_mask.shape[0] < rows:
+        _triangle_mask = ~np.tri(rows, k=-1, dtype=bool)
+    return _triangle_mask[:rows, :rows]
 
 
 @functools.lru_cache
@@ -242,24 +238,23 @@ def _strip_sums(a, b, runs, weight, out, corner) -> None:
     """Write the kernel sums of the rows of the strip ``_tile(a, b)`` to ``out`` (S x rows).
 
     ``corner`` is None when every value of the strip is a pair. Otherwise it
-    is a pair (float 1/0 mask, its bool complement) laid on the strip's
-    bottom-right corner, whose values under mask 0 are skipped: the pairs
-    j >= k of a prefix strip's diagonal block, or the second half of the
-    last fold row of an even cloud. A row sum is one ``einsum`` reduction of
-    its row, whose bits depend on that row alone (a BLAS product with a ones
-    vector groups rows by fours, so its bits would depend on the strip). A
-    run whose step h equals the one before reuses its step factor.
+    is a bool mask laid on the strip's bottom-right corner, True where a
+    value is skipped: the pairs j >= k of a prefix strip's diagonal block,
+    or the second half of the last fold row of an even cloud. A row sum is
+    one ``einsum`` reduction of its row, whose bits depend on that row alone
+    (a BLAS product with a ones vector groups rows by fours, so its bits
+    would depend on the strip). A run whose step h equals the one before
+    reuses its step factor.
     """
     d2 = _tile(a, b)
     if corner is not None:
-        keep, skip = corner
-        at = np.s_[-keep.shape[0] :, -keep.shape[1] :]
-        np.copyto(d2[at], 1.0, where=skip)  # skipped: log 1 is 0
+        at = np.s_[-corner.shape[0] :, -corner.shape[1] :]
+        np.copyto(d2[at], 1.0, where=corner)  # skipped: log 1 is 0
     w = None
     if weight is not None:
         w = weight(_distances(d2.copy(), a, b))
         if corner is not None:
-            w[at] *= keep
+            np.copyto(w[at], 0.0, where=corner)
     L = _distances(d2, a, b, log=True)
     if w is not None:
         L[w == 0.0] = 0.0  # a zero weight must not meet an infinite kernel
@@ -273,14 +268,14 @@ def _strip_sums(a, b, runs, weight, out, corner) -> None:
             else:
                 out[rows[0]] = L.shape[1]
                 if corner is not None:
-                    out[rows[0], at[0]] -= skip.sum(axis=1)
+                    out[rows[0], at[0]] -= corner.sum(axis=1)
             continue
         np.multiply(L, -0.5 * s, out=K)
         np.exp(K, out=K)
         if w is not None:
             K *= w
         elif corner is not None:
-            K[at] *= keep
+            np.copyto(K[at], 0.0, where=corner)
         np.einsum("ij->i", K, out=out[rows[0]])
         if len(rows) > 1:
             if h != step:
@@ -306,7 +301,7 @@ def _sums(strips, width, exps, threads, weight):
             for a, b, r0, r1, corner in share:
                 _strip_sums(a, b, runs, weight, out[:, r0:r1], corner)
 
-    work = sum((r1 - r0) * len(b) for _, b, r0, r1, _ in strips) * (len(exps) + 8)
+    work = sum((r1 - r0) * b.shape[1] for _, b, r0, r1, _ in strips) * (len(exps) + 8)
     return _deal(run, strips, (len(exps), width), threads, work)
 
 
@@ -316,8 +311,9 @@ def _row_sums(pts, exps, *, threads=1):
     Walks the prefix strips of ``cloud._row_blocks``. Raises DuplicatePoints
     on a zero distance.
     """
+    cols = np.ascontiguousarray(pts.T)
     strips = [
-        (pts[k0:k1], pts[:k1], k0, k1, _triangle(k1 - k0))
+        (cols[:, k0:k1, None], cols[:, :k1], k0, k1, _triangle(k1 - k0))
         for k0, k1 in _row_blocks(pts.shape[0])
     ]
     return _sums(strips, pts.shape[0], exps, threads, None)
@@ -331,12 +327,12 @@ def _fold_sums(pts, exps, *, threads=1, weight=None):
     fold row is summed on its own, so F does not depend on the strips.
     """
     n = pts.shape[0]
-    fold = _fold(pts)
+    fold, cols = _fold(pts), np.ascontiguousarray(pts.T)
     strips = []
     for d0, d1, size in _fold_blocks(n):
         cut = (d1 - d0) * n - size  # the second half of the last row of an even cloud
-        corner = (np.zeros((1, cut)), np.ones((1, cut), dtype=bool)) if cut else None
-        strips.append((fold[d0:d1], pts, d0 - 1, d1 - 1, corner))
+        corner = np.ones((1, cut), dtype=bool) if cut else None
+        strips.append((fold[:, d0:d1], cols, d0 - 1, d1 - 1, corner))
     return _sums(strips, n // 2, exps, threads, weight)
 
 
@@ -510,9 +506,10 @@ def riesz_potential_discrete(cloud: PointCloud, x, s: float) -> float:
         )
     if s == 0.0:
         return 1.0
+    a, b = x[:, None, None], np.ascontiguousarray(cloud.points.T)
     with np.errstate(over="ignore"):
         try:
-            L = _distances(_tile(x[None, :], cloud.points), x[None, :], cloud.points, log=True)
+            L = _distances(_tile(a, b), a, b, log=True)
         except DuplicatePoints:
             return math.inf
         return _fsum(np.exp(-0.5 * s * L[0])) / cloud.n

@@ -199,8 +199,9 @@ def _sorted_values(tiles):
 def test_fold_visits_each_pair_exactly_once(monkeypatch):
     # both parities: for even n the half row n/2 must drop the pairs it meets twice
     default = cloud_mod._TILE
-    for n in range(1, 41):
-        pts = np.random.default_rng(n).random((n, 1 + n % 3))
+    # d = 9 as well: numpy sums 8 or more contiguous values in parts
+    for n, d in [(n, d) for n in range(1, 41) for d in (1 + n % 3, 9)]:
+        pts = np.random.default_rng(n).random((n, d))
         rows = pts.tolist()
         squares, dots = [], []
         for i, j in itertools.combinations_with_replacement(range(n), 2):

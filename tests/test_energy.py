@@ -786,7 +786,8 @@ def test_workspace_grows_for_wide_single_row_strips(monkeypatch):
     assert cloud_mod._row_blocks(50)[0] == (0, 4)
 
     def run():
-        cloud_mod._tile(pts[:4], pts[:4])
+        cols = np.ascontiguousarray(pts[:4].T)
+        cloud_mod._tile(cols[:, :, None], cols)
         first = cloud_mod._workspace.bufs[0].size
         R = energy_mod._row_sums(pts, exps)
         return first, cloud_mod._workspace.bufs[0].size, R
@@ -915,8 +916,9 @@ def test_fold_totals_are_bit_identical_at_any_tile_and_thread_count(cloud, s_lis
 def prefix_distances(pts):
     """Sorted distances of the pairs j < k, gathered from the prefix strips."""
     out = []
+    cols = np.ascontiguousarray(pts.T)
     for k0, k1 in cloud_mod._row_blocks(len(pts)):
-        a, b = pts[k0:k1], pts[:k1]
+        a, b = cols[:, k0:k1, None], cols[:, :k1]
         with np.errstate(over="ignore"):
             d2 = cloud_mod._tile(a, b).copy()
         np.copyto(d2[:, k0:], 1.0, where=np.tri(k1 - k0, dtype=bool).T)  # j >= k
@@ -934,6 +936,10 @@ def _out_of_range_clouds():
     yield [[-1e308], [1e308], [0.0], [1.0]]
     yield [[0.0], [5e-324], [0.5]]  # a subnormal gap
     yield [[0.0], [0.5], [5e-324], [0.75]]
+    # d >= 8: numpy sums runs of 8 or more contiguous values with partial sums
+    base = random_cloud(47, 8, 9).points
+    yield base * 1e-170
+    yield base * 1e170
 
 
 def _truncated_oracle(pts, s, radius):

@@ -621,7 +621,7 @@ def test_auto_mode_walks_the_whole_cloud_once(call, monkeypatch):
     real_tile = cloud_mod._tile
 
     def counting_tile(a, b, **kwargs):
-        whole.append(len(b) == cloud.n)
+        whole.append(b.shape[1] == cloud.n)
         return real_tile(a, b, **kwargs)
 
     monkeypatch.setattr(cloud_mod, "_tile", counting_tile)
