@@ -11,6 +11,14 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
+    "balls": (
+        "BallEnergyResult",
+        "BallMeasureParams",
+        "BallPrediction",
+        "ball_energy_numeric",
+        "ball_energy_predicted",
+        "ball_self_energy_exact",
+    ),
     "cloud": ("PointCloud", "read_csv", "write_csv"),
     "energy": (
         "EnergyProfile",
@@ -57,17 +65,11 @@ _EXPORTS = {
         "semicircle_phase_points",
     ),
     "measures": (
-        "BallEnergyResult",
-        "BallMeasureParams",
-        "BallPrediction",
         "CantorProduct",
         "Empirical",
         "RotatingSemicircle",
         "UniformCircle",
         "UniformCube",
-        "ball_energy_numeric",
-        "ball_energy_predicted",
-        "ball_self_energy_exact",
         "measure_from_json",
         "measure_to_json",
         "reference_energy",

@@ -514,7 +514,7 @@ def _cmd_lln_path(args) -> tuple[dict, dict]:
 def _cmd_ballcheck(args) -> tuple[dict, dict]:
     from dataclasses import asdict
 
-    from .measures import BallMeasureParams, ball_energy_numeric, ball_energy_predicted
+    from .balls import BallMeasureParams, ball_energy_numeric, ball_energy_predicted
 
     cloud = _load_cloud(args)
     params = BallMeasureParams(args.s, args.c, cloud.n)

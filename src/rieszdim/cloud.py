@@ -7,9 +7,11 @@ the sets whose energies the profile and estimator modules track.
 Pair passes build their values in tiles (``_tile``) of about ``_TILE``
 values, from coordinate-major operands, on one of two schedules. The fold
 (``_fold``, ``_fold_blocks``) pairs point j with point (j + δ) mod n in row
-δ, so rows 1 .. n/2 hold each unordered pair once in dense strips; every
-pass that needs no prefix order walks it (``min_gap``, the pair iterators
-behind the dedup paths, energy totals, and the ball cross terms).
+δ, so rows 1 .. n/2 hold each unordered pair once in dense strips of 1/2 to
+3/2 ``_TILE`` values, planned once per n (a cloud of up to 314 points is
+one strip); every pass that needs no prefix order walks it (``min_gap``,
+the pair iterators behind the dedup paths, energy totals, and the ball
+cross terms).
 ``diameter`` walks it over a few candidate points and then over the points
 that a bounding-box test cannot rule out, and returns the full walk's
 maximum to the bit. The test prunes well in low dimension only: of 1500
@@ -21,6 +23,7 @@ and serve prefix profiles only.
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import math
@@ -41,6 +44,9 @@ _SUBNORMAL_MIN = 2.0**-1074  # the subnormal step
 # a distance or a corner distance in any dimension below 2^30
 _DIAGONAL_DIM_MAX = 6
 _CORNER_MARGIN = 2.0**-20
+# Per thread, not per module: threads of one process may run pair passes at
+# once (each forked worker has its own copy anyway), and one shared workspace
+# would let one caller's strip overwrite another's tile mid-pass.
 _workspace = threading.local()
 
 
@@ -213,11 +219,14 @@ def _row_blocks(n: int) -> list:
     return out
 
 
-def _fold(pts: np.ndarray) -> np.ndarray:
-    """The fold of ``pts``: a zero-copy (d, n // 2 + 1, n) view, entry [:, δ, j] = pts[(j + δ) % n].
+def _fold(pts: np.ndarray) -> tuple:
+    """The fold of ``pts`` and its columns: a zero-copy (d, n // 2 + 1, n) view and ``pts.T``.
 
-    Row δ is the window [δ, δ + n) of the coordinate-major cloud extended
-    cyclically, so against ``pts.T`` it holds the pairs {j, (j + δ) mod n}.
+    Entry [:, δ, j] of the fold is pts[(j + δ) % n]: row δ is the window
+    [δ, δ + n) of the coordinate-major cloud extended cyclically, so against
+    the columns, one C-contiguous (d, n) copy of ``pts.T``, it holds the
+    pairs {j, (j + δ) mod n}. The columns are the tile operand ``b`` of
+    every fold strip.
     """
     n, d = pts.shape
     cols = np.ascontiguousarray(pts.T)
@@ -225,30 +234,39 @@ def _fold(pts: np.ndarray) -> np.ndarray:
     span, step = ext.strides
     fold = np.ndarray((d, n // 2 + 1, n), ext.dtype, ext, 0, (span, step, step))
     fold.flags.writeable = False  # its rows overlap
-    return fold
+    return fold, cols
 
 
-def _fold_blocks(n: int, first: int = 1) -> list:
+def _fold_blocks(n: int, first: int = 1) -> tuple:
     """Strips ``(δ0, δ1, size)`` of the fold rows first .. n // 2, about _TILE values each.
 
     Rows 1 to ceil(n/2) - 1 take all n columns. For even n, row n/2 meets
     each of its pairs twice, so only its first n/2 columns count. Every
     unordered pair is thus in exactly one row, and a strip's pairs are the
     first ``size`` values of its (δ1 - δ0) x n tile in C order. Row 0, the
-    self-pairs, starts the fold when ``first`` is 0.
+    self-pairs, starts the fold when ``first`` is 0. The strip count is the
+    value count over _TILE, rounded to the nearest integer (at least 1 and
+    at most the row count), and the rows are split as evenly as whole rows
+    allow, so a strip holds between 1/2 and 3/2 _TILE values, give or take
+    a row: a 300-point fold is one strip of 44,850 values. The plan is made
+    once per (n, first, _TILE).
     """
+    return _fold_plan(n, first, _TILE)
+
+
+@functools.lru_cache
+def _fold_plan(n: int, first: int, tile: int) -> tuple:
+    """:func:`_fold_blocks` for strips of about ``tile`` values."""
     last = n // 2 + 1
     rows = last - first
     if rows <= 0:
-        return []
-    strips = -(-rows * n // _TILE)  # ceil(rows * n / _TILE)
-    step = -(-rows // strips)
-    out = []
-    for d0 in range(first, last, step):
-        d1 = min(d0 + step, last)
-        cut = n // 2 if d1 == last and n % 2 == 0 else 0
-        out.append((d0, d1, (d1 - d0) * n - cut))
-    return out
+        return ()
+    cut = n // 2 if n % 2 == 0 else 0  # the uncounted half of the last row
+    strips = min(rows, max(1, (2 * (rows * n - cut) + tile) // (2 * tile)))
+    bounds = [first + k * rows // strips for k in range(strips + 1)]
+    return tuple(
+        (d0, d1, (d1 - d0) * n - (cut if d1 == last else 0)) for d0, d1 in zip(bounds, bounds[1:])
+    )
 
 
 def _pair_tiles(pts: np.ndarray, *, dot: bool = False):
@@ -259,7 +277,7 @@ def _pair_tiles(pts: np.ndarray, *, dot: bool = False):
     yields a fresh array of its values. Every value is built one coordinate
     at a time in coordinate order, so it does not depend on the strips.
     """
-    fold, cols = _fold(pts), np.ascontiguousarray(pts.T)
+    fold, cols = _fold(pts)
     for d0, d1, size in _fold_blocks(pts.shape[0], first=0 if dot else 1):
         yield _tile(fold[:, d0:d1], cols, dot=dot).ravel()[:size].copy()
 
@@ -318,7 +336,7 @@ def _pair_distances(pts: np.ndarray):
     The same strips and order as :func:`_pair_tiles`, each value as
     :func:`_distances` gives it.
     """
-    fold, cols = _fold(pts), np.ascontiguousarray(pts.T)
+    fold, cols = _fold(pts)
     for d0, d1, size in _fold_blocks(pts.shape[0]):
         a = fold[:, d0:d1]
         with np.errstate(over="ignore"):  # an overflowing square is rebuilt

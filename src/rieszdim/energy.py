@@ -205,6 +205,20 @@ def _triangle(rows: int) -> np.ndarray:
 
 
 @functools.lru_cache
+def _half_row(cut: int):
+    """The corner mask of a fold strip whose last ``cut`` values are skipped, made once per cut.
+
+    None for cut 0; otherwise a read-only (1, cut) mask, all True: the
+    second half of the last fold row of an even cloud.
+    """
+    if not cut:
+        return None
+    mask = np.ones((1, cut), dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+@functools.lru_cache
 def _ladder(exps: tuple) -> tuple:
     """Split an exponent tuple into ladder runs ``(s, h, rows)``, planned once per tuple.
 
@@ -327,12 +341,11 @@ def _fold_sums(pts, exps, *, threads=1, weight=None):
     fold row is summed on its own, so F does not depend on the strips.
     """
     n = pts.shape[0]
-    fold, cols = _fold(pts), np.ascontiguousarray(pts.T)
-    strips = []
-    for d0, d1, size in _fold_blocks(n):
-        cut = (d1 - d0) * n - size  # the second half of the last row of an even cloud
-        corner = np.ones((1, cut), dtype=bool) if cut else None
-        strips.append((fold[:, d0:d1], cols, d0 - 1, d1 - 1, corner))
+    fold, cols = _fold(pts)
+    strips = [
+        (fold[:, d0:d1], cols, d0 - 1, d1 - 1, _half_row((d1 - d0) * n - size))
+        for d0, d1, size in _fold_blocks(n)
+    ]
     return _sums(strips, n // 2, exps, threads, weight)
 
 

@@ -151,7 +151,8 @@ def _dedup_tiles(tiles, pairs: int, step: float) -> np.ndarray:
     values), and the buffer is sorted twice, not once per growth. No key is
     ever kept twice, so p never exceeds the answer: the buffer holds at
     most max(4 ``cloud._TILE``, 16 (answer + t)) values, t the largest
-    tile, and never more than ``pairs``. The values do not depend on when
+    tile (at most 3/2 ``cloud._TILE`` values, or one fold row where a row
+    is wider, see ``cloud._fold_blocks``), and never more than ``pairs``. The values do not depend on when
     compaction runs: a key's minimum is the same over any split. The
     buffer grows and shrinks by ``ndarray.resize``, a realloc, which remaps
     a large block instead of holding two copies of it.

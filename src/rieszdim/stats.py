@@ -5,8 +5,9 @@ unbiased estimator of the measure energy I_s at every n, concentrates as n
 grows, and its single-path running values settle onto I_s. The experiments
 here make each statement finite: mean-versus-oracle z-scores, exceedance
 frequencies, and single growing sample paths with incremental energies.
-Replicates run on counter-split streams, so reports are reproducible
-bit-for-bit from (measure, s, n grid, reps, seed).
+Replicates run on counter-split streams, each drawn and summed by the worker
+process it is dealt to, so reports are reproducible bit-for-bit from
+(measure, s, n grid, reps, seed) at any worker count.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ __all__ = [
     "wlln_exceedance",
     "slln_path",
 ]
-
-_ROUND_POINTS = 1 << 20  # points drawn per round of replicates: bounds the clouds held at once
-
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -82,25 +80,21 @@ def replicate_energies(
     """J_s per replicate, shape (len(s_list), reps).
 
     Replicate r draws its cloud from the seed stream jumped r blocks and
-    writes only column r. The clouds are drawn here, in rep order, in
-    rounds of about ``_ROUND_POINTS`` points; each round's energies are
-    dealt round-robin to ``threads`` workers (below 1 runs serially) by
-    ``energy._deal``, each computing its energies on one thread, so the
-    array is bit-identical to the serial loop at any thread count. A
-    replicate costs what its pair pass costs plus about 50 us per call.
+    writes only column r. The replicate indices are dealt round-robin to
+    ``threads`` worker processes (below 1 runs serially) by
+    ``energy._deal``; each worker draws its own clouds, one at a time, and
+    computes each cloud's energies in that process, so the draws run in
+    parallel too and the array is bit-identical to the serial loop at any
+    thread count. A replicate costs what its pair pass costs plus about
+    50 us for its draw and its calls.
     """
-    out = np.empty((len(s_list), reps))
-    per_round = max(1, _ROUND_POINTS // max(n, 1))
-    for r0 in range(0, reps, per_round):
-        clouds = [sample(measure, n, seed, rep=r) for r in range(r0, min(reps, r0 + per_round))]
 
-        def run(share, energies):
-            for j in share:
-                energies[:, j] = discrete_energy_multi(clouds[j], s_list)
+    def run(share, out):
+        for r in share:
+            out[:, r] = discrete_energy_multi(sample(measure, n, seed, rep=r), s_list)
 
-        work = len(clouds) * (n * (n - 1) // 2 * (len(s_list) + 8) + 50_000)
-        out[:, r0 : r0 + len(clouds)] = _deal(run, range(len(clouds)), (len(s_list), len(clouds)), threads, work)
-    return out
+    work = reps * (n * (n - 1) // 2 * (len(s_list) + 8) + 50_000)
+    return _deal(run, range(reps), (len(s_list), reps), threads, work)
 
 
 def _resolve_oracle(measure: MeasureSpec, s: float, oracle):

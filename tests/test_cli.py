@@ -700,12 +700,12 @@ def test_replicate_commands_ignore_threads_in_payload(argv, capsys, tmp_path, mo
 
 
 def test_ballcheck_checks_hypotheses_before_quadrature(capsys, monkeypatch):
-    import rieszdim.measures as measures_mod
+    import rieszdim.balls as balls_mod
 
     def refuse_quadrature(*args, **kwargs):
         raise AssertionError("the quadrature ran before the hypotheses were checked")
 
-    monkeypatch.setattr(measures_mod, "ball_energy_numeric", refuse_quadrature)
+    monkeypatch.setattr(balls_mod, "ball_energy_numeric", refuse_quadrature)
     # balls of radius 2 n^(-1/s) overlap on this grid
     code, out, err = run_cli(
         ["ballcheck", "--gen", "grid1d", "--n", "800", "--s", "0.9", "--c", "2"], capsys
@@ -962,7 +962,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
                  ["erdos", "--input", str(sample)]):
         loaded = _modules_loaded_by(argv, prefixes=("rieszdim", "numpy"))
         assert "rieszdim.sets" in loaded
-        for name in ("energy", "estimator", "generators", "measures", "stats"):
+        for name in ("balls", "energy", "estimator", "generators", "measures", "stats"):
             assert "rieszdim." + name not in loaded
         assert "numpy.ma" not in loaded
     # the dealer needs neither an executor nor the logging it imports
@@ -970,21 +970,30 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     loaded = _modules_loaded_by(["dim", "--input", str(sample), "--threads", "2"],
                                 prefixes=("rieszdim", "concurrent", "logging"))
     assert "rieszdim.estimator" in loaded
-    for name in ("measures", "stats", "sets"):
+    for name in ("balls", "measures", "stats", "sets"):
         assert "rieszdim." + name not in loaded
     assert not unused & loaded
     # the grid family has a closed form: no grid is generated
     loaded = _modules_loaded_by(["dim", "--gen", "grid1d", "--n", "64", "--threads", "2"])
     assert {"rieszdim.energy", "rieszdim.estimator"} <= loaded
     assert "rieszdim.generators" not in loaded
-    # np.median would load numpy.ma; only Cantor measures need the generators
+    # np.median would load numpy.ma; only Cantor measures need the generators, and
+    # only ballcheck the ball measures
     for argv in (["varscan", "--measure", "cube", "--s-grid", "0.3,0.7", "--n", "30",
                   "--reps", "50", "--threads", "2"],
-                 ["lln-mean", "--measure", "cube", "--s", "0.3", "--n", "30", "--reps", "30"]):
+                 ["lln-mean", "--measure", "cube", "--s", "0.3", "--n", "30", "--reps", "30"],
+                 ["lln-weak", "--measure", "cube", "--s", "0.3", "--eps", "0.5",
+                  "--n-grid", "30,40,50", "--reps", "30"],
+                 ["lln-path", "--measure", "cube", "--s", "0.3", "--n-max", "100"]):
         loaded = _modules_loaded_by(argv, prefixes=("rieszdim", "numpy", "concurrent", "logging"))
         assert "rieszdim.stats" in loaded
-        assert not {"numpy.ma", "rieszdim.generators", "rieszdim.sets"} & loaded
+        assert not {"numpy.ma", "rieszdim.balls", "rieszdim.generators", "rieszdim.sets"} & loaded
         assert not unused & loaded
+    loaded = _modules_loaded_by(["sample", "--measure", "cube", "--count", "40"])
+    assert "rieszdim.measures" in loaded
+    assert not {"rieszdim.balls", "rieszdim.stats"} & loaded
+    assert "rieszdim.balls" in _modules_loaded_by(
+        ["ballcheck", "--gen", "grid1d", "--n", "64", "--s", "0.5", "--c", "4"])
 
 
 def test_cross_process_determinism():

@@ -221,6 +221,28 @@ def test_fold_visits_each_pair_exactly_once(monkeypatch):
             assert _sorted_values(cloud_mod._pair_distances(pts)) == [math.sqrt(v) for v in squares]
 
 
+def test_fold_strips_split_the_rows_into_half_to_one_and_a_half_tiles(monkeypatch):
+    # the strip count is the value count over _TILE rounded to the nearest integer, so a
+    # 300-point fold (44,850 values) is one strip and a 315-point fold is two
+    tile = cloud_mod._TILE
+    for n in [*range(2, 6000, 7), 299, 300, 314, 315]:
+        for first in (0, 1):
+            strips = cloud_mod._fold_blocks(n, first)
+            edges = [d0 for d0, _, _ in strips] + [strips[-1][1]]
+            assert edges == sorted(set(edges)) and edges[0] == first and edges[-1] == n // 2 + 1
+            assert all(d1 == d0 for (_, d1, _), (d0, _, _) in zip(strips, strips[1:]))
+            sizes = [size for *_, size in strips]
+            assert sum(sizes) == n * (n - 1) // 2 + (n if first == 0 else 0)
+            if len(strips) == 1:
+                assert sizes[0] < 1.5 * tile
+            else:
+                assert all(0.5 * tile <= size <= 1.5 * tile for size in sizes), (n, first, sizes)
+    assert [len(cloud_mod._fold_blocks(n)) for n in (299, 300, 314, 315, 1500)] == [1, 1, 1, 2, 34]
+    # a row wider than the tile is a strip of its own
+    monkeypatch.setattr(cloud_mod, "_TILE", 4)
+    assert cloud_mod._fold_blocks(9) == ((1, 2, 9), (2, 3, 9), (3, 4, 9), (4, 5, 9))
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(42)
     pts = rng.random((50, 3)) * math.pi

@@ -974,6 +974,20 @@ def test_fold_rebuilds_out_of_range_pairs(points):
     assert (c.min_gap(), c.diameter()) == (dists[0], dists[-1])
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e170])
+def test_rebuilt_distances_at_d9_match_a_pair_major_reference(scale):
+    # numpy sums 8 or more contiguous values in parts, so the bits of a rebuilt
+    # pair's q depend on the layout its d = 9 squares are summed in: here each
+    # pair's run of d values is contiguous, in a C-ordered (pairs, d) copy
+    pts = random_cloud(47, 8, 9).points * scale
+    i, j = np.triu_indices(len(pts), 1)
+    diff = pts[j] - pts[i]
+    top = np.abs(diff).max(axis=1)
+    q = np.square(diff / top[:, None]).sum(axis=1)
+    want = sorted((top * np.sqrt(q)).tolist())
+    assert sorted(np.concatenate(list(cloud_mod._pair_distances(pts))).tolist()) == want
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e170])
 def test_fold_raises_on_coinciding_points(scale):
     # points 0 and 2 meet in the half row of the even cloud, 0 and 3 in a full row of the odd one
@@ -1132,7 +1146,7 @@ def test_sums_are_bit_identical_at_one_to_four_workers(forking, monkeypatch):
         for call in calls:
             runs = [call(t).tobytes() for t in (1, 2, 3, 4)]
             assert runs == [runs[0]] * 4
-    from rieszdim.measures import _difference_rule
+    from rieszdim.balls import _difference_rule
 
     u = np.linspace(2.01, 12.0, 200)  # 7 chunks of 28
     for d in (1, 2, 3):
@@ -1180,7 +1194,7 @@ def test_criterion_sized_passes_never_fork(monkeypatch):
 
     monkeypatch.setattr(os, "fork", refuse)
     monkeypatch.setattr(energy_mod, "_cpu_count", lambda: 4)
-    from rieszdim.measures import _difference_rule
+    from rieszdim.balls import _difference_rule
 
     for n in (4, 17, 39):
         c = random_cloud(n, n, 2)

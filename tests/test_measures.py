@@ -12,15 +12,14 @@ from scipy.spatial.distance import pdist
 import rieszdim as rd
 import rieszdim.cloud as cloud_mod
 import rieszdim.rng as rng_mod
-from rieszdim.measures import (
+from rieszdim.balls import (
     _FAR,
     _cross_sum,
     _difference_rule,
     _pizzetti,
     _self_interaction_constant,
-    sample_detail,
-    sobolev_dimension,
 )
+from rieszdim.measures import sample_detail, sobolev_dimension
 
 
 # ---------------------------------------------------------------- sampling

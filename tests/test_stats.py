@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import rieszdim as rd
+import rieszdim.cloud as cloud_mod
 import rieszdim.energy as energy_mod
 from conftest import no_child_left
 
@@ -214,18 +215,21 @@ def test_concurrent_variance_scans_get_identical_scores():
     assert results == [want] * 4
 
 
-def test_replicate_rounds_on_workers_match_the_serial_loop(monkeypatch, forking):
-    import rieszdim.stats as stats_mod
-
-    want = rd.replicate_energies(rd.UniformCube(2), [0.3, 1.1], 40, 37, seed=6).tobytes()
-    monkeypatch.setattr(stats_mod, "_ROUND_POINTS", 200)  # rounds of 5 replicates
-    for t in (2, 3):
-        got = rd.replicate_energies(rd.UniformCube(2), [0.3, 1.1], 40, 37, seed=6, threads=t)
-        assert got.tobytes() == want
-    no_child_left()
-    monkeypatch.delattr(os, "fork")  # a platform without fork runs the rounds serially
-    got = rd.replicate_energies(rd.UniformCube(2), [0.3, 1.1], 40, 37, seed=6, threads=3)
-    assert got.tobytes() == want
+def test_replicates_drawn_by_workers_match_the_serial_loop(monkeypatch, forking):
+    # each worker draws its own replicates; 314 points are the largest fold of one
+    # strip, which then holds more than _TILE values
+    ((_, _, size),) = cloud_mod._fold_blocks(314)
+    assert size > cloud_mod._TILE
+    measure, s_list, reps = rd.UniformCube(2), [0.3, 1.1], 7
+    for n in (2, 3, 299, 300, 314):
+        want = np.column_stack(
+            [rd.discrete_energy_multi(rd.sample(measure, n, 6, rep=r), s_list) for r in range(reps)]
+        ).tobytes()
+        for t in (1, 2, 1000):
+            assert rd.replicate_energies(measure, s_list, n, reps, seed=6, threads=t).tobytes() == want
+        no_child_left()
+    monkeypatch.delattr(os, "fork")  # a platform without fork runs the replicates serially
+    assert rd.replicate_energies(measure, s_list, n, reps, seed=6, threads=3).tobytes() == want
 
 
 def _failing_share(monkeypatch, in_parent, fail):
