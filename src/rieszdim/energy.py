@@ -66,7 +66,7 @@ from .cloud import (
     _strip_buffers,
     _tile,
 )
-from .errors import DimensionMismatch, DuplicatePoints, TooFewPoints
+from .errors import DimensionMismatch, DuplicatePoints, TooFewPoints, _check_exponents
 
 __all__ = [
     "EnergyProfile",
@@ -349,12 +349,6 @@ def _fold_sums(pts, exps, *, threads=1, weight=None):
     return _sums(strips, n // 2, exps, threads, weight)
 
 
-def _check_exponents(exps) -> None:
-    """Refuse an exponent that is negative, infinite or NaN."""
-    if not all(0 <= s < math.inf for s in exps):
-        raise ValueError("exponents must be finite and nonnegative")
-
-
 def _fsum(values) -> float:
     """Exact sum of nonnegative terms; inf once it overflows."""
     try:
@@ -509,7 +503,8 @@ def grid_1d_profile(s_grid, n_grid) -> EnergyProfile:
 def riesz_potential_discrete(cloud: PointCloud, x, s: float) -> float:
     """Riesz potential (1/n) * sum_i |x - x_i|^{-s} of the counting measure.
 
-    Returns math.inf when x coincides with a cloud point and s > 0.
+    Returns math.inf when x coincides with a cloud point and s > 0. A
+    non-finite x is refused with ValueError, as a cloud refuses one.
     """
     _check_exponents([s])
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -517,6 +512,8 @@ def riesz_potential_discrete(cloud: PointCloud, x, s: float) -> float:
         raise DimensionMismatch(
             f"point has dim {x.shape[0]}, cloud has dim {cloud.dim}"
         )
+    if not np.isfinite(x).all():
+        raise ValueError("point coordinates must be finite (no NaN/inf)")
     if s == 0.0:
         return 1.0
     a, b = x[:, None, None], np.ascontiguousarray(cloud.points.T)

@@ -1,6 +1,14 @@
-"""Domain error types shared across the package, and the default point cap."""
+"""Domain error types shared across the package, the exponent check, and the default point cap."""
+
+import math
 
 DEFAULT_MAX_POINTS = 100_000  # point allocation cap of generators and the CLI
+
+
+def _check_exponents(exps) -> None:
+    """Refuse an exponent that is negative, infinite or NaN."""
+    if not all(0 <= s < math.inf for s in exps):
+        raise ValueError("exponents must be finite and nonnegative")
 
 
 class RieszdimError(Exception):

@@ -338,11 +338,13 @@ def energy_sequence_points(
     limit ((n-1)/(n+1)) J stays at or above the target; then one point is
     placed on a fresh segment toward x_1 and located by bracketing plus
     bisection, using the intermediate value of J along the segment. Each
-    candidate is scored in O(n) from the current J and its potential; each
-    appended point takes one full energy. The point count is known only as
-    the construction goes, so a point that would pass ``max_points`` raises
-    SizeCapExceeded before it is searched for. Returns (cloud, checkpoints)
-    where checkpoints list (prefix size, achieved J).
+    candidate is scored in O(n) from the current J and its potential, and an
+    appended far point carries its score on as the current J, so N points
+    cost O(N^2) kernels. One full energy is taken per target, at its
+    checkpoint, for the tolerance check and the recorded J. The point count
+    is known only as the construction goes, so a point that would pass
+    ``max_points`` raises SizeCapExceeded before it is searched for. Returns
+    (cloud, checkpoints) where checkpoints list (prefix size, achieved J).
     """
     if d < 1:
         raise ValueError("ambient dimension must be >= 1")
@@ -356,40 +358,33 @@ def energy_sequence_points(
     s = spec.s
     tol = spec.tolerance
     check_cap(2)
-    pts = [np.zeros(d)]
-    pts.append(pts[0] + spec.targets[0] ** (-1.0 / s) * _direction(d, 0))
-    cur = _energy(pts, s)
+    x2 = spec.targets[0] ** (-1.0 / s) * _direction(d, 0)
+    cloud = PointCloud([np.zeros(d), x2], _validate=False)
+    cur = discrete_energy(cloud, s)
     checkpoints = [(2, cur)]
     dir_index = 1
     for e_next in spec.targets[1:]:
-        n = len(pts)
         # Decay loop: append far points while even the far limit cannot
         # drop below the target.
-        while (n - 1) / (n + 1) * cur >= e_next:
-            check_cap(n + 1)
-            pts.append(_far_point(pts, cur, s, dir_index))
+        while (cloud.n - 1) / (cloud.n + 1) * cur >= e_next:
+            check_cap(cloud.n + 1)
+            x, cur = _far_point(cloud, cur, s, dir_index)
+            cloud = _append(cloud, x)
             dir_index += 1
-            n = len(pts)
-            cur = _energy(pts, s)
-        check_cap(len(pts) + 1)
-        pts.append(_slide_point(pts, cur, s, e_next, dir_index, tol))
+        check_cap(cloud.n + 1)
+        cloud = _append(cloud, _slide_point(cloud, cur, s, e_next, dir_index, tol))
         dir_index += 1
-        cur = _energy(pts, s)
+        cur = discrete_energy(cloud, s)
         if abs(cur - e_next) > tol * e_next:
             raise TargetUnreachable(
                 f"achieved J={cur!r} misses target {e_next!r} beyond tolerance"
             )
-        checkpoints.append((len(pts), cur))
-    return PointCloud(np.array(pts)), checkpoints
+        checkpoints.append((cloud.n, cur))
+    return PointCloud(cloud.points), checkpoints
 
 
-def _energy(pts, s) -> float:
-    return discrete_energy(PointCloud(np.array(pts), _validate=False), s)
-
-
-def _extent(pts) -> float:
-    arr = np.array(pts)
-    return float(np.max(np.linalg.norm(arr, axis=1))) if len(pts) else 0.0
+def _append(cloud, x) -> PointCloud:
+    return PointCloud(np.vstack((cloud.points, x)), _validate=False)
 
 
 def _energy_with(cloud, cur, s, candidate) -> float:
@@ -402,46 +397,47 @@ def _energy_with(cloud, cur, s, candidate) -> float:
     return ((n - 1) * cur + 2.0 * riesz_potential_discrete(cloud, candidate, s)) / (n + 1)
 
 
-def _far_point(pts, cur, s, dir_index) -> np.ndarray:
-    """A point far enough that it barely perturbs J beyond the drop factor."""
-    d = pts[0].shape[0]
-    u = _direction(d, dir_index)
-    n = len(pts)
-    limit = (n - 1) / (n + 1) * cur
-    cloud = PointCloud(np.array(pts), _validate=False)
-    t = _extent(pts) + 1.0
+def _outward(cloud, cur, s, u, passes):
+    """The first t = (extent + 1) 2^k whose point t u ``passes`` on its J; (t, J).
+
+    The extent is the largest norm in the cloud. The search stops with
+    TargetUnreachable after ``_MAX_DOUBLINGS`` tries, or once t is not
+    finite: in d = 1 every far point doubles the extent, so a deep drop
+    leaves the double range.
+    """
+    with np.errstate(over="ignore"):
+        t = float(np.max(np.linalg.norm(cloud.points, axis=1))) + 1.0
     for _ in range(_MAX_DOUBLINGS):
-        cand = t * u
-        val = _energy_with(cloud, cur, s, cand)
-        if val - limit <= 1e-9 * limit:
-            return cand
+        if not math.isfinite(t):
+            raise TargetUnreachable("outward search left the double range")
+        val = _energy_with(cloud, cur, s, t * u)
+        if passes(val):
+            return t, val
         t *= 2.0
-    raise TargetUnreachable("far-point search exhausted its doubling budget")
+    raise TargetUnreachable("outward search exhausted its doubling budget")
 
 
-def _slide_point(pts, cur, s, target, dir_index, tol):
+def _far_point(cloud, cur, s, dir_index):
+    """A point far enough that it barely perturbs J beyond the drop factor, and its J."""
+    u = _direction(cloud.dim, dir_index)
+    limit = (cloud.n - 1) / (cloud.n + 1) * cur
+    t, val = _outward(cloud, cur, s, u, lambda val: val - limit <= 1e-9 * limit)
+    return t * u, val
+
+
+def _slide_point(cloud, cur, s, target, dir_index, tol):
     """Place a point on a ray toward x_1 so that J equals ``target``.
 
     J is continuous on the open segment between the nearest obstruction and
     infinity, tends to the far limit (< target) outward and to infinity
     inward, so a bracket always exists.
     """
-    d = pts[0].shape[0]
-    u = _direction(d, dir_index)
-    cloud = PointCloud(np.array(pts), _validate=False)
+    u = _direction(cloud.dim, dir_index)
     # Innermost approachable parameter along the ray: origin in general
-    # position, or just outside the outermost collinear point in d = 1.
-    t_min = 0.0
-    if d == 1:
-        on_ray = [float(p @ u) for p in pts if float(p @ u) > 0]
-        t_min = max(on_ray) if on_ray else 0.0
-    t_hi = _extent(pts) + 1.0
-    for _ in range(_MAX_DOUBLINGS):
-        if _energy_with(cloud, cur, s, t_hi * u) < target:
-            break
-        t_hi *= 2.0
-    else:
-        raise TargetUnreachable("outward bracket search exhausted doublings")
+    # position, or just outside the outermost collinear point in d = 1
+    # (where u = (1,)).
+    t_min = max(0.0, float(cloud.points.max())) if cloud.dim == 1 else 0.0
+    t_hi, _ = _outward(cloud, cur, s, u, lambda val: val < target)
     t_lo = t_min + (t_hi - t_min) / 2.0
     for _ in range(200):
         if _energy_with(cloud, cur, s, t_lo * u) > target:

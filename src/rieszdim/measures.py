@@ -18,8 +18,7 @@ from typing import TYPE_CHECKING, Optional, Union
 import numpy as np
 
 from .cloud import PointCloud
-from .energy import _check_exponents
-from .errors import DuplicatePoints, UnsupportedVariant
+from .errors import DuplicatePoints, UnsupportedVariant, _check_exponents
 from .rng import stream
 
 if TYPE_CHECKING:

@@ -33,7 +33,8 @@ MANIFEST = HERE / "payloads.json"
 # lines past the tour: the --json envelopes of the table commands, a
 # per-replicate CSV, the generator branches of dim and ballcheck, and the
 # quantized distset counts and steps on a generic cloud (the diameter walks
-# a pruned cloud) and on a circle (no point is pruned)
+# a pruned cloud) and on a circle (no point is pruned), and an energy-seq
+# drop that appends 43 far points before its slide point
 EXTRA = [
     "varscan --measure cube --dim 1 --s-grid 0.3,0.7 --n 100 --reps 50 --seed 3 -o scan.csv --json scan.json",
     "erdos --gen lattice --d 2 --k 3 --exponents 1,1.5 -o erdos.csv --json erdos.json",
@@ -45,6 +46,7 @@ EXTRA = [
     "ballcheck --gen lattice --d 2 --k 4 --s 1.2 --c 2.0",
     "distset --input sample.csv",
     "distset --gen semicircle --phases 4 --per-phase 200",
+    "gen --gen energy-seq --s 1 --targets 1,0.001 --d 2 -o decay.csv",
 ]
 
 

@@ -516,6 +516,16 @@ def test_energy_seq_enforces_point_cap(capsys):
     assert len(out.strip().splitlines()) == 1 + 15
 
 
+def test_energy_seq_past_the_double_range_is_a_typed_error(capsys):
+    # d = 1 doubles the extent per far point; the drop ends in one error line
+    argv = ["gen", "--gen", "energy-seq", "--s", "1", "--targets", "1,1e-6"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "TargetUnreachable" in err
+    assert "Warning" not in err
+
+
 # which of the four common flags each subcommand reads; distset ignores
 # --threads, which perfbench passes to every workload
 COMMON_FLAGS = {
@@ -989,9 +999,10 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         assert "rieszdim.stats" in loaded
         assert not {"numpy.ma", "rieszdim.balls", "rieszdim.generators", "rieszdim.sets"} & loaded
         assert not unused & loaded
+    # a sample sums no pairs: the pair engine stays unloaded
     loaded = _modules_loaded_by(["sample", "--measure", "cube", "--count", "40"])
     assert "rieszdim.measures" in loaded
-    assert not {"rieszdim.balls", "rieszdim.stats"} & loaded
+    assert not {"rieszdim.balls", "rieszdim.energy", "rieszdim.stats"} & loaded
     assert "rieszdim.balls" in _modules_loaded_by(
         ["ballcheck", "--gen", "grid1d", "--n", "64", "--s", "0.5", "--c", "4"])
 

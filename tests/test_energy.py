@@ -177,6 +177,9 @@ _NON_FINITE_CALLS = {
     "profile_from_family_nan": lambda: rd.profile_from_family([_CLOUD], [math.nan]),
     "grid_1d_profile_nan": lambda: rd.grid_1d_profile([math.nan], [2, 3]),
     "riesz_potential_discrete_nan": lambda: rd.riesz_potential_discrete(_CLOUD, [1.0], math.nan),
+    "riesz_potential_discrete_point_nan": lambda: rd.riesz_potential_discrete(_CLOUD, [math.nan], 0.5),
+    "riesz_potential_discrete_point_inf": lambda: rd.riesz_potential_discrete(_CLOUD, [math.inf], 0.5),
+    "riesz_potential_discrete_point_nan_s0": lambda: rd.riesz_potential_discrete(_CLOUD, [math.nan], 0.0),
     "truncated_energy_s_nan": lambda: rd.truncated_energy(_CLOUD, math.nan, 0.1),
     "truncated_energy_radius_nan": lambda: rd.truncated_energy(_CLOUD, 0.5, math.nan),
     "truncated_energy_radius_inf": lambda: rd.truncated_energy(_CLOUD, 0.5, math.inf),
@@ -185,8 +188,8 @@ _NON_FINITE_CALLS = {
 
 @pytest.mark.parametrize("name", sorted(_NON_FINITE_CALLS))
 def test_non_finite_inputs_rejected_before_any_work(name, monkeypatch):
-    # NaN or inf exponents (and cutoff radii) are usage errors, raised before
-    # any pair is evaluated, never a silent nan
+    # NaN or inf exponents (and cutoff radii and query points) are usage
+    # errors, raised before any pair is evaluated, never a silent nan
     def no_work(*args, **kwargs):
         raise AssertionError("pair work started")
 

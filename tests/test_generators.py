@@ -270,9 +270,10 @@ def test_energy_sequence_mixed_targets_reproduced_by_direct_energy():
         assert abs(achieved - target) <= 1e-6 * target
 
 
-def test_energy_sequence_takes_one_full_energy_per_appended_point(monkeypatch):
-    # candidates are scored by the O(n) update from the potential; only the
-    # checkpoints and the tolerance checks pay a full pair sum
+def test_energy_sequence_takes_one_full_energy_per_target(monkeypatch):
+    # candidates are scored by the O(n) update from the potential, and an
+    # appended far point carries its score on; only the checkpoints, where
+    # the tolerance is checked, pay a full pair sum
     import rieszdim.generators as gen_mod
 
     calls = []
@@ -284,7 +285,8 @@ def test_energy_sequence_takes_one_full_energy_per_appended_point(monkeypatch):
     monkeypatch.setattr(gen_mod, "discrete_energy", counting)
     spec = rd.EnergyTargetSpec(1.0, (10.0, 0.5, 3.0, 1.0), tolerance=1e-6)
     cloud, checkpoints = rd.energy_sequence_points(spec, 2)
-    assert len(calls) <= (cloud.n - 2) + 1
+    assert cloud.n > len(spec.targets) + 1  # the 10 -> 0.5 drop appends far points
+    assert calls == [n for n, _ in checkpoints]
     for n, j in checkpoints:
         assert j == rd.discrete_energy(cloud.prefix(n), 1.0)
 
@@ -322,6 +324,14 @@ def test_energy_sequence_deep_drop_appends_points():
     spec = rd.EnergyTargetSpec(1.0, (10.0, 0.5))
     cloud, checkpoints = rd.energy_sequence_points(spec, 1)
     assert checkpoints[1][0] > 3  # the drop forces several far points
+
+
+def test_energy_sequence_past_the_double_range_is_unreachable():
+    # in d = 1 every far point doubles the extent, so a 1 -> 1e-6 drop runs
+    # out of doubles: a typed error, with no overflow or invalid-value
+    # warning (which the suite turns into errors) and no nan potential
+    with pytest.raises(rd.TargetUnreachable, match="double range"):
+        rd.energy_sequence_points(rd.EnergyTargetSpec(1.0, (1.0, 1e-6)), 1)
 
 
 def test_energy_target_spec_validation():
