@@ -33,9 +33,11 @@ runs of equal ascending steps h (equal to a few ulp), at most ``_RUN``
 long. The first exponent of a run, its anchor, takes a direct
 exp(-s/2 * log d2), masked or weighted once; each later one is the
 previous kernel times the step factor exp(-h/2 * log d2), taken once per
-strip for each step h (runs of one step share it). An evenly spaced grid
-of S exponents thus costs about S/16 + 1 exp passes per strip instead of
-S. s = 0 is an exact count. A ladder value rounds differently from the
+strip for each step h (runs of one step share it, and an anchor equal to
+its step is that factor). An evenly spaced grid of S exponents thus costs
+about S/16 + 1 exp passes per strip instead of S, one fewer when it
+starts at its step (``dim``'s default 0.1, 0.2, ...). s = 0 is an exact
+count. A ladder value rounds differently from the
 direct exp, by about as much as the direct exp's own error (a few 1e-15
 relative where s/2 * |log d2| is large); it stays within 3e-14 of an
 extended-precision oracle over a 600-exponent grid. Each kernel row is
@@ -258,7 +260,9 @@ def _strip_sums(a, b, runs, weight, out, corner) -> None:
     one ``einsum`` reduction of its row, whose bits depend on that row alone
     (a BLAS product with a ones vector groups rows by fours, so its bits
     would depend on the strip). A run whose step h equals the one before
-    reuses its step factor.
+    reuses its step factor, and a run whose anchor s equals its step h
+    copies its first kernel from the step factor instead of taking a
+    second, identical exp.
     """
     d2 = _tile(a, b)
     if corner is not None:
@@ -284,22 +288,24 @@ def _strip_sums(a, b, runs, weight, out, corner) -> None:
                 if corner is not None:
                     out[rows[0], at[0]] -= corner.sum(axis=1)
             continue
-        np.multiply(L, -0.5 * s, out=K)
-        np.exp(K, out=K)
+        if len(rows) > 1 and h != step:
+            # a skipped or zero-weight pair has L = 0, so E = 1 keeps its 0
+            np.multiply(L, -0.5 * h, out=E)
+            np.exp(E, out=E)
+            step = h
+        if s == h:  # the anchor's kernel is the step factor (as on dim's default grid)
+            np.copyto(K, E)
+        else:
+            np.multiply(L, -0.5 * s, out=K)
+            np.exp(K, out=K)
         if w is not None:
             K *= w
         elif corner is not None:
             np.copyto(K[at], 0.0, where=corner)
         np.einsum("ij->i", K, out=out[rows[0]])
-        if len(rows) > 1:
-            if h != step:
-                # a skipped or zero-weight pair has L = 0, so E = 1 keeps its 0
-                np.multiply(L, -0.5 * h, out=E)
-                np.exp(E, out=E)
-                step = h
-            for i in rows[1:]:
-                K *= E
-                np.einsum("ij->i", K, out=out[i])
+        for i in rows[1:]:
+            K *= E
+            np.einsum("ij->i", K, out=out[i])
 
 
 def _sums(strips, width, exps, threads, weight):

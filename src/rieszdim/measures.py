@@ -19,7 +19,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import DuplicatePoints, UnsupportedVariant, _check_exponents
-from .rng import stream
+from .rng import _kept
 
 if TYPE_CHECKING:
     from .generators import CantorFactor
@@ -130,11 +130,13 @@ def sample_detail(measure: MeasureSpec, count: int, seed: int, rep: int = 0):
     """Draw ``count`` IID points; returns (cloud, DrawInfo).
 
     Deterministic given (measure, count, seed, rep); replicates use
-    disjoint counter-jumped streams.
+    disjoint counter-jumped streams. The draw comes from this thread's kept
+    generator (``rng._kept``), reset to the state ``rng.stream(seed, rep)``
+    starts in, so it equals a draw from that stream.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    g = stream(seed, rep)
+    g = _kept(seed, rep)
     if isinstance(measure, UniformCube):
         return PointCloud(g.random((count, measure.dim))), DrawInfo()
     if isinstance(measure, UniformCircle):

@@ -7,7 +7,9 @@ here make each statement finite: mean-versus-oracle z-scores, exceedance
 frequencies, and single growing sample paths with incremental energies.
 Replicates run on counter-split streams, each drawn and summed by the worker
 process it is dealt to, so reports are reproducible bit-for-bit from
-(measure, s, n grid, reps, seed) at any worker count.
+(measure, s, n grid, reps, seed) at any worker count. A worker draws a
+chunk of at most ``cloud._TILE`` points' worth of its clouds, from its
+thread's kept generator, before it sums them.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import cloud as _cloud
 from .energy import _deal, discrete_energy_multi, energy_profile
 from .errors import NonFiniteResult, OracleUnavailable, UnsupportedVariant
 from .measures import (
@@ -82,16 +85,24 @@ def replicate_energies(
     Replicate r draws its cloud from the seed stream jumped r blocks and
     writes only column r. The replicate indices are dealt round-robin to
     ``threads`` worker processes (below 1 runs serially) by
-    ``energy._deal``; each worker draws its own clouds, one at a time, and
-    computes each cloud's energies in that process, so the draws run in
-    parallel too and the array is bit-identical to the serial loop at any
-    thread count. A replicate costs what its pair pass costs plus about
-    50 us for its draw and its calls.
+    ``energy._deal``. Each worker draws its share in chunks of
+    max(1, ``cloud._TILE`` // n) clouds, so a chunk holds at most
+    ``_TILE`` points (or one cloud), from its thread's kept generator,
+    and then computes the chunk's energies back to back in that process,
+    so the code of each loop stays in cache. The draws run in parallel too
+    and the array is bit-identical to the serial loop at any thread count
+    and any chunk size. A replicate costs what its pair pass costs plus
+    about 50 us for its draw and its calls.
     """
 
+    chunk = max(1, _cloud._TILE // n)
+
     def run(share, out):
-        for r in share:
-            out[:, r] = discrete_energy_multi(sample(measure, n, seed, rep=r), s_list)
+        for c in range(0, len(share), chunk):
+            reps_c = share[c : c + chunk]
+            clouds = [sample(measure, n, seed, rep=r) for r in reps_c]
+            for r, cloud in zip(reps_c, clouds):
+                out[:, r] = discrete_energy_multi(cloud, s_list)
 
     work = reps * (n * (n - 1) // 2 * (len(s_list) + 8) + 50_000)
     return _deal(run, range(reps), (len(s_list), reps), threads, work)

@@ -34,7 +34,10 @@ MANIFEST = HERE / "payloads.json"
 # per-replicate CSV, the generator branches of dim and ballcheck, and the
 # quantized distset counts and steps on a generic cloud (the diameter walks
 # a pruned cloud) and on a circle (no point is pruned), and an energy-seq
-# drop that appends 43 far points before its slide point
+# drop that appends 43 far points before its slide point; then the draw
+# paths of the other samplers: cantor digits (32-bit bounded integers, an
+# odd count of them per factor and per replicate), the semicircle's two
+# uniform draws, and the empirical resample with its perturbation
 EXTRA = [
     "varscan --measure cube --dim 1 --s-grid 0.3,0.7 --n 100 --reps 50 --seed 3 -o scan.csv --json scan.json",
     "erdos --gen lattice --d 2 --k 3 --exponents 1,1.5 -o erdos.csv --json erdos.json",
@@ -47,6 +50,10 @@ EXTRA = [
     "distset --input sample.csv",
     "distset --gen semicircle --phases 4 --per-phase 200",
     "gen --gen energy-seq --s 1 --targets 1,0.001 --d 2 -o decay.csv",
+    "sample --measure cantor --m 2 --n-base 3 --factor-dim 2 --depth 7 --count 41 --seed 5 -o cantor41.csv",
+    "sample --measure semicircle --phase 0.7 --count 40 --seed 6 -o semi.csv",
+    "sample --measure empirical --points grid.csv --count 200 --seed 8 -o emp.csv --json emp.json",
+    "varscan --measure cantor --m 2 --n-base 3 --depth 21 --s-grid 0.3,0.6 --n 41 --reps 50 --seed 2 --json cscan.json",
 ]
 
 

@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import inspect
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from scipy.spatial.distance import pdist
 
 import rieszdim as rd
 import rieszdim.cloud as cloud_mod
+import rieszdim.measures as measures_mod
 import rieszdim.rng as rng_mod
 from rieszdim.balls import (
     _FAR,
@@ -53,6 +56,97 @@ def test_replicate_stream_is_the_jumped_stream():
     for rep in (-1, 2**128):
         with pytest.raises(ValueError):
             rng_mod.stream(0, rep)
+
+
+@pytest.mark.parametrize(
+    "seed, rep",
+    [(1.5, 0), (1, 2.7), (math.nan, 0), (0, math.inf), ("1", 0), (-1, 0), (2**64, 0), (0, 2**128)],
+)
+def test_non_integral_or_out_of_range_seed_or_rep_refused(seed, rep):
+    # int() used to truncate: seed 1.5 drew seed 1's cloud and rep 2.7 rep 2's
+    with pytest.raises(ValueError, match="must be an integer"):
+        rd.sample(rd.UniformCube(1), 3, seed, rep)
+    with pytest.raises(ValueError, match="must be an integer"):
+        rng_mod.stream(seed, rep)
+
+
+def test_integral_seed_and_rep_of_any_number_type_are_taken():
+    want = rd.sample(rd.UniformCube(2), 4, 2, rep=3).points.tobytes()
+    for seed, rep in ((2.0, 3.0), (np.uint64(2), np.int8(3)), (np.float64(2), 3)):
+        assert rd.sample(rd.UniformCube(2), 4, seed, rep).points.tobytes() == want
+
+
+def _odd_cantor():
+    # 41 points of 25 digits: 1025 bounded 32-bit draws, which leave half a 64-bit word
+    return rd.CantorProduct((rd.CantorFactor(2, 3, (0, 2)),), depth=25)
+
+
+def _fresh(draw):
+    """``draw()`` with every sampler drawing from a fresh ``rng.stream`` generator."""
+    kept = measures_mod._kept
+    measures_mod._kept = rng_mod.stream
+    try:
+        return draw()
+    finally:
+        measures_mod._kept = kept
+
+
+def test_kept_generator_draws_what_a_fresh_stream_draws():
+    grid = rd.PointCloud(np.linspace(0.0, 1.0, 10)[:, None])  # 41 draws from 10 atoms collide
+    measures = [
+        rd.UniformCube(2),
+        rd.UniformCircle(),
+        _odd_cantor(),
+        rd.CantorProduct((rd.CantorFactor(2, 3, (0, 2)), rd.CantorFactor(3, 5, (0, 2, 4)))),
+        rd.RotatingSemicircle(0.7),
+        rd.Empirical(grid),
+    ]
+    # interleaved: every draw follows one of another measure, seed or rep
+    cases = [(m, seed, rep) for rep in (0, 1, 2**64, 2**128 - 1) for seed in (0, 2**64 - 1) for m in measures]
+
+    def draw_all():
+        return [sample_detail(m, 41, seed, rep) for m, seed, rep in cases]
+
+    want, got = _fresh(draw_all), draw_all()
+    assert [(c.points.tobytes(), i) for c, i in got] == [(c.points.tobytes(), i) for c, i in want]
+    assert any(i.perturbed for _, i in got)
+
+
+def test_a_half_used_word_does_not_leak_into_the_next_draw():
+    cantor, empirical = _odd_cantor(), rd.Empirical(rd.PointCloud([[0.0], [1.0], [2.0]]))
+    draws = [(cantor, 5), (cantor, 6), (empirical, 6), (cantor, 5)]
+    want = _fresh(lambda: [rd.sample(m, 41, 3, rep).points.tobytes() for m, rep in draws])
+    for (m, rep), w in zip(draws, want):
+        assert rd.sample(m, 41, 3, rep).points.tobytes() == w
+        if m is cantor:
+            assert rng_mod._local.g.bit_generator.state["has_uint32"] == 1
+
+
+def test_threads_drawing_at_once_get_the_clouds_of_a_serial_run():
+    jobs = [(m, rep) for rep in range(6) for m in (rd.UniformCube(3), _odd_cantor(), rd.UniformCircle())]
+    count = {rd.UniformCube: 4000, rd.CantorProduct: 41, rd.UniformCircle: 4000}
+    want = [rd.sample(m, count[type(m)], 11, rep).points.tobytes() for m, rep in jobs]
+    callers, start = 4, threading.Barrier(4)
+    results = [None] * callers
+
+    def draw(t):
+        order = jobs[t:] + jobs[:t]  # each thread starts elsewhere in the list
+        start.wait()
+        got = [rd.sample(m, count[type(m)], 11, rep).points.tobytes() for m, rep in order]
+        results[t] = got[len(jobs) - t :] + got[: len(jobs) - t]
+
+    threads = [threading.Thread(target=draw, args=(t,)) for t in range(callers)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [want] * callers
 
 
 def test_circle_support():

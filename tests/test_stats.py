@@ -232,6 +232,35 @@ def test_replicates_drawn_by_workers_match_the_serial_loop(monkeypatch, forking)
     assert rd.replicate_energies(measure, s_list, n, reps, seed=6, threads=3).tobytes() == want
 
 
+@pytest.mark.parametrize("per_chunk", [1, 3])
+def test_replicates_drawn_in_chunks_match_the_serial_loop(monkeypatch, forking, per_chunk):
+    import rieszdim.stats as stats_mod
+
+    measure, s_list, n, reps = rd.UniformCube(2), [0.3, 1.1], 40, 11
+    want = np.column_stack(
+        [rd.discrete_energy_multi(rd.sample(measure, n, 6, rep=r), s_list) for r in range(reps)]
+    ).tobytes()
+    # a chunk holds max(1, _TILE // n) clouds; the strips shrink with it, which moves no bit
+    monkeypatch.setattr(cloud_mod, "_TILE", per_chunk * n + n - 1)
+    log, draw, energy = [], stats_mod.sample, stats_mod.discrete_energy_multi
+
+    def logged_draw(measure, n, seed, rep):
+        log.append(rep)
+        return draw(measure, n, seed, rep=rep)
+
+    def logged_energy(cloud, s_list):
+        log.append("sum")
+        return energy(cloud, s_list)
+
+    monkeypatch.setattr(stats_mod, "sample", logged_draw)
+    monkeypatch.setattr(stats_mod, "discrete_energy_multi", logged_energy)
+    assert rd.replicate_energies(measure, s_list, n, reps, seed=6, threads=1).tobytes() == want
+    chunks = [range(c, min(c + per_chunk, reps)) for c in range(0, reps, per_chunk)]
+    assert log == [x for c in chunks for x in [*c, *["sum"] * len(c)]]
+    assert rd.replicate_energies(measure, s_list, n, reps, seed=6, threads=2).tobytes() == want
+    no_child_left()
+
+
 def _failing_share(monkeypatch, in_parent, fail):
     """Patch the replicate energy so that ``fail()`` runs in the parent's share or a child's."""
     import rieszdim.stats as stats_mod
