@@ -8,6 +8,10 @@ through ``os._exit``: its output is complete, so it skips the teardown of
 every module and the final collection. An uncaught exception still takes
 the interpreter's own path (traceback, exit 1). In-process callers use
 ``cli.main``, which returns the exit code and ends nothing.
+
+No pass uses threaded BLAS, so ``OPENBLAS_NUM_THREADS`` defaults to 1
+before numpy loads: the process starts no idle BLAS thread to burn CPU or
+to be held across the forks of the pair engine. A value already set wins.
 """
 
 import contextlib
@@ -18,6 +22,7 @@ import sys
 
 def run() -> None:
     """Run the CLI on ``sys.argv`` and end the process with its exit code."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     gc.disable()
     from .cli import main
 

@@ -27,6 +27,7 @@ flushes the output and leaves through ``os._exit`` after ``main``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -384,7 +385,7 @@ def _doubling_grid(lo: int, n: int) -> list:
 
 def _cmd_dim(args) -> tuple[dict, dict]:
     from .energy import energy_profile, grid_1d_profile
-    from .estimator import default_window, dimension_estimate
+    from .estimator import dimension_estimate
 
     if not args.s_step > 0:
         raise ValueError("--s-step must be positive")
@@ -400,22 +401,14 @@ def _cmd_dim(args) -> tuple[dict, dict]:
             n_grid = _doubling_grid(max(8, args.n // 16), args.n)
         _check_points(args, max(n_grid))
         _check_pairs(args, *n_grid)
-        profile = grid_1d_profile
+        build = grid_1d_profile
     else:
         cloud = _load_cloud(args)
         n_grid = _auto_n_grid(args, cloud)
-
-        def profile(s_list, ns):
-            return energy_profile(cloud, s_list, ns, threads=args.threads)
-
-    prof = profile(s_grid, n_grid)
-    window = tuple(_parse_list(args.window, int)) if args.window else default_window(n_grid)
-    est = dimension_estimate(
-        prof,
-        args.threshold,
-        window=window,
-        recompute=lambda s, ns: profile([s], ns).values[0],
-    )
+        build = functools.partial(energy_profile, cloud, threads=args.threads)
+    prof = build(s_grid, n_grid)
+    window = tuple(_parse_list(args.window, int)) if args.window else None
+    est = dimension_estimate(prof, args.threshold, window=window, recompute=build)
     payload = est.to_json()
     payload["n_grid"] = list(prof.n_grid)
     return payload, {}

@@ -381,14 +381,9 @@ def discrete_energy(cloud: PointCloud, s: float, *, threads: int = 1) -> float:
     """Discrete s-energy J_s of a cloud.
 
     Requires n >= 2 distinct points and s >= 0; J_0 is exactly 1 for any
-    valid cloud.
+    valid cloud. The one-exponent case of :func:`discrete_energy_multi`.
     """
-    if cloud.n < 2:
-        raise TooFewPoints("discrete energy needs at least 2 points")
-    _check_exponents([s])
-    n = cloud.n
-    F = _fold_sums(cloud.points, [s], threads=threads)
-    return _fsum(F[0]) / (n * (n - 1) // 2)
+    return float(discrete_energy_multi(cloud, [s], threads=threads)[0])
 
 
 def discrete_energy_multi(cloud: PointCloud, s_list, *, threads: int = 1) -> np.ndarray:

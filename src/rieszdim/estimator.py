@@ -15,8 +15,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .cloud import PointCloud
-from .energy import EnergyProfile, energy_profile
+from .energy import EnergyProfile
 from .errors import NonFiniteResult, NoTransition, WindowTooSmall
 
 if TYPE_CHECKING:
@@ -60,15 +59,6 @@ def default_window(n_grid) -> tuple:
     return (lo, n_grid[-1])
 
 
-def _check_finite(row, s, n_sub) -> None:
-    """Refuse an energy that is 0, inf or NaN: its log would give a NaN slope."""
-    for v, n in zip(row, n_sub):
-        if not 0.0 < v < math.inf:
-            raise NonFiniteResult(
-                f"energy at s = {s!r}, n = {n} is {float(v)!r}; a slope needs finite positive energies"
-            )
-
-
 def _fit(profile: EnergyProfile, window) -> tuple:
     n_lo, n_hi = window
     cols = [j for j, n in enumerate(profile.n_grid) if n_lo <= n <= n_hi]
@@ -78,7 +68,10 @@ def _fit(profile: EnergyProfile, window) -> tuple:
         )
     n_sub = [profile.n_grid[j] for j in cols]
     for s, row in zip(profile.s_grid, profile.values):
-        _check_finite(row[cols], s, n_sub)
+        for v, n in zip(row[cols], n_sub):
+            if not 0.0 < v < math.inf:  # 0, inf or NaN: its log would give a NaN slope
+                raise NonFiniteResult(f"energy at s = {s!r}, n = {n} is {float(v)!r}; "
+                                      "a slope needs finite positive energies")
     logn = np.log(n_sub)
     slopes = []
     residuals = []
@@ -110,22 +103,22 @@ def dimension_estimate(
     profile: EnergyProfile,
     threshold: float,
     *,
-    cloud: Optional[PointCloud] = None,
     window: Optional[tuple] = None,
     recompute=None,
 ) -> DimensionEstimate:
     """Largest exponent whose growth slope stays at or below the threshold.
 
     Scans the exponent grid in ascending order and stops at the first slope
-    above the threshold; one bisection pass then re-fits the slope at the
-    bracket midpoint (re-computing the profile row there when the source
-    cloud, or a ``recompute(s_mid, n_sub)`` row builder, is supplied) to
-    halve the grid resolution. A row built from ``cloud`` runs on one
-    worker; pass ``recompute=`` to deal that pass, as the CLI's ``dim``
-    does with an ``energy_profile`` row at its ``--threads``. Raises
-    NoTransition when every slope is on the same side of the threshold, and
-    NonFiniteResult, naming s and n, when an energy it fits (the bisection
-    row included) is 0 or inf.
+    above the threshold. When ``recompute`` is given, one bisection pass then
+    fits the slope at the bracket midpoint to halve the grid resolution.
+    ``recompute(s_grid, n_grid) -> EnergyProfile`` is the builder that made
+    ``profile``: ``grid_1d_profile``, or ``functools.partial(energy_profile,
+    cloud, threads=...)`` as the CLI's ``dim`` passes it. It is called once,
+    on the midpoint and the prefix sizes of the window, and that row is
+    fitted by the same rule as the grid. The window defaults to
+    :func:`default_window`. Raises NoTransition when every slope is on the
+    same side of the threshold, and NonFiniteResult, naming s and n, when an
+    energy it fits (the bisection row included) is 0 or inf.
     """
     if not 0 < threshold <= 0.2:
         raise ValueError("threshold must lie in (0, 0.2]")
@@ -146,17 +139,10 @@ def dimension_estimate(
     s_hi = s_grid[first_above]
     refined = None
     s_hat = s_lo
-    if recompute is None and cloud is not None:
-        def recompute(s_mid, n_sub):
-            return energy_profile(cloud, [s_mid], n_sub).values[0]
     if recompute is not None:
         s_mid = 0.5 * (s_lo + s_hi)
-        n_sub = [profile.n_grid[j] for j in cols]
-        row = recompute(s_mid, n_sub)
-        _check_finite(row, s_mid, n_sub)
-        logn = np.log(n_sub)
-        logj = np.log(row)
-        mid_slope = float(np.polyfit(logn, logj, 1)[0])
+        mid = recompute([s_mid], [profile.n_grid[j] for j in cols])
+        mid_slope = _fit(mid, window)[0][0]
         refined = {"s_mid": s_mid, "slope": mid_slope}
         if mid_slope <= threshold:
             s_hat = s_mid

@@ -185,28 +185,6 @@ def sample(measure: MeasureSpec, count: int, seed: int, rep: int = 0) -> PointCl
     return sample_detail(measure, count, seed, rep)[0]
 
 
-def sobolev_dimension(measure: MeasureSpec) -> float:
-    """Supremum of s with finite energy, for variants with an oracle."""
-    if isinstance(measure, UniformCube):
-        if measure.dim in (1, 2):
-            return float(measure.dim)
-        raise UnsupportedVariant("oracle covers dim 1 and 2 only")
-    if isinstance(measure, UniformCircle):
-        return 1.0
-    raise UnsupportedVariant(f"no oracle for {type(measure).__name__}")
-
-
-def reference_energy_method(measure: MeasureSpec) -> str:
-    """How the oracle is evaluated: closed-form or quadrature."""
-    if isinstance(measure, UniformCube) and measure.dim == 1:
-        return "closed-form"
-    if isinstance(measure, UniformCube) and measure.dim == 2:
-        return "quadrature"
-    if isinstance(measure, UniformCircle):
-        return "closed-form"
-    raise UnsupportedVariant(f"no energy oracle for {type(measure).__name__}")
-
-
 def _square_energy(s: float) -> float:
     """Energy of the unit square via the difference-variable reduction.
 
@@ -230,6 +208,41 @@ def _square_energy(s: float) -> float:
     return 8.0 * half * float(np.dot(w, angular))
 
 
+def _circle_energy(s: float) -> float:
+    """Energy of the unit circle, below its dimension 1."""
+    return (
+        2.0 ** (-s)
+        * math.gamma((1.0 - s) / 2.0)
+        / (math.sqrt(math.pi) * math.gamma(1.0 - s / 2.0))
+    )
+
+
+# measure -> (Sobolev dimension, how I_s is evaluated, I_s below that dimension)
+_ORACLES = {
+    UniformCube(1): (1.0, "closed-form", lambda s: 2.0 / ((1.0 - s) * (2.0 - s))),
+    UniformCube(2): (2.0, "quadrature", _square_energy),
+    UniformCircle(): (1.0, "closed-form", _circle_energy),
+}
+
+
+def _oracle(measure: MeasureSpec) -> tuple:
+    """The ``_ORACLES`` entry of a measure; UnsupportedVariant for any other measure."""
+    try:
+        return _ORACLES[measure]
+    except (KeyError, TypeError):  # TypeError: an unhashable measure
+        raise UnsupportedVariant(f"no oracle for {measure!r}") from None
+
+
+def sobolev_dimension(measure: MeasureSpec) -> float:
+    """Supremum of s with finite energy, for variants with an oracle."""
+    return _oracle(measure)[0]
+
+
+def reference_energy_method(measure: MeasureSpec) -> str:
+    """How the oracle is evaluated: closed-form or quadrature."""
+    return _oracle(measure)[1]
+
+
 def reference_energy(measure: MeasureSpec, s: float) -> float:
     """Oracle energy I_s for the supported variants.
 
@@ -239,23 +252,8 @@ def reference_energy(measure: MeasureSpec, s: float) -> float:
     _check_exponents([s])
     if s == 0.0:
         return 1.0
-    if isinstance(measure, UniformCube) and measure.dim == 1:
-        if s >= 1.0:
-            return math.inf
-        return 2.0 / ((1.0 - s) * (2.0 - s))
-    if isinstance(measure, UniformCube) and measure.dim == 2:
-        if s >= 2.0:
-            return math.inf
-        return _square_energy(s)
-    if isinstance(measure, UniformCircle):
-        if s >= 1.0:
-            return math.inf
-        return (
-            2.0 ** (-s)
-            * math.gamma((1.0 - s) / 2.0)
-            / (math.sqrt(math.pi) * math.gamma(1.0 - s / 2.0))
-        )
-    raise UnsupportedVariant(f"no energy oracle for {type(measure).__name__}")
+    dim, _, energy = _oracle(measure)
+    return math.inf if s >= dim else energy(s)
 
 
 def measure_to_json(measure: MeasureSpec) -> dict:

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import re
@@ -229,10 +230,25 @@ def test_dim_grid_family_is_the_estimate_of_its_closed_form(capsys):
     n_grid = [64, 128, 256, 512, 1024]
     s_grid = [round(0.1 * i, 1) for i in range(1, 20)]
 
-    def recompute(s, ns):
-        return rd.grid_1d_profile([s], ns).values[0]
+    est = rd.dimension_estimate(
+        rd.grid_1d_profile(s_grid, n_grid), 0.1, recompute=rd.grid_1d_profile
+    )
+    assert payload_of(out) == json.loads(json.dumps({**est.to_json(), "n_grid": n_grid}))
 
-    est = rd.dimension_estimate(rd.grid_1d_profile(s_grid, n_grid), 0.1, recompute=recompute)
+
+def test_dim_input_is_the_estimate_of_its_profile(capsys, tmp_path):
+    # the bisection refits through the builder of the profile, at --threads
+    csv = tmp_path / "u600.csv"
+    rd.write_csv(rd.sample(rd.UniformCube(1), 600, 2), csv)
+    n_grid = [40, 80, 150, 300, 600]
+    code, out, _ = run_cli(["dim", "--input", str(csv), "--n-grid", "40,80,150,300,600",
+                            "--threads", "2"], capsys)
+    assert code == 0
+    cloud = rd.read_csv(csv)
+    s_grid = [round(0.1 * i, 1) for i in range(1, 20)]
+    est = rd.dimension_estimate(rd.energy_profile(cloud, s_grid, n_grid), 0.1,
+                                recompute=functools.partial(rd.energy_profile, cloud))
+    assert est.diagnostics["refined"] is not None
     assert payload_of(out) == json.loads(json.dumps({**est.to_json(), "n_grid": n_grid}))
 
 
@@ -465,6 +481,39 @@ def test_conflicting_flags_are_usage_errors(argv, capsys, tmp_path, monkeypatch)
         code = exc.code
     assert code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--gen", "grid1d"], "grid1d needs --n"),
+        (["gen", "--gen", "lattice", "--d", "2"], "lattice needs --d and --k"),
+        (["gen", "--gen", "semicircle", "--phases", "4"],
+         "semicircle needs --phases and --per-phase"),
+        (["gen", "--gen", "energy-seq", "--s", "0.5"], "energy-seq needs --s and --targets"),
+        (["gen"], "no generator selected (--gen)"),
+        (["energy", "--s", "1"], "provide --input CSV or --gen KIND"),
+        (["sample", "--measure", "cantor", "--m", "2", "--count", "5"],
+         "cantor measure needs --m and --n-base"),
+        (["sample", "--measure", "empirical", "--count", "5"],
+         "empirical measure needs --points CSV"),
+        (["sample", "--count", "5"], "provide --measure or --measure-json"),
+        (["energy", "--gen", "grid1d", "--n", "8", "--cutoff-radius", "0.1"],
+         "truncated energy needs --s"),
+        (["energy", "--gen", "grid1d", "--n", "8"],
+         "energy needs --s (or --s-grid with --n-grid)"),
+        (["dim", "--gen", "grid1d"], "grid1d needs --n"),
+    ],
+)
+def test_missing_flags_are_usage_errors(argv, message, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"usage error: {message}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -897,6 +946,33 @@ def test_entry_skips_interpreter_teardown(patch, code, handler_runs):
     assert ("Traceback" in proc.stderr) == handler_runs
     if not handler_runs:
         assert proc.stdout == f"rieszdim {rd.__version__}\n"
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+def test_entry_defaults_openblas_to_one_thread(preset, want):
+    # the entry sets the default before numpy loads, so no idle BLAS thread starts
+    script = (
+        "import os, sys, runpy\n"
+        "exit_now = os._exit\n"
+        "def report(code):\n"
+        "    tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1\n"
+        "    print(os.environ['OPENBLAS_NUM_THREADS'], 'numpy' in sys.modules, tasks, flush=True)\n"
+        "    exit_now(code)\n"
+        "os._exit = report\n"
+        "sys.argv = ['rieszdim', '--version']\n"
+        "runpy.run_module('rieszdim', run_name='__main__')\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    version, report = proc.stdout.splitlines()
+    assert version == f"rieszdim {rd.__version__}"
+    value, numpy_loaded, tasks = report.split()
+    assert (value, numpy_loaded) == (want, "True")
+    if preset is None:
+        assert tasks == "1"
 
 
 def test_entry_freezes_start_up_objects_before_main():

@@ -1088,6 +1088,18 @@ def test_dealer_writes_a_zeroed_shared_array(forking):
 
 
 @needs_fork
+def test_a_worker_that_exits_without_an_error_surfaces(forking):
+    # os._exit writes nothing to the error pipe: only the exit status tells
+    def run(share, out):
+        if share[0] == 1:
+            os._exit(3)
+
+    with pytest.raises(ChildProcessError, match="exited with status 3 and no error"):
+        energy_mod._deal(run, range(2), 2, 2, 0)
+    no_child_left()
+
+
+@needs_fork
 def test_workers_are_clamped_to_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(energy_mod, "_FORK_WORK", 0)
     monkeypatch.setattr(energy_mod, "_cpu_count", lambda: 2)

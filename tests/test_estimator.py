@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -46,11 +48,8 @@ def test_window_too_small():
 
 
 def test_grid_family_dimension_near_one(grid_family_profile):
-    def recompute(s_mid, n_sub):
-        return rd.grid_1d_profile([s_mid], n_sub).values[0]
-
     est = rd.dimension_estimate(
-        grid_family_profile, 0.1, window=(1024, 8192), recompute=recompute
+        grid_family_profile, 0.1, window=(1024, 8192), recompute=rd.grid_1d_profile
     )
     assert 0.9 <= est.s_hat <= 1.1
 
@@ -62,7 +61,7 @@ def test_cantor_dimension_recovery_one_factor():
     prof = rd.energy_profile(cloud, [round(0.1 * i, 1) for i in range(1, 20)], sizes)
     # finite-level transients inflate sub-transition slopes, so the scan
     # runs at the top of the threshold range
-    est = rd.dimension_estimate(prof, 0.2, cloud=cloud)
+    est = rd.dimension_estimate(prof, 0.2, recompute=functools.partial(rd.energy_profile, cloud))
     assert abs(est.s_hat - 0.6309) <= 0.07
 
 
@@ -75,7 +74,7 @@ def test_iid_uniform_estimates_cluster_near_one():
     for seed in range(10):
         cloud = rd.sample(rd.UniformCube(1), 4096, seed)
         prof = rd.energy_profile(cloud, s_grid, n_grid)
-        est = rd.dimension_estimate(prof, 0.1, cloud=cloud, window=(64, 4096))
+        est = rd.dimension_estimate(prof, 0.1, recompute=functools.partial(rd.energy_profile, cloud), window=(64, 4096))
         if 0.85 <= est.s_hat <= 1.1:
             hits += 1
     assert hits >= 9
@@ -88,7 +87,7 @@ def test_iid_planar_cloud_estimates_near_two():
     n_grid = [64, 128, 256, 512, 1024, 2048]
     cloud = rd.sample(rd.UniformCube(2), 2048, seed=1)
     prof = rd.energy_profile(cloud, s_grid, n_grid)
-    est = rd.dimension_estimate(prof, 0.1, cloud=cloud, window=(64, 2048))
+    est = rd.dimension_estimate(prof, 0.1, recompute=functools.partial(rd.energy_profile, cloud), window=(64, 2048))
     assert 1.7 <= est.s_hat <= 2.3
 
 
@@ -100,8 +99,8 @@ def test_estimate_scale_invariance():
     prof = rd.energy_profile(cloud, s_grid, sizes)
     scaled_cloud = rd.PointCloud(37.5 * cloud.points)
     scaled = rd.energy_profile(scaled_cloud, s_grid, sizes)
-    base = rd.dimension_estimate(prof, 0.2, cloud=cloud)
-    other = rd.dimension_estimate(scaled, 0.2, cloud=scaled_cloud)
+    base = rd.dimension_estimate(prof, 0.2, recompute=functools.partial(rd.energy_profile, cloud))
+    other = rd.dimension_estimate(scaled, 0.2, recompute=functools.partial(rd.energy_profile, scaled_cloud))
     for a, b in zip(base.slopes, other.slopes):
         assert b == pytest.approx(a, abs=1e-9)
     assert other.s_hat == pytest.approx(base.s_hat, abs=1e-9)
@@ -116,7 +115,7 @@ def test_estimate_monotone_in_threshold():
         cloud, [round(0.1 * i, 1) for i in range(1, 20)], rd.cantor_prefix_sizes(spec)
     )
     estimates = [
-        rd.dimension_estimate(prof, tau, cloud=cloud).s_hat
+        rd.dimension_estimate(prof, tau, recompute=functools.partial(rd.energy_profile, cloud)).s_hat
         for tau in (0.05, 0.1, 0.15, 0.2)
     ]
     assert all(b >= a for a, b in zip(estimates, estimates[1:]))
@@ -128,7 +127,7 @@ def test_estimate_s_hat_within_grid():
     prof = rd.energy_profile(
         cloud, [round(0.1 * i, 1) for i in range(1, 20)], rd.cantor_prefix_sizes(spec)
     )
-    est = rd.dimension_estimate(prof, 0.2, cloud=cloud)
+    est = rd.dimension_estimate(prof, 0.2, recompute=functools.partial(rd.energy_profile, cloud))
     assert prof.s_grid[0] <= est.s_hat <= prof.s_grid[-1]
     assert est.diagnostics["bracket"][0] <= est.s_hat <= est.diagnostics["bracket"][1]
 
@@ -171,7 +170,27 @@ def test_non_finite_bisection_energy_is_refused():
     values = np.vstack([[1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 4.0, 8.0]])
     prof = EnergyProfile((0.5, 1.5), (10, 20, 40, 80), values)
     with pytest.raises(rd.NonFiniteResult, match=r"s = 1\.0, n = 80 is inf"):
-        rd.dimension_estimate(prof, 0.1, recompute=lambda s, ns: np.array([1.0, 2.0, 4.0, np.inf]))
+        rd.dimension_estimate(
+            prof,
+            0.1,
+            recompute=lambda s, ns: EnergyProfile(tuple(s), tuple(ns), [[1.0, 2.0, 4.0, np.inf]]),
+        )
+
+
+def test_constant_bisection_row_has_zero_refined_slope():
+    # the midpoint row is fitted by the grid's own rule: constant energies grow by exactly 0
+    values = np.vstack([[1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 4.0, 8.0]])
+    prof = EnergyProfile((0.5, 1.5), (10, 20, 40, 80), values)
+    calls = []
+
+    def build(s_grid, n_grid):
+        calls.append((list(s_grid), list(n_grid)))
+        return EnergyProfile(tuple(s_grid), tuple(n_grid), np.full((1, len(n_grid)), 3.7))
+
+    est = rd.dimension_estimate(prof, 0.1, recompute=build)
+    assert calls == [([1.0], [10, 20, 40, 80])]
+    assert est.diagnostics["refined"] == {"s_mid": 1.0, "slope": 0.0}
+    assert est.s_hat == 1.0
 
 
 def test_threshold_validation():

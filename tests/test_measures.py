@@ -186,6 +186,17 @@ def test_empirical_resampling_perturbs_duplicates():
     assert np.all(np.abs(cloud.points - np.round(cloud.points)) < 1e-9)
 
 
+def test_empirical_resampling_of_one_point_uses_the_fallback_scale():
+    # one atom spans nothing, so the perturbation scale falls back to 1e-12
+    base = rd.PointCloud([[0.5, -2.0]])
+    cloud, info = sample_detail(rd.Empirical(base), 8, 3)
+    assert cloud.n == 8
+    assert info.perturbed >= 7
+    offsets = np.abs(cloud.points - base.points).max(axis=1)
+    assert (offsets == 0.0).sum() == 1  # the first draw is kept as drawn
+    assert offsets.max() <= 64e-12
+
+
 def test_rotating_semicircle_phase_is_rigid_rotation():
     # matched seeds: the phase-t draw is the phase-0 draw rotated, so the
     # pair energies agree term by term (up to rounding in cos/sin, which
@@ -281,6 +292,39 @@ def test_reference_energy_unsupported_variants():
         rd.reference_energy(rd.UniformCube(3), 0.5)
     with pytest.raises(rd.UnsupportedVariant):
         sobolev_dimension(rd.RotatingSemicircle())
+
+
+@pytest.mark.parametrize(
+    "measure, dim, method",
+    [
+        (rd.UniformCube(1), 1.0, "closed-form"),
+        (rd.UniformCube(2), 2.0, "quadrature"),
+        (rd.UniformCircle(), 1.0, "closed-form"),
+    ],
+)
+def test_oracle_dimension_and_method(measure, dim, method):
+    assert sobolev_dimension(measure) == dim
+    assert rd.reference_energy_method(measure) == method
+    assert rd.reference_energy(measure, dim) == math.inf
+    assert math.isfinite(rd.reference_energy(measure, 0.99 * dim))
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        rd.UniformCube(3),
+        rd.RotatingSemicircle(),
+        rd.CantorProduct(((2, 3, (0, 2)),)),
+        rd.Empirical(rd.PointCloud([[0.0], [1.0]])),
+        {"variant": "uniform-cube", "dim": 1},  # a measure document is no measure, and unhashable
+    ],
+)
+def test_every_oracle_refuses_a_measure_without_one(measure):
+    for call in (sobolev_dimension, rd.reference_energy_method,
+                 lambda m: rd.reference_energy(m, 0.5)):
+        with pytest.raises(rd.UnsupportedVariant, match="no oracle for"):
+            call(measure)
+    assert rd.reference_energy(measure, 0.0) == 1.0  # I_0 needs no oracle
 
 
 # -------------------------------------------------------------- ball energy
