@@ -59,6 +59,9 @@ class BallMeasureParams:
     def __post_init__(self):
         if not (0 < self.s < math.inf and 0 < self.c < math.inf and self.n >= 1):
             raise ValueError("need finite s > 0, finite c > 0, n >= 1")
+        if self.radius == 0.0:
+            raise ValueError(f"radius c n^(-1/s) underflows to 0 at c = {self.c!r}, "
+                             f"n = {self.n}, s = {self.s!r}")
 
     @property
     def radius(self) -> float:
@@ -110,7 +113,10 @@ def ball_self_energy_exact(d: int, radius: float, s: float) -> float:
     For d = 1 this is 2 (2 rho)^{-s} / ((1-s)(2-s)); it differs from the
     doubled-radius reduction by the factor 1/(2-s) in d = 1. For d = 2 it
     is rho^{-s} 2^{3-s} Gamma((3-s)/2) / (sqrt(pi) Gamma(3 - s/2) (2-s)).
+    The radius must be finite and positive.
     """
+    if not 0 < radius < math.inf:
+        raise ValueError("ball radius must be finite and positive")
     if s >= d:
         return math.inf
     if d == 1:

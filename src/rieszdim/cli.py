@@ -361,22 +361,18 @@ def _cmd_energy(args) -> tuple[dict, dict]:
     return payload, {}
 
 
-def _auto_n_grid(args, cloud: PointCloud):
+def _auto_n_grid(args, n: int) -> list:
+    """The --n-grid sizes, else the default size grid of ``dim`` for a cloud of n points."""
     if args.n_grid:
         return _parse_list(args.n_grid, int)
     if args.gen == "cantor":
         from .generators import cantor_prefix_sizes
 
-        sizes = [s for s in cantor_prefix_sizes(_cantor_spec_from_args(args)) if s >= 4]
-        return sizes
+        return [s for s in cantor_prefix_sizes(_cantor_spec_from_args(args)) if s >= 4]
     if args.gen == "lattice":
         return [2 ** (j * args.d) for j in range(1, args.k + 1) if 2 ** (j * args.d) >= 4]
-    return _doubling_grid(max(8, cloud.n // 64), cloud.n)
-
-
-def _doubling_grid(lo: int, n: int) -> list:
-    """lo, 2 lo, 4 lo, ... below n, then n."""
-    grid = []
+    # lo, 2 lo, 4 lo, ... below n, then n; whole grids (grid1d) start larger
+    lo, grid = max(8, n // (16 if args.gen == "grid1d" else 64)), []
     while lo < n:
         grid.append(lo)
         lo *= 2
@@ -395,16 +391,13 @@ def _cmd_dim(args) -> tuple[dict, dict]:
         # profile the family of whole grids instead, in closed form.
         if args.n is None:
             raise SystemExit(_usage_error("grid1d needs --n"))
-        if args.n_grid:
-            n_grid = _parse_list(args.n_grid, int)
-        else:
-            n_grid = _doubling_grid(max(8, args.n // 16), args.n)
-        _check_points(args, max(n_grid))
+        n_grid = _auto_n_grid(args, args.n)
+        _check_points(args, max(n_grid, default=0))
         _check_pairs(args, *n_grid)
         build = grid_1d_profile
     else:
         cloud = _load_cloud(args)
-        n_grid = _auto_n_grid(args, cloud)
+        n_grid = _auto_n_grid(args, cloud.n)
         build = functools.partial(energy_profile, cloud, threads=args.threads)
     prof = build(s_grid, n_grid)
     window = tuple(_parse_list(args.window, int)) if args.window else None

@@ -86,7 +86,6 @@ _RUN = 16  # exponents per ladder run: a direct exp re-anchors at least this oft
 # inline: a fork and reap costs about 2.4 ms, so from 10 ms on a second
 # worker saves about twice what it costs.
 _FORK_WORK = 10_000_000
-_triangle_mask = np.zeros((0, 0), dtype=bool)
 _forked = False  # set in a forked worker, which never forks again
 
 
@@ -195,27 +194,18 @@ def _reap(pid: int, pipe: int):
     return None
 
 
-def _triangle(rows: int) -> np.ndarray:
-    """Bool mask of a rows x rows block, True on and above the diagonal (the pairs j >= k).
-
-    Sliced from one cached mask, rebuilt only when ``rows`` outgrows it.
-    """
-    global _triangle_mask
-    if _triangle_mask.shape[0] < rows:
-        _triangle_mask = ~np.tri(rows, k=-1, dtype=bool)
-    return _triangle_mask[:rows, :rows]
-
-
 @functools.lru_cache
-def _half_row(cut: int):
-    """The corner mask of a fold strip whose last ``cut`` values are skipped, made once per cut.
+def _corner(rows: int, cols: int):
+    """The read-only corner mask of a strip, True where a value is skipped, made once per shape.
 
-    None for cut 0; otherwise a read-only (1, cut) mask, all True: the
-    second half of the last fold row of an even cloud.
+    ~tri(rows, cols, k=-1): True on and above the diagonal. For rows = cols
+    that is the pairs j >= k of a prefix strip's diagonal block; for one row
+    it is all True, the second half of the last fold row of an even cloud.
+    None when cols is 0: a strip whose every value is a pair.
     """
-    if not cut:
+    if not cols:
         return None
-    mask = np.ones((1, cut), dtype=bool)
+    mask = ~np.tri(rows, cols, k=-1, dtype=bool)
     mask.flags.writeable = False
     return mask
 
@@ -333,7 +323,7 @@ def _row_sums(pts, exps, *, threads=1):
     """
     cols = np.ascontiguousarray(pts.T)
     strips = [
-        (cols[:, k0:k1, None], cols[:, :k1], k0, k1, _triangle(k1 - k0))
+        (cols[:, k0:k1, None], cols[:, :k1], k0, k1, _corner(k1 - k0, k1 - k0))
         for k0, k1 in _row_blocks(pts.shape[0])
     ]
     return _sums(strips, pts.shape[0], exps, threads, None)
@@ -349,7 +339,7 @@ def _fold_sums(pts, exps, *, threads=1, weight=None):
     n = pts.shape[0]
     fold, cols = _fold(pts)
     strips = [
-        (fold[:, d0:d1], cols, d0 - 1, d1 - 1, _half_row((d1 - d0) * n - size))
+        (fold[:, d0:d1], cols, d0 - 1, d1 - 1, _corner(1, (d1 - d0) * n - size))
         for d0, d1, size in _fold_blocks(n)
     ]
     return _sums(strips, n // 2, exps, threads, weight)
@@ -427,14 +417,16 @@ class EnergyProfile:
 
 
 def _check_grids(s_grid, n_grid):
+    """The grids as lists: each non-empty and strictly ascending, valid exponents, sizes >= 2."""
     s_grid = [float(s) for s in s_grid]
     n_grid = [int(n) for n in n_grid]
-    if any(b <= a for a, b in zip(s_grid, s_grid[1:])):
-        raise ValueError("s_grid must be strictly ascending")
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError("n_grid must be strictly ascending")
+    for name, grid in (("s_grid", s_grid), ("n_grid", n_grid)):
+        if not grid:
+            raise ValueError(f"{name} must be non-empty")
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError(f"{name} must be strictly ascending")
     _check_exponents(s_grid)
-    if n_grid and n_grid[0] < 2:
+    if n_grid[0] < 2:
         raise TooFewPoints("prefix sizes must be at least 2")
     return s_grid, n_grid
 
@@ -450,8 +442,6 @@ def energy_profile(
     agrees with the direct one to summation tolerance.
     """
     s_grid, n_grid = _check_grids(s_grid, n_grid)
-    if not n_grid:
-        raise ValueError("n_grid must be non-empty")
     if n_grid[-1] > cloud.n:
         raise TooFewPoints(
             f"largest prefix {n_grid[-1]} exceeds cloud size {cloud.n}"

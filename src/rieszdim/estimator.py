@@ -60,6 +60,8 @@ def default_window(n_grid) -> tuple:
 
 
 def _fit(profile: EnergyProfile, window) -> tuple:
+    if len(window) != 2:
+        raise ValueError(f"window {tuple(window)} must be two prefix sizes (n_lo, n_hi)")
     n_lo, n_hi = window
     cols = [j for j, n in enumerate(profile.n_grid) if n_lo <= n <= n_hi]
     if len(cols) < 4:
@@ -116,9 +118,10 @@ def dimension_estimate(
     cloud, threads=...)`` as the CLI's ``dim`` passes it. It is called once,
     on the midpoint and the prefix sizes of the window, and that row is
     fitted by the same rule as the grid. The window defaults to
-    :func:`default_window`. Raises NoTransition when every slope is on the
-    same side of the threshold, and NonFiniteResult, naming s and n, when an
-    energy it fits (the bisection row included) is 0 or inf.
+    :func:`default_window`; a window that is not two sizes is a ValueError.
+    Raises NoTransition when every slope is on the same side of the
+    threshold, and NonFiniteResult, naming s and n, when an energy it fits
+    (the bisection row included) is 0 or inf.
     """
     if not 0 < threshold <= 0.2:
         raise ValueError("threshold must lie in (0, 0.2]")

@@ -154,20 +154,18 @@ def _factor_levels(factor: CantorFactor, level: int):
 
 
 def _factor_sequence(factor: CantorFactor, level: int):
-    """Level-``level`` endpoints as (value, first_level) sorted by level then value."""
+    """Level-``level`` endpoints as (value, first_level) sorted by level then value.
+
+    A forward walk: level j adds, in sorted order, the final endpoints it
+    holds first (a level-j endpoint e is the final endpoint e n^(level-j)).
+    """
     sets = _factor_levels(factor, level)
-    n = factor.n
-    denom = n**level
-    entries = []
-    for e in sorted(sets[-1]):
-        first = level
-        for j in range(1, level):
-            scale = n ** (level - j)
-            if e % scale == 0 and (e // scale) in sets[j - 1]:
-                first = j
-                break
-        entries.append((e / denom, first))
-    entries.sort(key=lambda t: (t[1], t[0]))
+    denom = factor.n**level
+    entries, left = [], sets[-1]
+    for j, endpoints in enumerate(sets, 1):
+        new = left & {e * factor.n ** (level - j) for e in endpoints}
+        left = left - new
+        entries += [(e / denom, j) for e in sorted(new)]
     return entries
 
 
@@ -358,8 +356,16 @@ def energy_sequence_points(
     s = spec.s
     tol = spec.tolerance
     check_cap(2)
-    x2 = spec.targets[0] ** (-1.0 / s) * _direction(d, 0)
-    cloud = PointCloud([np.zeros(d), x2], _validate=False)
+    try:
+        gap = spec.targets[0] ** (-1.0 / s)
+    except OverflowError:
+        gap = math.inf
+    if not 0.0 < gap < math.inf:
+        raise TargetUnreachable(
+            f"first target {spec.targets[0]!r} needs the gap e_1^(-1/s) = {gap!r}, "
+            "outside the double range"
+        )
+    cloud = PointCloud([np.zeros(d), gap * _direction(d, 0)], _validate=False)
     cur = discrete_energy(cloud, s)
     checkpoints = [(2, cur)]
     dir_index = 1

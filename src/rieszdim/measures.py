@@ -5,8 +5,7 @@ Oracles exist for the unit interval, the unit square, and the unit circle;
 the interval is closed form, the square reduces to a smooth 1-D polar
 integral after the u = x - y substitution (16-node Gauss-Legendre), and the
 circle has a Gamma closed form. The ball measures of criterion 4 live in
-``balls``, which of the commands only ``ballcheck`` imports; their public
-names are still served from here on first use.
+``balls``, which of the commands only ``ballcheck`` imports.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, _half_spans
 from .errors import DuplicatePoints, UnsupportedVariant, _check_exponents
 from .rng import _kept
 
@@ -39,17 +38,6 @@ __all__ = [
     "measure_to_json",
     "measure_from_json",
 ]
-# public names that moved to ``balls``, still importable from here
-_BALL_NAMES = (
-    "BallEnergyResult",
-    "BallMeasureParams",
-    "BallPrediction",
-    "ball_energy_numeric",
-    "ball_energy_predicted",
-    "ball_self_energy_exact",
-    "unit_ball_surface",
-    "unit_ball_volume",
-)
 
 
 @dataclass(frozen=True)
@@ -108,9 +96,10 @@ class RotatingSemicircle:
 class Empirical:
     """Resampling (with replacement) of a fixed finite cloud.
 
-    Repeated draws are perturbed by 1e-12 of the bounding-box diagonal so
-    the result is a valid distinct-point cloud; the perturbation count is
-    reported in the draw info.
+    Repeated draws are perturbed by 1e-12 of the bounding-box diagonal (1e-12
+    if it is 0; taken from the halved spans if it overflows) so the result
+    is a valid distinct-point cloud; the perturbation count is reported in
+    the draw info.
     """
 
     cloud: PointCloud
@@ -160,8 +149,10 @@ def sample_detail(measure: MeasureSpec, count: int, seed: int, rep: int = 0):
         base = measure.cloud.points
         idx = g.integers(0, base.shape[0], count)
         pts = base[idx].copy()
-        span = base.max(axis=0) - base.min(axis=0)
-        scale = 1e-12 * float(np.linalg.norm(span))
+        with np.errstate(over="ignore"):
+            scale = 1e-12 * float(np.linalg.norm(base.max(axis=0) - base.min(axis=0)))
+        if scale == math.inf:  # the span or its norm overflowed: 1e-12 of it from halved spans
+            scale = math.hypot(*(2e-12 * _half_spans(base)))
         if scale == 0.0:
             scale = 1e-12
         perturbed = 0
@@ -296,11 +287,3 @@ def measure_from_json(doc: dict) -> MeasureSpec:
         return Empirical(PointCloud(np.array(doc["points"], dtype=float)))
     raise UnsupportedVariant(f"unknown measure variant {tag!r}")
 
-
-def __getattr__(name):
-    """A name of ``_BALL_NAMES``, served from ``balls`` (PEP 562), which it imports on first use."""
-    if name not in _BALL_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import balls
-
-    return getattr(balls, name)

@@ -824,16 +824,38 @@ def test_nan_flag_values_are_usage_errors(argv, capsys):
         ["dotset", "--gen", "lattice", "--d", "2", "--k", "3", "--quantization", "inf"],
         ["distset", "--gen", "grid1d", "--n", "50", "--quantization", "1e-30"],
         ["dotset", "--gen", "grid1d", "--n", "50", "--quantization", "1e-30"],
+        # the radius c n^(-1/s) underflows to 0
+        ["ballcheck", "--gen", "grid1d", "--n", "100", "--s", "0.001", "--c", "1"],
     ],
     ids=["erdos-exponent-0", "dim-s-step-0", "lln-path-negative-tail",
          "distset-quantization-inf", "dotset-quantization-inf",
-         "distset-quantization-too-fine", "dotset-quantization-too-fine"],
+         "distset-quantization-too-fine", "dotset-quantization-too-fine",
+         "ballcheck-radius-underflow"],
 )
 def test_degenerate_flag_values_are_usage_errors(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
     assert "usage error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # an empty exponent grid, for the closed form and the prefix profile
+        (["dim", "--gen", "grid1d", "--n", "64", "--s-min", "1", "--s-max", "0.5"],
+         "s_grid must be non-empty"),
+        (["dim", "--gen", "lattice", "--d", "2", "--k", "3", "--s-min", "1", "--s-max", "0.5"],
+         "s_grid must be non-empty"),
+        (["dim", "--gen", "grid1d", "--n", "512", "--window", "64"],
+         "window (64,) must be two prefix sizes"),
+    ],
+    ids=["empty-s-grid-grid1d", "empty-s-grid-lattice", "window-one-size"],
+)
+def test_dim_grid_and_window_errors_name_what_is_wrong(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert f"usage error: {message}" in err
 
 
 def test_lln_path_tail_zero_is_empty(capsys):

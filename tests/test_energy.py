@@ -250,6 +250,10 @@ def test_profile_grid_validation():
         rd.energy_profile(c, [0.5], [4, 16])
     with pytest.raises(rd.TooFewPoints):
         rd.energy_profile(c, [0.5], [1, 4])
+    with pytest.raises(ValueError, match="s_grid must be non-empty"):
+        rd.energy_profile(c, [], [4, 8])
+    with pytest.raises(ValueError, match="n_grid must be non-empty"):
+        rd.energy_profile(c, [0.5], [])
 
 
 def test_energy_profile_type_validation():
@@ -303,6 +307,8 @@ def test_grid_sum_with_some_overflowing_terms_gives_inf():
         ([-0.5], [4, 8]),
         ([0.5, math.inf], [4, 8]),
         ([0.5], [1, 4]),  # a grid of one point
+        ([], [4, 8]),
+        ([0.5], []),
     ],
 )
 def test_grid_closed_form_refuses_the_family_errors(s_grid, n_grid):

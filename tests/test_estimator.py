@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,13 @@ def test_window_too_small():
     prof = EnergyProfile((1.0,), (10, 20, 40, 80), np.ones((1, 4)))
     with pytest.raises(rd.WindowTooSmall):
         rd.adaptability_slopes(prof, (30, 80))
+
+
+@pytest.mark.parametrize("window", [(64,), (16, 32, 64)])
+def test_window_that_is_not_two_sizes_is_refused(window):
+    prof = EnergyProfile((1.0, 2.0), (16, 32, 64, 128), np.ones((2, 4)))
+    with pytest.raises(ValueError, match=re.escape(f"window {window}")):
+        rd.dimension_estimate(prof, 0.1, window=window)
 
 
 # ---------------------------------------------------------------- estimate

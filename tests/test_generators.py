@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -123,6 +124,22 @@ def test_factor_endpoints_match_brute_force():
         spec = rd.CantorSpec((rd.CantorFactor(m, n, kept),), level)
         got = sorted(rd.cantor_points(spec).points.ravel().tolist())
         assert got == brute_cantor_endpoints(m, n, kept, level)
+
+
+def test_points_stream_by_first_level_on_every_small_kept_set():
+    # an endpoint's level is the first level whose endpoint set holds it,
+    # whether or not the levels nest
+    for n in range(2, 6):
+        for m in range(1, n):
+            for kept in itertools.combinations(range(n), m):
+                levels = [brute_cantor_endpoints(m, n, kept, j) for j in (1, 2, 3)]
+                first = {}
+                for j, points in enumerate(levels, 1):
+                    for x in points:
+                        first.setdefault(x, j)
+                want = sorted(levels[-1], key=lambda x: (first[x], x))
+                spec = rd.CantorSpec((rd.CantorFactor(m, n, kept),), 3)
+                assert rd.cantor_points(spec).points.ravel().tolist() == want
 
 
 def test_product_size_and_membership():
@@ -332,6 +349,14 @@ def test_energy_sequence_past_the_double_range_is_unreachable():
     # warning (which the suite turns into errors) and no nan potential
     with pytest.raises(rd.TargetUnreachable, match="double range"):
         rd.energy_sequence_points(rd.EnergyTargetSpec(1.0, (1.0, 1e-6)), 1)
+
+
+@pytest.mark.parametrize("targets", [(1e-300, 1e-301), (1e300, 1e299)])
+def test_energy_sequence_first_gap_outside_the_double_range_is_unreachable(targets):
+    # at s = 0.01 the gap e_1^(-1/s) overflows for e_1 = 1e-300 and
+    # underflows to 0 for e_1 = 1e300, which would place x_2 on x_1
+    with pytest.raises(rd.TargetUnreachable, match="first target"):
+        rd.energy_sequence_points(rd.EnergyTargetSpec(0.01, targets), 1)
 
 
 def test_energy_target_spec_validation():

@@ -197,6 +197,17 @@ def test_empirical_resampling_of_one_point_uses_the_fallback_scale():
     assert offsets.max() <= 64e-12
 
 
+def test_empirical_resampling_of_a_span_past_the_double_range():
+    # the span 2e308 overflows: the scale is 1e-12 of it, taken from the
+    # halved spans, with no overflow warning (which the suite turns into an
+    # error) and no infinite perturbation
+    base = rd.PointCloud([[-1e308], [1e308]])
+    cloud, info = sample_detail(rd.Empirical(base), 5, 0)
+    assert cloud.n == 5 and info.perturbed >= 3
+    offsets = np.abs(np.abs(cloud.points) - 1e308)
+    assert offsets.max() <= 64 * 2e296
+
+
 def test_rotating_semicircle_phase_is_rigid_rotation():
     # matched seeds: the phase-t draw is the phase-0 draw rotated, so the
     # pair energies agree term by term (up to rounding in cos/sin, which
@@ -720,12 +731,12 @@ def test_cross_sum_is_bit_identical_at_any_thread_count():
 
 
 def test_cross_sum_of_vanishing_radii_is_the_point_energy():
-    # s = 0.001 puts the radius at 4^-1000, which underflows to 0: only the
-    # point term of the series is taken, whose higher powers of the gap
-    # 1e-11 would overflow
+    # at radius 0 only the point term of the series is taken, whose higher
+    # powers of the gap 1e-11 would overflow
     line = rd.PointCloud([[0.0], [1e-11], [0.5], [1.0]])
-    res = rd.ball_energy_numeric(line, rd.BallMeasureParams(0.001, 1.0, 4))
-    assert res.cross == pytest.approx(0.75 * rd.discrete_energy(line, 0.001), rel=1e-12)
+    assert _cross_sum(line.points, 0.0, 0.001) == pytest.approx(
+        12 * rd.discrete_energy(line, 0.001), rel=1e-12
+    )
     # the scale 2^-e is bounded so the centres stay finite: 2^1073 is not
     assert _cross_sum(line.points, 5e-324, 0.5) == pytest.approx(
         12 * rd.discrete_energy(line, 0.5), rel=1e-12
@@ -751,6 +762,17 @@ def test_ball_params_validation():
     cloud = rd.PointCloud([[0.0], [1.0]])
     with pytest.raises(ValueError):
         rd.ball_energy_numeric(cloud, rd.BallMeasureParams(0.5, 1.0, 3))
+    # s = 0.001 puts the radius c n^(-1/s) at 4^-1000, which underflows to 0
+    with pytest.raises(ValueError, match="underflows to 0"):
+        rd.BallMeasureParams(0.001, 1.0, 4)
+    assert rd.BallMeasureParams(0.01, 1.0, 4).radius == 4.0**-100
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+def test_exact_ball_self_energy_refuses_a_radius_that_is_not_finite_and_positive(radius):
+    for d in (1, 2):
+        with pytest.raises(ValueError, match="finite and positive"):
+            rd.ball_self_energy_exact(d, radius, 0.5)
 
 
 def test_reference_energy_rejects_non_finite_exponent():

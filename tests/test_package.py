@@ -26,17 +26,21 @@ PUBLIC = {
     "stats": "ExperimentReport expectation_experiment replicate_energies slln_path "
     "wlln_exceedance",
 }
-# The ball-measure names moved to ``balls``; ``measures`` still serves them.
-MOVED = {"measures": PUBLIC["balls"]}
 NAMES = [(module, name) for module, names in PUBLIC.items() for name in names.split()]
 
 
-@pytest.mark.parametrize(
-    "module, name", NAMES + [(module, name) for module, names in MOVED.items() for name in names.split()]
-)
+@pytest.mark.parametrize("module, name", NAMES)
 def test_public_name_is_the_submodule_object(module, name):
     home = importlib.import_module("rieszdim." + module)
     assert getattr(rd, name) is getattr(home, name)
+
+
+@pytest.mark.parametrize("name", PUBLIC["balls"].split() + ["unit_ball_surface", "unit_ball_volume"])
+def test_ball_name_has_one_home(name):
+    # ``balls`` defines the ball-measure names; ``measures`` serves none of them
+    assert hasattr(importlib.import_module("rieszdim.balls"), name)
+    with pytest.raises(AttributeError):
+        getattr(importlib.import_module("rieszdim.measures"), name)
 
 
 def test_dir_and_star_import_list_every_public_name():
