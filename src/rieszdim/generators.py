@@ -39,7 +39,6 @@ __all__ = [
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _SQ2 = math.sqrt(2.0) - 1.0
 
-_MAX_DOUBLINGS = 60  # outward doublings of a far-point or bracket search
 _MAX_BISECTIONS = 80  # bisection steps toward an energy target
 
 
@@ -332,17 +331,17 @@ def energy_sequence_points(
     """Build a sequence whose prefix energies hit the given targets.
 
     Inductive construction: x_1 at the origin, x_2 at distance e_1^{-1/s}.
-    For each later target, far points are appended while even the far-point
-    limit ((n-1)/(n+1)) J stays at or above the target; then one point is
-    placed on a fresh segment toward x_1 and located by bracketing plus
-    bisection, using the intermediate value of J along the segment. Each
-    candidate is scored in O(n) from the current J and its potential, and an
-    appended far point carries its score on as the current J, so N points
-    cost O(N^2) kernels. One full energy is taken per target, at its
-    checkpoint, for the tolerance check and the recorded J. The point count
-    is known only as the construction goes, so a point that would pass
-    ``max_points`` raises SizeCapExceeded before it is searched for. Returns
-    (cloud, checkpoints) where checkpoints list (prefix size, achieved J).
+    A point x appended to n points gives J' = ((n-1) J + 2 U) / (n+1), U the
+    cloud's potential at x, so J' = e where U = ((n+1) e - (n-1) J) / 2. For
+    each later target e, far points are appended while that U is not
+    positive (even the far limit ((n-1)/(n+1)) J stays at or above e); then
+    one slide point is placed where U takes it. Both are placed from
+    closed-form bounds on U, and each candidate is scored in O(n), so N
+    points cost O(N^2) kernels. One full energy is taken per target, at its
+    checkpoint, for the tolerance check and the recorded J. A point that
+    would pass ``max_points`` raises SizeCapExceeded before it is placed,
+    and one whose place leaves the double range raises TargetUnreachable.
+    Returns (cloud, checkpoints) where checkpoints list (prefix size, J).
     """
     if d < 1:
         raise ValueError("ambient dimension must be >= 1")
@@ -356,29 +355,22 @@ def energy_sequence_points(
     s = spec.s
     tol = spec.tolerance
     check_cap(2)
-    try:
-        gap = spec.targets[0] ** (-1.0 / s)
-    except OverflowError:
-        gap = math.inf
-    if not 0.0 < gap < math.inf:
-        raise TargetUnreachable(
-            f"first target {spec.targets[0]!r} needs the gap e_1^(-1/s) = {gap!r}, "
-            "outside the double range"
-        )
+    gap = _offset(spec.targets[0], s, f"first target {spec.targets[0]!r}: the gap e_1^(-1/s)")
     cloud = PointCloud([np.zeros(d), gap * _direction(d, 0)], _validate=False)
     cur = discrete_energy(cloud, s)
     checkpoints = [(2, cur)]
     dir_index = 1
     for e_next in spec.targets[1:]:
-        # Decay loop: append far points while even the far limit cannot
+        # Decay loop: append far points while the potential a new point
+        # needs is not positive, that is while even the far limit cannot
         # drop below the target.
-        while (cloud.n - 1) / (cloud.n + 1) * cur >= e_next:
+        while (need := ((cloud.n + 1) * e_next - (cloud.n - 1) * cur) / 2.0) <= 0.0:
             check_cap(cloud.n + 1)
             x, cur = _far_point(cloud, cur, s, dir_index)
             cloud = _append(cloud, x)
             dir_index += 1
         check_cap(cloud.n + 1)
-        cloud = _append(cloud, _slide_point(cloud, cur, s, e_next, dir_index, tol))
+        cloud = _append(cloud, _slide_point(cloud, cur, s, need, e_next, dir_index, tol))
         dir_index += 1
         cur = discrete_energy(cloud, s)
         if abs(cur - e_next) > tol * e_next:
@@ -403,69 +395,72 @@ def _energy_with(cloud, cur, s, candidate) -> float:
     return ((n - 1) * cur + 2.0 * riesz_potential_discrete(cloud, candidate, s)) / (n + 1)
 
 
-def _outward(cloud, cur, s, u, passes):
-    """The first t = (extent + 1) 2^k whose point t u ``passes`` on its J; (t, J).
+def _offset(potential: float, s: float, what: str) -> float:
+    """The distance r with r^-s = ``potential``; TargetUnreachable unless 0 < r < inf."""
+    try:
+        r = potential ** (-1.0 / s)
+    except (OverflowError, ZeroDivisionError):  # r overflows, or the potential is 0
+        r = math.inf
+    if not 0.0 < r < math.inf:
+        raise TargetUnreachable(f"{what} leaves the double range")
+    return r
 
-    The extent is the largest norm in the cloud. The search stops with
-    TargetUnreachable after ``_MAX_DOUBLINGS`` tries, or once t is not
-    finite: in d = 1 every far point doubles the extent, so a deep drop
-    leaves the double range.
-    """
+
+def _past(t0: float, r: float, what: str) -> float:
+    """A finite t at least r past t0: t0 + r, or the next double when r vanishes against t0."""
+    t = max(t0 + r, math.nextafter(t0, math.inf))
+    if t == math.inf:
+        raise TargetUnreachable(f"{what} leaves the double range")
+    return t
+
+
+def _extent(cloud) -> float:
+    """The largest norm in the cloud; inf when it overflows."""
     with np.errstate(over="ignore"):
-        t = float(np.max(np.linalg.norm(cloud.points, axis=1))) + 1.0
-    for _ in range(_MAX_DOUBLINGS):
-        if not math.isfinite(t):
-            raise TargetUnreachable("outward search left the double range")
-        val = _energy_with(cloud, cur, s, t * u)
-        if passes(val):
-            return t, val
-        t *= 2.0
-    raise TargetUnreachable("outward search exhausted its doubling budget")
+        return float(np.max(np.linalg.norm(cloud.points, axis=1)))
 
 
 def _far_point(cloud, cur, s, dir_index):
-    """A point far enough that it barely perturbs J beyond the drop factor, and its J."""
-    u = _direction(cloud.dim, dir_index)
-    limit = (cloud.n - 1) / (cloud.n + 1) * cur
-    t, val = _outward(cloud, cur, s, u, lambda val: val - limit <= 1e-9 * limit)
-    return t * u, val
+    """A point whose J is within 1e-9 of the far limit ((n-1)/(n+1)) J, and that J.
 
-
-def _slide_point(cloud, cur, s, target, dir_index, tol):
-    """Place a point on a ray toward x_1 so that J equals ``target``.
-
-    J is continuous on the open segment between the nearest obstruction and
-    infinity, tends to the far limit (< target) outward and to infinity
-    inward, so a bracket always exists.
+    That needs a potential U <= 5e-10 (n-1) J. No point lies past the
+    extent E, so U <= (t - E)^-s at t = E + (5e-10 (n-1) J)^(-1/s).
     """
     u = _direction(cloud.dim, dir_index)
-    # Innermost approachable parameter along the ray: origin in general
-    # position, or just outside the outermost collinear point in d = 1
-    # (where u = (1,)).
-    t_min = max(0.0, float(cloud.points.max())) if cloud.dim == 1 else 0.0
-    t_hi, _ = _outward(cloud, cur, s, u, lambda val: val < target)
-    t_lo = t_min + (t_hi - t_min) / 2.0
-    for _ in range(200):
-        if _energy_with(cloud, cur, s, t_lo * u) > target:
-            break
-        t_lo = t_min + (t_lo - t_min) / 2.0
+    t = _past(_extent(cloud), _offset(5e-10 * (cloud.n - 1) * cur, s, "far point"), "far point")
+    return t * u, _energy_with(cloud, cur, s, t * u)
+
+
+def _slide_point(cloud, cur, s, need, target, dir_index, tol):
+    """A point x = t u where the potential is ``need`` > 0, so that J hits ``target``.
+
+    The ray starts at t0: the origin in general position; in d = 1 the
+    outermost point of the side whose outermost point is nearer the origin,
+    where doubles are dense. The point at t0 gives U >= (t - t0)^-s / n, and
+    U <= (t - E)^-s (E the extent; t0 in d = 1), so U > need at t0 + (2 n
+    need)^(-1/s) and U < need where the upper bound is need / 2. Bisection
+    on log(t - t0) finds a crossing; the checkpoint's energy judges it.
+    """
+    if cloud.dim == 1:
+        right, left = float(cloud.points.max()), -float(cloud.points.min())
+        u = np.array([1.0 if right < left else -1.0])
+        t0 = extent = min(right, left)
     else:
-        raise TargetUnreachable("inward bracket search failed to exceed target")
-    best = None
+        u = _direction(cloud.dim, dir_index)
+        t0, extent = 0.0, _extent(cloud)
+    lo = _offset(2.0 * cloud.n * need, s, "slide point")
+    if t0 + lo == t0:
+        raise TargetUnreachable("slide point falls within one double of its nearest point")
+    hi = _past(extent, _offset(need / 2.0, s, "slide point"), "slide point") - t0
+    lo, hi = math.log(lo), math.log(hi)
     for _ in range(_MAX_BISECTIONS):
-        t_mid = 0.5 * (t_lo + t_hi)
-        val = _energy_with(cloud, cur, s, t_mid * u)
+        mid = 0.5 * (lo + hi)
+        x = (t0 + math.exp(mid)) * u
+        val = _energy_with(cloud, cur, s, x)
         if abs(val - target) <= 0.25 * tol * target:
-            best = t_mid
             break
         if val > target:
-            t_lo = t_mid
+            lo = mid
         else:
-            t_hi = t_mid
-    if best is None:
-        best = 0.5 * (t_lo + t_hi)
-        if abs(_energy_with(cloud, cur, s, best * u) - target) > tol * target:
-            raise TargetUnreachable(
-                "bisection exhausted its iteration budget before the tolerance"
-            )
-    return best * u
+            hi = mid
+    return x

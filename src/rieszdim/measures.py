@@ -98,7 +98,8 @@ class Empirical:
 
     Repeated draws are perturbed by 1e-12 of the bounding-box diagonal (1e-12
     if it is 0; taken from the halved spans if it overflows) so the result
-    is a valid distinct-point cloud; the perturbation count is reported in
+    is a valid distinct-point cloud; a perturbation that would leave the
+    double range is reflected inward. The perturbation count is reported in
     the draw info.
     """
 
@@ -163,7 +164,9 @@ def sample_detail(measure: MeasureSpec, count: int, seed: int, rep: int = 0):
             k = int(dup_mask.sum())
             if k == 0:
                 break
-            pts[dup_mask] += scale * (2.0 * g.random((k, pts.shape[1])) - 1.0)
+            old, step = pts[dup_mask], scale * (2.0 * g.random((k, pts.shape[1])) - 1.0)
+            with np.errstate(over="ignore"):  # a step out of the double range is reflected
+                pts[dup_mask] = np.where(np.isfinite(old + step), old + step, old - step)
             perturbed += k
         else:
             raise DuplicatePoints("failed to separate resampled duplicates")

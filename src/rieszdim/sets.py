@@ -261,17 +261,18 @@ class ErdosReport:
         }
 
 
-def erdos_report(cloud: PointCloud, exponents=None, *, quantization="auto") -> ErdosReport:
+def erdos_report(cloud: PointCloud, exponents=None) -> ErdosReport:
     """Ratio of the distinct-distance count to n^{1/s0} for each threshold s0.
 
-    Observational: asymptotic growth claims admit no finite pass/fail.
+    The count is ``distance_set``'s in its "auto" mode. Observational:
+    asymptotic growth claims admit no finite pass/fail.
     """
     if exponents is None:
         exponents = default_erdos_exponents(cloud.dim)
     exponents = [float(s0) for s0 in exponents]
     if not all(0 < s0 < math.inf for s0 in exponents):
         raise ValueError("thresholds s0 must be finite and positive")
-    values = distance_set(cloud, quantization)
+    values = distance_set(cloud)
     n = cloud.n
     rows = []
     for s0 in exponents:

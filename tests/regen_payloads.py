@@ -28,6 +28,7 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))  # run the checkout's rieszdim
 MANIFEST = HERE / "payloads.json"
 
 # lines past the tour: the --json envelopes of the table commands, a

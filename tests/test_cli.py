@@ -566,8 +566,8 @@ def test_energy_seq_enforces_point_cap(capsys):
 
 
 def test_energy_seq_past_the_double_range_is_a_typed_error(capsys):
-    # d = 1 doubles the extent per far point; the drop ends in one error line
-    argv = ["gen", "--gen", "energy-seq", "--s", "1", "--targets", "1,1e-6"]
+    # at s = 0.05 the far points of the 1 -> 0.01 drop overflow; one error line
+    argv = ["gen", "--gen", "energy-seq", "--s", "0.05", "--targets", "1,0.01"]
     code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == ""

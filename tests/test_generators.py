@@ -344,11 +344,48 @@ def test_energy_sequence_deep_drop_appends_points():
 
 
 def test_energy_sequence_past_the_double_range_is_unreachable():
-    # in d = 1 every far point doubles the extent, so a 1 -> 1e-6 drop runs
-    # out of doubles: a typed error, with no overflow or invalid-value
-    # warning (which the suite turns into errors) and no nan potential
+    # at s = 0.05 a far point must sit (5e-10 (n-1) J)^(-20) past the
+    # extent, which overflows within the 1 -> 0.01 drop: a typed error, with
+    # no overflow or invalid-value warning (which the suite turns into
+    # errors) and no nan potential
     with pytest.raises(rd.TargetUnreachable, match="double range"):
-        rd.energy_sequence_points(rd.EnergyTargetSpec(1.0, (1.0, 1e-6)), 1)
+        rd.energy_sequence_points(rd.EnergyTargetSpec(0.05, (1.0, 0.01)), 1)
+
+
+@pytest.mark.parametrize(
+    "s, targets, d",
+    [
+        (2.0, (1e-320, 1e-321), 2),  # the far point's potential bound underflows to 0
+        (1.0, (1e308, 1e308), 2),  # the potential the slide point needs overflows
+        (1.0, (1e-10, 1e-10, 1e-10, 1e300), 1),  # the slide offset vanishes against t0
+    ],
+    ids=["far-bound-underflows", "needed-potential-overflows", "slide-offset-vanishes"],
+)
+def test_energy_sequence_placement_outside_the_doubles_is_unreachable(s, targets, d):
+    with pytest.raises(rd.TargetUnreachable, match="double"):
+        rd.energy_sequence_points(rd.EnergyTargetSpec(s, targets), d)
+
+
+@pytest.mark.parametrize(
+    "s, targets, d, size",
+    [
+        (1.0, (1.0, 1e-3), 1, 46),  # d = 1: the slide point sits on the near side
+        (0.5, (1.0, 1e-3), 2, 46),  # s = 1/2: far points at about 4e16 and beyond
+        (0.5, (1.0, 1e-6), 1, 1415),
+        (0.5, (10.0, 0.5, 3.0, 1e-3), 2, 411),
+        (1.0, (1.0, 1e-6), 1, 1415),  # 1412 far points on one side in d = 1
+    ],
+    ids=["s1-d1-1e-3", "s0.5-d2-1e-3", "s0.5-d1-1e-6", "s0.5-d2-four-targets", "s1-d1-1e-6"],
+)
+def test_energy_sequence_reaches_deep_drops(s, targets, d, size):
+    # each far point and each slide bracket is placed in closed form from
+    # the potential's bounds; the slide point is bisected inside its bracket
+    spec = rd.EnergyTargetSpec(s, targets)
+    cloud, checkpoints = rd.energy_sequence_points(spec, d)
+    assert cloud.n == checkpoints[-1][0] == size
+    for (n, j), target in zip(checkpoints, targets):
+        assert j == rd.discrete_energy(cloud.prefix(n), s)
+        assert abs(j - target) <= spec.tolerance * target
 
 
 @pytest.mark.parametrize("targets", [(1e-300, 1e-301), (1e300, 1e299)])

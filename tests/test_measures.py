@@ -208,6 +208,18 @@ def test_empirical_resampling_of_a_span_past_the_double_range():
     assert offsets.max() <= 64 * 2e296
 
 
+def test_empirical_resampling_at_the_largest_double():
+    # a duplicate of +-M, M the largest double, whose step points outward
+    # is reflected inward instead of overflowing to inf
+    big = sys.float_info.max
+    cloud, info = sample_detail(rd.Empirical(rd.PointCloud([[-big], [big]])), 6, 0)
+    assert cloud.n == 6 and info.perturbed >= 4
+    assert np.isfinite(cloud.points).all()
+    assert np.unique(cloud.points, axis=0).shape[0] == 6
+    offsets = big - np.abs(cloud.points)
+    assert offsets.min() >= 0 and offsets.max() <= 64 * 2e-12 * big
+
+
 def test_rotating_semicircle_phase_is_rigid_rotation():
     # matched seeds: the phase-t draw is the phase-0 draw rotated, so the
     # pair energies agree term by term (up to rounding in cos/sin, which
