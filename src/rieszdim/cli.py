@@ -175,7 +175,8 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
-def _generate(args) -> PointCloud:
+def _generate(args, cantor=None) -> PointCloud:
+    """The --gen cloud; a cantor cloud is built from ``cantor``, the spec, when given."""
     from .generators import (
         EnergyTargetSpec,
         cantor_points,
@@ -196,7 +197,8 @@ def _generate(args) -> PointCloud:
             raise SystemExit(_usage_error("lattice needs --d and --k"))
         return lattice(args.d, args.k, max_points=args.max_points)
     if kind == "cantor":
-        return cantor_points(_cantor_spec_from_args(args), max_points=args.max_points)
+        spec = cantor if cantor is not None else _cantor_spec_from_args(args)
+        return cantor_points(spec, max_points=args.max_points)
     if kind == "semicircle":
         if args.phases is None or args.per_phase is None:
             raise SystemExit(_usage_error("semicircle needs --phases and --per-phase"))
@@ -219,15 +221,15 @@ def _generate(args) -> PointCloud:
     raise SystemExit(_usage_error("no generator selected (--gen)"))
 
 
-def _load_cloud(args) -> PointCloud:
-    """The --input or --gen cloud, refused past --max-points or --max-pairs."""
+def _load_cloud(args, cantor=None) -> PointCloud:
+    """The --input or --gen cloud (see :func:`_generate`), refused past --max-points or --max-pairs."""
     if args.input:
         from .cloud import read_csv
 
         cloud = read_csv(_resolve(args.input))
         _check_points(args, cloud.n)
     elif args.gen:
-        cloud = _generate(args)
+        cloud = _generate(args, cantor)
     else:
         raise SystemExit(_usage_error("provide --input CSV or --gen KIND"))
     _check_pairs(args, cloud.n)
@@ -361,14 +363,17 @@ def _cmd_energy(args) -> tuple[dict, dict]:
     return payload, {}
 
 
-def _auto_n_grid(args, n: int) -> list:
-    """The --n-grid sizes, else the default size grid of ``dim`` for a cloud of n points."""
+def _auto_n_grid(args, n: int, cantor=None) -> list:
+    """The --n-grid sizes, else the default size grid of ``dim`` for a cloud of n points.
+
+    A cantor cloud's default grid is the level sizes of ``cantor``, its spec.
+    """
     if args.n_grid:
         return _parse_list(args.n_grid, int)
-    if args.gen == "cantor":
+    if cantor is not None:
         from .generators import cantor_prefix_sizes
 
-        return [s for s in cantor_prefix_sizes(_cantor_spec_from_args(args)) if s >= 4]
+        return [s for s in cantor_prefix_sizes(cantor) if s >= 4]
     if args.gen == "lattice":
         return [2 ** (j * args.d) for j in range(1, args.k + 1) if 2 ** (j * args.d) >= 4]
     # lo, 2 lo, 4 lo, ... below n, then n; whole grids (grid1d) start larger
@@ -396,8 +401,10 @@ def _cmd_dim(args) -> tuple[dict, dict]:
         _check_pairs(args, *n_grid)
         build = grid_1d_profile
     else:
-        cloud = _load_cloud(args)
-        n_grid = _auto_n_grid(args, cloud.n)
+        # one spec per run: --spec-json may name a pipe, which reads only once
+        cantor = _cantor_spec_from_args(args) if args.gen == "cantor" else None
+        cloud = _load_cloud(args, cantor)
+        n_grid = _auto_n_grid(args, cloud.n, cantor)
         build = functools.partial(energy_profile, cloud, threads=args.threads)
     prof = build(s_grid, n_grid)
     window = tuple(_parse_list(args.window, int)) if args.window else None

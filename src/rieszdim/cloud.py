@@ -12,20 +12,18 @@ values, from coordinate-major operands, on one of two schedules. The fold
 one strip); every pass that needs no prefix order walks it (``min_gap``,
 the pair iterators behind the dedup paths, energy totals, and the ball
 cross terms).
-``diameter`` walks it over a few candidate points and then over the points
-that a bounding-box test cannot rule out, and returns the full walk's
-maximum to the bit. The test prunes well in low dimension only: of 1500
-uniform points (two seeds) it keeps 5-9 at d = 2 and 9-40 at d = 3, but
-146-373 at d = 6, 863-1483 at d = 7 and 1418-1452 at d = 8. The prefix
-row strips (``_row_blocks``) take rows [k0, k1) against the columns [0, k1)
-and serve prefix profiles only.
+``diameter`` walks it over the points that a triangle-inequality bound
+about the bounding-box centre cannot rule out, and returns the full walk's
+maximum to the bit. Of 1500 uniform points (two seeds) it keeps 2-4 at
+d = 2, 11-17 at d = 3, 29-80 at d = 6, 55-182 at d = 7 and 233-304 at
+d = 8. The prefix row strips (``_row_blocks``) take rows [k0, k1) against
+the columns [0, k1) and serve prefix profiles only.
 """
 
 from __future__ import annotations
 
 import functools
 import io
-import itertools
 import math
 import os
 import threading
@@ -39,11 +37,9 @@ __all__ = ["PointCloud", "read_csv", "write_csv"]
 _TILE = 1 << 15  # values per row strip, so its buffers stay in cache
 _NORMAL_MIN = np.finfo(float).tiny  # squares below it have lost bits to underflow
 _SUBNORMAL_MIN = 2.0**-1074  # the subnormal step
-# diameter(): diagonal candidates up to this dimension (2^(d-1) of them), and
-# the relative margin of its corner test, far above the few-ulp rounding of
-# a distance or a corner distance in any dimension below 2^30
-_DIAGONAL_DIM_MAX = 6
-_CORNER_MARGIN = 2.0**-20
+# the relative margin of diameter()'s centre bound, far above the few-ulp
+# rounding of a distance or a centre distance in any dimension below 2^30
+_BOUND_MARGIN = 2.0**-20
 # Per thread, not per module: threads of one process may run pair passes at
 # once (each forked worker has its own copy anyway), and one shared workspace
 # would let one caller's strip overwrite another's tile mid-pass.
@@ -107,22 +103,23 @@ class PointCloud:
 
         Bit-identical to the largest value of a full :func:`_pair_distances`
         walk, though it walks only the points that can be in the longest
-        pair. Its lower bound ``lo`` is the exact pair maximum over a few
-        candidates: the extreme points along each coordinate and, for d <=
-        ``_DIAGONAL_DIM_MAX``, along each sign-pattern diagonal. A point is
-        in no pair longer than its distance to the far corner of the
-        bounding box, so it is dropped when that distance is below ``lo`` by
-        more than the rounding margin ``_CORNER_MARGIN`` plus one subnormal
-        step (a rebuilt distance may round up by half of one). The corner
-        distances take the offsets from the low corner, from halved
-        coordinates where a span may overflow, scaled by an exact power of
-        two into [0, 1], so they neither overflow nor underflow. The maximum
-        over the remaining points is returned; when none is dropped, that is
-        the full walk. There is no size threshold. The corner test drops
-        most points in low dimension only: of 1500 uniform points (two
-        seeds) the second walk keeps 5-9 at d = 2 and 9-40 at d = 3, but
-        146-373 at d = 6, 863-1483 at d = 7 (5708-7941 of 8000) and
-        1418-1452 at d = 8.
+        pair. For the centre c of the bounding box and R the largest
+        distance of a point from c, a point x is in no pair longer than
+        |x - c| + R. The lower bound ``lo`` is the largest distance from the
+        point farthest from c to the other points, one row that
+        :func:`_tile` and :func:`_distances` build as the fold builds its
+        values, so it is one of the full walk's values to the bit. A
+        point is dropped when its bound is below ``lo`` by more than the
+        rounding margin ``_BOUND_MARGIN`` plus one subnormal step (a rebuilt
+        distance may round up by half of one), and the maximum over the
+        remaining points is returned; when none is dropped, that is the
+        full walk. The centre distances take the offsets from the low
+        corner, from halved coordinates where a span may overflow, scaled by
+        an exact power of two into [0, 1], so they neither overflow nor
+        underflow. There is no size threshold. Of 1500 uniform points (two
+        seeds) the walk keeps 2-4 at d = 2, 11-17 at d = 3, 29-80 at d = 6,
+        55-182 at d = 7 (204 of 8000) and 233-304 at d = 8, and of 3000
+        Gaussian points in d = 10, 142.
         """
         pts = self._points
         if len(pts) < 2:
@@ -131,16 +128,16 @@ class PointCloud:
         off = pts * h - pts.min(axis=0) * h
         k = math.frexp(float(off.max()))[1]  # every offset is below 2^k
         u = np.ldexp(off, -k)
-        proj = np.einsum("nd,dm->nm", u, _directions(self.dim))  # no BLAS: its buffers cost RSS
-        cand = np.zeros(len(pts), dtype=bool)
-        cand[proj.argmin(axis=0)] = cand[proj.argmax(axis=0)] = True
-        lo = max(float(r.max()) for r in _pair_distances(pts[cand]))
+        r = np.sqrt(np.square(u - u.max(axis=0) / 2.0).sum(axis=1))  # distances to the centre
+        f = int(r.argmax())
+        a, b = pts[f][:, None, None], np.ascontiguousarray(np.delete(pts, f, axis=0).T)
+        with np.errstate(over="ignore"):  # an overflowing square is rebuilt
+            lo = float(_distances(_tile(a, b), a, b).max())
         if lo == math.inf:
             return lo
-        corner2 = np.square(np.maximum(u, u.max(axis=0) - u)).sum(axis=1)
-        cut = math.ldexp(lo * h, -k) * (1.0 - _CORNER_MARGIN) - math.ldexp(_SUBNORMAL_MIN, -k)
-        far = corner2 >= max(cut, 0.0) ** 2
-        return max(float(r.max()) for r in _pair_distances(pts if far.all() else pts[far]))
+        cut = math.ldexp(lo * h, -k) * (1.0 - _BOUND_MARGIN) - math.ldexp(_SUBNORMAL_MIN, -k)
+        far = r + r[f] >= cut
+        return max(float(d.max()) for d in _pair_distances(pts if far.all() else pts[far]))
 
     def min_gap(self) -> float:
         """Smallest pairwise distance (positive: the points are distinct)."""
@@ -152,15 +149,6 @@ class PointCloud:
 def _half_spans(pts: np.ndarray) -> np.ndarray:
     """Half the coordinate spans, from the halved extremes: finite for any finite cloud."""
     return pts.max(axis=0) / 2.0 - pts.min(axis=0) / 2.0
-
-
-def _directions(d: int) -> np.ndarray:
-    """(d, m) unit axes, then for d <= _DIAGONAL_DIM_MAX the 2^(d-1) sign-pattern diagonals."""
-    axes = np.eye(d)
-    if d > _DIAGONAL_DIM_MAX:
-        return axes
-    signs = [(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=d - 1)]
-    return np.hstack((axes, np.array(signs).T))
 
 
 def _strip_buffers(size: int):

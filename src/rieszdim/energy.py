@@ -36,12 +36,13 @@ previous kernel times the step factor exp(-h/2 * log d2), taken once per
 strip for each step h (runs of one step share it, and an anchor equal to
 its step is that factor). An evenly spaced grid of S exponents thus costs
 about S/16 + 1 exp passes per strip instead of S, one fewer when it
-starts at its step (``dim``'s default 0.1, 0.2, ...). s = 0 is an exact
-count. A ladder value rounds differently from the
-direct exp, by about as much as the direct exp's own error (a few 1e-15
-relative where s/2 * |log d2| is large); it stays within 3e-14 of an
-extended-precision oracle over a 600-exponent grid. Each kernel row is
-summed by one ``einsum`` reduction of that row alone.
+starts at its step (``dim``'s default 0.1, 0.2, ...). At s = 0 every
+kernel value is exp(0) = 1, so its sums are exact counts. A ladder value
+rounds differently from the direct exp, by about as much as the direct
+exp's own error (a few 1e-15 relative where s/2 * |log d2| is large); it
+stays within 3e-14 of an extended-precision oracle over a 600-exponent
+grid. Each kernel row is summed by one ``einsum`` reduction of that row
+alone.
 Strips are dealt to forked worker processes by ``_deal`` (passes too
 small to pay for a fork run inline). Strip bounds do not depend on the
 worker count and each strip writes only its own rows, so every result is
@@ -220,9 +221,8 @@ def _ladder(exps: tuple) -> tuple:
     a rounded decimal grid) still share one step factor. A run grows while
     its step ascends (h > 0, so an inf kernel never meets a zero factor),
     it holds at most ``_RUN`` rows, and every realized exponent stays within
-    2 ulp of its listed one. s = 0, the exact count, never starts a run; a
-    run of two would cost as many exp passes as two anchors, so it is not
-    formed.
+    2 ulp of its listed one. s = 0 never starts a run; a run of two would
+    cost as many exp passes as two anchors, so it is not formed.
     """
     runs, i = [], 0
     while i < len(exps):
@@ -250,9 +250,11 @@ def _strip_sums(a, b, runs, weight, out, corner) -> None:
     one ``einsum`` reduction of its row, whose bits depend on that row alone
     (a BLAS product with a ones vector groups rows by fours, so its bits
     would depend on the strip). A run whose step h equals the one before
-    reuses its step factor, and a run whose anchor s equals its step h
-    copies its first kernel from the step factor instead of taking a
-    second, identical exp.
+    reuses its step factor, and an anchor s equal to the step whose factor
+    E holds copies its first kernel from E instead of taking a second,
+    identical exp. Every L is finite (a skipped or zero-weight value has
+    L = 0), so at s = 0 the kernel is exactly 1 and the sums are the exact
+    pair counts or weight sums.
     """
     d2 = _tile(a, b)
     if corner is not None:
@@ -270,20 +272,12 @@ def _strip_sums(a, b, runs, weight, out, corner) -> None:
     K, E = (buf[: L.size].reshape(L.shape) for buf in _strip_buffers(L.size)[1:])
     step = None  # the h whose step factor E holds
     for s, h, rows in runs:
-        if s == 0.0:
-            if w is not None:
-                np.einsum("ij->i", w, out=out[rows[0]])
-            else:
-                out[rows[0]] = L.shape[1]
-                if corner is not None:
-                    out[rows[0], at[0]] -= corner.sum(axis=1)
-            continue
         if len(rows) > 1 and h != step:
             # a skipped or zero-weight pair has L = 0, so E = 1 keeps its 0
             np.multiply(L, -0.5 * h, out=E)
             np.exp(E, out=E)
             step = h
-        if s == h:  # the anchor's kernel is the step factor (as on dim's default grid)
+        if s == step:  # E holds the anchor's kernel (as on dim's default grid)
             np.copyto(K, E)
         else:
             np.multiply(L, -0.5 * s, out=K)

@@ -38,7 +38,9 @@ MANIFEST = HERE / "payloads.json"
 # drop that appends 43 far points before its slide point; then the draw
 # paths of the other samplers: cantor digits (32-bit bounded integers, an
 # odd count of them per factor and per replicate), the semicircle's two
-# uniform draws, and the empirical resample with its perturbation
+# uniform draws, and the empirical resample with its perturbation; last, a
+# quantized distset on a 7-D cube sample (the diameter prunes in high
+# dimension too), whose 105,551 distances are too many to list
 EXTRA = [
     "varscan --measure cube --dim 1 --s-grid 0.3,0.7 --n 100 --reps 50 --seed 3 -o scan.csv --json scan.json",
     "erdos --gen lattice --d 2 --k 3 --exponents 1,1.5 -o erdos.csv --json erdos.json",
@@ -55,6 +57,8 @@ EXTRA = [
     "sample --measure semicircle --phase 0.7 --count 40 --seed 6 -o semi.csv",
     "sample --measure empirical --points grid.csv --count 200 --seed 8 -o emp.csv --json emp.json",
     "varscan --measure cantor --m 2 --n-base 3 --depth 21 --s-grid 0.3,0.6 --n 41 --reps 50 --seed 2 --json cscan.json",
+    "sample --measure cube --dim 7 --count 460 --seed 9 -o cube7.csv",
+    "distset --input cube7.csv",
 ]
 
 

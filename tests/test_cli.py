@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import rieszdim as rd
+import rieszdim.cli as cli_mod
 from conftest import random_cloud
 from rieszdim.cli import main
 
@@ -1065,7 +1066,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert main(["sample", "--measure", "cube", "--dim", "2", "--count", "40",
                  "-o", str(sample)]) == 0
     assert _modules_loaded_by(["--version"]) == {"rieszdim", "rieszdim.cli", "rieszdim.errors"}
-    # a 1-D np.unique would load numpy.ma (about 6 ms) in the diameter's candidate pass
+    # a 1-D np.unique would load numpy.ma (about 6 ms) in the diameter
     for argv in (["distset", "--input", str(grid)], ["distset", "--input", str(sample)],
                  ["erdos", "--input", str(sample)]):
         loaded = _modules_loaded_by(argv, prefixes=("rieszdim", "numpy"))
@@ -1122,6 +1123,18 @@ def test_cantor_spec_json_input(capsys, tmp_path):
     code, out, _ = run_cli(["gen", "--gen", "cantor", "--spec-json", str(path)], capsys)
     assert code == 0
     assert len(out.strip().splitlines()) == 9  # header + 8 endpoints
+
+
+def test_dim_reads_a_cantor_spec_once(capsys, tmp_path, monkeypatch):
+    # --spec-json may name a pipe such as /dev/stdin, whose document reads only once
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"factors": [{"m": 2, "n": 3}], "level": 5}))
+    reads = []
+    real = cli_mod._read_json
+    monkeypatch.setattr(cli_mod, "_read_json", lambda p: reads.append(p) or real(p))
+    code, out, _ = run_cli(["dim", "--gen", "cantor", "--spec-json", str(path)], capsys)
+    assert code == 0 and reads == [str(path)]
+    assert payload_of(out)["n_grid"] == [4, 8, 16, 32, 64]
 
 
 def test_energy_seq_spec_json(capsys, tmp_path):

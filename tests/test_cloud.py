@@ -124,7 +124,7 @@ def diameter_cloud(kind, seed, n, d, scale):
         pts = np.array(list(itertools.product(range(side), repeat=d)), dtype=float)
     elif kind == "integers":  # a random subset of a small lattice
         pts = rng.integers(-3, 4, size=(n, d)).astype(float)
-    else:  # on the unit sphere: every point is on the far side of a box corner, none is pruned
+    else:  # on the unit sphere: every point's centre bound reaches the diameter, few are pruned
         pts = rng.normal(size=(n, d))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
     pts = np.unique(pts * scale, axis=0)
@@ -136,7 +136,7 @@ def diameter_cloud(kind, seed, n, d, scale):
     st.sampled_from(["uniform", "lattice", "integers", "sphere"]),
     st.integers(0, 2**32 - 1),
     st.integers(2, 300),
-    st.integers(1, 4),
+    st.integers(1, 10),
     st.sampled_from([1.0, 2.0**1000, 2.0**-1000, 1e300, 1e-300, -3.0]),
 )
 def test_pruned_diameter_is_the_full_walk_maximum(kind, seed, n, d, scale):
@@ -171,8 +171,7 @@ def test_pruned_diameter_where_a_rebuilt_distance_rounds_up():
     assert rd.PointCloud([[0.0], [tiny], [-tiny]]).diameter() == 2 * tiny
 
 
-def test_pruned_diameter_keeps_far_points_only(monkeypatch):
-    # uniform planar points: the corner test leaves a handful for the last walk
+def counting_walks(monkeypatch):
     walked = []
     real = cloud_mod._pair_distances
 
@@ -181,8 +180,22 @@ def test_pruned_diameter_keeps_far_points_only(monkeypatch):
         return real(pts)
 
     monkeypatch.setattr(cloud_mod, "_pair_distances", counting)
+    return walked
+
+
+def test_pruned_diameter_keeps_far_points_only(monkeypatch):
+    # uniform planar points: the centre bound leaves a handful for the one walk
+    walked = counting_walks(monkeypatch)
     rd.PointCloud(np.random.default_rng(3).random((1500, 2))).diameter()
-    assert len(walked) == 2 and max(walked) < 50, walked
+    assert len(walked) == 1 and walked[0] < 50, walked
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pruned_diameter_prunes_in_seven_dimensions(seed, monkeypatch):
+    # the bounding-box corner test kept 1483 and 863 of these points
+    walked = counting_walks(monkeypatch)
+    rd.PointCloud(np.random.default_rng(seed).random((1500, 7))).diameter()
+    assert walked[-1] <= 225, walked
 
 
 def test_min_gap_whose_square_is_subnormal():
