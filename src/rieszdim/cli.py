@@ -8,20 +8,30 @@ only the common flags it reads: ``--max-points`` (checked before any point
 is allocated) and ``-o`` everywhere, ``--max-pairs`` where pairs are
 computed, ``--seed`` on the stochastic commands, and ``--threads`` where the
 pair engine runs (``distset`` and ``dim --gen grid1d``, whose grids have a
-closed form, accept it and ignore it). Exit codes:
-0 success, 1 domain error (the error class name goes to stderr), 2 usage.
+closed form, accept it and ignore it).
+
+Exit codes: 0 success, 1 domain error (a :class:`RieszdimError`; its class
+name goes to stderr), 2 usage error. argparse refuses an unknown flag or a
+flag value of the wrong type with its own usage text. Every other usage
+error is a ``ValueError`` and prints one ``usage error:`` line: a missing,
+bad or conflicting flag, a path that cannot be opened (read or written,
+after ``$RIESZDIM_OUT``), and a JSON document with a missing key or a value
+of the wrong type.
 
 A handler only computes: it returns its payload and the text of each file
 it writes. ``main`` builds the envelope before it writes anything, so a NaN
-result leaves no file and no stdout.
+result leaves no file and no stdout. It writes stdout last, so a file that
+cannot be opened leaves stdout empty; the files written before it stay.
 
 Each command imports the library modules it runs when it runs, so a call
 pays start-up only for those: ``--version`` loads none, ``distset`` loads
 ``cloud`` and ``sets``.
 
-``main`` returns the exit code and ends nothing, for in-process callers. A
-``rieszdim`` process enters through ``rieszdim.__main__.run``, which
-flushes the output and leaves through ``os._exit`` after ``main``.
+``main`` is the one exit: it returns the code of every command line, the
+``-h``, ``--version`` and usage errors of argparse included, and ends
+nothing, for in-process callers. A ``rieszdim`` process enters through
+``rieszdim.__main__.run``, which flushes the output and leaves through
+``os._exit`` after ``main``.
 """
 
 from __future__ import annotations
@@ -57,12 +67,20 @@ def _resolve(path):
     return path
 
 
-def _emit_text(text: str, path) -> None:
+def _open(path, mode="r", newline=None):
+    """``path`` after $RIESZDIM_OUT, opened as UTF-8 text; a failed open is a usage error."""
     path = _resolve(path)
+    try:
+        return open(path, mode, encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ValueError(f"cannot open {path}: {exc.strerror}") from None
+
+
+def _emit_text(text: str, path) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
+        with _open(path, "w", newline="\n") as f:
             f.write(text)
 
 
@@ -84,8 +102,27 @@ def _inf_to_null(obj, where="envelope"):
 
 
 def _read_json(path):
-    with open(_resolve(path), "r", encoding="utf-8") as f:
+    with _open(path) as f:
         return json.load(f)
+
+
+def _from_json(path, build):
+    """``build(doc)`` of the JSON document at ``path``; a missing key or bad type: usage error."""
+    doc = _read_json(path)
+    try:
+        return build(doc)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed document {path}: {type(exc).__name__}: {exc}") from None
+
+
+def _read_cloud(args, path) -> PointCloud:
+    """The point CSV at ``path``, refused past --max-points."""
+    from .cloud import read_csv
+
+    with _open(path) as f:
+        cloud = read_csv(f)
+    _check_points(args, cloud.n)
+    return cloud
 
 
 def _envelope(args, payload: dict, started: float) -> str:
@@ -159,26 +196,27 @@ def _cantor_spec_from_args(args) -> CantorSpec:
     from .generators import CantorFactor, CantorSpec, _factor_from_json
 
     if args.spec_json:
-        doc = _read_json(args.spec_json)
-        factors = tuple(_factor_from_json(f) for f in doc["factors"])
-        return CantorSpec(factors, int(doc["level"]))
+        return _from_json(args.spec_json, lambda doc: CantorSpec(
+            tuple(_factor_from_json(f) for f in doc["factors"]), int(doc["level"])))
     if args.m is None or args.n is None or args.level is None:
-        raise SystemExit(_usage_error("cantor generation needs --m, --n and --level"))
+        raise ValueError("cantor generation needs --m, --n and --level")
     kept = tuple(_parse_list(args.kept, int)) if args.kept else ()
     factor = CantorFactor(args.m, args.n, kept)
     d = args.d or 1
     return CantorSpec((factor,) * d, args.level)
 
 
-def _usage_error(msg: str) -> int:
-    print(f"usage error: {msg}", file=sys.stderr)
-    return 2
+def _target_spec(s, targets, tolerance):
+    """The energy-seq spec; without a tolerance it keeps its own default."""
+    from .generators import EnergyTargetSpec
+
+    extra = {} if tolerance is None else {"tolerance": float(tolerance)}
+    return EnergyTargetSpec(float(s), targets, **extra)
 
 
 def _generate(args, cantor=None) -> PointCloud:
     """The --gen cloud; a cantor cloud is built from ``cantor``, the spec, when given."""
     from .generators import (
-        EnergyTargetSpec,
         cantor_points,
         energy_sequence_points,
         grid_1d,
@@ -189,49 +227,42 @@ def _generate(args, cantor=None) -> PointCloud:
     kind = args.gen
     if kind == "grid1d":
         if args.n is None:
-            raise SystemExit(_usage_error("grid1d needs --n"))
+            raise ValueError("grid1d needs --n")
         _check_points(args, args.n)
         return grid_1d(args.n)
     if kind == "lattice":
         if args.d is None or args.k is None:
-            raise SystemExit(_usage_error("lattice needs --d and --k"))
+            raise ValueError("lattice needs --d and --k")
         return lattice(args.d, args.k, max_points=args.max_points)
     if kind == "cantor":
         spec = cantor if cantor is not None else _cantor_spec_from_args(args)
         return cantor_points(spec, max_points=args.max_points)
     if kind == "semicircle":
         if args.phases is None or args.per_phase is None:
-            raise SystemExit(_usage_error("semicircle needs --phases and --per-phase"))
+            raise ValueError("semicircle needs --phases and --per-phase")
         _check_points(args, args.phases * args.per_phase)
         return semicircle_phase_points(args.phases, args.per_phase)
     if kind == "energy-seq":
         if args.spec_json:
-            doc = _read_json(args.spec_json)
-            s, targets = float(doc["s"]), doc["targets"]
-            tolerance = doc.get("tolerance", args.tolerance)
+            spec = _from_json(args.spec_json, lambda doc: _target_spec(
+                doc["s"], doc["targets"], doc.get("tolerance", args.tolerance)))
         elif args.s is None or not args.targets:
-            raise SystemExit(_usage_error("energy-seq needs --s and --targets"))
+            raise ValueError("energy-seq needs --s and --targets")
         else:
-            s, targets, tolerance = args.s, _parse_list(args.targets, float), args.tolerance
-        # without a tolerance the spec keeps its own default
-        extra = {} if tolerance is None else {"tolerance": float(tolerance)}
-        spec = EnergyTargetSpec(s, targets, **extra)
+            spec = _target_spec(args.s, _parse_list(args.targets, float), args.tolerance)
         cloud, _ = energy_sequence_points(spec, args.d or 1, max_points=args.max_points)
         return cloud
-    raise SystemExit(_usage_error("no generator selected (--gen)"))
+    raise ValueError("no generator selected (--gen)")
 
 
 def _load_cloud(args, cantor=None) -> PointCloud:
     """The --input or --gen cloud (see :func:`_generate`), refused past --max-points or --max-pairs."""
     if args.input:
-        from .cloud import read_csv
-
-        cloud = read_csv(_resolve(args.input))
-        _check_points(args, cloud.n)
+        cloud = _read_cloud(args, args.input)
     elif args.gen:
         cloud = _generate(args, cantor)
     else:
-        raise SystemExit(_usage_error("provide --input CSV or --gen KIND"))
+        raise ValueError("provide --input CSV or --gen KIND")
     _check_pairs(args, cloud.n)
     return cloud
 
@@ -265,7 +296,7 @@ def _measure_from_args(args):
     )
 
     if args.measure_json:
-        return measure_from_json(_read_json(args.measure_json))
+        return _from_json(args.measure_json, measure_from_json)
     kind = args.measure
     if kind == "cube":
         return UniformCube(args.dim)
@@ -273,7 +304,7 @@ def _measure_from_args(args):
         return UniformCircle()
     if kind == "cantor":
         if args.m is None or args.n_base is None:
-            raise SystemExit(_usage_error("cantor measure needs --m and --n-base"))
+            raise ValueError("cantor measure needs --m and --n-base")
         from .generators import CantorFactor
 
         kept = tuple(_parse_list(args.kept, int)) if args.kept else ()
@@ -283,13 +314,9 @@ def _measure_from_args(args):
         return RotatingSemicircle(args.phase)
     if kind == "empirical":
         if not args.points:
-            raise SystemExit(_usage_error("empirical measure needs --points CSV"))
-        from .cloud import read_csv
-
-        cloud = read_csv(_resolve(args.points))
-        _check_points(args, cloud.n)
-        return Empirical(cloud)
-    raise SystemExit(_usage_error("provide --measure or --measure-json"))
+            raise ValueError("empirical measure needs --points CSV")
+        return Empirical(_read_cloud(args, args.points))
+    raise ValueError("provide --measure or --measure-json")
 
 
 def _cmd_gen(args) -> tuple[dict, dict]:
@@ -321,8 +348,11 @@ def _cmd_energy(args) -> tuple[dict, dict]:
 
     single = (args.s, args.cutoff_radius) != (None, None)
     if (args.s_grid or args.n_grid) and (single or not (args.s_grid and args.n_grid)):
-        raise SystemExit(_usage_error(
-            "a profile needs --s-grid and --n-grid, and takes no --s or --cutoff-radius"))
+        raise ValueError(
+            "a profile needs --s-grid and --n-grid, and takes no --s or --cutoff-radius")
+    if not args.s_grid and args.s is None:
+        raise ValueError("truncated energy needs --s" if args.cutoff_radius is not None
+                         else "energy needs --s (or --s-grid with --n-grid)")
     cloud = _load_cloud(args)
     if args.s_grid:
         prof = energy_profile(
@@ -338,8 +368,6 @@ def _cmd_energy(args) -> tuple[dict, dict]:
             "values": prof.values.tolist(),
         }
     elif args.cutoff_radius is not None:
-        if args.s is None:
-            raise SystemExit(_usage_error("truncated energy needs --s"))
         value = truncated_energy(cloud, args.s, args.cutoff_radius, threads=args.threads)
         payload = {
             "mode": "truncated",
@@ -350,8 +378,6 @@ def _cmd_energy(args) -> tuple[dict, dict]:
             "dim": cloud.dim,
         }
     else:
-        if args.s is None:
-            raise SystemExit(_usage_error("energy needs --s (or --s-grid with --n-grid)"))
         value = discrete_energy(cloud, args.s, threads=args.threads)
         payload = {
             "mode": "single",
@@ -395,7 +421,7 @@ def _cmd_dim(args) -> tuple[dict, dict]:
         # Grid members are rescaled per n, not prefixes of one sequence;
         # profile the family of whole grids instead, in closed form.
         if args.n is None:
-            raise SystemExit(_usage_error("grid1d needs --n"))
+            raise ValueError("grid1d needs --n")
         n_grid = _auto_n_grid(args, args.n)
         _check_points(args, max(n_grid, default=0))
         _check_pairs(args, *n_grid)
@@ -509,6 +535,8 @@ def _cmd_ballcheck(args) -> tuple[dict, dict]:
 
     from .balls import BallMeasureParams, ball_energy_numeric, ball_energy_predicted
 
+    if args.s is None:
+        raise ValueError("ballcheck needs --s")
     cloud = _load_cloud(args)
     params = BallMeasureParams(args.s, args.c, cloud.n)
     # the prediction checks the hypotheses, so a violation costs no quadrature
@@ -719,22 +747,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # -h, --version and argparse's own usage errors
+        return 0 if exc.code is None else exc.code
     started = time.time()
     try:
         payload, files = args.func(args)
         doc = _envelope(args, payload, started)
+        # gen, sample, varscan and erdos put their table on -o, the envelope on --json
+        if not hasattr(args, "json"):
+            files[args.output] = doc
+        elif args.json:
+            files[args.json] = doc
+        # stdout last: a file that cannot be opened leaves it empty
+        for path in sorted(files, key=lambda path: path is None):
+            _emit_text(files[path], path)
     except RieszdimError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        # bad flag values (ranges, grids, seeds) are usage errors
-        return _usage_error(str(exc))
-    for path, text in files.items():
-        _emit_text(text, path)
-    # gen, sample, varscan and erdos put their table on -o, the envelope on --json
-    if not hasattr(args, "json"):
-        _emit_text(doc, args.output)
-    elif args.json:
-        _emit_text(doc, args.json)
+        # bad, missing or conflicting flags, paths that cannot be opened, malformed documents
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     return 0

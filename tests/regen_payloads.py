@@ -93,10 +93,7 @@ def run_lines(lines, workdir: Path) -> list:
             before = _snapshot(workdir)
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                try:
-                    code = main(list(argv))
-                except SystemExit as exc:
-                    code = exc.code
+                code = main(list(argv))
             after = _snapshot(workdir)
             files = {
                 name: _decode(data.decode("utf-8"))

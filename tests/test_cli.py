@@ -476,11 +476,7 @@ def test_grid_family_counts_the_pairs_of_every_member(capsys):
 def test_conflicting_flags_are_usage_errors(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rd.write_csv(rd.grid_1d(8), tmp_path / "g.csv")
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    assert code == 2
+    assert main(argv) == 2
     assert capsys.readouterr().out == ""
 
 
@@ -504,13 +500,15 @@ def test_conflicting_flags_are_usage_errors(argv, capsys, tmp_path, monkeypatch)
         (["energy", "--gen", "grid1d", "--n", "8"],
          "energy needs --s (or --s-grid with --n-grid)"),
         (["dim", "--gen", "grid1d"], "grid1d needs --n"),
+        # --s is checked before the cloud is read: missing.csv does not exist
+        (["energy", "--input", "missing.csv", "--cutoff-radius", "0.1"],
+         "truncated energy needs --s"),
+        (["energy", "--input", "missing.csv"], "energy needs --s (or --s-grid with --n-grid)"),
+        (["ballcheck", "--gen", "grid1d", "--n", "8", "--c", "1"], "ballcheck needs --s"),
     ],
 )
 def test_missing_flags_are_usage_errors(argv, message, capsys):
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == f"usage error: {message}\n"
@@ -621,9 +619,7 @@ def test_each_subcommand_takes_only_the_common_flags_it_reads():
     ],
 )
 def test_deleted_common_flags_are_usage_errors(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    assert main(argv) == 2
     assert capsys.readouterr().out == ""
 
 
@@ -776,12 +772,52 @@ def test_ballcheck_checks_hypotheses_before_quadrature(capsys, monkeypatch):
 
 
 def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["energy", "--nonsense"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["dim", "--gen", "cantor", "--m", "2"])  # missing --n/--level
-    assert exc.value.code == 2
+    assert main(["energy", "--nonsense"]) == 2
+    assert main(["dim", "--gen", "cantor", "--m", "2"]) == 2  # missing --n/--level
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, path, doc",
+    [
+        # paths that cannot be opened for reading ...
+        (["energy", "--input", "missing.csv", "--s", "1"], "missing.csv", None),
+        (["sample", "--measure", "empirical", "--points", "missing.csv", "--count", "3"],
+         "missing.csv", None),
+        (["gen", "--gen", "cantor", "--spec-json", "missing.json"], "missing.json", None),
+        (["sample", "--measure-json", "missing.json", "--count", "3"], "missing.json", None),
+        # ... or for writing, in a directory that does not exist
+        (["energy", "--gen", "grid1d", "--n", "8", "--s", "1", "-o", "no/x.json"],
+         "no/x.json", None),
+        (["gen", "--gen", "grid1d", "--n", "8", "--json", "no/x.json"], "no/x.json", None),
+        (["lln-path", "--measure", "cube", "--s", "0.5", "--n-max", "100", "--csv", "no/x.csv"],
+         "no/x.csv", None),
+        (["lln-mean", "--measure", "cube", "--s", "0.5", "--n", "20", "--reps", "30",
+          "--no-oracle", "--per-rep-csv", "no/x.csv"], "no/x.csv", None),
+        # documents with a missing key or a value of the wrong type
+        (["gen", "--gen", "cantor", "--spec-json", "doc.json"], "doc.json", {}),
+        (["gen", "--gen", "cantor", "--spec-json", "doc.json"], "doc.json",
+         {"factors": [{"m": 2}], "level": 2}),
+        (["gen", "--gen", "energy-seq", "--spec-json", "doc.json"], "doc.json", {}),
+        (["sample", "--count", "3", "--measure-json", "doc.json"], "doc.json",
+         {"variant": "cantor-product"}),
+        (["sample", "--count", "3", "--measure-json", "doc.json"], "doc.json", [1]),
+    ],
+)
+def test_bad_path_or_document_is_one_usage_error_line(argv, path, doc, tmp_path):
+    # a child process, so the entry that ends the process is covered too
+    if doc is not None:
+        (tmp_path / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    env = {**os.environ, "RIESZDIM_OUT": str(tmp_path)}
+    proc = subprocess.run([sys.executable, "-m", "rieszdim", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("usage error: ")
+    assert path in line
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_bad_flag_value_exit_code(capsys):
@@ -932,10 +968,7 @@ def test_module_entry_matches_in_process_main(argv, capsys, tmp_path, monkeypatc
     here.mkdir()
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     monkeypatch.chdir(here)
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    code = main(argv)
     out = capsys.readouterr().out
     # the child runs elsewhere, so it finds the package by absolute path
     src = os.path.dirname(os.path.dirname(os.path.abspath(rd.__file__)))
@@ -1047,10 +1080,7 @@ def _modules_loaded_by(argv, prefixes=("rieszdim",)):
     code = (
         "import json, sys\n"
         "from rieszdim import cli\n"
-        "try:\n"
-        "    cli.main(sys.argv[2:])\n"
-        "except SystemExit:\n"
-        "    pass\n"
+        "cli.main(sys.argv[2:])\n"
         "tops = sys.argv[1].split(',')\n"
         "print(json.dumps([m for m in sys.modules if m.split('.')[0] in tops]))\n"
     )
