@@ -19,13 +19,12 @@ _EXPORTS = {
         "ball_energy_predicted",
         "ball_self_energy_exact",
     ),
+    "cantor": ("CantorFactor", "CantorSpec", "cantor_profile"),
     "cloud": ("PointCloud", "read_csv", "write_csv"),
     "energy": (
-        "EnergyProfile",
         "discrete_energy",
         "discrete_energy_multi",
         "energy_profile",
-        "grid_1d_profile",
         "profile_from_family",
         "riesz_potential_discrete",
         "truncated_energy",
@@ -52,9 +51,8 @@ _EXPORTS = {
         "dimension_estimate",
         "variance_blowup_scan",
     ),
+    "families": ("EnergyProfile", "grid_1d_profile", "lattice_profile"),
     "generators": (
-        "CantorFactor",
-        "CantorSpec",
         "EnergyTargetSpec",
         "cantor_dimension",
         "cantor_points",

@@ -7,16 +7,17 @@ the config echo; every stochastic command records its seed. A command takes
 only the common flags it reads: ``--max-points`` (checked before any point
 is allocated) and ``-o`` everywhere, ``--max-pairs`` where pairs are
 computed, ``--seed`` on the stochastic commands, and ``--threads`` where the
-pair engine runs (``distset`` and ``dim --gen grid1d``, whose grids have a
-closed form, accept it and ignore it).
+pair engine runs (``distset`` and a closed-form ``dim --gen`` run accept it
+and ignore it).
 
 Exit codes: 0 success, 1 domain error (a :class:`RieszdimError`; its class
 name goes to stderr), 2 usage error. argparse refuses an unknown flag or a
 flag value of the wrong type with its own usage text. Every other usage
 error is a ``ValueError`` and prints one ``usage error:`` line: a missing,
 bad or conflicting flag, a path that cannot be opened (read or written,
-after ``$RIESZDIM_OUT``), and a JSON document with a missing key or a value
-of the wrong type.
+after ``$RIESZDIM_OUT``), a JSON document or point CSV that does not parse,
+and a JSON document with a missing key, a value of the wrong type or an
+unknown measure variant.
 
 A handler only computes: it returns its payload and the text of each file
 it writes. ``main`` builds the envelope before it writes anything, so a NaN
@@ -48,11 +49,17 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .errors import DEFAULT_MAX_POINTS, NonFiniteResult, RieszdimError, SizeCapExceeded
+from .errors import (
+    DEFAULT_MAX_POINTS,
+    NonFiniteResult,
+    RieszdimError,
+    SizeCapExceeded,
+    UnsupportedVariant,
+)
 
 if TYPE_CHECKING:
     from .cloud import PointCloud
-    from .generators import CantorSpec
+    from .cantor import CantorSpec
 
 SCHEMA_VERSION = 1
 OUTDIR_ENV = "RIESZDIM_OUT"
@@ -102,8 +109,12 @@ def _inf_to_null(obj, where="envelope"):
 
 
 def _read_json(path):
+    """The JSON document at ``path``; one that does not parse is a usage error naming it."""
     with _open(path) as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _from_json(path, build):
@@ -116,11 +127,14 @@ def _from_json(path, build):
 
 
 def _read_cloud(args, path) -> PointCloud:
-    """The point CSV at ``path``, refused past --max-points."""
+    """The point CSV at ``path``, refused past --max-points; a parse error names the path."""
     from .cloud import read_csv
 
     with _open(path) as f:
-        cloud = read_csv(f)
+        try:
+            cloud = read_csv(f)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     _check_points(args, cloud.n)
     return cloud
 
@@ -193,7 +207,7 @@ def _add_gen_args(p, with_input=True):
 
 
 def _cantor_spec_from_args(args) -> CantorSpec:
-    from .generators import CantorFactor, CantorSpec, _factor_from_json
+    from .cantor import CantorFactor, CantorSpec, _factor_from_json
 
     if args.spec_json:
         return _from_json(args.spec_json, lambda doc: CantorSpec(
@@ -296,7 +310,10 @@ def _measure_from_args(args):
     )
 
     if args.measure_json:
-        return _from_json(args.measure_json, measure_from_json)
+        try:
+            return _from_json(args.measure_json, measure_from_json)
+        except UnsupportedVariant as exc:  # a document's tag is outside input, like its keys
+            raise ValueError(f"malformed document {args.measure_json}: {exc}") from None
     kind = args.measure
     if kind == "cube":
         return UniformCube(args.dim)
@@ -305,7 +322,7 @@ def _measure_from_args(args):
     if kind == "cantor":
         if args.m is None or args.n_base is None:
             raise ValueError("cantor measure needs --m and --n-base")
-        from .generators import CantorFactor
+        from .cantor import CantorFactor
 
         kept = tuple(_parse_list(args.kept, int)) if args.kept else ()
         factor = CantorFactor(args.m, args.n_base, kept)
@@ -397,9 +414,9 @@ def _auto_n_grid(args, n: int, cantor=None) -> list:
     if args.n_grid:
         return _parse_list(args.n_grid, int)
     if cantor is not None:
-        from .generators import cantor_prefix_sizes
+        from .cantor import _level_sizes
 
-        return [s for s in cantor_prefix_sizes(cantor) if s >= 4]
+        return [s for s in _level_sizes(cantor) if s >= 4]
     if args.gen == "lattice":
         return [2 ** (j * args.d) for j in range(1, args.k + 1) if 2 ** (j * args.d) >= 4]
     # lo, 2 lo, 4 lo, ... below n, then n; whole grids (grid1d) start larger
@@ -410,25 +427,60 @@ def _auto_n_grid(args, n: int, cantor=None) -> list:
     return grid + [n]
 
 
+def _family(args, cantor=None):
+    """``(n_grid, build)`` of a ``dim --gen`` run whose sizes are all whole family members, else None.
+
+    ``build(s_grid, n_grid)`` is the family's closed form, its terms capped
+    by --max-pairs. grid1d always has one; a lattice when every size is a
+    level size 2^(jd), j <= --k; a Cantor construction (``cantor``, the
+    spec) when every factor keeps both end intervals and every size is a
+    level size whose difference counts, n^j + 1 per factor, fit under
+    --max-points. Every other run walks its generated cloud.
+    """
+    from . import families
+
+    if args.gen == "grid1d":
+        if args.n is None:
+            raise ValueError("grid1d needs --n")
+        return _auto_n_grid(args, args.n), functools.partial(
+            families.grid_1d_profile, max_terms=args.max_pairs)
+    if args.gen == "lattice":
+        if args.d is None or args.k is None:
+            raise ValueError("lattice needs --d and --k")
+        if not (args.d >= 1 and args.k >= 1 and args.k * args.d < 63):
+            return None  # the walk refuses it
+        members = {2 ** (j * args.d) for j in range(1, args.k + 1)}
+        build = functools.partial(families.lattice_profile, args.d)
+    elif cantor is not None and all(f.keeps_ends for f in cantor.factors):
+        from . import cantor as cantor_mod
+
+        members = {size for j, size in enumerate(cantor_mod._level_sizes(cantor), 1)
+                   if all(f.n**j + 1 <= args.max_points for f in cantor.factors)}
+        build = functools.partial(cantor_mod.cantor_profile, cantor)
+    else:
+        return None
+    n_grid = _auto_n_grid(args, 0, cantor)
+    if not set(n_grid) <= members:
+        return None
+    return n_grid, functools.partial(build, max_terms=args.max_pairs)
+
+
 def _cmd_dim(args) -> tuple[dict, dict]:
-    from .energy import energy_profile, grid_1d_profile
     from .estimator import dimension_estimate
 
     if not args.s_step > 0:
         raise ValueError("--s-step must be positive")
     s_grid = [round(s, 10) for s in np.arange(args.s_min, args.s_max + 1e-9, args.s_step)]
-    if args.gen == "grid1d":
-        # Grid members are rescaled per n, not prefixes of one sequence;
-        # profile the family of whole grids instead, in closed form.
-        if args.n is None:
-            raise ValueError("grid1d needs --n")
-        n_grid = _auto_n_grid(args, args.n)
-        _check_points(args, max(n_grid, default=0))
-        _check_pairs(args, *n_grid)
-        build = grid_1d_profile
+    # one spec per run: --spec-json may name a pipe, which reads only once
+    cantor = _cantor_spec_from_args(args) if args.gen == "cantor" else None
+    # Whole family members are no prefixes of one walked cloud: their
+    # profile sums difference counts in closed form.
+    family = _family(args, cantor)
+    if family is not None:
+        n_grid, build = family
     else:
-        # one spec per run: --spec-json may name a pipe, which reads only once
-        cantor = _cantor_spec_from_args(args) if args.gen == "cantor" else None
+        from .energy import energy_profile
+
         cloud = _load_cloud(args, cantor)
         n_grid = _auto_n_grid(args, cloud.n, cantor)
         build = functools.partial(energy_profile, cloud, threads=args.threads)

@@ -132,7 +132,7 @@ class PointCloud:
         f = int(r.argmax())
         a, b = pts[f][:, None, None], np.ascontiguousarray(np.delete(pts, f, axis=0).T)
         with np.errstate(over="ignore"):  # an overflowing square is rebuilt
-            lo = float(_distances(_tile(a, b), a, b).max())
+            lo = max(float(_distances(_tile(a, c), a, c).max()) for c in _column_chunks(b))
         if lo == math.inf:
             return lo
         cut = math.ldexp(lo * h, -k) * (1.0 - _BOUND_MARGIN) - math.ldexp(_SUBNORMAL_MIN, -k)
@@ -162,6 +162,12 @@ def _strip_buffers(size: int):
         size = max(size, _TILE)
         bufs = _workspace.bufs = (np.empty(size), np.empty(size), np.empty(size))
     return bufs
+
+
+def _column_chunks(b: np.ndarray) -> list:
+    """The (d, cols) operand ``b`` in column slices of at most ``_TILE``, so a one-row tile
+    of each keeps the strip buffers at their size."""
+    return [b[:, j : j + _TILE] for j in range(0, b.shape[1], _TILE)]
 
 
 def _tile(a: np.ndarray, b: np.ndarray, *, dot: bool = False) -> np.ndarray:

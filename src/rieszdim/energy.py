@@ -22,8 +22,10 @@ strips of pairs, taken for all exponents at once by one strip kernel
   the pairs j >= k of each strip's diagonal block; prefix totals are one
   compensated running sum over R.
 
-Only ``grid_1d_profile`` walks no pairs: a 1-D grid's energy is a sum over
-its n - 1 distinct distances.
+The whole members of the product families (1-D grids, dyadic lattices,
+Cantor levels) walk no pairs: ``rieszdim.families`` sums their difference
+counts in closed form. ``EnergyProfile`` and ``grid_1d_profile`` live
+there and are served from here too.
 
 In a strip, squared distances are accumulated one coordinate at a time and
 log d2 is taken once by ``cloud._distances``, which rebuilds a square that
@@ -56,12 +58,12 @@ import math
 import mmap
 import os
 import pickle
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cloud import (
     PointCloud,
+    _column_chunks,
     _distances,
     _fold,
     _fold_blocks,
@@ -70,13 +72,13 @@ from .cloud import (
     _tile,
 )
 from .errors import DimensionMismatch, DuplicatePoints, TooFewPoints, _check_exponents
+from .families import EnergyProfile, _check_grids, _fsum
+from .families import grid_1d_profile  # noqa: F401 (also served from here)
 
 __all__ = [
-    "EnergyProfile",
     "discrete_energy",
     "discrete_energy_multi",
     "energy_profile",
-    "grid_1d_profile",
     "profile_from_family",
     "riesz_potential_discrete",
     "truncated_energy",
@@ -339,14 +341,6 @@ def _fold_sums(pts, exps, *, threads=1, weight=None):
     return _sums(strips, n // 2, exps, threads, weight)
 
 
-def _fsum(values) -> float:
-    """Exact sum of nonnegative terms; inf once it overflows."""
-    try:
-        return math.fsum(values.tolist())
-    except OverflowError:
-        return math.inf
-
-
 def _running_totals(r: np.ndarray) -> np.ndarray:
     """Compensated (Neumaier) running sums of a 1-D array r >= 0.
 
@@ -384,47 +378,6 @@ def discrete_energy_multi(cloud: PointCloud, s_list, *, threads: int = 1) -> np.
     return np.array([_fsum(row) / (n * (n - 1) // 2) for row in F])
 
 
-@dataclass(frozen=True)
-class EnergyProfile:
-    """J_s(P_n) over an exponent grid and a prefix-size grid.
-
-    ``values[i, j]`` is the energy of the n_grid[j]-point set at exponent
-    s_grid[i]. Entries are nonnegative; for clouds of diameter <= 1 each
-    column is nondecreasing in s.
-    """
-
-    s_grid: tuple
-    n_grid: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (len(self.s_grid), len(self.n_grid)):
-            raise ValueError("values shape must be (len(s_grid), len(n_grid))")
-        if np.any(v < 0):
-            raise ValueError("energies must be nonnegative")
-        object.__setattr__(self, "values", v)
-
-    def row(self, s: float) -> np.ndarray:
-        i = self.s_grid.index(s)
-        return self.values[i]
-
-
-def _check_grids(s_grid, n_grid):
-    """The grids as lists: each non-empty and strictly ascending, valid exponents, sizes >= 2."""
-    s_grid = [float(s) for s in s_grid]
-    n_grid = [int(n) for n in n_grid]
-    for name, grid in (("s_grid", s_grid), ("n_grid", n_grid)):
-        if not grid:
-            raise ValueError(f"{name} must be non-empty")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError(f"{name} must be strictly ascending")
-    _check_exponents(s_grid)
-    if n_grid[0] < 2:
-        raise TooFewPoints("prefix sizes must be at least 2")
-    return s_grid, n_grid
-
-
 def energy_profile(
     cloud: PointCloud, s_grid, n_grid, *, threads: int = 1
 ) -> EnergyProfile:
@@ -451,37 +404,14 @@ def profile_from_family(clouds, s_grid, *, threads: int = 1) -> EnergyProfile:
 
     For constructions whose members are not prefixes of a common sequence,
     the profile column at n is the energy of the whole n-point member. The
-    1-D grids {m/(n+1)} have a closed form: :func:`grid_1d_profile`.
+    1-D grids, the dyadic lattices and the Cantor levels have a closed form
+    in :mod:`rieszdim.families`.
     """
     n_grid = [c.n for c in clouds]
     s_grid, n_grid = _check_grids(s_grid, n_grid)
     values = np.empty((len(s_grid), len(clouds)))
     for j, cloud in enumerate(clouds):
         values[:, j] = discrete_energy_multi(cloud, s_grid, threads=threads)
-    return EnergyProfile(tuple(s_grid), tuple(n_grid), values)
-
-
-def grid_1d_profile(s_grid, n_grid) -> EnergyProfile:
-    """Energy profile of the 1-D grid family {m/(n+1) : m = 1..n}, in closed form.
-
-    The n-point grid has n - k pairs at distance k/(n+1) for k = 1..n-1, so
-
-        J_s = fsum_k (n - k) exp(s log((n+1)/k)) / (n(n-1)/2),
-
-    O(n) per grid and exponent where :func:`profile_from_family` on
-    ``grid_1d(n)`` walks all n(n-1)/2 pairs; the two agree to about 1e-15
-    relative. J_0 is exactly 1 and a sum that overflows gives inf. Raises
-    the grid errors of :func:`profile_from_family`.
-    """
-    s_grid, n_grid = _check_grids(s_grid, n_grid)
-    values = np.empty((len(s_grid), len(n_grid)))
-    for j, n in enumerate(n_grid):
-        k = np.arange(1, n)
-        log_r, mult = np.log((n + 1) / k), n - k
-        for i, s in enumerate(s_grid):
-            with np.errstate(over="ignore"):
-                terms = np.exp(s * log_r) * mult
-            values[i, j] = _fsum(terms) / (n * (n - 1) // 2)
     return EnergyProfile(tuple(s_grid), tuple(n_grid), values)
 
 
@@ -504,10 +434,11 @@ def riesz_potential_discrete(cloud: PointCloud, x, s: float) -> float:
     a, b = x[:, None, None], np.ascontiguousarray(cloud.points.T)
     with np.errstate(over="ignore"):
         try:
-            L = _distances(_tile(a, b), a, b, log=True)
+            kernels = [np.exp(-0.5 * s * _distances(_tile(a, c), a, c, log=True)[0])
+                       for c in _column_chunks(b)]
         except DuplicatePoints:
             return math.inf
-        return _fsum(np.exp(-0.5 * s * L[0])) / cloud.n
+        return _fsum(np.concatenate(kernels)) / cloud.n
 
 
 def _cutoff(u: np.ndarray) -> np.ndarray:

@@ -15,10 +15,10 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .energy import EnergyProfile
 from .errors import NonFiniteResult, NoTransition, WindowTooSmall
 
 if TYPE_CHECKING:
+    from .families import EnergyProfile
     from .measures import MeasureSpec
 
 __all__ = [
@@ -114,8 +114,10 @@ def dimension_estimate(
     above the threshold. When ``recompute`` is given, one bisection pass then
     fits the slope at the bracket midpoint to halve the grid resolution.
     ``recompute(s_grid, n_grid) -> EnergyProfile`` is the builder that made
-    ``profile``: ``grid_1d_profile``, or ``functools.partial(energy_profile,
-    cloud, threads=...)`` as the CLI's ``dim`` passes it. It is called once,
+    ``profile``, as the CLI's ``dim`` passes it: a closed form of
+    :mod:`rieszdim.families` such as ``grid_1d_profile`` or
+    ``functools.partial(lattice_profile, d)``, or
+    ``functools.partial(energy_profile, cloud, threads=...)``. It is called once,
     on the midpoint and the prefix sizes of the window, and that row is
     fitted by the same rule as the grid. The window defaults to
     :func:`default_window`; a window that is not two sizes is a ValueError.

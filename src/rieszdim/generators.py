@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cantor import CantorFactor, CantorSpec, _level_sizes, spread_kept  # noqa: F401 (served here too)
 from .cloud import PointCloud
 from .energy import discrete_energy, riesz_potential_discrete
 from .errors import DEFAULT_MAX_POINTS, SizeCapExceeded, TargetUnreachable
@@ -78,64 +79,6 @@ def lattice(d: int, k: int, *, max_points: int = DEFAULT_MAX_POINTS) -> PointClo
     return PointCloud(coords, _validate=False)
 
 
-@dataclass(frozen=True)
-class CantorFactor:
-    """One coordinate factor: keep ``kept`` of n sub-intervals, m = len(kept)."""
-
-    m: int
-    n: int
-    kept: tuple = ()
-
-    def __post_init__(self):
-        kept = tuple(int(i) for i in self.kept) if self.kept else spread_kept(self.m, self.n)
-        object.__setattr__(self, "kept", kept)
-        if not 0 < self.m < self.n:
-            raise ValueError("factor needs 0 < m < n")
-        if len(kept) != self.m:
-            raise ValueError("kept must list exactly m interval indices")
-        if any(b <= a for a, b in zip(kept, kept[1:])):
-            raise ValueError("kept indices must be strictly increasing")
-        if kept[0] < 0 or kept[-1] >= self.n:
-            raise ValueError("kept indices must lie in [0, n)")
-
-
-def _factor_tuple(factors) -> tuple:
-    """``factors`` as a non-empty tuple of CantorFactor; other entries are (m, n[, kept])."""
-    factors = tuple(f if isinstance(f, CantorFactor) else CantorFactor(*f) for f in factors)
-    if not factors:
-        raise ValueError("at least one factor required")
-    return factors
-
-
-def _factor_from_json(doc: dict) -> CantorFactor:
-    """A factor from its JSON form ``{"m": m, "n": n, "kept": [...]}``; kept is optional."""
-    return CantorFactor(int(doc["m"]), int(doc["n"]), tuple(doc.get("kept") or ()))
-
-
-def spread_kept(m: int, n: int) -> tuple:
-    """Evenly spread kept indices including both ends (middle-thirds style)."""
-    if m == 1:
-        return (0,)
-    return tuple(round(i * (n - 1) / (m - 1)) for i in range(m))
-
-
-@dataclass(frozen=True)
-class CantorSpec:
-    """Product Cantor construction: one factor per coordinate, common level."""
-
-    factors: tuple
-    level: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", _factor_tuple(self.factors))
-        if self.level < 1:
-            raise ValueError("level must be >= 1")
-
-    @property
-    def dim(self) -> int:
-        return len(self.factors)
-
-
 def _factor_levels(factor: CantorFactor, level: int):
     """Endpoint integer sets (denominator n^j) for every level j <= level."""
     lefts = [0]
@@ -198,16 +141,7 @@ def cantor_points(spec: CantorSpec, *, max_points: int = DEFAULT_MAX_POINTS) -> 
 
 def cantor_prefix_sizes(spec: CantorSpec) -> list:
     """Product sizes at each level boundary (prefix sizes of cantor_points)."""
-    counts = []
-    for f in spec.factors:
-        counts.append([len(s) for s in _factor_levels(f, spec.level)])
-    sizes = []
-    for j in range(spec.level):
-        size = 1
-        for c in counts:
-            size *= c[j]
-        sizes.append(size)
-    return sizes
+    return _level_sizes(spec)
 
 
 def cantor_dimension(spec: CantorSpec) -> float:

@@ -21,7 +21,7 @@ from .errors import DuplicatePoints, UnsupportedVariant, _check_exponents
 from .rng import _kept
 
 if TYPE_CHECKING:
-    from .generators import CantorFactor
+    from .cantor import CantorFactor
 
 __all__ = [
     "UniformCube",
@@ -69,7 +69,7 @@ class CantorProduct:
     depth: Optional[int] = None
 
     def __post_init__(self):
-        from .generators import _factor_tuple  # loaded only for Cantor measures
+        from .cantor import _factor_tuple  # loaded only for Cantor measures
 
         object.__setattr__(self, "factors", _factor_tuple(self.factors))
         if self.depth is not None and self.depth < 1:
@@ -279,7 +279,7 @@ def measure_from_json(doc: dict) -> MeasureSpec:
     if tag == "uniform-circle":
         return UniformCircle()
     if tag == "cantor-product":
-        from .generators import _factor_from_json
+        from .cantor import _factor_from_json
 
         factors = tuple(_factor_from_json(f) for f in doc["factors"])
         depth = doc.get("depth")

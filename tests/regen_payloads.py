@@ -10,7 +10,9 @@ through ``rieszdim.cli.main`` in this process.
     python tests/regen_payloads.py           # print every difference
     python tests/regen_payloads.py --write   # record the current outputs
 
-The diff is exact and prints both sides at full ``repr`` precision, so an
+Both first print numpy's version and the CPU dispatch targets it enabled,
+since numpy picks its exp and log kernels by CPU feature at run time. The
+diff is exact and prints both sides at full ``repr`` precision, so an
 empty diff means every envelope, table and CSV is byte-identical to the
 recorded one (timing aside). ``tests/test_payloads.py`` runs the same lines
 and allows floats a relative difference of 1e-12.
@@ -67,6 +69,15 @@ def readme_tour() -> list:
     readme = (HERE.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI tour", 1)[1].split("```")[1]
     return [line.split()[1:] for line in block.splitlines() if line.startswith("rieszdim ")]
+
+
+def dispatch() -> str:
+    """numpy's version and the CPU dispatch targets it enabled on this machine."""
+    import numpy
+    from numpy._core import _multiarray_umath as umath
+
+    enabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return f"numpy {numpy.__version__}, dispatch: {' '.join(enabled) or 'baseline only'}"
 
 
 def _decode(text: str):
@@ -185,6 +196,7 @@ def main(argv) -> int:
     write = argv == ["--write"]
     if argv and not write:
         raise SystemExit("usage: regen_payloads.py [--write]")
+    print(dispatch())
     if write:
         lines = readme_tour() + [line.split() for line in EXTRA]
     else:

@@ -441,15 +441,76 @@ def test_monte_carlo_commands_enforce_pair_cap(capsys, argv, pairs):
     assert code == 0
 
 
-def test_grid_family_counts_the_pairs_of_every_member(capsys):
-    # every grid of the family is computed in full: 28 + 120 + 276 + 496 + 1128 + 2016
-    argv = ["dim", "--gen", "grid1d", "--n", "64", "--n-grid", "8,16,24,32,48,64"]
-    code, out, err = run_cli(argv + ["--max-pairs", "4063"], capsys)
+@pytest.mark.parametrize(
+    "argv, terms",
+    [
+        # the grid family holds the grids of --n-grid, not of --n: 7 + 15 + 31 + 63 terms
+        (["dim", "--gen", "grid1d", "--n", "64"], 116),
+        (["dim", "--gen", "grid1d", "--n", "64", "--n-grid", "8,16,32,128"], 180),
+        # every grid of the family is summed in full: 7 + 15 + 23 + 31 + 47 + 63
+        (["dim", "--gen", "grid1d", "--n", "64", "--n-grid", "8,16,24,32,48,64"], 186),
+        # a lattice member of N points has N - 1 terms
+        (["dim", "--gen", "lattice", "--d", "2", "--k", "4", "--s-max", "2.5"], 3 + 15 + 63 + 255),
+        # a planar Cantor level j has (3^j + 1)^2 - 1 terms
+        (["dim", "--gen", "cantor", "--m", "2", "--n", "3", "--level", "4", "--d", "2"],
+         15 + 99 + 783 + 6723),
+    ],
+)
+def test_dim_families_enforce_term_cap(capsys, argv, terms):
+    # a closed form builds no member: --max-pairs counts its terms before any is summed
+    code, out, err = run_cli(argv + ["--max-pairs", str(terms - 1)], capsys)
     assert code == 1
-    assert "SizeCapExceeded" in err
+    assert f"SizeCapExceeded: {terms} terms exceed the cap" in err
     assert out == ""
-    code, _, _ = run_cli(argv + ["--max-pairs", "4064"], capsys)
+    code, _, _ = run_cli(argv + ["--max-pairs", str(terms)], capsys)
     assert code == 0
+
+
+def test_dim_families_are_not_refused_by_the_point_cap(capsys):
+    # --max-points caps what is allocated: a lattice of 2^18 points is refused
+    # where it is generated, but its closed form builds no member
+    assert run_cli(["gen", "--gen", "lattice", "--d", "2", "--k", "9", "--max-points", "1000"],
+                   capsys)[0] == 1
+    for argv in (["dim", "--gen", "lattice", "--d", "2", "--k", "9", "--s-max", "2.5"],
+                 ["dim", "--gen", "grid1d", "--n", "4096"]):
+        code, out, _ = run_cli(argv + ["--max-points", "1000"], capsys)
+        assert code == 0
+        assert max(payload_of(out)["n_grid"]) > 1000
+
+
+@pytest.mark.parametrize(
+    "argv, walks",
+    [
+        (["--gen", "grid1d", "--n", "256"], False),
+        (["--gen", "lattice", "--d", "2", "--k", "4", "--s-max", "2.5"], False),
+        # 200 points is no level of the lattice
+        (["--gen", "lattice", "--d", "2", "--k", "4", "--s-max", "2.5", "--n-grid", "4,16,64,200"],
+         True),
+        (["--gen", "cantor", "--m", "2", "--n", "3", "--level", "6"], False),
+        # a level lacking the end interval n - 1 is no prefix of the next
+        (["--gen", "cantor", "--m", "2", "--n", "4", "--level", "5", "--kept", "0,2"], True),
+        # level 6 counts 3^6 + 1 differences, past the point cap; its 128 points are not
+        (["--gen", "cantor", "--m", "2", "--n", "3", "--level", "6", "--max-points", "500"], True),
+    ],
+)
+def test_dim_walks_unless_every_size_is_a_whole_family_member(argv, walks, capsys, monkeypatch):
+    import rieszdim.cantor as cantor_mod
+    import rieszdim.energy as energy_mod
+    import rieszdim.families as families_mod
+
+    called = []
+    for mod, name in ((energy_mod, "energy_profile"), (families_mod, "grid_1d_profile"),
+                      (families_mod, "lattice_profile"), (cantor_mod, "cantor_profile")):
+        def spy(*args, _real=getattr(mod, name), _name=name, **kwargs):
+            called.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, spy)
+    code, out, _ = run_cli(["dim", *argv], capsys)
+    assert code == 0
+    # the profile and its bisection recompute, both from one builder
+    assert len(called) == 2 and len(set(called)) == 1
+    assert (called[0] == "energy_profile") == walks
 
 
 @pytest.mark.parametrize(
@@ -523,14 +584,10 @@ def test_missing_flags_are_usage_errors(argv, message, capsys):
         (["lln-mean", "--s", "0.5", "--n", "50", "--reps", "30", "--no-oracle"], 50),
         (["lln-weak", "--s", "0.3", "--eps", "0.5", "--n-grid", "20,40,80", "--reps", "30"], 80),
         (["lln-path", "--s", "0.4", "--n-max", "120"], 120),
-        (["dim", "--gen", "grid1d", "--n", "64"], 64),
-        # the grid family holds the grids of --n-grid, not of --n
-        (["dim", "--gen", "grid1d", "--n", "64", "--n-grid", "8,16,32,128"], 128),
     ],
 )
 def test_commands_enforce_point_cap(capsys, argv, points):
-    if argv[0] != "dim":
-        argv = argv + ["--measure", "cube", "--dim", "1", "--seed", "2"]
+    argv = argv + ["--measure", "cube", "--dim", "1", "--seed", "2"]
     code, out, err = run_cli(argv + ["--max-points", str(points - 1)], capsys)
     assert code == 1
     assert "SizeCapExceeded" in err
@@ -818,6 +875,47 @@ def test_bad_path_or_document_is_one_usage_error_line(argv, path, doc, tmp_path)
     assert line.startswith("usage error: ")
     assert path in line
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        # documents and CSVs that open but do not parse
+        (["gen", "--gen", "cantor", "--spec-json", "bad.json"], '{"factors": [{"m": 2, "n":'),
+        (["dim", "--gen", "cantor", "--spec-json", "bad.json"], "level 4"),
+        (["sample", "--count", "3", "--measure-json", "bad.json"], '{"variant": '),
+        (["energy", "--input", "bad.csv", "--s", "1"], "# dim=2\n0,1\n2\n"),
+        (["dim", "--input", "bad.csv"], "0,1\n0,nan\n"),
+        (["sample", "--measure", "empirical", "--points", "bad.csv", "--count", "3"], "0\nx\n"),
+        # measure documents without a known variant
+        (["sample", "--count", "3", "--measure-json", "bad.json"], "{}"),
+        (["sample", "--count", "3", "--measure-json", "bad.json"], '{"variant": "nope"}'),
+    ],
+    ids=["truncated-spec", "spec-not-json", "truncated-measure", "ragged-csv", "nan-csv",
+         "text-csv", "no-variant", "unknown-variant"],
+)
+def test_unparsable_input_is_a_usage_error_naming_its_file(argv, text, capsys, tmp_path,
+                                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    name = next(a for a in argv if a.startswith("bad."))
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"usage error: {name}: ") or line.startswith(
+        f"usage error: malformed document {name}: ")
+
+
+@pytest.mark.parametrize(
+    "text, error", [("# dim=3\n0,1\n1,2\n", "DimensionMismatch"), ("0,1\n0,1\n", "DuplicatePoints")]
+)
+def test_a_csv_that_parses_into_a_bad_cloud_stays_a_domain_error(text, error, capsys, tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(["energy", "--input", str(path), "--s", "1"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {error}: ")
 
 
 def test_bad_flag_value_exit_code(capsys):
@@ -1112,10 +1210,14 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     for name in ("balls", "measures", "stats", "sets"):
         assert "rieszdim." + name not in loaded
     assert not unused & loaded
-    # the grid family has a closed form: no grid is generated
-    loaded = _modules_loaded_by(["dim", "--gen", "grid1d", "--n", "64", "--threads", "2"])
-    assert {"rieszdim.energy", "rieszdim.estimator"} <= loaded
-    assert "rieszdim.generators" not in loaded
+    # whole family members have a closed form: no cloud is generated or walked
+    for argv in (["dim", "--gen", "grid1d", "--n", "64", "--threads", "2"],
+                 ["dim", "--gen", "lattice", "--d", "2", "--k", "4", "--s-max", "2.5"],
+                 ["dim", "--gen", "cantor", "--m", "2", "--n", "3", "--level", "5"]):
+        loaded = _modules_loaded_by(argv)
+        assert {"rieszdim.families", "rieszdim.estimator"} <= loaded
+        assert not {"rieszdim.cloud", "rieszdim.energy", "rieszdim.generators"} & loaded
+        assert ("rieszdim.cantor" in loaded) == ("cantor" in argv)
     # np.median would load numpy.ma; only Cantor measures need the generators, and
     # only ballcheck the ball measures
     for argv in (["varscan", "--measure", "cube", "--s-grid", "0.3,0.7", "--n", "30",

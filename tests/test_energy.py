@@ -809,6 +809,23 @@ def test_workspace_grows_for_wide_single_row_strips(monkeypatch):
     np.testing.assert_allclose(R, want, rtol=1e-12, atol=0.0)
 
 
+def test_one_row_tiles_leave_the_workspace_at_tile_size(monkeypatch):
+    # the diameter's lower-bound row and a potential's row are built in
+    # chunks of at most _TILE columns, so they never grow the strip buffers
+    cloud = rd.PointCloud(np.arange(100_000.0)[:, None] / 99_999.0)
+    x = [0.123456789]
+
+    def run():
+        values = cloud.diameter(), rd.riesz_potential_discrete(cloud, x, 0.7)
+        return values, [b.size for b in cloud_mod._workspace.bufs]
+
+    values, sizes = _in_fresh_thread(run)
+    assert sizes == [cloud_mod._TILE] * 3
+    # a max and an fsum do not depend on the chunks: one chunk gives the same bits
+    monkeypatch.setattr(cloud_mod, "_TILE", 1 << 17)
+    assert _in_fresh_thread(run)[0] == values == (1.0, values[1])
+
+
 _SMALL_CALLS = """
 import numpy as np, rieszdim as rd
 from rieszdim.sets import distance_set, dot_product_set
