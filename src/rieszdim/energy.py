@@ -16,6 +16,9 @@ strips of pairs, taken for all exponents at once by one strip kernel
   unordered pair once, in dense strips with no masked upper triangle. Each
   fold row is summed on its own and a total is the ``math.fsum`` of those
   sums, so it is bit-identical at any thread count and any strip size.
+  ``_fold_energies`` sums a sequence of clouds (a chunk of replicate
+  draws, a family's members) on one plan, set up once per call;
+  ``discrete_energy_multi`` is its one-cloud call.
 * Prefix profiles (``energy_profile``, hence ``slln_path``) need the row
   sums R_s[k] = sum_{j<k} |x_k - x_j|^{-s} in prefix order. They walk the
   row strips of ``cloud._row_blocks`` against all earlier points, skipping
@@ -35,10 +38,14 @@ runs of equal ascending steps h (equal to a few ulp), at most ``_RUN``
 long. The first exponent of a run, its anchor, takes a direct
 exp(-s/2 * log d2), masked or weighted once; each later one is the
 previous kernel times the step factor exp(-h/2 * log d2), taken once per
-strip for each step h (runs of one step share it, and an anchor equal to
-its step is that factor). An evenly spaced grid of S exponents thus costs
-about S/16 + 1 exp passes per strip instead of S, one fewer when it
-starts at its step (``dim``'s default 0.1, 0.2, ...). At s = 0 every
+strip for each step h (runs of one step share it). An exponent within 2
+ulp of the step of a run of several rows is that step factor, masked or
+weighted once as an anchor is: the run's own anchor (``dim``'s default
+0.1, 0.2, ...) and a lone exponent anywhere in the list (0.2 before 0.3,
+0.5, 0.7), which is planned just before the run, so the factor holds its
+step when the row is summed. An evenly spaced grid of S exponents thus
+costs about S/16 + 1 exp passes per strip instead of S, one fewer when it
+starts at its step, and (0.2, 0.3, 0.5, 0.7) costs two. At s = 0 every
 kernel value is exp(0) = 1, so its sums are exact counts. A ladder value
 rounds differently from the direct exp, by about as much as the direct
 exp's own error (a few 1e-15 relative where s/2 * |log d2| is large); it
@@ -213,9 +220,14 @@ def _corner(rows: int, cols: int):
     return mask
 
 
+def _realizes(s: float, h: float, rows, exps: tuple) -> bool:
+    """Whether row m of ``rows``, at exponent s + m h, is within 2 ulp of its listed exponent."""
+    return all(abs(s + m * h - exps[i]) <= 2.0 * math.ulp(exps[i]) for m, i in enumerate(rows))
+
+
 @functools.lru_cache
 def _ladder(exps: tuple) -> tuple:
-    """Split an exponent tuple into ladder runs ``(s, h, rows)``, planned once per tuple.
+    """Plan an exponent tuple as ladder runs ``(s, h, rows)``, in kernel order, once per tuple.
 
     Row ``rows[0]`` is the anchor, at exponent s; each later row m of the
     run is the row before times r^-h, so it realizes the exponent s + m h.
@@ -224,22 +236,36 @@ def _ladder(exps: tuple) -> tuple:
     its step ascends (h > 0, so an inf kernel never meets a zero factor),
     it holds at most ``_RUN`` rows, and every realized exponent stays within
     2 ulp of its listed one. s = 0 never starts a run; a run of two would
-    cost as many exp passes as two anchors, so it is not formed.
+    cost as many exp passes as two anchors, so it is not formed; a lone
+    exponent is a run of one, with h = 0.
+
+    An exponent within 2 ulp of the step h of a run of several rows takes
+    s = h, so the kernel copies it from the step factor: the run's own
+    anchor (if every row stays within 2 ulp from there), and a lone
+    exponent, which becomes the run (h, h, row) just before the first run
+    of step h, which then reuses the factor.
     """
     runs, i = [], 0
     while i < len(exps):
         s, j, h = exps[i], i + 1, 0.0
         for e in range(i + 2, min(len(exps), i + _RUN)):
             step = (exps[e] - s) / (e - i)
-            if not (s != 0.0 and step > 0.0 and all(
-                abs(s + m * step - exps[i + m]) <= 2.0 * math.ulp(exps[i + m])
-                for m in range(1, e - i + 1)
-            )):
+            if not (s != 0.0 and step > 0.0 and _realizes(s, step, range(i, e + 1), exps)):
                 break
             j, h = e + 1, step
+        if h and _realizes(h, h, range(i, j), exps):
+            s = h
         runs.append((s, h, range(i, j)))
         i = j
-    return tuple(runs)
+    lone = {h: [] for _, h, rows in runs if h}  # each step and the lone rows it serves
+    plan = []
+    for s, h, rows in runs:
+        step = None if h else next((g for g in lone if _realizes(g, 0.0, rows, exps)), None)
+        if step is not None:
+            lone[step].append((step, step, rows))
+        else:
+            plan.append((s, h, rows))
+    return tuple(x for run in plan for x in (*lone.pop(run[1], ()), run))
 
 
 def _strip_sums(a, b, runs, weight, out, corner) -> None:
@@ -274,12 +300,12 @@ def _strip_sums(a, b, runs, weight, out, corner) -> None:
     K, E = (buf[: L.size].reshape(L.shape) for buf in _strip_buffers(L.size)[1:])
     step = None  # the h whose step factor E holds
     for s, h, rows in runs:
-        if len(rows) > 1 and h != step:
+        if h and h != step:
             # a skipped or zero-weight pair has L = 0, so E = 1 keeps its 0
             np.multiply(L, -0.5 * h, out=E)
             np.exp(E, out=E)
             step = h
-        if s == step:  # E holds the anchor's kernel (as on dim's default grid)
+        if s == step:  # E holds the anchor's kernel (dim's default grid starts at its step)
             np.copyto(K, E)
         else:
             np.multiply(L, -0.5 * s, out=K)
@@ -294,18 +320,24 @@ def _strip_sums(a, b, runs, weight, out, corner) -> None:
             np.einsum("ij->i", K, out=out[i])
 
 
-def _sums(strips, width, exps, threads, weight):
-    """out[:, r0:r1] = :func:`_strip_sums` of each strip ``(a, b, r0, r1, corner)``; out is S x width.
+def _sum_strips(strips, runs, weight, out) -> np.ndarray:
+    """out[:, r0:r1] = :func:`_strip_sums` of each strip ``(a, b, r0, r1, corner)``; returns out."""
+    for a, b, r0, r1, corner in strips:
+        _strip_sums(a, b, runs, weight, out[:, r0:r1], corner)
+    return out
 
-    The strips are dealt to ``threads`` workers by :func:`_deal`. A pair
-    costs about 1 ns per exponent plus 8 ns for its tile, log and first exp.
+
+def _sums(strips, width, exps, threads, weight):
+    """:func:`_sum_strips` into a zeroed S x ``width`` array, dealt to ``threads`` workers.
+
+    The strips are dealt by :func:`_deal`. A pair costs about 1 ns per
+    exponent plus 8 ns for its tile, log and first exp.
     """
     runs = _ladder(tuple(float(s) for s in exps))
 
     def run(share, out):
         with np.errstate(over="ignore"):
-            for a, b, r0, r1, corner in share:
-                _strip_sums(a, b, runs, weight, out[:, r0:r1], corner)
+            _sum_strips(share, runs, weight, out)
 
     work = sum((r1 - r0) * b.shape[1] for _, b, r0, r1, _ in strips) * (len(exps) + 8)
     return _deal(run, strips, (len(exps), width), threads, work)
@@ -325,6 +357,17 @@ def _row_sums(pts, exps, *, threads=1):
     return _sums(strips, pts.shape[0], exps, threads, None)
 
 
+def _strip_plan(n: int) -> list:
+    """``(δ0, δ1, corner)`` of each strip of ``cloud._fold_blocks(n)``, with its corner mask."""
+    return [(d0, d1, _corner(1, (d1 - d0) * n - size)) for d0, d1, size in _fold_blocks(n)]
+
+
+def _fold_strips(pts, plan) -> list:
+    """The strips ``(a, b, r0, r1, corner)`` of the fold of ``pts`` on the ``plan`` of its size."""
+    fold, cols = _fold(pts)
+    return [(fold[:, d0:d1], cols, d0 - 1, d1 - 1, corner) for d0, d1, corner in plan]
+
+
 def _fold_sums(pts, exps, *, threads=1, weight=None):
     """F[i, δ - 1] = sum over fold row δ of weight(r) * r^{-exps[i]}, shape (S, n // 2).
 
@@ -333,12 +376,36 @@ def _fold_sums(pts, exps, *, threads=1, weight=None):
     fold row is summed on its own, so F does not depend on the strips.
     """
     n = pts.shape[0]
-    fold, cols = _fold(pts)
-    strips = [
-        (fold[:, d0:d1], cols, d0 - 1, d1 - 1, _corner(1, (d1 - d0) * n - size))
-        for d0, d1, size in _fold_blocks(n)
-    ]
-    return _sums(strips, n // 2, exps, threads, weight)
+    return _sums(_fold_strips(pts, _strip_plan(n)), n // 2, exps, threads, weight)
+
+
+def _fold_energies(clouds, s_list, *, threads: int = 1) -> np.ndarray:
+    """J_s of each cloud of ``clouds`` for each exponent, shape (S, len(clouds)), on one plan.
+
+    The ladder runs, the fold strips and one (S, n // 2) row-sum buffer of
+    each size, and the error state are set up once per call, not per cloud.
+    Each cloud sums its fold strips (dealt to ``threads`` workers by
+    :func:`_sums` when threads > 1), and each J_s is the fsum of its fold-row
+    sums over the n(n-1)/2 pairs: the bits of that cloud alone.
+    """
+    if any(cloud.n < 2 for cloud in clouds):
+        raise TooFewPoints("discrete energy needs at least 2 points")
+    _check_exponents(s_list)
+    runs = _ladder(tuple(float(s) for s in s_list))
+    out = np.empty((len(s_list), len(clouds)))
+    n = None
+    with np.errstate(over="ignore"):
+        for j, cloud in enumerate(clouds):
+            if cloud.n != n:
+                n = cloud.n
+                plan, buf = _strip_plan(n), np.empty((len(s_list), n // 2))
+            strips = _fold_strips(cloud.points, plan)
+            if threads > 1:
+                F = _sums(strips, n // 2, s_list, threads, None)
+            else:
+                F = _sum_strips(strips, runs, None, buf)
+            out[:, j] = [_fsum(row) / (n * (n - 1) // 2) for row in F]
+    return out
 
 
 def _running_totals(r: np.ndarray) -> np.ndarray:
@@ -370,12 +437,7 @@ def discrete_energy_multi(cloud: PointCloud, s_list, *, threads: int = 1) -> np.
     Each value is fsum(R_s) / (n(n-1)/2), the mean over unordered pairs; a
     sum that overflows gives inf.
     """
-    if cloud.n < 2:
-        raise TooFewPoints("discrete energy needs at least 2 points")
-    _check_exponents(s_list)
-    n = cloud.n
-    F = _fold_sums(cloud.points, s_list, threads=threads)
-    return np.array([_fsum(row) / (n * (n - 1) // 2) for row in F])
+    return _fold_energies([cloud], s_list, threads=threads)[:, 0]
 
 
 def energy_profile(
@@ -409,9 +471,7 @@ def profile_from_family(clouds, s_grid, *, threads: int = 1) -> EnergyProfile:
     """
     n_grid = [c.n for c in clouds]
     s_grid, n_grid = _check_grids(s_grid, n_grid)
-    values = np.empty((len(s_grid), len(clouds)))
-    for j, cloud in enumerate(clouds):
-        values[:, j] = discrete_energy_multi(cloud, s_grid, threads=threads)
+    values = _fold_energies(clouds, s_grid, threads=threads)
     return EnergyProfile(tuple(s_grid), tuple(n_grid), values)
 
 

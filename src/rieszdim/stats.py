@@ -9,7 +9,7 @@ Replicates run on counter-split streams, each drawn and summed by the worker
 process it is dealt to, so reports are reproducible bit-for-bit from
 (measure, s, n grid, reps, seed) at any worker count. A worker draws a
 chunk of at most ``cloud._TILE`` points' worth of its clouds, from its
-thread's kept generator, before it sums them.
+thread's kept generator, before it sums them on one plan.
 """
 
 from __future__ import annotations
@@ -21,8 +21,14 @@ from typing import Optional
 import numpy as np
 
 from . import cloud as _cloud
-from .energy import _deal, discrete_energy_multi, energy_profile
-from .errors import NonFiniteResult, OracleUnavailable, UnsupportedVariant
+from .energy import _deal, _fold_energies, energy_profile
+from .errors import (
+    NonFiniteResult,
+    OracleUnavailable,
+    TooFewPoints,
+    UnsupportedVariant,
+    _check_exponents,
+)
 from .measures import (
     MeasureSpec,
     measure_to_json,
@@ -83,28 +89,35 @@ def replicate_energies(
     """J_s per replicate, shape (len(s_list), reps).
 
     Replicate r draws its cloud from the seed stream jumped r blocks and
-    writes only column r. The replicate indices are dealt round-robin to
+    writes only column r. The exponents and n >= 2 are checked before any
+    draw or fork. The replicate indices are dealt round-robin to
     ``threads`` worker processes (below 1 runs serially) by
     ``energy._deal``. Each worker draws its share in chunks of
     max(1, ``cloud._TILE`` // n) clouds, so a chunk holds at most
     ``_TILE`` points (or one cloud), from its thread's kept generator,
-    and then computes the chunk's energies back to back in that process,
-    so the code of each loop stays in cache. The draws run in parallel too
-    and the array is bit-identical to the serial loop at any thread count
-    and any chunk size. A replicate costs what its pair pass costs plus
-    about 50 us for its draw and its calls.
+    and then hands the chunk to ``energy._fold_energies``, which sums its
+    clouds back to back on one plan, so the code of each loop stays in
+    cache. The draws run in parallel too and the array is bit-identical to
+    per-cloud ``discrete_energy_multi`` calls at any thread count and any
+    chunk size. A replicate costs what its pair pass costs plus its draw,
+    fold and sums: about 13 us + 0.14 us per point on one core (19 us at
+    n = 40 and 55 us at n = 300, 4 exponents, d = 1).
     """
-
+    # refused here, before any draw or fork, as the draw and the energy refuse them
+    if n < 1:
+        raise ValueError("count must be >= 1")
+    if n < 2:
+        raise TooFewPoints("discrete energy needs at least 2 points")
+    _check_exponents(s_list)
     chunk = max(1, _cloud._TILE // n)
 
     def run(share, out):
         for c in range(0, len(share), chunk):
             reps_c = share[c : c + chunk]
             clouds = [sample(measure, n, seed, rep=r) for r in reps_c]
-            for r, cloud in zip(reps_c, clouds):
-                out[:, r] = discrete_energy_multi(cloud, s_list)
+            out[:, reps_c] = _fold_energies(clouds, s_list)
 
-    work = reps * (n * (n - 1) // 2 * (len(s_list) + 8) + 50_000)
+    work = reps * (n * (n - 1) // 2 * (len(s_list) + 8) + 140 * n + 13_000)
     return _deal(run, range(reps), (len(s_list), reps), threads, work)
 
 

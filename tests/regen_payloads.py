@@ -14,8 +14,12 @@ Both first print numpy's version and the CPU dispatch targets it enabled,
 since numpy picks its exp and log kernels by CPU feature at run time. The
 diff is exact and prints both sides at full ``repr`` precision, so an
 empty diff means every envelope, table and CSV is byte-identical to the
-recorded one (timing aside). ``tests/test_payloads.py`` runs the same lines
-and allows floats a relative difference of 1e-12.
+recorded one (timing aside). After the differences it prints, for each
+command line that differs, the worst relative difference of its floats
+(inf when a count, a string or the shape of an output differs), so that
+the size of a payload move can be quoted before it is re-recorded.
+``tests/test_payloads.py`` runs the same lines and allows floats a
+relative difference of 1e-12.
 """
 
 from __future__ import annotations
@@ -117,52 +121,58 @@ def run_lines(lines, workdir: Path) -> list:
     return records
 
 
-def _same_number(a, b, rel: float) -> bool:
-    return a == b or (rel > 0 and math.isclose(a, b, rel_tol=rel))
+def _relative(a: float, b: float) -> float:
+    """|a - b| over the larger magnitude: 0 for equal numbers, inf if either is not finite."""
+    if a == b:
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
 
 
 def _json_diff(a, b, where: str, rel: float):
     if isinstance(a, dict) and isinstance(b, dict):
         if sorted(a) != sorted(b):
-            yield f"{where}: keys {sorted(a)!r} != {sorted(b)!r}"
+            yield f"{where}: keys {sorted(a)!r} != {sorted(b)!r}", math.inf
             return
         for k in sorted(a):
             yield from _json_diff(a[k], b[k], f"{where}.{k}", rel)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            yield f"{where}: length {len(a)} != {len(b)}"
+            yield f"{where}: length {len(a)} != {len(b)}", math.inf
             return
         for i, (x, y) in enumerate(zip(a, b)):
             yield from _json_diff(x, y, f"{where}[{i}]", rel)
     elif type(a) is not type(b):
-        yield f"{where}: {a!r} != {b!r}"
+        yield f"{where}: {a!r} != {b!r}", math.inf
     elif isinstance(a, float):
-        if not _same_number(a, b, rel):
-            yield f"{where}: {a!r} != {b!r}"
+        if _relative(a, b) > rel:
+            yield f"{where}: {a!r} != {b!r}", _relative(a, b)
     elif a != b:
-        yield f"{where}: {a!r} != {b!r}"
+        yield f"{where}: {a!r} != {b!r}", math.inf
 
 
-def _cell_diff(a: str, b: str, rel: float) -> bool:
-    """Whether two CSV cells differ: ints and strings exactly, floats within ``rel``."""
+def _cell_relative(a: str, b: str) -> float:
+    """The relative difference of two CSV cells: floats as numbers, ints and strings exactly."""
     if a == b:
-        return False
+        return 0.0
     if a.lstrip("-").isdigit() or b.lstrip("-").isdigit():
-        return True
+        return math.inf
     try:
-        return not _same_number(float(a), float(b), rel)
+        return _relative(float(a), float(b))
     except ValueError:
-        return True
+        return math.inf
 
 
 def _text_diff(a: list, b: list, where: str, rel: float):
     if len(a) != len(b):
-        yield f"{where}: {len(a)} lines != {len(b)}"
+        yield f"{where}: {len(a)} lines != {len(b)}", math.inf
         return
     for i, (x, y) in enumerate(zip(a, b)):
         xs, ys = x.split(","), y.split(",")
-        if len(xs) != len(ys) or any(_cell_diff(p, q, rel) for p, q in zip(xs, ys)):
-            yield f"{where} line {i + 1}: {x!r} != {y!r}"
+        worst = max(map(_cell_relative, xs, ys)) if len(xs) == len(ys) else math.inf
+        if worst > rel:
+            yield f"{where} line {i + 1}: {x!r} != {y!r}", worst
 
 
 def _output_diff(a, b, where: str, rel: float):
@@ -173,22 +183,31 @@ def _output_diff(a, b, where: str, rel: float):
 
 
 def differences(recorded: list, fresh: list, rel: float = 0.0):
-    """Every difference between two record lists; floats within ``rel`` agree."""
+    """Every difference between two record lists, as ``(command line, message, relative size)``.
+
+    Floats within ``rel`` of each other agree. The size is the relative
+    difference of the floats that differ (the worst on a CSV row), and inf
+    for any other difference.
+    """
     if len(recorded) != len(fresh):
-        yield f"{len(recorded)} lines recorded, {len(fresh)} run"
+        yield "", f"{len(recorded)} lines recorded, {len(fresh)} run", math.inf
     for old, new in zip(recorded, fresh):
         line = " ".join(old["argv"])
         if old["argv"] != new["argv"]:
-            yield f"{line}: argv {new['argv']!r}"
+            yield line, f"{line}: argv {new['argv']!r}", math.inf
             continue
+        found = []
         if old["exit"] != new["exit"]:
-            yield f"{line}: exit {old['exit']!r} != {new['exit']!r}"
-        yield from _output_diff(old["stdout"], new["stdout"], f"{line}: stdout", rel)
+            found.append((f"{line}: exit {old['exit']!r} != {new['exit']!r}", math.inf))
+        found += _output_diff(old["stdout"], new["stdout"], f"{line}: stdout", rel)
         if sorted(old["files"]) != sorted(new["files"]):
-            yield f"{line}: files {sorted(old['files'])!r} != {sorted(new['files'])!r}"
-            continue
-        for name in sorted(old["files"]):
-            yield from _output_diff(old["files"][name], new["files"][name], f"{line}: {name}", rel)
+            names = f"{sorted(old['files'])!r} != {sorted(new['files'])!r}"
+            found.append((f"{line}: files {names}", math.inf))
+        else:
+            for name in sorted(old["files"]):
+                found += _output_diff(old["files"][name], new["files"][name], f"{line}: {name}", rel)
+        for message, size in found:
+            yield line, message, size
 
 
 def main(argv) -> int:
@@ -209,8 +228,12 @@ def main(argv) -> int:
         print(f"recorded {len(fresh)} lines in {MANIFEST}")
         return 0
     diff = list(differences(recorded, fresh))
-    for line in diff:
-        print(line)
+    worst = {}
+    for line, message, size in diff:
+        print(message)
+        worst[line] = max(worst.get(line, 0.0), size)
+    for line, size in worst.items():
+        print(f"worst relative difference {size:.2g}: {line}")
     return 1 if diff else 0
 
 

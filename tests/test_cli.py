@@ -926,6 +926,39 @@ def test_bad_flag_value_exit_code(capsys):
     assert "usage error" in err
 
 
+_REPLICATES = ["--measure", "cube", "--dim", "1", "--reps", "400", "--threads", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["varscan", "--s-grid", "0.5,-1", "--n", "300"], 2,
+         "usage error: exponents must be finite and nonnegative"),
+        (["lln-mean", "--s", "-1", "--n", "300", "--no-oracle"], 2,
+         "usage error: exponents must be finite and nonnegative"),
+        (["varscan", "--s-grid", "0.5", "--n", "1"], 1,
+         "error: TooFewPoints: discrete energy needs at least 2 points"),
+        (["lln-weak", "--s", "0.4", "--eps", "0.1", "--n-grid", "1,50,60"], 1,
+         "error: TooFewPoints: discrete energy needs at least 2 points"),
+        (["varscan", "--s-grid", "0.5", "--n", "0"], 2, "usage error: count must be >= 1"),
+    ],
+    ids=["varscan-exponent", "lln-mean-exponent", "varscan-n1", "lln-weak-n1", "varscan-n0"],
+)
+def test_bad_replicate_arguments_are_refused_before_any_fork_or_draw(
+    argv, code, message, capsys, monkeypatch
+):
+    import rieszdim.energy as energy_mod
+    import rieszdim.stats as stats_mod
+
+    def called(*args, **kwargs):
+        raise AssertionError("a replicate pass started")
+
+    monkeypatch.setattr(energy_mod, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "fork", called)
+    monkeypatch.setattr(stats_mod, "sample", called)
+    assert run_cli(argv + _REPLICATES, capsys) == (code, "", message + "\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -685,7 +685,8 @@ def test_ladder_plan_takes_one_step_factor_per_run():
 
 
 def test_ladder_matches_direct_exponents_on_odd_lists():
-    # two strips; each list mixes ladder runs with the cases that must anchor
+    # each list mixes ladder runs with the cases that must anchor, on one
+    # fold strip of an even cloud (its last row half masked)
     c = random_cloud(21, 250, 2)
     lists = [
         [0.0, 0.5, 1.0, 1.5, 2.0],  # s = 0 then a run: the run must not be skipped
@@ -694,12 +695,24 @@ def test_ladder_matches_direct_exponents_on_odd_lists():
         [2.4, 2.0, 1.6, 1.2, 0.8, 0.4],  # descending
         [1.1, 1.1, 1.1, 2.2, 2.2, 3.3, 3.3],  # repeated
         [round(0.1 * i, 10) for i in range(30, 0, -1)] + _dim_grid(3.0),
+        # exponents served by a step factor: lone ones before or after their run,
+        # twice, and a run's own anchor 1 ulp off its step
+        [0.2, 0.3, 0.5, 0.7],
+        [0.3, 0.5, 0.7, 0.2, 0.2],
+        [0.1, 0.2, 0.3, 0.0, 0.1],
+        [1.5, 0.5, 1.0, 1.5, 2.0, 0.5],
     ]
     for exps in lists:
         got = rd.discrete_energy_multi(c, exps)
         want = [rd.discrete_energy(c, s) for s in exps]
         assert got.tolist() == pytest.approx(want, rel=1e-14)
         assert [g for g, s in zip(got, exps) if s == 0.0] == [1.0] * exps.count(0.0)
+    # prefix strips: each diagonal block is masked before a served row is summed
+    for exps in ([0.2, 0.3, 0.5, 0.7], [0.1, 0.2, 0.3]):
+        prof = rd.energy_profile(c, exps, [2, 100, 250]).values
+        for i, s in enumerate(exps):
+            want = rd.energy_profile(c, [s], [2, 100, 250]).values[0]
+            np.testing.assert_allclose(prof[i], want, rtol=1e-14, atol=0.0)
 
 
 def test_ladder_from_the_smallest_subnormal_exponent_is_finite():
@@ -738,12 +751,35 @@ def test_truncated_kernel_ladder_on_a_multi_strip_cloud():
     def weight(r):
         return 1.0 - energy_mod._cutoff(r / radius)
 
-    exps = _dim_grid(2.5)
     assert len(cloud_mod._fold_blocks(400)) > 1
-    got = energy_mod._fold_sums(pts, exps, weight=weight)
-    for i, s in enumerate(exps):
-        want = energy_mod._fold_sums(pts, [s], weight=weight)[0]
-        np.testing.assert_allclose(got[i], want, rtol=1e-14, atol=0.0)
+    for exps in (_dim_grid(2.5), [0.2, 0.3, 0.5, 0.7]):  # the second serves 0.2 from a step
+        got = energy_mod._fold_sums(pts, exps, weight=weight)
+        for i, s in enumerate(exps):
+            want = energy_mod._fold_sums(pts, [s], weight=weight)[0]
+            np.testing.assert_allclose(got[i], want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_plan_gives_the_bits_of_each_cloud_alone(forking, d):
+    # sizes repeat and alternate, so the plan of each size is made and left
+    # again; folds above 314 points take more than one strip
+    sizes = (2, 3, 299, 300, 314, 315, 700, 3, 315, 315)
+    assert [len(cloud_mod._fold_blocks(n)) for n in (314, 315, 700)] == [1, 2, 7]
+    clouds = [random_cloud(30 + k, n, d) for k, n in enumerate(sizes)]
+    s_list = [0.2, 0.3, 0.5, 0.7, 0.0, 1.9]
+    # the reference: each cloud's own fold-row sums, fsum-ed and divided by its pair count
+    want = np.column_stack(
+        [
+            [math.fsum(row.tolist()) / (c.n * (c.n - 1) // 2) for row in
+             energy_mod._fold_sums(c.points, s_list)]
+            for c in clouds
+        ]
+    ).tobytes()
+    for t in (1, 2, 1000):
+        assert energy_mod._fold_energies(clouds, s_list, threads=t).tobytes() == want
+        alone = [rd.discrete_energy_multi(c, s_list, threads=t) for c in clouds]
+        assert np.column_stack(alone).tobytes() == want
+    no_child_left()
 
 
 def test_long_ladder_against_an_extended_precision_oracle():
@@ -762,6 +798,30 @@ def test_long_ladder_against_an_extended_precision_oracle():
     ) / (last + 1)
     got = rd.energy_profile(c, exps, m).values
     assert float(np.max(np.abs(got - want) / want)) < 3e-14
+
+
+def test_a_step_equal_exponent_takes_its_kernel_from_the_step_factor(monkeypatch):
+    # 0.2 is the step of the run 0.3, 0.5, 0.7: wherever it is listed, it runs
+    # just before that run and copies the run's step factor, so a strip takes
+    # two exp passes, not three
+    h = (0.7 - 0.3) / 2
+    assert h != 0.2 and abs(h - 0.2) <= 2.0 * math.ulp(0.2)
+    assert energy_mod._ladder((0.2, 0.3, 0.5, 0.7)) == ((h, h, range(0, 1)), (0.3, h, range(1, 4)))
+    assert energy_mod._ladder((0.3, 0.5, 0.7, 0.2)) == ((h, h, range(3, 4)), (0.3, h, range(0, 3)))
+    # a run's own anchor within 2 ulp of its step is its first power
+    h = (0.3 - 0.1) / 2
+    assert h != 0.1 and energy_mod._ladder((0.1, 0.2, 0.3)) == ((h, h, range(0, 3)),)
+    c = random_cloud(25, 300, 1)
+    fold, cols = cloud_mod._fold(c.points)
+    ((d0, d1, size),) = cloud_mod._fold_blocks(300)
+    passes, exp = [], np.exp
+    monkeypatch.setattr(np, "exp", lambda *a, **k: passes.append(1) or exp(*a, **k))
+    for exps, want in (((0.2, 0.3, 0.5, 0.7), 2), ((0.25, 0.3, 0.5, 0.7), 3), ((0.1, 0.2, 0.3), 1)):
+        passes.clear()
+        out = np.empty((len(exps), d1 - d0))
+        runs = energy_mod._ladder(exps)
+        energy_mod._strip_sums(fold[:, d0:d1], cols, runs, None, out, energy_mod._corner(1, 0))
+        assert len(passes) == want
 
 
 # ------------------------------------------------------------ strip workspace
@@ -824,6 +884,19 @@ def test_one_row_tiles_leave_the_workspace_at_tile_size(monkeypatch):
     # a max and an fsum do not depend on the chunks: one chunk gives the same bits
     monkeypatch.setattr(cloud_mod, "_TILE", 1 << 17)
     assert _in_fresh_thread(run)[0] == values == (1.0, values[1])
+
+
+def test_strip_buffers_sit_at_fixed_offsets_modulo_4k():
+    # the tile, the kernel and the step factor are a cache line apart modulo
+    # 4 KiB in every process, before and after the workspace grows
+    def run():
+        first = cloud_mod._strip_buffers(10)
+        grown = cloud_mod._strip_buffers(cloud_mod._TILE + 1)
+        return [[(b.size, b.ctypes.data % 4096) for b in bufs] for bufs in (first, grown)]
+
+    first, grown = _in_fresh_thread(run)
+    assert first == [(cloud_mod._TILE, 64 * k) for k in range(3)]
+    assert grown == [(cloud_mod._TILE + 1, 64 * k) for k in range(3)]
 
 
 _SMALL_CALLS = """

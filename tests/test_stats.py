@@ -242,18 +242,18 @@ def test_replicates_drawn_in_chunks_match_the_serial_loop(monkeypatch, forking, 
     ).tobytes()
     # a chunk holds max(1, _TILE // n) clouds; the strips shrink with it, which moves no bit
     monkeypatch.setattr(cloud_mod, "_TILE", per_chunk * n + n - 1)
-    log, draw, energy = [], stats_mod.sample, stats_mod.discrete_energy_multi
+    log, draw, energy = [], stats_mod.sample, stats_mod._fold_energies
 
     def logged_draw(measure, n, seed, rep):
         log.append(rep)
         return draw(measure, n, seed, rep=rep)
 
-    def logged_energy(cloud, s_list):
-        log.append("sum")
-        return energy(cloud, s_list)
+    def logged_energy(clouds, s_list):
+        log.extend(["sum"] * len(clouds))
+        return energy(clouds, s_list)
 
     monkeypatch.setattr(stats_mod, "sample", logged_draw)
-    monkeypatch.setattr(stats_mod, "discrete_energy_multi", logged_energy)
+    monkeypatch.setattr(stats_mod, "_fold_energies", logged_energy)
     assert rd.replicate_energies(measure, s_list, n, reps, seed=6, threads=1).tobytes() == want
     chunks = [range(c, min(c + per_chunk, reps)) for c in range(0, reps, per_chunk)]
     assert log == [x for c in chunks for x in [*c, *["sum"] * len(c)]]
@@ -265,14 +265,14 @@ def _failing_share(monkeypatch, in_parent, fail):
     """Patch the replicate energy so that ``fail()`` runs in the parent's share or a child's."""
     import rieszdim.stats as stats_mod
 
-    parent, real = os.getpid(), stats_mod.discrete_energy_multi
+    parent, real = os.getpid(), stats_mod._fold_energies
 
-    def energy(cloud, s_list):
+    def energy(clouds, s_list):
         if (os.getpid() == parent) == in_parent:
             fail()
-        return real(cloud, s_list)
+        return real(clouds, s_list)
 
-    monkeypatch.setattr(stats_mod, "discrete_energy_multi", energy)
+    monkeypatch.setattr(stats_mod, "_fold_energies", energy)
 
 
 @pytest.mark.parametrize("in_parent", [False, True], ids=["child", "parent"])
@@ -306,15 +306,15 @@ def test_unpicklable_and_fatal_child_errors_surface(monkeypatch, forking):
 def test_an_error_in_the_parent_share_kills_the_children(monkeypatch, forking):
     import rieszdim.stats as stats_mod
 
-    parent, real = os.getpid(), stats_mod.discrete_energy_multi
+    parent, real = os.getpid(), stats_mod._fold_energies
 
-    def energy(cloud, s_list):
+    def energy(clouds, s_list):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        time.sleep(20)  # the child's two replicates outlast the test unless it is killed
-        return real(cloud, s_list)
+        time.sleep(20)  # the child's chunk of two replicates outlasts the test unless it is killed
+        return real(clouds, s_list)
 
-    monkeypatch.setattr(stats_mod, "discrete_energy_multi", energy)
+    monkeypatch.setattr(stats_mod, "_fold_energies", energy)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         rd.replicate_energies(rd.UniformCube(1), [0.5], 20, 4, seed=1, threads=2)
