@@ -4,20 +4,24 @@ Order is significant. A cloud doubles as a generating sequence: ``prefix(k)``
 returns the first k points, so nested prefixes P_2, P_3, ... of one cloud are
 the sets whose energies the profile and estimator modules track.
 
-Pair passes build their values in tiles (``_tile``) of about ``_TILE``
-values, from coordinate-major operands, on one of two schedules. The fold
-(``_fold``, ``_fold_blocks``) pairs point j with point (j + δ) mod n in row
-δ, so rows 1 .. n/2 hold each unordered pair once in dense strips of 1/2 to
-3/2 ``_TILE`` values, planned once per n (a cloud of up to 314 points is
-one strip); every pass that needs no prefix order walks it (``min_gap``,
-the pair iterators behind the dedup paths, energy totals, and the ball
-cross terms).
-``diameter`` walks it over the points that a triangle-inequality bound
-about the bounding-box centre cannot rule out, and returns the full walk's
-maximum to the bit. Of 1500 uniform points (two seeds) it keeps 2-4 at
-d = 2, 11-17 at d = 3, 29-80 at d = 6, 55-182 at d = 7 and 233-304 at
-d = 8. The prefix row strips (``_row_blocks``) take rows [k0, k1) against
-the columns [0, k1) and serve prefix profiles only.
+Every pair pass is one walk (``_walk``): strips of about ``_TILE`` values,
+planned from one coordinate-major copy of the cloud, whose tiles
+(``_tile``) are built in three buffers that the walk owns, so concurrent
+passes share nothing. A walk has one of four schedules. The fold (``_fold``,
+``_fold_blocks``) pairs point j with point (j + δ) mod n in row δ, so rows
+1 .. n/2 hold each unordered pair once in dense strips of 1/2 to 3/2
+``_TILE`` values, planned once per n (a cloud of up to 314 points is one
+strip); every pass that needs no prefix order walks it (``min_gap``, the
+pair iterators behind the dedup paths, energy totals, and the ball cross
+terms), and dot products walk it from row 0. ``diameter`` walks it over the
+points that a triangle-inequality bound about the bounding-box centre
+cannot rule out, and returns the full walk's maximum to the bit. Of 1500
+uniform points (two seeds) it keeps 2-4 at d = 2, 11-17 at d = 3, 29-80 at
+d = 6, 55-182 at d = 7 and 233-304 at d = 8. The prefix row strips
+(``_row_blocks``) take rows [k0, k1) against the columns [0, k1) and serve
+prefix profiles only. One point against the cloud, in column chunks of at
+most ``_TILE``, serves the diameter's lower bound and the discrete
+potential.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import functools
 import io
 import math
 import os
-import threading
 
 import numpy as np
 
@@ -40,10 +43,6 @@ _SUBNORMAL_MIN = 2.0**-1074  # the subnormal step
 # the relative margin of diameter()'s centre bound, far above the few-ulp
 # rounding of a distance or a centre distance in any dimension below 2^30
 _BOUND_MARGIN = 2.0**-20
-# Per thread, not per module: threads of one process may run pair passes at
-# once (each forked worker has its own copy anyway), and one shared workspace
-# would let one caller's strip overwrite another's tile mid-pass.
-_workspace = threading.local()
 
 
 class PointCloud:
@@ -130,9 +129,9 @@ class PointCloud:
         u = np.ldexp(off, -k)
         r = np.sqrt(np.square(u - u.max(axis=0) / 2.0).sum(axis=1))  # distances to the centre
         f = int(r.argmax())
-        a, b = pts[f][:, None, None], np.ascontiguousarray(np.delete(pts, f, axis=0).T)
+        strips, bufs = _walk(np.delete(pts, f, axis=0), "point", pts[f])
         with np.errstate(over="ignore"):  # an overflowing square is rebuilt
-            lo = max(float(_distances(_tile(a, c), a, c).max()) for c in _column_chunks(b))
+            lo = max(float(_distances(_tile(a, b, bufs=bufs), a, b).max()) for a, b, *_ in strips)
         if lo == math.inf:
             return lo
         cut = math.ldexp(lo * h, -k) * (1.0 - _BOUND_MARGIN) - math.ldexp(_SUBNORMAL_MIN, -k)
@@ -151,38 +150,28 @@ def _half_spans(pts: np.ndarray) -> np.ndarray:
     return pts.max(axis=0) / 2.0 - pts.min(axis=0) / 2.0
 
 
-def _strip_buffers(size: int):
-    """This thread's three flat strip buffers, each holding at least ``size`` values.
+def _buffers(size: int) -> tuple:
+    """Three fresh flat strip buffers of ``size`` values: the tile, the kernel and the step factor.
 
-    They are allocated once per thread (at least ``_TILE`` values) and grown
-    only when a strip needs more, so a strip never page-faults fresh memory.
-    Buffer k starts 64 k bytes past a 4 KiB boundary, whatever was allocated
-    before it: the tile, the kernel and the step factor never share an
-    address modulo 4 KiB (no 4K aliasing between them), and their cache
-    placement is the same in every process. Each is a view into its own
-    allocation, 4 KiB longer than it, rather than into one shared block, so
-    each can still reuse freed heap memory: one block of all three raised a
-    ``distset`` run's peak RSS by 1 MB.
+    Buffer k starts 64 k bytes past a 4 KiB boundary: the three never share
+    an address modulo 4 KiB (no 4K aliasing between them), and their cache
+    placement is the same in every process. They are views into one
+    allocation, each in its own span of ``size`` + 512 values. Three
+    allocations of their own would be freed as three blocks that glibc's
+    malloc, whose trim threshold is twice the largest block it has
+    unmapped, hands back to the system together, so each walk would map
+    its buffers afresh: 146 page faults and +58% time per
+    ``discrete_energy_multi`` call on 300 points (2-core x86-64 VM), where
+    one block is reused from the heap.
     """
-    bufs = getattr(_workspace, "bufs", None)
-    if bufs is None or bufs[0].size < size:
-        size = max(size, _TILE)
-        bufs = []
-        for k in range(3):
-            raw = np.empty(size + 512)  # 512 values fill a 4 KiB page
-            start = (64 * k - raw.ctypes.data) % 4096 // 8
-            bufs.append(raw[start : start + size])
-        bufs = _workspace.bufs = tuple(bufs)
-    return bufs
+    span = size + 512  # 512 values fill a 4 KiB page
+    raw = np.empty(3 * span)
+    addr = raw.ctypes.data
+    starts = [k * span + (64 * k - addr - 8 * k * span) % 4096 // 8 for k in range(3)]
+    return tuple(raw[start : start + size] for start in starts)
 
 
-def _column_chunks(b: np.ndarray) -> list:
-    """The (d, cols) operand ``b`` in column slices of at most ``_TILE``, so a one-row tile
-    of each keeps the strip buffers at their size."""
-    return [b[:, j : j + _TILE] for j in range(0, b.shape[1], _TILE)]
-
-
-def _tile(a: np.ndarray, b: np.ndarray, *, dot: bool = False) -> np.ndarray:
+def _tile(a: np.ndarray, b: np.ndarray, *, dot: bool = False, bufs=None) -> np.ndarray:
     """Squared distances (or dot products) of the pairs of a tile, rows of a against b.
 
     Both operands are coordinate-major: ``b`` is (d, cols) and ``a`` is (d,
@@ -192,14 +181,14 @@ def _tile(a: np.ndarray, b: np.ndarray, *, dot: bool = False) -> np.ndarray:
     (d, rows, cols) temporary. A squared difference is never -0.0, so the
     first coordinate's squares are written straight into the tile; dot
     products start from +0.0, so a zero product is never -0.0. The tile is a
-    view of buffer 0 of this thread's strip workspace and its per-coordinate
-    temporary is buffer 1: the result is valid until the thread's next
-    ``_tile`` call, and buffers 1 and 2 are free for the caller until then.
+    view of buffer 0 of ``bufs``, a walk's buffers (fresh ones when None), and
+    its per-coordinate temporary is buffer 1: the result is valid until the
+    next ``_tile`` call on them, and buffers 1 and 2 are free until then.
     """
     op = np.multiply if dot else np.subtract
     shape = (a.shape[1], b.shape[1])
     size = shape[0] * shape[1]
-    buf, tmp, _ = _strip_buffers(size)
+    buf, tmp, _ = bufs or _buffers(size)
     tile = buf[:size].reshape(shape)
     if dot:
         tile.fill(0.0)
@@ -275,17 +264,76 @@ def _fold_plan(n: int, first: int, tile: int) -> tuple:
     )
 
 
+@functools.lru_cache
+def _corner(rows: int, cols: int):
+    """The read-only corner mask of a strip, True where a value is skipped, made once per shape.
+
+    ~tri(rows, cols, k=-1): True on and above the diagonal. For rows = cols
+    that is the pairs j >= k of a prefix strip's diagonal block; for one row
+    it is all True, the second half of the last fold row of an even cloud.
+    None when cols is 0: a strip whose every value is a pair.
+    """
+    if not cols:
+        return None
+    mask = ~np.tri(rows, cols, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _walk(pts: np.ndarray, schedule: str, x=None, bufs=None) -> tuple:
+    """One pair pass over the (n, d) ``pts``: its strips and the three buffers they share.
+
+    ``schedule`` is "fold" (the fold rows 1 .. n // 2 of :func:`_fold_blocks`:
+    every unordered pair once), "dot" (the fold rows 0 .. n // 2: the
+    self-pairs too), "prefix" (the row strips of :func:`_row_blocks`: rows
+    [k0, k1) against the columns [0, k1)) or "point" (the point ``x``, (d,),
+    against every point, in column chunks of at most ``_TILE``). Each strip
+    is ``(a, b, r0, r1, corner, size)``, planned from one coordinate-major
+    copy of ``pts``: the operands of its tile ``_tile(a, b)``, the entries
+    [r0, r1) of the pass's output that it fills (the fold rows counted from
+    the first, the prefix rows, or the columns of x's row), the
+    :func:`_corner` mask laid on the tile's bottom-right corner, True where
+    a value is skipped, and how many of the tile's values in C order hold
+    its pairs (a prefix strip's corner lies within them). The buffers are
+    :func:`_buffers` at the size of the widest tile, made per walk, so
+    concurrent walks share nothing; ``bufs`` hands on those of an earlier
+    walk of the same plan instead.
+    """
+    n = pts.shape[0]
+    if schedule in ("fold", "dot"):
+        first = 0 if schedule == "dot" else 1
+        fold, cols = _fold(pts)
+        strips = [
+            (fold[:, d0:d1], cols, d0 - first, d1 - first, _corner(1, (d1 - d0) * n - size), size)
+            for d0, d1, size in _fold_blocks(n, first)
+        ]
+    else:
+        cols = np.ascontiguousarray(pts.T)
+        if schedule == "prefix":
+            strips = [
+                (cols[:, k0:k1, None], cols[:, :k1], k0, k1, _corner(k1 - k0, k1 - k0), (k1 - k0) * k1)
+                for k0, k1 in _row_blocks(n)
+            ]
+        else:
+            a = x[:, None, None]
+            ends = [(j, min(n, j + _TILE)) for j in range(0, n, _TILE)]
+            strips = [(a, cols[:, j0:j1], j0, j1, None, j1 - j0) for j0, j1 in ends]
+    if bufs is None:
+        bufs = _buffers(max((a.shape[1] * b.shape[1] for a, b, *_ in strips), default=0))
+    return strips, bufs
+
+
 def _pair_tiles(pts: np.ndarray, *, dot: bool = False):
     """Yield the values of the unordered pairs of ``pts``, one fold strip at a time.
 
     Values are squared distances or, with ``dot``, dot products; dot
-    products also cover the self-pairs. Each strip of :func:`_fold_blocks`
-    yields a fresh array of its values. Every value is built one coordinate
-    at a time in coordinate order, so it does not depend on the strips.
+    products also cover the self-pairs. Each strip of the walk yields a
+    fresh array of its values. Every value is built one coordinate at a
+    time in coordinate order, so it does not depend on the strips.
     """
-    fold, cols = _fold(pts)
-    for d0, d1, size in _fold_blocks(pts.shape[0], first=0 if dot else 1):
-        yield _tile(fold[:, d0:d1], cols, dot=dot).ravel()[:size].copy()
+    strips, bufs = _walk(pts, "dot" if dot else "fold")
+    for a, b, _, _, _, size in strips:
+        yield _tile(a, b, dot=dot, bufs=bufs).ravel()[:size].copy()
 
 
 def _scaled_differences(a: np.ndarray, b: np.ndarray):
@@ -342,12 +390,11 @@ def _pair_distances(pts: np.ndarray):
     The same strips and order as :func:`_pair_tiles`, each value as
     :func:`_distances` gives it.
     """
-    fold, cols = _fold(pts)
-    for d0, d1, size in _fold_blocks(pts.shape[0]):
-        a = fold[:, d0:d1]
+    strips, bufs = _walk(pts, "fold")
+    for a, b, _, _, _, size in strips:
         with np.errstate(over="ignore"):  # an overflowing square is rebuilt
-            d2 = _tile(a, cols)
-        yield _distances(d2, a, cols).ravel()[:size].copy()
+            d2 = _tile(a, b, bufs=bufs)
+        yield _distances(d2, a, b).ravel()[:size].copy()
 
 
 def write_csv(cloud: PointCloud, path) -> None:

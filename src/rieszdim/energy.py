@@ -6,8 +6,9 @@ The discrete s-energy of an n-point set P is
 
 with Euclidean distance, summed over ordered pairs (equivalently twice the
 unordered-pair sum). Every energy here is arithmetic on kernel sums over
-strips of pairs, taken for all exponents at once by one strip kernel
-(``_strip_sums``) on one of two schedules:
+the strips of one ``cloud._walk``, taken for all exponents at once by one
+strip kernel (``_strip_sums``) in the walk's buffers, on one of two
+schedules:
 
 * Totals (``discrete_energy``, ``discrete_energy_multi``,
   ``truncated_energy``, and so every replicate loop and
@@ -17,8 +18,9 @@ strips of pairs, taken for all exponents at once by one strip kernel
   fold row is summed on its own and a total is the ``math.fsum`` of those
   sums, so it is bit-identical at any thread count and any strip size.
   ``_fold_energies`` sums a sequence of clouds (a chunk of replicate
-  draws, a family's members) on one plan, set up once per call;
-  ``discrete_energy_multi`` is its one-cloud call.
+  draws, a family's members) on one plan, set up once per call, and one
+  set of strip buffers per cloud size; ``discrete_energy_multi`` is its
+  one-cloud call.
 * Prefix profiles (``energy_profile``, hence ``slln_path``) need the row
   sums R_s[k] = sum_{j<k} |x_k - x_j|^{-s} in prefix order. They walk the
   row strips of ``cloud._row_blocks`` against all earlier points, skipping
@@ -53,8 +55,9 @@ stays within 3e-14 of an extended-precision oracle over a 600-exponent
 grid. Each kernel row is summed by one ``einsum`` reduction of that row
 alone.
 Strips are dealt to forked worker processes by ``_deal`` (passes too
-small to pay for a fork run inline). Strip bounds do not depend on the
-worker count and each strip writes only its own rows, so every result is
+small to pay for a fork run inline), each of which sums its share in its
+own copy of the walk's buffers. Strip bounds do not depend on the worker
+count and each strip writes only its own rows, so every result is
 bit-identical at any thread count. A sum that overflows is inf, never nan.
 """
 
@@ -68,16 +71,7 @@ import pickle
 
 import numpy as np
 
-from .cloud import (
-    PointCloud,
-    _column_chunks,
-    _distances,
-    _fold,
-    _fold_blocks,
-    _row_blocks,
-    _strip_buffers,
-    _tile,
-)
+from .cloud import PointCloud, _buffers, _corner, _distances, _tile, _walk
 from .errors import DimensionMismatch, DuplicatePoints, TooFewPoints, _check_exponents
 from .families import EnergyProfile, _check_grids, _fsum
 from .families import grid_1d_profile  # noqa: F401 (also served from here)
@@ -204,22 +198,6 @@ def _reap(pid: int, pipe: int):
     return None
 
 
-@functools.lru_cache
-def _corner(rows: int, cols: int):
-    """The read-only corner mask of a strip, True where a value is skipped, made once per shape.
-
-    ~tri(rows, cols, k=-1): True on and above the diagonal. For rows = cols
-    that is the pairs j >= k of a prefix strip's diagonal block; for one row
-    it is all True, the second half of the last fold row of an even cloud.
-    None when cols is 0: a strip whose every value is a pair.
-    """
-    if not cols:
-        return None
-    mask = ~np.tri(rows, cols, k=-1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
 def _realizes(s: float, h: float, rows, exps: tuple) -> bool:
     """Whether row m of ``rows``, at exponent s + m h, is within 2 ulp of its listed exponent."""
     return all(abs(s + m * h - exps[i]) <= 2.0 * math.ulp(exps[i]) for m, i in enumerate(rows))
@@ -268,8 +246,11 @@ def _ladder(exps: tuple) -> tuple:
     return tuple(x for run in plan for x in (*lone.pop(run[1], ()), run))
 
 
-def _strip_sums(a, b, runs, weight, out, corner) -> None:
+def _strip_sums(a, b, runs, weight, out, corner, bufs=None) -> None:
     """Write the kernel sums of the rows of the strip ``_tile(a, b)`` to ``out`` (S x rows).
+
+    ``bufs`` are the walk's buffers (fresh ones when None): the tile, then
+    the kernel and the step factor.
 
     ``corner`` is None when every value of the strip is a pair. Otherwise it
     is a bool mask laid on the strip's bottom-right corner, True where a
@@ -284,7 +265,8 @@ def _strip_sums(a, b, runs, weight, out, corner) -> None:
     L = 0), so at s = 0 the kernel is exactly 1 and the sums are the exact
     pair counts or weight sums.
     """
-    d2 = _tile(a, b)
+    bufs = bufs or _buffers(a.shape[1] * b.shape[1])
+    d2 = _tile(a, b, bufs=bufs)
     if corner is not None:
         at = np.s_[-corner.shape[0] :, -corner.shape[1] :]
         np.copyto(d2[at], 1.0, where=corner)  # skipped: log 1 is 0
@@ -297,7 +279,7 @@ def _strip_sums(a, b, runs, weight, out, corner) -> None:
     if w is not None:
         L[w == 0.0] = 0.0  # a zero weight must not meet an infinite kernel
     # buffers 1 and 2 are free once the tile is built: the kernel and the step factor
-    K, E = (buf[: L.size].reshape(L.shape) for buf in _strip_buffers(L.size)[1:])
+    K, E = (buf[: L.size].reshape(L.shape) for buf in bufs[1:])
     step = None  # the h whose step factor E holds
     for s, h, rows in runs:
         if h and h != step:
@@ -320,26 +302,28 @@ def _strip_sums(a, b, runs, weight, out, corner) -> None:
             np.einsum("ij->i", K, out=out[i])
 
 
-def _sum_strips(strips, runs, weight, out) -> np.ndarray:
-    """out[:, r0:r1] = :func:`_strip_sums` of each strip ``(a, b, r0, r1, corner)``; returns out."""
-    for a, b, r0, r1, corner in strips:
-        _strip_sums(a, b, runs, weight, out[:, r0:r1], corner)
+def _sum_strips(strips, bufs, runs, weight, out) -> np.ndarray:
+    """out[:, r0:r1] = :func:`_strip_sums` of each strip of a walk, on its buffers; returns out."""
+    for a, b, r0, r1, corner, _ in strips:
+        _strip_sums(a, b, runs, weight, out[:, r0:r1], corner, bufs)
     return out
 
 
-def _sums(strips, width, exps, threads, weight):
-    """:func:`_sum_strips` into a zeroed S x ``width`` array, dealt to ``threads`` workers.
+def _sums(walk, width, exps, threads, weight):
+    """:func:`_sum_strips` of a walk ``(strips, bufs)`` into a zeroed S x ``width`` array.
 
-    The strips are dealt by :func:`_deal`. A pair costs about 1 ns per
-    exponent plus 8 ns for its tile, log and first exp.
+    The strips are dealt to ``threads`` workers by :func:`_deal`; a forked
+    worker sums its share on its own copy of the walk's buffers. A pair
+    costs about 1 ns per exponent plus 8 ns for its tile, log and first exp.
     """
+    strips, bufs = walk
     runs = _ladder(tuple(float(s) for s in exps))
 
     def run(share, out):
         with np.errstate(over="ignore"):
-            _sum_strips(share, runs, weight, out)
+            _sum_strips(share, bufs, runs, weight, out)
 
-    work = sum((r1 - r0) * b.shape[1] for _, b, r0, r1, _ in strips) * (len(exps) + 8)
+    work = sum((r1 - r0) * b.shape[1] for _, b, r0, r1, _, _ in strips) * (len(exps) + 8)
     return _deal(run, strips, (len(exps), width), threads, work)
 
 
@@ -349,23 +333,7 @@ def _row_sums(pts, exps, *, threads=1):
     Walks the prefix strips of ``cloud._row_blocks``. Raises DuplicatePoints
     on a zero distance.
     """
-    cols = np.ascontiguousarray(pts.T)
-    strips = [
-        (cols[:, k0:k1, None], cols[:, :k1], k0, k1, _corner(k1 - k0, k1 - k0))
-        for k0, k1 in _row_blocks(pts.shape[0])
-    ]
-    return _sums(strips, pts.shape[0], exps, threads, None)
-
-
-def _strip_plan(n: int) -> list:
-    """``(δ0, δ1, corner)`` of each strip of ``cloud._fold_blocks(n)``, with its corner mask."""
-    return [(d0, d1, _corner(1, (d1 - d0) * n - size)) for d0, d1, size in _fold_blocks(n)]
-
-
-def _fold_strips(pts, plan) -> list:
-    """The strips ``(a, b, r0, r1, corner)`` of the fold of ``pts`` on the ``plan`` of its size."""
-    fold, cols = _fold(pts)
-    return [(fold[:, d0:d1], cols, d0 - 1, d1 - 1, corner) for d0, d1, corner in plan]
+    return _sums(_walk(pts, "prefix"), pts.shape[0], exps, threads, None)
 
 
 def _fold_sums(pts, exps, *, threads=1, weight=None):
@@ -375,15 +343,15 @@ def _fold_sums(pts, exps, *, threads=1, weight=None):
     is summed once, in no prefix order: fsum(F[i]) is the pair total. Each
     fold row is summed on its own, so F does not depend on the strips.
     """
-    n = pts.shape[0]
-    return _sums(_fold_strips(pts, _strip_plan(n)), n // 2, exps, threads, weight)
+    return _sums(_walk(pts, "fold"), pts.shape[0] // 2, exps, threads, weight)
 
 
 def _fold_energies(clouds, s_list, *, threads: int = 1) -> np.ndarray:
     """J_s of each cloud of ``clouds`` for each exponent, shape (S, len(clouds)), on one plan.
 
-    The ladder runs, the fold strips and one (S, n // 2) row-sum buffer of
-    each size, and the error state are set up once per call, not per cloud.
+    The ladder runs and the error state are set up once per call, and the
+    strip buffers and one (S, n // 2) row-sum buffer once per cloud size:
+    each cloud's fold walk takes over the buffers of the walk before it.
     Each cloud sums its fold strips (dealt to ``threads`` workers by
     :func:`_sums` when threads > 1), and each J_s is the fsum of its fold-row
     sums over the n(n-1)/2 pairs: the bits of that cloud alone.
@@ -393,17 +361,18 @@ def _fold_energies(clouds, s_list, *, threads: int = 1) -> np.ndarray:
     _check_exponents(s_list)
     runs = _ladder(tuple(float(s) for s in s_list))
     out = np.empty((len(s_list), len(clouds)))
-    n = None
+    n = bufs = None
     with np.errstate(over="ignore"):
         for j, cloud in enumerate(clouds):
             if cloud.n != n:
-                n = cloud.n
-                plan, buf = _strip_plan(n), np.empty((len(s_list), n // 2))
-            strips = _fold_strips(cloud.points, plan)
+                n, bufs = cloud.n, None
+                buf = np.empty((len(s_list), n // 2))
+            walk = _walk(cloud.points, "fold", bufs=bufs)
+            strips, bufs = walk
             if threads > 1:
-                F = _sums(strips, n // 2, s_list, threads, None)
+                F = _sums(walk, n // 2, s_list, threads, None)
             else:
-                F = _sum_strips(strips, runs, None, buf)
+                F = _sum_strips(strips, bufs, runs, None, buf)
             out[:, j] = [_fsum(row) / (n * (n - 1) // 2) for row in F]
     return out
 
@@ -491,11 +460,11 @@ def riesz_potential_discrete(cloud: PointCloud, x, s: float) -> float:
         raise ValueError("point coordinates must be finite (no NaN/inf)")
     if s == 0.0:
         return 1.0
-    a, b = x[:, None, None], np.ascontiguousarray(cloud.points.T)
+    strips, bufs = _walk(cloud.points, "point", x)
     with np.errstate(over="ignore"):
         try:
-            kernels = [np.exp(-0.5 * s * _distances(_tile(a, c), a, c, log=True)[0])
-                       for c in _column_chunks(b)]
+            kernels = [np.exp(-0.5 * s * _distances(_tile(a, b, bufs=bufs), a, b, log=True)[0])
+                       for a, b, *_ in strips]
         except DuplicatePoints:
             return math.inf
         return _fsum(np.concatenate(kernels)) / cloud.n

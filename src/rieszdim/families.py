@@ -135,9 +135,12 @@ def _energies(factors, exps) -> np.ndarray:
 
 
 def _fsum(values: np.ndarray) -> float:
-    """Exact sum of nonnegative terms; inf once it overflows."""
+    """Exact sum of nonnegative terms; inf once it overflows.
+
+    ``math.fsum`` reads the float64 buffer itself, with no list of floats.
+    """
     try:
-        return math.fsum(values.tolist())
+        return math.fsum(memoryview(np.ascontiguousarray(values, dtype=float)))
     except OverflowError:
         return math.inf
 

@@ -20,7 +20,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import cloud as _cloud
-from .cloud import PointCloud, _half_spans, _pair_distances, _pair_tiles
+from .cloud import _SUBNORMAL_MIN, PointCloud, _half_spans, _pair_distances, _pair_tiles
 from .errors import TooFewPoints
 
 __all__ = [
@@ -176,7 +176,9 @@ def distance_set(cloud: PointCloud, quantization="auto") -> ValueSet:
 
     ``quantization`` is "auto" (exact integer mode when every coordinate is
     an integer and every squared distance is at most 2^51, else a relative
-    1e-9 grid), "exact" to force integer mode, or an absolute grid step.
+    1e-9 grid, at least the subnormal step 2^-1074, on which every distinct
+    double keeps its own key), "exact" to force integer mode, or an
+    absolute grid step.
     Quantized values are the smallest distance per grid key, so equal inputs
     never split, values further apart than twice the step never merge, and
     the result does not depend on the tiling. The auto step comes from
@@ -201,7 +203,7 @@ def distance_set(cloud: PointCloud, quantization="auto") -> ValueSet:
             "distances are at most 2^51"
         )
     if quantization == "auto":
-        step = 1e-9 * cloud.diameter()
+        step = max(1e-9 * cloud.diameter(), _SUBNORMAL_MIN)  # 1e-9 x a subnormal may be 0
     else:
         step = float(quantization)
     _check_step(step, 2.0 * math.hypot(*_half_spans(pts)))  # inf past the largest double
@@ -213,16 +215,17 @@ def dot_product_set(cloud: PointCloud, quantization: Optional[float] = None) -> 
     """Distinct dot products over all ordered pairs, including x with itself.
 
     Default quantization is a relative 1e-9 grid on the largest squared
-    norm. Since x . y == y . x, the pairs i <= j give the whole set. A step
-    that is not finite and positive, or so fine that the grid keys of dot
-    products up to the largest squared norm reach 2^53, raises ValueError
-    before any pair is computed.
+    norm, at least the subnormal step 2^-1074. Since x . y == y . x, the
+    pairs i <= j give the whole set. A step that is not finite and
+    positive, or so fine that the grid keys of dot products up to the
+    largest squared norm reach 2^53, raises ValueError before any pair is
+    computed.
     """
     pts = cloud.points
     with np.errstate(over="ignore"):
         scale = float(np.max(np.sum(pts * pts, axis=1)))
     if quantization is None:
-        step = 1e-9 * (scale if scale > 0 else 1.0)
+        step = max(1e-9 * (scale if scale > 0 else 1.0), _SUBNORMAL_MIN)
     else:
         step = float(quantization)
     _check_step(step, scale)

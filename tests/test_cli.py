@@ -725,6 +725,24 @@ def test_traced_benchmark_finds_what_it_wraps():
         assert hasattr(importlib.import_module("rieszdim." + module), attr), (module, attr)
 
 
+@pytest.mark.parametrize(
+    "command, points",
+    [("distset", "0\n1e-320\n2e-320"), ("erdos", "0\n1e-320\n2e-320"), ("dotset", "1e-160\n2e-160")],
+    ids=["distset", "erdos", "dotset"],
+)
+def test_auto_step_of_a_subnormal_cloud_is_not_refused(command, points, capsys, tmp_path):
+    # 1e-9 times the diameter 2e-320, or the squared norm 4e-320, rounds to
+    # 0: the auto step is then 2^-1074, not a usage error
+    path = tmp_path / "tiny.csv"
+    path.write_text(f"# dim=1\n{points}\n")
+    code, out, err = run_cli([command, "--input", str(path)], capsys)
+    assert (code, err) == (0, "")
+    if command == "erdos":
+        assert out.splitlines()[1].split(",")[2] == "2"  # the count: 1e-320 and 2e-320
+    else:
+        assert payload_of(out)["quantization"] == 2.0**-1074
+
+
 def test_distset_exact_mode_out_of_range_is_usage_error(capsys, tmp_path):
     path = tmp_path / "far.csv"
     big = 2**25

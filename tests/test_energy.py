@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -824,11 +825,11 @@ def test_a_step_equal_exponent_takes_its_kernel_from_the_step_factor(monkeypatch
         assert len(passes) == want
 
 
-# ------------------------------------------------------------ strip workspace
+# -------------------------------------------------------------- strip buffers
 
 
 def _in_fresh_thread(fn):
-    """Run fn on a new thread, whose strip workspace starts empty."""
+    """Run fn on a new thread and return its result."""
     box = []
     t = threading.Thread(target=lambda: box.append(fn()))
     t.start()
@@ -846,57 +847,71 @@ def naive_row_sums(pts, exps):
     )
 
 
-def test_workspace_grows_for_wide_single_row_strips(monkeypatch):
-    # a 16-value tile makes the first strip 4 x 4 and every later strip a
-    # single row as wide as its index, so the workspace must grow
+def test_wide_single_row_strips_give_the_naive_row_sums(monkeypatch):
+    # a 16-value tile makes the first strip 4 x 4 and the last ones single
+    # rows as wide as their index: the walk's buffers take the widest strip
     monkeypatch.setattr(cloud_mod, "_TILE", 16)
     pts = random_cloud(11, 50, 2).points
     exps = [0.0, 0.7, 2.3]
-    assert cloud_mod._row_blocks(50)[0] == (0, 4)
-
-    def run():
-        cols = np.ascontiguousarray(pts[:4].T)
-        cloud_mod._tile(cols[:, :, None], cols)
-        first = cloud_mod._workspace.bufs[0].size
-        R = energy_mod._row_sums(pts, exps)
-        return first, cloud_mod._workspace.bufs[0].size, R
-
-    first, last, R = _in_fresh_thread(run)
-    assert first == 16
-    assert last >= 50
+    strips, bufs = cloud_mod._walk(pts, "prefix")
+    spans = [(r0, r1) for _, _, r0, r1, _, _ in strips]
+    assert spans[0] == (0, 4) and spans[-1] == (49, 50)
+    assert [b.size for b in bufs] == [max((r1 - r0) * r1 for r0, r1 in spans)] * 3
+    R = energy_mod._row_sums(pts, exps)
     want = naive_row_sums(pts.tolist(), exps)
     assert R[0].tolist() == list(range(50))
     np.testing.assert_allclose(R, want, rtol=1e-12, atol=0.0)
 
 
-def test_one_row_tiles_leave_the_workspace_at_tile_size(monkeypatch):
-    # the diameter's lower-bound row and a potential's row are built in
-    # chunks of at most _TILE columns, so they never grow the strip buffers
+def test_one_point_walks_take_the_cloud_in_tile_chunks(monkeypatch):
+    # the diameter's lower-bound row and a potential's row walk one point
+    # against the cloud in chunks of at most _TILE columns, so their buffers
+    # hold _TILE values however large the cloud
     cloud = rd.PointCloud(np.arange(100_000.0)[:, None] / 99_999.0)
-    x = [0.123456789]
-
-    def run():
-        values = cloud.diameter(), rd.riesz_potential_discrete(cloud, x, 0.7)
-        return values, [b.size for b in cloud_mod._workspace.bufs]
-
-    values, sizes = _in_fresh_thread(run)
-    assert sizes == [cloud_mod._TILE] * 3
+    x = np.array([0.123456789])
+    tile = cloud_mod._TILE
+    strips, bufs = cloud_mod._walk(cloud.points, "point", x)
+    assert [(r0, r1, b.shape[1]) for _, b, r0, r1, _, _ in strips] == [
+        (j, min(j + tile, 100_000), min(tile, 100_000 - j)) for j in range(0, 100_000, tile)
+    ]
+    assert [b.size for b in bufs] == [tile] * 3
+    values = cloud.diameter(), rd.riesz_potential_discrete(cloud, x, 0.7)
     # a max and an fsum do not depend on the chunks: one chunk gives the same bits
     monkeypatch.setattr(cloud_mod, "_TILE", 1 << 17)
-    assert _in_fresh_thread(run)[0] == values == (1.0, values[1])
+    assert (cloud.diameter(), rd.riesz_potential_discrete(cloud, x, 0.7)) == values
+    assert values[0] == 1.0
 
 
-def test_strip_buffers_sit_at_fixed_offsets_modulo_4k():
+def test_walk_buffers_sit_at_fixed_offsets_modulo_4k():
     # the tile, the kernel and the step factor are a cache line apart modulo
-    # 4 KiB in every process, before and after the workspace grows
-    def run():
-        first = cloud_mod._strip_buffers(10)
-        grown = cloud_mod._strip_buffers(cloud_mod._TILE + 1)
-        return [[(b.size, b.ctypes.data % 4096) for b in bufs] for bufs in (first, grown)]
+    # 4 KiB in every process, at any size
+    for size in (10, cloud_mod._TILE + 1):
+        got = [(b.size, b.ctypes.data % 4096) for b in cloud_mod._buffers(size)]
+        assert got == [(size, 64 * k) for k in range(3)]
+    pts = random_cloud(3, 700, 2).points
+    for schedule in ("fold", "dot", "prefix"):
+        strips, bufs = cloud_mod._walk(pts, schedule)
+        widest = max(a.shape[1] * b.shape[1] for a, b, *_ in strips)
+        assert [(b.size, b.ctypes.data % 4096) for b in bufs] == [(widest, 64 * k) for k in range(3)]
 
-    first, grown = _in_fresh_thread(run)
-    assert first == [(cloud_mod._TILE, 64 * k) for k in range(3)]
-    assert grown == [(cloud_mod._TILE + 1, 64 * k) for k in range(3)]
+
+def test_no_strip_buffer_outlives_the_call(monkeypatch):
+    # each walk owns its buffers, so a wide one-point walk or fold walk
+    # leaves nothing behind once the call returns
+    cloud = rd.PointCloud(np.arange(100_000.0)[:, None] / 99_999.0)
+    made, real = [], cloud_mod._buffers
+
+    def recording(size):
+        bufs = real(size)
+        assert bufs[1].base is bufs[2].base is bufs[0].base  # views into one allocation
+        made.append(weakref.ref(bufs[0].base))
+        return bufs
+
+    monkeypatch.setattr(cloud_mod, "_buffers", recording)
+    assert cloud.diameter() == 1.0
+    assert rd.riesz_potential_discrete(cloud, [0.5], 0.7) > 0.0
+    assert len(made) == 3  # the diameter's row and fold walks, and the potential's row
+    assert [ref() for ref in made] == [None] * 3
 
 
 _SMALL_CALLS = """

@@ -126,3 +126,17 @@ def test_term_cap_refuses_before_any_sum(monkeypatch):
             call(terms - 1)
         with pytest.raises(AssertionError, match="a sum started"):
             call(terms)
+
+
+def test_fsum_reads_the_buffer_with_the_bits_of_a_list():
+    # math.fsum is correctly rounded, so the buffer and the list give the same bits
+    rng = np.random.default_rng(9)
+    rows = [rng.random(k) * 10.0 ** rng.integers(-300, 300) for k in (1, 7, 150, 4096)]
+    rows.append(rng.random((40, 6))[:, 3])  # a strided view
+    rows.append(np.zeros(0))
+    for row in rows:
+        assert families_mod._fsum(row) == math.fsum(row.tolist())
+    huge = np.full(3, 1.7e308)
+    with pytest.raises(OverflowError):
+        math.fsum(huge.tolist())
+    assert families_mod._fsum(huge) == math.inf

@@ -131,6 +131,21 @@ def test_distance_set_auto_step_below_the_square_underflow():
     assert vs.quantization == 1e-9 * 1e-300
 
 
+def test_auto_steps_that_underflow_take_the_subnormal_step():
+    # 1e-9 times the diameter 2e-320, or the squared norm 4e-320, rounds to
+    # 0; the auto step is then 2^-1074, where every distinct double keeps its key
+    tiny = 2.0**-1074
+    vs = rd.distance_set(rd.PointCloud([[0.0], [1e-320], [2e-320]]))
+    assert (vs.quantization, vs.values.tolist()) == (tiny, [1e-320, 2e-320])
+    dots = rd.dot_product_set(rd.PointCloud([[1e-160], [2e-160]]))
+    assert dots.quantization == tiny
+    assert dots.values.tolist() == sorted({1e-160 * 1e-160, 1e-160 * 2e-160, 2e-160 * 2e-160})
+    # an explicit step of 0 is still refused
+    for call in (rd.distance_set, rd.dot_product_set):
+        with pytest.raises(ValueError, match="must be finite and positive, got 0.0"):
+            call(rd.PointCloud([[0.0], [1.0]]), 0.0)
+
+
 def test_distance_set_at_a_gap_whose_square_is_subnormal():
     g = 1.23456789e-161
     vs = rd.distance_set(rd.PointCloud([[0.0], [g], [0.5]]))
