@@ -59,6 +59,11 @@ def _factor_from_json(doc: dict) -> CantorFactor:
     return CantorFactor(int(doc["m"]), int(doc["n"]), tuple(doc.get("kept") or ()))
 
 
+def _spec_from_json(doc: dict) -> CantorSpec:
+    """A spec from its JSON form ``{"factors": [factor, ...], "level": k}``, each factor as above."""
+    return CantorSpec(tuple(_factor_from_json(f) for f in doc["factors"]), int(doc["level"]))
+
+
 def spread_kept(m: int, n: int) -> tuple:
     """Evenly spread kept indices including both ends (middle-thirds style)."""
     if m == 1:

@@ -15,9 +15,13 @@ name goes to stderr), 2 usage error. argparse refuses an unknown flag or a
 flag value of the wrong type with its own usage text. Every other usage
 error is a ``ValueError`` and prints one ``usage error:`` line: a missing,
 bad or conflicting flag, a path that cannot be opened (read or written,
-after ``$RIESZDIM_OUT``), a JSON document or point CSV that does not parse,
-and a JSON document with a missing key, a value of the wrong type or an
-unknown measure variant.
+after ``$RIESZDIM_OUT``), and a JSON document or point CSV that does not
+parse. A Cantor spec, an energy-target spec and a measure each have one
+document form and one builder in the library; their flags assemble the
+same document, and :func:`_build` turns whatever the builder refuses into
+one usage error naming its source, the document's path or the selecting
+flag (``--gen cantor``, ``--measure cube``). A list flag value that does
+not parse names its flag.
 
 A handler only computes: it returns its payload and the text of each file
 it writes. ``main`` builds the envelope before it writes anything, so a NaN
@@ -117,26 +121,30 @@ def _read_json(path):
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _from_json(path, build):
-    """``build(doc)`` of the JSON document at ``path``; a missing key or bad type: usage error."""
-    doc = _read_json(path)
+def _build(build, doc, source):
+    """``build(doc)``: a library builder on a construction's document.
+
+    A document read from a file and one assembled from flags go through the
+    same builder, and every error it raises on its input (a missing key, a
+    value of the wrong type or out of range, an unknown variant) is one
+    usage error naming ``source``: the document's path, or the flag that
+    selected the construction.
+    """
     try:
         return build(doc)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed document {path}: {type(exc).__name__}: {exc}") from None
+    except (KeyError, TypeError, AttributeError, ValueError, UnsupportedVariant) as exc:
+        raise ValueError(f"{source}: {type(exc).__name__}: {exc}") from None
 
 
-def _read_cloud(args, path) -> PointCloud:
-    """The point CSV at ``path``, refused past --max-points; a parse error names the path."""
+def _read_cloud(path) -> PointCloud:
+    """The point CSV at ``path``; a parse error names the path."""
     from .cloud import read_csv
 
     with _open(path) as f:
         try:
-            cloud = read_csv(f)
+            return read_csv(f)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    _check_points(args, cloud.n)
-    return cloud
 
 
 def _envelope(args, payload: dict, started: float) -> str:
@@ -155,8 +163,12 @@ def _envelope(args, payload: dict, started: float) -> str:
     return json.dumps(_inf_to_null(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _parse_list(text, cast):
-    return [cast(tok) for tok in str(text).split(",") if tok.strip() != ""]
+def _parse_list(text, cast, flag):
+    """The comma-separated values of ``flag``; one that does not parse is a usage error naming it."""
+    try:
+        return [cast(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _check_points(args, n: int) -> None:
@@ -206,31 +218,29 @@ def _add_gen_args(p, with_input=True):
     g.add_argument("--tolerance", type=float, help="relative target tolerance (energy-seq, default 1e-6)")
 
 
+def _factor_doc(args, n) -> dict:
+    """The Cantor factor document of --m, --kept and ``n``: --n of a generator, --n-base of a measure."""
+    return {"m": args.m, "n": n, "kept": _parse_list(args.kept or "", int, "--kept")}
+
+
 def _cantor_spec_from_args(args) -> CantorSpec:
-    from .cantor import CantorFactor, CantorSpec, _factor_from_json
+    """The --gen cantor spec: the --spec-json document, else the one its flags assemble."""
+    from .cantor import _spec_from_json
 
     if args.spec_json:
-        return _from_json(args.spec_json, lambda doc: CantorSpec(
-            tuple(_factor_from_json(f) for f in doc["factors"]), int(doc["level"])))
-    if args.m is None or args.n is None or args.level is None:
+        doc, source = _read_json(args.spec_json), args.spec_json
+    elif args.m is None or args.n is None or args.level is None:
         raise ValueError("cantor generation needs --m, --n and --level")
-    kept = tuple(_parse_list(args.kept, int)) if args.kept else ()
-    factor = CantorFactor(args.m, args.n, kept)
-    d = args.d or 1
-    return CantorSpec((factor,) * d, args.level)
-
-
-def _target_spec(s, targets, tolerance):
-    """The energy-seq spec; without a tolerance it keeps its own default."""
-    from .generators import EnergyTargetSpec
-
-    extra = {} if tolerance is None else {"tolerance": float(tolerance)}
-    return EnergyTargetSpec(float(s), targets, **extra)
+    else:
+        doc = {"factors": [_factor_doc(args, args.n)] * (args.d or 1), "level": args.level}
+        source = "--gen cantor"
+    return _build(_spec_from_json, doc, source)
 
 
 def _generate(args, cantor=None) -> PointCloud:
     """The --gen cloud; a cantor cloud is built from ``cantor``, the spec, when given."""
     from .generators import (
+        _target_spec_from_json,
         cantor_points,
         energy_sequence_points,
         grid_1d,
@@ -258,12 +268,15 @@ def _generate(args, cantor=None) -> PointCloud:
         return semicircle_phase_points(args.phases, args.per_phase)
     if kind == "energy-seq":
         if args.spec_json:
-            spec = _from_json(args.spec_json, lambda doc: _target_spec(
-                doc["s"], doc["targets"], doc.get("tolerance", args.tolerance)))
+            doc, source = _read_json(args.spec_json), args.spec_json
         elif args.s is None or not args.targets:
             raise ValueError("energy-seq needs --s and --targets")
         else:
-            spec = _target_spec(args.s, _parse_list(args.targets, float), args.tolerance)
+            doc = {"s": args.s, "targets": _parse_list(args.targets, float, "--targets")}
+            source = "--gen energy-seq"
+        # the tolerance: the document's, else --tolerance, else the spec's default
+        spec = _build(lambda doc: _target_spec_from_json({"tolerance": args.tolerance, **doc}),
+                      doc, source)
         cloud, _ = energy_sequence_points(spec, args.d or 1, max_points=args.max_points)
         return cloud
     raise ValueError("no generator selected (--gen)")
@@ -272,7 +285,8 @@ def _generate(args, cantor=None) -> PointCloud:
 def _load_cloud(args, cantor=None) -> PointCloud:
     """The --input or --gen cloud (see :func:`_generate`), refused past --max-points or --max-pairs."""
     if args.input:
-        cloud = _read_cloud(args, args.input)
+        cloud = _read_cloud(args.input)
+        _check_points(args, cloud.n)
     elif args.gen:
         cloud = _generate(args, cantor)
     else:
@@ -281,13 +295,14 @@ def _load_cloud(args, cantor=None) -> PointCloud:
     return cloud
 
 
+# --measure choice -> the "variant" of its measure document
+_VARIANTS = {"cube": "uniform-cube", "circle": "uniform-circle", "cantor": "cantor-product",
+             "semicircle": "rotating-semicircle", "empirical": "empirical"}
+
+
 def _add_measure_args(p):
     g = p.add_argument_group("measure")
-    g.add_argument(
-        "--measure",
-        choices=["cube", "circle", "cantor", "semicircle", "empirical"],
-        help="measure variant",
-    )
+    g.add_argument("--measure", choices=list(_VARIANTS), help="measure variant")
     g.add_argument("--measure-json", help="JSON measure document")
     g.add_argument("--dim", type=int, default=1, help="cube dimension")
     g.add_argument("--m", type=int, help="cantor kept-interval count")
@@ -300,40 +315,30 @@ def _add_measure_args(p):
 
 
 def _measure_from_args(args):
-    from .measures import (
-        CantorProduct,
-        Empirical,
-        RotatingSemicircle,
-        UniformCircle,
-        UniformCube,
-        measure_from_json,
-    )
+    """The --measure-json measure, else the one its flags assemble; a cloud refused past --max-points."""
+    from .measures import Empirical, measure_from_json
 
     if args.measure_json:
-        try:
-            return _from_json(args.measure_json, measure_from_json)
-        except UnsupportedVariant as exc:  # a document's tag is outside input, like its keys
-            raise ValueError(f"malformed document {args.measure_json}: {exc}") from None
-    kind = args.measure
-    if kind == "cube":
-        return UniformCube(args.dim)
-    if kind == "circle":
-        return UniformCircle()
-    if kind == "cantor":
-        if args.m is None or args.n_base is None:
-            raise ValueError("cantor measure needs --m and --n-base")
-        from .cantor import CantorFactor
-
-        kept = tuple(_parse_list(args.kept, int)) if args.kept else ()
-        factor = CantorFactor(args.m, args.n_base, kept)
-        return CantorProduct((factor,) * args.factor_dim, args.depth)
-    if kind == "semicircle":
-        return RotatingSemicircle(args.phase)
-    if kind == "empirical":
-        if not args.points:
-            raise ValueError("empirical measure needs --points CSV")
-        return Empirical(_read_cloud(args, args.points))
-    raise ValueError("provide --measure or --measure-json")
+        doc, source = _read_json(args.measure_json), args.measure_json
+    elif args.measure is None:
+        raise ValueError("provide --measure or --measure-json")
+    else:
+        # each variant's builder reads its own keys of these and ignores the rest
+        doc = {"variant": _VARIANTS[args.measure], "dim": args.dim, "phase": args.phase,
+               "depth": args.depth}
+        source = f"--measure {args.measure}"
+        if args.measure == "cantor":
+            if args.m is None or args.n_base is None:
+                raise ValueError("cantor measure needs --m and --n-base")
+            doc["factors"] = [_factor_doc(args, args.n_base)] * args.factor_dim
+        elif args.measure == "empirical":
+            if not args.points:
+                raise ValueError("empirical measure needs --points CSV")
+            doc["points"] = _read_cloud(args.points).points
+    measure = _build(measure_from_json, doc, source)
+    if isinstance(measure, Empirical):
+        _check_points(args, measure.cloud.n)
+    return measure
 
 
 def _cmd_gen(args) -> tuple[dict, dict]:
@@ -374,8 +379,8 @@ def _cmd_energy(args) -> tuple[dict, dict]:
     if args.s_grid:
         prof = energy_profile(
             cloud,
-            _parse_list(args.s_grid, float),
-            _parse_list(args.n_grid, int),
+            _parse_list(args.s_grid, float, "--s-grid"),
+            _parse_list(args.n_grid, int, "--n-grid"),
             threads=args.threads,
         )
         payload = {
@@ -412,7 +417,7 @@ def _auto_n_grid(args, n: int, cantor=None) -> list:
     A cantor cloud's default grid is the level sizes of ``cantor``, its spec.
     """
     if args.n_grid:
-        return _parse_list(args.n_grid, int)
+        return _parse_list(args.n_grid, int, "--n-grid")
     if cantor is not None:
         from .cantor import _level_sizes
 
@@ -439,14 +444,11 @@ def _family(args, cantor=None):
     """
     from . import families
 
-    if args.gen == "grid1d":
-        if args.n is None:
-            raise ValueError("grid1d needs --n")
+    # without its size flags a grid1d or lattice run has no family: _generate refuses it
+    if args.gen == "grid1d" and args.n is not None:
         return _auto_n_grid(args, args.n), functools.partial(
             families.grid_1d_profile, max_terms=args.max_pairs)
-    if args.gen == "lattice":
-        if args.d is None or args.k is None:
-            raise ValueError("lattice needs --d and --k")
+    if args.gen == "lattice" and None not in (args.d, args.k):
         if not (args.d >= 1 and args.k >= 1 and args.k * args.d < 63):
             return None  # the walk refuses it
         members = {2 ** (j * args.d) for j in range(1, args.k + 1)}
@@ -485,7 +487,7 @@ def _cmd_dim(args) -> tuple[dict, dict]:
         n_grid = _auto_n_grid(args, cloud.n, cantor)
         build = functools.partial(energy_profile, cloud, threads=args.threads)
     prof = build(s_grid, n_grid)
-    window = tuple(_parse_list(args.window, int)) if args.window else None
+    window = tuple(_parse_list(args.window, int, "--window")) if args.window else None
     est = dimension_estimate(prof, args.threshold, window=window, recompute=build)
     payload = est.to_json()
     payload["n_grid"] = list(prof.n_grid)
@@ -501,7 +503,7 @@ def _cmd_varscan(args) -> tuple[dict, dict]:
     measure = _measure_from_args(args)
     scores = variance_blowup_scan(
         measure,
-        _parse_list(args.s_grid, float),
+        _parse_list(args.s_grid, float, "--s-grid"),
         args.n,
         args.reps,
         args.seed,
@@ -545,7 +547,7 @@ def _cmd_lln_mean(args) -> tuple[dict, dict]:
 def _cmd_lln_weak(args) -> tuple[dict, dict]:
     from .stats import wlln_exceedance
 
-    n_grid = _parse_list(args.n_grid, int)
+    n_grid = _parse_list(args.n_grid, int, "--n-grid")
     _check_points(args, max(n_grid, default=0))
     _check_pairs(args, *n_grid, reps=args.reps)
     measure = _measure_from_args(args)
@@ -639,7 +641,7 @@ def _cmd_erdos(args) -> tuple[dict, dict]:
     from .sets import erdos_report
 
     cloud = _load_cloud(args)
-    exps = _parse_list(args.exponents, float) if args.exponents else None
+    exps = _parse_list(args.exponents, float, "--exponents") if args.exponents else None
     report = erdos_report(cloud, exps)
     rows = (
         f"{row['s0']:.17g},{row['exponent']:.17g},{report.count},{report.n},"

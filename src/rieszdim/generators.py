@@ -249,6 +249,13 @@ class EnergyTargetSpec:
             raise ValueError("tolerance must lie in (0, 1e-3]")
 
 
+def _target_spec_from_json(doc: dict) -> EnergyTargetSpec:
+    """A spec from its JSON form ``{"s": s, "targets": [...], "tolerance": t}``; tolerance may be omitted."""
+    tolerance = doc.get("tolerance")
+    return EnergyTargetSpec(float(doc["s"]), doc["targets"],
+                            EnergyTargetSpec.tolerance if tolerance is None else float(tolerance))
+
+
 def _direction(d: int, index: int) -> np.ndarray:
     if d == 1:
         return np.array([1.0])

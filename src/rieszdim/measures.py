@@ -287,6 +287,6 @@ def measure_from_json(doc: dict) -> MeasureSpec:
     if tag == "rotating-semicircle":
         return RotatingSemicircle(phase=float(doc.get("phase", 0.0)))
     if tag == "empirical":
-        return Empirical(PointCloud(np.array(doc["points"], dtype=float)))
+        return Empirical(PointCloud(doc["points"]))
     raise UnsupportedVariant(f"unknown measure variant {tag!r}")
 

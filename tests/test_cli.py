@@ -597,15 +597,19 @@ def test_commands_enforce_point_cap(capsys, argv, points):
 
 
 def test_empirical_measure_enforces_point_cap(capsys, tmp_path):
+    # the cap applies to the built measure: a CSV and a document alike
     path = tmp_path / "pts.csv"
     path.write_text("# dim=1\n0\n0.5\n1\n")
-    argv = ["sample", "--measure", "empirical", "--points", str(path), "--count", "2"]
-    code, out, err = run_cli(argv + ["--max-points", "2"], capsys)
-    assert code == 1
-    assert "SizeCapExceeded" in err
-    assert out == ""
-    code, _, _ = run_cli(argv + ["--max-points", "3"], capsys)
-    assert code == 0
+    doc = tmp_path / "pts.json"
+    doc.write_text(json.dumps({"variant": "empirical", "points": [[0], [0.5], [1]]}))
+    for measure in (["--measure", "empirical", "--points", str(path)], ["--measure-json", str(doc)]):
+        argv = ["sample", *measure, "--count", "2"]
+        code, out, err = run_cli(argv + ["--max-points", "2"], capsys)
+        assert code == 1
+        assert "SizeCapExceeded" in err
+        assert out == ""
+        code, _, _ = run_cli(argv + ["--max-points", "3"], capsys)
+        assert code == 0
 
 
 def test_energy_seq_enforces_point_cap(capsys):
@@ -908,9 +912,16 @@ def test_bad_path_or_document_is_one_usage_error_line(argv, path, doc, tmp_path)
         # measure documents without a known variant
         (["sample", "--count", "3", "--measure-json", "bad.json"], "{}"),
         (["sample", "--count", "3", "--measure-json", "bad.json"], '{"variant": "nope"}'),
+        # documents that parse into values their builder refuses
+        (["gen", "--gen", "cantor", "--spec-json", "bad.json"],
+         '{"factors": [{"m": 2, "n": 1}], "level": 2}'),
+        (["gen", "--gen", "energy-seq", "--spec-json", "bad.json"], '{"s": 1, "targets": [-1]}'),
+        (["sample", "--count", "3", "--measure-json", "bad.json"],
+         '{"variant": "uniform-cube", "dim": 0}'),
     ],
     ids=["truncated-spec", "spec-not-json", "truncated-measure", "ragged-csv", "nan-csv",
-         "text-csv", "no-variant", "unknown-variant"],
+         "text-csv", "no-variant", "unknown-variant", "refused-factor", "refused-targets",
+         "refused-cube-dim"],
 )
 def test_unparsable_input_is_a_usage_error_naming_its_file(argv, text, capsys, tmp_path,
                                                             monkeypatch):
@@ -921,8 +932,7 @@ def test_unparsable_input_is_a_usage_error_naming_its_file(argv, text, capsys, t
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     [line] = captured.err.splitlines()
-    assert line.startswith(f"usage error: {name}: ") or line.startswith(
-        f"usage error: malformed document {name}: ")
+    assert line.startswith(f"usage error: {name}: ")
 
 
 @pytest.mark.parametrize(
@@ -1042,6 +1052,20 @@ def test_dim_grid_and_window_errors_name_what_is_wrong(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert f"usage error: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dim", "--gen", "grid1d", "--n", "64", "--n-grid", "8,x"],
+         "--n-grid: invalid literal for int() with base 10: 'x'"),
+        (["varscan", "--measure", "cube", "--s-grid", "0.5,x", "--n", "10"],
+         "--s-grid: could not convert string to float: 'x'"),
+    ],
+    ids=["int", "float"],
+)
+def test_a_list_flag_value_that_does_not_parse_names_its_flag(argv, message, capsys):
+    assert run_cli(argv, capsys) == (2, "", f"usage error: {message}\n")
 
 
 def test_lln_path_tail_zero_is_empty(capsys):
@@ -1344,9 +1368,15 @@ def test_tolerance_is_echoed_only_when_given(capsys, tmp_path):
     assert default == explicit
     path = tmp_path / "targets.json"
     path.write_text(json.dumps({"s": 1.0, "targets": [4, 1, 2]}))
-    _, from_json, _ = run_cli(["gen", "--gen", "energy-seq", "--spec-json", str(path),
-                               "--d", "2"], capsys)
+    by_doc = ["gen", "--gen", "energy-seq", "--spec-json", str(path), "--d", "2"]
+    _, from_json, _ = run_cli(by_doc, capsys)
     assert from_json == default
+    # a document's tolerance comes first, else --tolerance, else 1e-6
+    _, coarse, _ = run_cli(argv + ["--tolerance", "1e-4"], capsys)
+    assert coarse != default  # the tolerance moves the slide points
+    assert run_cli(by_doc + ["--tolerance", "1e-4"], capsys)[1] == coarse
+    path.write_text(json.dumps({"s": 1.0, "targets": [4, 1, 2], "tolerance": 1e-4}))
+    assert run_cli(by_doc + ["--tolerance", "1e-3"], capsys)[1] == coarse
 
 
 def test_per_rep_csv(capsys, tmp_path):
@@ -1408,3 +1438,48 @@ def test_measure_json_input(capsys, tmp_path):
         [[float(t) for t in line.split(",")] for line in out.strip().splitlines()[1:]]
     )
     assert np.max(np.abs((pts**2).sum(axis=1) - 1.0)) < 1e-12
+
+
+_SAMPLE = ["sample", "--count", "30", "--seed", "3"]
+
+
+@pytest.mark.parametrize(
+    "flags, by_doc, doc",
+    [
+        (["gen", "--gen", "cantor", "--m", "2", "--n", "5", "--kept", "0,4", "--level", "3",
+          "--d", "2"], ["gen", "--gen", "cantor"],
+         {"factors": [{"m": 2, "n": 5, "kept": [0, 4]}] * 2, "level": 3}),
+        (["gen", "--gen", "cantor", "--m", "3", "--n", "5", "--level", "2"],
+         ["gen", "--gen", "cantor"], {"factors": [{"m": 3, "n": 5}], "level": 2}),
+        (["gen", "--gen", "energy-seq", "--s", "1", "--targets", "4,1,2", "--tolerance", "1e-4",
+          "--d", "2"], ["gen", "--gen", "energy-seq", "--d", "2"],
+         {"s": 1, "targets": [4, 1, 2], "tolerance": 1e-4}),
+        (_SAMPLE + ["--measure", "cube", "--dim", "2"], _SAMPLE,
+         {"variant": "uniform-cube", "dim": 2}),
+        (_SAMPLE + ["--measure", "circle"], _SAMPLE, {"variant": "uniform-circle"}),
+        (_SAMPLE + ["--measure", "cantor", "--m", "2", "--n-base", "3", "--kept", "0,2",
+                    "--factor-dim", "2", "--depth", "7"], _SAMPLE,
+         {"variant": "cantor-product", "factors": [{"m": 2, "n": 3, "kept": [0, 2]}] * 2,
+          "depth": 7}),
+        (_SAMPLE + ["--measure", "semicircle", "--phase", "0.7"], _SAMPLE,
+         {"variant": "rotating-semicircle", "phase": 0.7}),
+        (_SAMPLE + ["--measure", "empirical", "--points", "pts.csv"], _SAMPLE,
+         {"variant": "empirical", "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]}),
+    ],
+    ids=["cantor-spec", "cantor-spec-spread", "energy-target-spec", "cube", "circle",
+         "cantor-product", "semicircle", "empirical"],
+)
+def test_flags_and_their_document_give_identical_output(flags, by_doc, doc, capsys, tmp_path,
+                                                        monkeypatch):
+    # the flags assemble the document, and both go through one builder
+    monkeypatch.chdir(tmp_path)
+    rd.write_csv(rd.PointCloud(doc.get("points", [[0.0]])), tmp_path / "pts.csv")
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    source = ["--measure-json" if by_doc is _SAMPLE else "--spec-json", "doc.json"]
+    outputs = []
+    for argv in (flags, by_doc + source):
+        code, out, err = run_cli(argv + ["--json", "env.json"], capsys)
+        assert (code, err) == (0, "")
+        outputs.append((out, payload_of((tmp_path / "env.json").read_text())))
+    assert outputs[0] == outputs[1]
+

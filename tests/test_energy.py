@@ -943,6 +943,8 @@ def test_large_call_leaves_no_stale_values_for_a_small_one():
 
 
 def test_truncated_and_underflow_paths_on_a_reused_workspace():
+    # each walk owns its strip buffers: calls after a larger walk, and calls
+    # repeated on a thread that has walked before, keep their bits
     tiny = rd.PointCloud([[0.0], [1e-300], [0.5]])
     c = random_cloud(12, 90, 2)
 
@@ -961,7 +963,7 @@ def test_truncated_and_underflow_paths_on_a_reused_workspace():
         return calls()
 
     assert _in_fresh_thread(dirty_then_calls) == fresh
-    assert calls() == fresh  # this thread's workspace is already in use
+    assert calls() == fresh  # this thread has walked before
     assert fresh[0] == pytest.approx((1e150 + 2.0 * 0.5**-0.5) / 3.0, rel=1e-12)
     assert fresh[1] == pytest.approx(2.0 * 0.5**-0.5 / 4.5, rel=1e-15)
 
@@ -995,8 +997,11 @@ def test_interleaved_strip_users_on_two_threads():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor fault counts are Linux-only")
 def test_row_sums_do_not_page_fault_per_strip():
-    # each strip reuses the thread's workspace, so repeated calls map no
-    # new pages; allocating per strip costs hundreds of faults per call
+    # a walk allocates its strip buffers once, not per strip, and frees
+    # them when it ends; allocating per strip costs hundreds of faults per
+    # call. Each call's walk allocates afresh: in a bare interpreter a call
+    # faults just under one page, and after earlier tests, whose heap hands
+    # the freed block back, none
     resource = pytest.importorskip("resource")
     pts = random_cloud(16, 300, 2).points
     exps = [0.3, 0.6, 0.9, 1.2]
@@ -1120,7 +1125,9 @@ def test_fold_raises_on_coinciding_points(scale):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor fault counts are Linux-only")
 def test_fold_sums_do_not_page_fault_per_strip():
-    # the fold twin of test_row_sums_do_not_page_fault_per_strip
+    # the fold twin of test_row_sums_do_not_page_fault_per_strip: one set of
+    # strip buffers per call's walk, about 1.4 faulted pages per call in a
+    # bare interpreter (past the bound) and none after earlier tests
     resource = pytest.importorskip("resource")
     c = random_cloud(16, 300, 2)
     exps = [0.3, 0.6, 0.9, 1.2]
